@@ -2,6 +2,10 @@
 hard evidence: evidence environments, deception feasibility, separating bets,
 implementability conditions, implementing mechanisms, and equilibrium audits."""
 
+# The one version string (pyproject.toml reads it too); set before the
+# submodule imports so any of them may import it.
+__version__ = "0.1.0"
+
 from .scenario import (
     Distribution,
     Scenario,
@@ -60,4 +64,3 @@ from .smalltransfers import (
 )
 from .icr import FiniteBayesianGame, icr_eliminate
 
-__version__ = "0.1.0"

@@ -312,6 +312,7 @@ def _audit_search(args, data):
                     "flags": flags,
                 }
             )
+    clean = clean and bool(rows)  # no pass when zero games were searched
     return (EXIT_OK if clean else EXIT_FAIL), {"clean": clean, "games": rows}
 
 

@@ -23,6 +23,10 @@ class NoImbalance(ValueError):
     """Two-point bet construction needs an imperfect pure plan."""
 
 
+class NotSeparating(RuntimeError):
+    """A synthesized bet misses the signs it was constructed to have."""
+
+
 @dataclass(frozen=True)
 class TransportPlan:
     """Mass routing from source collections at `source_state` onto claimed
@@ -120,6 +124,28 @@ def find_perfect_deception(scenario: Scenario, agent, source_state, target_state
     return perfect_deception(scenario, agent, source_state, target_state).plan
 
 
+def _assign_sources(sources, masses, residual, assignment, idx):
+    """Backtrack sources[idx:] onto sub-collections with enough residual demand.
+
+    A module-level function rather than a recursive closure: a closure that
+    calls itself is a reference cycle, which keeps each call's state alive
+    until the cyclic collector runs.
+    """
+    if idx == len(sources):
+        return all(r == 0 for r in residual.values())
+    src, mass = sources[idx], masses[idx]
+    options = [t for t in residual if t <= src and residual[t] >= mass]
+    options.sort(key=lambda t: (-residual[t], collection_key(t)))
+    for tgt in options:
+        residual[tgt] -= mass
+        assignment[src] = tgt
+        if _assign_sources(sources, masses, residual, assignment, idx + 1):
+            return True
+        residual[tgt] += mass
+        del assignment[src]
+    return False
+
+
 def find_pure_perfect_deception(scenario: Scenario, agent, source_state, target_state) -> PurePlan | None:
     """Degenerate perfect deception via backtracking with exact residual demands."""
     if source_state == target_state:
@@ -130,30 +156,9 @@ def find_pure_perfect_deception(scenario: Scenario, agent, source_state, target_
     # Heaviest sources first; deterministic tie-break by canonical collection order.
     sources = sorted(source_dist.support(), key=lambda c: (-source_dist.prob(c), collection_key(c)))
     residual = {c: target_dist.prob(c) for c in target_dist.support()}
-
     assignment = {}
-
-    def targets_for(src):
-        mass = source_dist.prob(src)
-        options = [t for t in residual if t <= src and residual[t] >= mass]
-        options.sort(key=lambda t: (-residual[t], collection_key(t)))
-        return options
-
-    def backtrack(idx):
-        if idx == len(sources):
-            return all(r == 0 for r in residual.values())
-        src = sources[idx]
-        mass = source_dist.prob(src)
-        for tgt in targets_for(src):
-            residual[tgt] -= mass
-            assignment[src] = tgt
-            if backtrack(idx + 1):
-                return True
-            residual[tgt] += mass
-            del assignment[src]
-        return False
-
-    if not backtrack(0):
+    masses = [source_dist.prob(src) for src in sources]
+    if not _assign_sources(sources, masses, residual, assignment, 0):
         return None
     pairs = tuple((src, assignment[src]) for src in sorted(assignment, key=collection_key))
     return PurePlan(agent, source_state, target_state, pairs)
@@ -370,6 +375,9 @@ def synthesize_gamma_delta(scenario: Scenario, pure_plan: PurePlan) -> TwoPointB
     delta = Fraction(1)
     scale = gamma.denominator
     gamma, delta = gamma * scale, delta * scale
-    assert gamma * a + delta * b > 0
-    assert gamma * a_t + delta * b_t < 0
+    weights = {short: gamma, long: delta}
+    if not induced.dot(weights) > 0 > target.dot(weights):
+        raise NotSeparating(
+            f"two-point bet ({gamma}, {delta}) must win under the plan and lose at {pure_plan.target_state}"
+        )
     return TwoPointBet(pure_plan.agent, short, long, gamma, delta)

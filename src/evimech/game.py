@@ -670,7 +670,8 @@ class AuditSuite:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        # no pass when zero audits ran
+        return bool(self.results) and all(r.passed for r in self.results)
 
 
 def claim_audits(scenario: Scenario, mech: Mechanism, profile_indices=None) -> AuditSuite:

@@ -8,10 +8,10 @@ import hashlib
 import json
 from fractions import Fraction
 
+from . import __version__
 from .rationals import format_rational
 
 TOOL_NAME = "evimech"
-TOOL_VERSION = "0.1.0"
 
 
 def jsonable(value):
@@ -45,7 +45,7 @@ def input_digest(raw_bytes: bytes) -> str:
 def build_report(command: str, digest: str, config: dict, payload: dict) -> dict:
     return {
         "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "input_digest": digest,
         "config": jsonable(config),

@@ -321,6 +321,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         elif scenario.scf[state] not in scenario.outcomes:
             flag(f"scf.{state}", f"unknown outcome {scenario.scf[state]!r}")
 
+    if not scenario.utility_profiles:
+        flag("utility_profiles", "need at least one utility profile")
     for idx, profile in enumerate(scenario.utility_profiles):
         for agent in scenario.agents:
             per_agent = profile.get(agent)

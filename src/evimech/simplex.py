@@ -1,15 +1,22 @@
-"""Dense two-phase simplex over exact rationals.
+"""Two-phase simplex over exact rationals, pivoting on integer rows.
 
 Small problems only; every verdict downstream depends on exact optima, which
-rules out floating-point LP backends. Pivoting uses the largest-coefficient
-rule with an automatic switch to Bland's rule on stalls, so it is fast in
-practice and provably terminating.
+rules out floating-point LP backends. Inputs and outputs are `Fraction`s (ints
+are accepted too). Inside, each tableau row holds integer numerators over a
+positive per-row denominator, so it stands for exactly the rational row a
+`Fraction` tableau would hold. An elimination step touches only the nonzero
+entries of the pivot row unless it must rescale the row to stay integral; a
+rescaled row is reduced by its gcd. Pivoting uses the largest-coefficient rule
+with an automatic switch to Bland's rule on stalls, so it is fast in practice
+and provably terminating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -23,6 +30,101 @@ class LpResult:
     values: list | None
 
 
+def _integer_row(values):
+    """Integer numerators of `values` over their least common denominator."""
+    den = reduce(lcm, [v.denominator for v in values], 1)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(row, den, c, prow, nz):
+    """Subtract the multiple of the pivot row that zeroes `row[c]`.
+
+    The pivot row has numerator prow[c] > 0 in column c and nonzero entries
+    at the indices nz. Returns the new row and its denominator; `row` may be
+    updated in place.
+    """
+    f = row[c]
+    p = prow[c]
+    h = gcd(p, f)
+    s, f = p // h, f // h
+    if s == 1:
+        for j in nz:
+            row[j] -= f * prow[j]
+        return row, den
+    row = [a * s for a in row]
+    for j in nz:
+        row[j] -= f * prow[j]
+    # reduce() rather than gcd(*row): unpacking builds a tuple per call, and
+    # CPython keeps freed short tuples on free lists, which measurably raised
+    # peak memory.
+    g = reduce(gcd, row, den * s)
+    if g != 1:
+        row = [a // g for a in row]
+    return row, den * s // g
+
+
+def _pivot(rows, dens, bas, r, c):
+    """Make column c basic in row r; returns the pivot row's nonzero entries."""
+    prow = rows[r]
+    g = reduce(gcd, prow)
+    if prow[c] < 0:
+        g = -g
+    if g != 1:
+        prow = rows[r] = [a // g for a in prow]
+    p = dens[r] = prow[c]
+    nz = [j for j, b in enumerate(prow) if b]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            rows[i], dens[i] = _eliminate(row, dens[i], c, prow, nz)
+    bas[r] = c
+    return nz
+
+
+def _run_simplex(rows, dens, bas, cost, cost_den, ncols):
+    """Minimize the cost row (numerators over one positive denominator)."""
+    stall = 0
+    bland = False
+    while True:
+        enter = -1
+        if bland:
+            for j in range(ncols):
+                if cost[j] < 0:
+                    enter = j
+                    break
+        else:
+            best_cost = 0
+            for j in range(ncols):
+                if cost[j] < best_cost:
+                    best_cost = cost[j]
+                    enter = j
+        if enter < 0:
+            return "optimal", cost
+        # Ratio test: row i's ratio is row[-1] / row[enter], its denominator
+        # cancels; ratios are compared by cross-multiplication.
+        leave = -1
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                b = row[-1]
+                if leave < 0:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and bas[i] < bas[leave]):
+                    leave, best_a, best_b = i, a, b
+        if leave < 0:
+            return "unbounded", cost
+        if best_b == 0:
+            stall += 1
+            if stall >= _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        nz = _pivot(rows, dens, bas, leave, enter)
+        if cost[enter]:
+            cost, cost_den = _eliminate(cost, cost_den, enter, rows[leave], nz)
+
+
 def maximize(objective, constraints, bounds):
     """Maximize objective subject to constraints.
 
@@ -30,187 +132,137 @@ def maximize(objective, constraints, bounds):
     constraints: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
     bounds: list of (lo, hi) per variable; None means unbounded on that side.
     """
-    objective = [Fraction(c) for c in objective]
-    rows = [([Fraction(a) for a in coeffs], sense, Fraction(rhs)) for coeffs, sense, rhs in constraints]
-
     # Rewrite into standard-form variables y >= 0 via x = base + M y (per variable
     # a single column, or two columns for free variables).
     col_of = []
     base = []
-    extra_rows = []
+    spans = []  # (column, hi - lo as numerator, denominator) of boxed variables
     y_count = 0
     for lo, hi in bounds:
         if lo is not None:
-            base.append(Fraction(lo))
-            col_of.append([(y_count, Fraction(1))])
+            base.append(lo)
+            col_of.append(((y_count, 1),))
             if hi is not None:
-                extra_rows.append(([(y_count, Fraction(1))], LE, Fraction(hi) - Fraction(lo)))
+                span = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+                spans.append((y_count, span, hi.denominator * lo.denominator))
             y_count += 1
         elif hi is not None:
-            base.append(Fraction(hi))
-            col_of.append([(y_count, Fraction(-1))])
+            base.append(hi)
+            col_of.append(((y_count, -1),))
             y_count += 1
         else:
-            base.append(Fraction(0))
-            col_of.append([(y_count, Fraction(1)), (y_count + 1, Fraction(-1))])
+            base.append(0)
+            col_of.append(((y_count, 1), (y_count + 1, -1)))
             y_count += 2
+    base = [b.numerator if b.denominator == 1 else b for b in base]
 
     def expand(coeffs):
-        row = [Fraction(0)] * y_count
-        shift = Fraction(0)
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            shift += a * base[j]
-            for y_idx, sign in col_of[j]:
-                row[y_idx] += a * sign
-        return row, shift
+        nums, den = _integer_row(coeffs)
+        row = [0] * y_count
+        shift = 0
+        for j, a in enumerate(nums):
+            if a:
+                shift += a * base[j]
+                for y_idx, sign in col_of[j]:
+                    row[y_idx] += a * sign
+        return row, den, shift  # the row is row / den, shifted by shift / den
 
+    # Each standard-form row is [numerators over y, denominator, sense, rhs
+    # numerator]: (row / den) . y  (sense)  rhs - shift / den.
     std_rows = []
-    for coeffs, sense, rhs in rows:
-        row, shift = expand(coeffs)
-        std_rows.append([row, sense, rhs - shift])
-    for sparse, sense, rhs in extra_rows:
-        row = [Fraction(0)] * y_count
-        for y_idx, a in sparse:
-            row[y_idx] = a
-        std_rows.append([row, sense, rhs])
-
-    obj_row, _ = expand(objective)
+    for coeffs, sense, rhs in constraints:
+        row, den, shift = expand(coeffs)
+        rn, rd = rhs.numerator, rhs.denominator
+        sn, sd = shift.numerator, shift.denominator
+        scale = rd * sd
+        if scale != 1:
+            row = [a * scale for a in row]
+        std_rows.append([row, den * scale, sense, rn * sd * den - sn * rd])
+    for y_idx, num, den in spans:
+        row = [0] * y_count
+        row[y_idx] = den
+        std_rows.append([row, den, LE, num])
+    obj_row = expand(objective)[0]
 
     # Normalize every rhs nonnegative, attach slack columns, and use slacks of
     # "<=" rows as the starting basis where possible (artificials elsewhere).
     m = len(std_rows)
     for entry in std_rows:
-        row, sense, rhs = entry
-        if rhs < 0:
-            entry[0] = [-a for a in row]
-            entry[2] = -rhs
-            entry[1] = LE if sense == GE else (GE if sense == LE else EQ)
+        if entry[3] < 0:
+            entry[0] = [-a for a in entry[0]]
+            entry[3] = -entry[3]
+            entry[2] = LE if entry[2] == GE else (GE if entry[2] == LE else EQ)
 
-    slack_count = sum(1 for _, sense, _ in std_rows if sense in (LE, GE))
+    slack_count = sum(1 for entry in std_rows if entry[2] in (LE, GE))
     width = y_count + slack_count
-    needs_artificial = []
-    filled = []
-    slack_used = 0
-    for row, sense, rhs in std_rows:
-        full = row + [Fraction(0)] * slack_count
-        basis_col = None
-        if sense in (LE, GE):
-            sign = Fraction(1) if sense == LE else Fraction(-1)
-            full[y_count + slack_used] = sign
-            if sense == LE:
-                basis_col = y_count + slack_used
-            slack_used += 1
-        filled.append((full, rhs, basis_col))
-        needs_artificial.append(basis_col is None)
-
-    art_count = sum(needs_artificial)
+    art_count = m - sum(1 for entry in std_rows if entry[2] == LE)
     total = width + art_count
-    tableau = []
+    rows = []
+    dens = []
     basis = []
+    slack_used = 0
     art_used = 0
-    for full, rhs, basis_col in filled:
-        row = full + [Fraction(0)] * art_count + [rhs]
-        if basis_col is None:
-            row[width + art_used] = Fraction(1)
+    for row, den, sense, rhs in std_rows:
+        row = row + [0] * (slack_count + art_count) + [rhs]
+        if sense in (LE, GE):
+            row[y_count + slack_used] = den if sense == LE else -den
+            slack_used += 1
+        if sense == LE:
+            basis.append(y_count + slack_used - 1)
+        else:
+            row[width + art_used] = den
             basis.append(width + art_used)
             art_used += 1
-        else:
-            basis.append(basis_col)
-        tableau.append(row)
-
-    def pivot(tab, bas, row_i, col_j):
-        piv = tab[row_i][col_j]
-        if piv != 1:
-            tab[row_i] = [a / piv for a in tab[row_i]]
-        pivot_row = tab[row_i]
-        for r in range(len(tab)):
-            if r != row_i:
-                factor = tab[r][col_j]
-                if factor != 0:
-                    tab[r] = [a - factor * p for a, p in zip(tab[r], pivot_row)]
-        bas[row_i] = col_j
-
-    def run_simplex(tab, bas, cost, ncols):
-        stall = 0
-        bland = False
-        while True:
-            enter = -1
-            if bland:
-                for j in range(ncols):
-                    if cost[j] < 0:
-                        enter = j
-                        break
-            else:
-                best_cost = Fraction(0)
-                for j in range(ncols):
-                    if cost[j] < best_cost:
-                        best_cost = cost[j]
-                        enter = j
-            if enter < 0:
-                return "optimal", cost
-            leave = -1
-            best = None
-            for i in range(len(tab)):
-                if tab[i][enter] > 0:
-                    ratio = tab[i][-1] / tab[i][enter]
-                    if best is None or ratio < best or (ratio == best and bas[i] < bas[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded", cost
-            if best == 0:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-            pivot(tab, bas, leave, enter)
-            piv_cost = cost[enter]
-            if piv_cost != 0:
-                cost = [a - piv_cost * p for a, p in zip(cost, tab[leave])]
+        g = reduce(gcd, row, den)
+        if g != 1:
+            row = [a // g for a in row]
+            den //= g
+        rows.append(row)
+        dens.append(den)
 
     if art_count:
-        cost1 = [Fraction(0)] * (total + 1)
-        for j in range(width, total):
-            cost1[j] = Fraction(1)
-        for i in range(m):
-            if basis[i] >= width:
-                cost1 = [a - p for a, p in zip(cost1, tableau[i])]
-        status, cost1 = run_simplex(tableau, basis, cost1, total)
-        if -cost1[-1] != 0:
+        # cost1 = sum of artificials, priced out against the artificial rows.
+        art_rows = [i for i in range(m) if basis[i] >= width]
+        cost_den = reduce(lcm, [dens[i] for i in art_rows])
+        cost1 = [0] * width + [cost_den] * art_count + [0]
+        for i in art_rows:
+            k = cost_den // dens[i]
+            cost1 = [a - k * b for a, b in zip(cost1, rows[i])]
+        status, cost1 = _run_simplex(rows, dens, basis, cost1, cost_den, total)
+        if cost1[-1]:
             return LpResult("infeasible", None, None)
         for i in range(m):
             if basis[i] >= width:
                 for j in range(width):
-                    if tableau[i][j] != 0:
-                        pivot(tableau, basis, i, j)
+                    if rows[i][j]:
+                        _pivot(rows, dens, basis, i, j)
                         break
 
     # Phase 2: minimize -objective (we maximize); artificial columns are never
     # eligible to enter because the column scan stops at `width`.
-    cost2 = [Fraction(0)] * (total + 1)
-    for j in range(y_count):
-        cost2[j] = -obj_row[j]
+    cost2 = [-a for a in obj_row] + [0] * (total - y_count + 1)
+    cost_den = 1
     for i in range(m):
-        if basis[i] < width and cost2[basis[i]] != 0:
-            factor = cost2[basis[i]]
-            cost2 = [a - factor * p for a, p in zip(cost2, tableau[i])]
-    status, cost2 = run_simplex(tableau, basis, cost2, width)
+        col = basis[i]
+        if col < width and cost2[col]:
+            cost2, cost_den = _eliminate(
+                cost2, cost_den, col, rows[i], [j for j, b in enumerate(rows[i]) if b]
+            )
+    status, cost2 = _run_simplex(rows, dens, basis, cost2, cost_den, width)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 
-    y = [Fraction(0)] * total
-    for i, col in enumerate(basis):
-        y[col] = tableau[i][-1]
+    # A basic column reads rhs / den; x = base + sum of sign * y over its columns.
+    y = {col: (rows[i][-1], dens[i]) for i, col in enumerate(basis) if col < y_count}
     values = []
-    for j in range(len(bounds)):
-        val = base[j]
+    for j, b in enumerate(base):
+        n, d = b.numerator, b.denominator
         for y_idx, sign in col_of[j]:
-            val += sign * y[y_idx]
-        values.append(val)
-    achieved = sum((c * v for c, v in zip(objective, values)), Fraction(0))
+            if y_idx in y:
+                yn, yd = y[y_idx]
+                n, d = n * yd + sign * yn * d, d * yd
+        values.append(Fraction(n, d))
+    achieved = sum((c * v for c, v in zip(objective, values) if c), Fraction(0))
     return LpResult("optimal", achieved, values)
 
 

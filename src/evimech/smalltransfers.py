@@ -25,6 +25,10 @@ class EicViolation(ValueError):
         self.verdict = verdict
 
 
+class TransferBoundExceeded(RuntimeError):
+    """The built mechanism's exact transfer bound is above eps."""
+
+
 @dataclass(frozen=True)
 class AmMessage:
     evidence: frozenset
@@ -203,7 +207,9 @@ def build_small_transfer_mechanism(model: TypeSpaceModel, eps: Fraction) -> Smal
         hom=hom,
         min_beta_bar=min_beta_bar,
     )
-    assert mech.transfer_bound() <= eps
+    bound = mech.transfer_bound()
+    if bound > eps:
+        raise TransferBoundExceeded(f"transfer bound {bound} exceeds eps {eps}")
     return mech
 
 

@@ -3,7 +3,11 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from evimech import cli
 from evimech.cli import main
+from evimech.scenario import ValidationReport
 
 DATA = Path(__file__).parent / "data"
 
@@ -177,3 +181,34 @@ def test_exit_codes_total():
         machine("check", "npd", str(DATA / "leading.json"))[0],
     ]
     assert set(runs) <= {0, 1, 2, 3}
+
+
+def _perturbed_without_profiles(tmp_path):
+    data = json.loads((DATA / "perturbed.json").read_text())
+    data["utility_profiles"] = []
+    path = tmp_path / "no_profiles.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_validate_rejects_empty_utility_profiles(tmp_path):
+    code, report = machine("validate", _perturbed_without_profiles(tmp_path))
+    assert code == 2
+    assert report["payload"]["valid"] is False
+    assert [v["path"] for v in report["payload"]["violations"]] == ["utility_profiles"]
+
+
+@pytest.mark.parametrize("audit", ["claims", "search"])
+def test_audit_without_profiles_exits_invalid(tmp_path, audit):
+    code, report = machine("audit", audit, _perturbed_without_profiles(tmp_path))
+    assert code == 2
+    assert [v["path"] for v in report["payload"]["violations"]] == ["utility_profiles"]
+
+
+@pytest.mark.parametrize("audit, verdict", [("claims", "passed"), ("search", "clean")])
+def test_audit_that_ran_no_check_fails(tmp_path, monkeypatch, audit, verdict):
+    # past validation, zero profiles means zero audits or games: a failure
+    monkeypatch.setattr(cli, "validate_scenario", lambda scn: ValidationReport([]))
+    code, report = machine("audit", audit, _perturbed_without_profiles(tmp_path))
+    assert code == 3
+    assert report["payload"][verdict] is False

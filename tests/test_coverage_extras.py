@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
+
 from evimech import fixtures
-from evimech.deception import PurePlan, induced_distribution, synthesize_gamma_delta
+from evimech.deception import NotSeparating, PurePlan, induced_distribution, synthesize_gamma_delta
 from evimech.game import BayesianGame, SearchBudget, search_equilibria
 from evimech.hierarchy import TypeSpaceModel, build_hierarchy, embed_flat_scenario
 from evimech.mechanism import build_bne_mechanism, build_pure_mechanism
-from evimech.scenario import check_deterministic_equivalence
+from evimech.scenario import Distribution, check_deterministic_equivalence
 from evimech.smalltransfers import build_small_transfer_mechanism, eliminate_rationalizable
 
 F = Fraction
@@ -40,6 +42,19 @@ def test_gamma_delta_on_four_state_example():
     lhs = bet.gamma * induced.prob(bet.short_collection) + bet.delta * induced.prob(bet.long_collection)
     rhs = bet.gamma * target.prob(bet.short_collection) + bet.delta * target.prob(bet.long_collection)
     assert lhs > 0 > rhs
+
+
+def test_gamma_delta_sign_check_raises_when_it_fails(monkeypatch):
+    # the check survives `python -O`: with every expectation forced to zero
+    # the bet neither wins nor loses, and synthesis refuses to return it
+    scn = fixtures.pure_deception_example()
+    big = frozenset({"lmhu", "mhu", "hu"})
+    mid = frozenset({"lmhu", "mhu"})
+    low = frozenset({"lmhu"})
+    plan = PurePlan("A", "H", "U", ((mid, low), (big, low)))
+    monkeypatch.setattr(Distribution, "dot", lambda self, weights: Fraction(0))
+    with pytest.raises(NotSeparating):
+        synthesize_gamma_delta(scn, plan)
 
 
 def test_identical_belief_and_evidence_types_share_hierarchies():

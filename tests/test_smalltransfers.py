@@ -8,6 +8,8 @@ from evimech.smalltransfers import (
     AmMessage,
     EicViolation,
     HomViolation,
+    SmallTransferMechanism,
+    TransferBoundExceeded,
     build_small_transfer_mechanism,
     eliminate_rationalizable,
     verify_rationalizable_implementation,
@@ -78,6 +80,13 @@ def test_build_parameters(micro_mech):
     chain = mech.first_deviant_fine + mech.rounds * mech.mismatch_fine
     assert chain < mech.min_beta_bar
     assert mech.transfer_bound() <= mech.eps
+
+
+def test_build_raises_when_transfer_bound_exceeds_eps(micro_model, monkeypatch):
+    # an explicit check, not an assert, so it also holds under `python -O`
+    monkeypatch.setattr(SmallTransferMechanism, "transfer_bound", lambda self: 2 * self.eps)
+    with pytest.raises(TransferBoundExceeded):
+        build_small_transfer_mechanism(micro_model, F(1, 100))
 
 
 def test_build_rejects_bad_inputs(micro_model):
