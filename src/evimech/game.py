@@ -4,14 +4,19 @@ the deception-closure necessity replay, equilibrium search, and proof audits."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import mechanism as mech_mod
 from .deception import TransportPlan, induced_distribution, perfect_deception
-from .mechanism import TRANSFER_KEYS, Challenge, Mechanism, Message
-from .scenario import Scenario, classify_lie, collection_key
+from .mechanism import KEY_BITS, TRANSFER_KEYS, Challenge, KernelBase, Mechanism, Message, subsets
+from .scenario import Scenario, classify_lie, collection_key, consensus_else_first
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class NotPerfect(ValueError):
@@ -32,97 +37,172 @@ class DirectMechanism:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        self._kernel = None
 
-    def outcome(self, transcript: dict) -> str:
-        reports = [transcript[a].state_report for a in self.scenario.agents]
-        state = reports[0]
-        if all(r == state for r in reports):
-            return self.scenario.scf[state]
-        return self.scenario.scf[reports[0]]
+    def kernel(self) -> "DirectKernel":
+        if self._kernel is None:
+            self._kernel = DirectKernel(self.scenario)
+        return self._kernel
 
     def truthful_message(self, agent, state, evidence) -> DirectMessage:
         return DirectMessage(state, frozenset(evidence))
 
 
-def _zero_transfers(scenario):
-    items = dict.fromkeys(TRANSFER_KEYS, Fraction(0))
-    items["total"] = Fraction(0)
-    return {agent: dict(items) for agent in scenario.agents}
+class DirectKernel(KernelBase):
+    """DirectMechanism compiled: interned state reports, no transfers."""
 
+    D = 1
 
-def _subsets(collection):
-    ordered = sorted(collection)
-    return [
-        frozenset(sub)
-        for r in range(len(ordered) + 1)
-        for sub in itertools.combinations(ordered, r)
-    ]
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.agents = scenario.agents
+        self._menus = {}
+        self._codes = [{} for _ in scenario.agents]
+        self._reports = [[] for _ in scenario.agents]
+        self._zero = [(0,) * len(TRANSFER_KEYS)] * len(scenario.agents)
+
+    def _menu(self, i: int, endowment):
+        for state in self.scenario.states:
+            for sub in subsets(endowment):
+                yield DirectMessage(state, sub)
+
+    def code(self, i: int, msg: DirectMessage) -> int:
+        codes = self._codes[i]
+        code = codes.get(msg)
+        if code is None:
+            code = codes[msg] = len(self._reports[i])
+            self._reports[i].append(msg.state_report)
+        return code
+
+    def evaluate(self, codes):
+        state = consensus_else_first(self._reports[i][code] for i, code in enumerate(codes))
+        return self.scenario.scf[state], self._zero
 
 
 @dataclass
 class BayesianGame:
+    """The Bayesian game a mechanism induces at one state and utility profile.
+
+    Payoffs are read from the mechanism's kernel and cached as integer
+    numerators over a common denominator G (the kernel's D times the
+    utilities' denominators), keyed by the transcript's message codes packed
+    into one int (`KEY_BITS` per agent).
+    """
+
     scenario: Scenario
     mech: object
     state: str
     profile_idx: int
     types: dict = field(init=False)
     actions: dict = field(init=False)
-    _payoffs: dict = field(init=False, default_factory=dict)
-    _transfers: dict = field(init=False, default_factory=dict)
+    _kernel: object = field(init=False, repr=False, compare=False)
+    _codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> action codes
+    _payoffs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _scale: tuple = field(init=False, repr=False, compare=False, default=None)
+    _probs: dict = field(init=False, repr=False, compare=False)  # (agent, type) -> prob
 
     def __post_init__(self):
         scn = self.scenario
         self.types = {agent: scn.support(agent, self.state) for agent in scn.agents}
+        self._probs = {
+            (agent, coll): prob for agent in scn.agents for coll, prob in scn.dist(agent, self.state).items()
+        }
+        self._kernel = self.mech.kernel()
         self.actions = {}
-        for agent in scn.agents:
+        for i, agent in enumerate(scn.agents):
             for coll in self.types[agent]:
-                self.actions[(agent, coll)] = tuple(self._enumerate_actions(agent, coll))
-
-    def _enumerate_actions(self, agent, endowment):
-        scn = self.scenario
-        if isinstance(self.mech, DirectMechanism):
-            for state in scn.states:
-                for sub in _subsets(endowment):
-                    yield DirectMessage(state, sub)
-            return
-        right = scn.right_neighbor(agent)
-        claims: list
-        if self.mech.variant == "bne":
-            claims = list(scn.states)
-        else:
-            claims = [None] + sorted(self.mech.challenges, key=mech_mod.challenge_key)
-        for p_own in scn.alphabet(agent):
-            for p_right in scn.alphabet(right):
-                for sub in _subsets(endowment):
-                    for claim in claims:
-                        if self.mech.variant == "bne":
-                            yield Message(p_own, p_right, sub, state_claim=claim)
-                        else:
-                            yield Message(p_own, p_right, sub, challenge=claim)
+                self.actions[(agent, coll)], self._codes[(agent, coll)] = self._kernel.actions(i, coll)
 
     def type_prob(self, agent, coll) -> Fraction:
-        return self.scenario.dist(agent, self.state).prob(coll)
-
-    def transcript_key(self, transcript):
-        return tuple(transcript[a] for a in self.scenario.agents)
+        return self._probs.get((agent, frozenset(coll)), _ZERO)
 
     def evaluate(self, transcript: dict):
-        """(outcome, itemized transfers) for a message profile, cached."""
-        key = self.transcript_key(transcript)
-        if key not in self._payoffs:
-            if isinstance(self.mech, DirectMechanism):
-                out = self.mech.outcome(transcript)
-                tr = _zero_transfers(self.scenario)
-            else:
-                out = mech_mod.outcome(self.mech, transcript)
-                tr = mech_mod.transfers(self.mech, transcript)
-            self._payoffs[key] = (out, tr)
-        return self._payoffs[key]
+        """(outcome, itemized transfers) for a message profile."""
+        return self._kernel.itemized(transcript)
 
-    def payoff(self, agent, transcript: dict) -> Fraction:
-        out, tr = self.evaluate(transcript)
-        base = self.scenario.utility(self.profile_idx, agent, out, self.state)
-        return base + tr[agent]["total"]
+    def _sync(self) -> tuple:
+        """(D, G, G // D, outcome -> per-agent utility numerators over G) for
+        the kernel's current D; payoffs cached under an older D are dropped."""
+        if self._scale is None or self._scale[0] != self._kernel.D:
+            scn = self.scenario
+            profile = scn.utility_profiles[self.profile_idx]
+            rows = {}
+            for outcome in scn.outcomes:
+                row = [profile[agent].get((outcome, self.state)) for agent in scn.agents]
+                if None not in row:
+                    rows[outcome] = row
+            denominator = self._kernel.D
+            common = denominator
+            for row in rows.values():
+                for value in row:
+                    common = math.lcm(common, value.denominator)
+            utility = {
+                outcome: tuple(value.numerator * (common // value.denominator) for value in row)
+                for outcome, row in rows.items()
+            }
+            self._payoffs.clear()
+            self._scale = (denominator, common, common // denominator, utility)
+        return self._scale
+
+    def _payoff_row(self, key: int) -> tuple:
+        """Every agent's payoff numerator (over G) on the packed transcript."""
+        mask = (1 << KEY_BITS) - 1
+        codes = [key >> (KEY_BITS * i) & mask for i in range(len(self.scenario.agents))]
+        outcome, items = self._kernel.evaluate(codes)
+        _, _, factor, utility = self._scale
+        row = tuple(base + factor * sum(parts) for base, parts in zip(utility[outcome], items))
+        self._payoffs[key] = row
+        return row
+
+    def _realizations(self, agent, profile) -> tuple:
+        """(W, [(weight numerator over W, packed opponents' codes), ...]) over
+        the opponents' types and mixed messages, zero weights left out."""
+        options = []
+        for i, other in enumerate(self.scenario.agents):
+            if other == agent:
+                continue
+            shift = KEY_BITS * i
+            rows = []
+            for coll in self.types[other]:
+                prob = self.type_prob(other, coll)
+                for msg, weight in profile[other][coll].items():
+                    code = self._kernel.code(i, msg) << shift
+                    num = prob.numerator * weight.numerator
+                    rows.append((num, prob.denominator * weight.denominator, code))
+            options.append(rows)
+        # products of unreduced numerators and denominators: W need only be
+        # a common denominator, the caller's Fraction reduces the result
+        combos = []
+        common = 1
+        for combo in itertools.product(*options):
+            num = den = 1
+            key = 0
+            for part_num, part_den, code in combo:
+                num *= part_num
+                den *= part_den
+                key |= code
+            if num != 0:
+                combos.append((num, den, key))
+                common = math.lcm(common, den)
+        return common, [(num * (common // den), key) for num, den, key in combos]
+
+    def _values(self, i, realizations, codes) -> tuple:
+        """(G, expected payoff numerators over W * G of agent i's `codes`)."""
+        G = self._sync()[1]
+        cache = self._payoffs
+        shift = KEY_BITS * i
+        values = []
+        for code in codes:
+            mine = code << shift
+            total = 0
+            for weight, others in realizations:
+                key = others | mine
+                row = cache.get(key)
+                if row is None:
+                    row = self._payoff_row(key)
+                total += weight * row[i]
+            values.append(total)
+        return G, values
 
 
 def truthful_profile(game: BayesianGame) -> dict:
@@ -136,38 +216,12 @@ def truthful_profile(game: BayesianGame) -> dict:
     return profile
 
 
-def _opponent_realizations(game: BayesianGame, agent, profile):
-    """Yield (prob, partial transcript) over opponents' types and mixed messages."""
-    others = [a for a in game.scenario.agents if a != agent]
-    type_lists = [
-        [(coll, game.type_prob(other, coll)) for coll in game.types[other]]
-        for other in others
-    ]
-    for type_combo in itertools.product(*type_lists):
-        type_prob = Fraction(1)
-        for _, p in type_combo:
-            type_prob *= p
-        message_lists = []
-        for other, (coll, _) in zip(others, type_combo):
-            message_lists.append(list(profile[other][coll].items()))
-        for message_combo in itertools.product(*message_lists):
-            weight = type_prob
-            transcript = {}
-            for other, (msg, w) in zip(others, message_combo):
-                weight *= w
-                transcript[other] = msg
-            if weight != 0:
-                yield weight, transcript
-
-
 def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> Fraction:
     """Exact interim expected utility of a pure message for one type."""
-    total = Fraction(0)
-    for weight, partial in _opponent_realizations(game, agent, profile):
-        transcript = dict(partial)
-        transcript[agent] = message
-        total += weight * game.payoff(agent, transcript)
-    return total
+    i = game.scenario.agents.index(agent)
+    W, realizations = game._realizations(agent, profile)
+    G, (value,) = game._values(i, realizations, (game._kernel.code(i, message),))
+    return Fraction(value, W * G)
 
 
 @dataclass
@@ -182,63 +236,86 @@ class EquilibriumReport:
 
 
 def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
-    """Exhaustive exact best-response check for every positive-probability type."""
+    """Exhaustive exact best-response check for every positive-probability type.
+
+    Each agent's opponent realizations are listed once; every candidate
+    message of every type is then valued in integers over one denominator.
+    """
+    kernel = game._kernel
+    agents = game.scenario.agents
+    coded = {
+        (agent, coll): [(kernel.code(i, msg), msg, w) for msg, w in profile[agent][coll].items()]
+        for i, agent in enumerate(agents)
+        for coll in game.types[agent]
+    }
     witness = None
     slacks = {}
-    for agent in game.scenario.agents:
+    for i, agent in enumerate(agents):
+        W, realizations = game._realizations(agent, profile)
         for coll in game.types[agent]:
-            mixture = profile[agent][coll]
-            values = {}
-            for action in game.actions[(agent, coll)]:
-                values[action] = expected_utility(game, agent, coll, action, profile)
-            for msg in mixture:
-                if msg not in values:
-                    values[msg] = expected_utility(game, agent, coll, msg, profile)
-            best = max(values.values())
-            current = sum((w * values[m] for m, w in mixture.items()), Fraction(0))
-            slacks[(agent, coll)] = best - current
-            if best > current and witness is None:
+            mixture = coded[(agent, coll)]
+            codes = game._codes[(agent, coll)]
+            G, values = game._values(i, realizations, codes)
+            value_of = dict(zip(codes, values))
+            extra = [code for code, _, _ in mixture if code not in value_of]
+            value_of.update(zip(extra, game._values(i, realizations, extra)[1]))
+            best = max(value_of.values())
+            common = 1
+            for _, _, w in mixture:
+                common = math.lcm(common, w.denominator)
+            current = sum(
+                w.numerator * (common // w.denominator) * value_of[code] for code, _, w in mixture
+            )
+            slack = Fraction(best * common - current, W * G * common)
+            slacks[(agent, coll)] = slack
+            if slack > 0 and witness is None:
+                message_of = dict(zip(codes, game.actions[(agent, coll)]))
+                for code, msg, _ in mixture:
+                    message_of.setdefault(code, msg)
                 best_msg = min(
-                    (m for m, v in values.items() if v == best),
+                    (message_of[code] for code, v in value_of.items() if v == best),
                     key=lambda m: repr(m),
                 )
-                witness = (agent, coll, best_msg, best - current)
+                witness = (agent, coll, best_msg, slack)
 
-    outcome_dist = {}
-    extremes = {
-        agent: dict.fromkeys(TRANSFER_KEYS, Fraction(0)) for agent in game.scenario.agents
-    }
-    agents = game.scenario.agents
+    weighted = []  # (outcome, unreduced weight numerator and denominator) on path
+    extremes = [[0] * len(TRANSFER_KEYS) for _ in agents]
     type_lists = [
         [(coll, game.type_prob(a, coll)) for coll in game.types[a]] for a in agents
     ]
     for type_combo in itertools.product(*type_lists):
-        joint = Fraction(1)
+        joint_num = joint_den = 1
         for _, p in type_combo:
-            joint *= p
-        message_lists = [list(profile[a][coll].items()) for a, (coll, _) in zip(agents, type_combo)]
+            joint_num *= p.numerator
+            joint_den *= p.denominator
+        message_lists = [coded[(a, coll)] for a, (coll, _) in zip(agents, type_combo)]
         for message_combo in itertools.product(*message_lists):
-            weight = joint
-            transcript = {}
-            for a, (msg, w) in zip(agents, message_combo):
-                weight *= w
-                transcript[a] = msg
-            if weight == 0:
+            num, den = joint_num, joint_den
+            for _, _, w in message_combo:
+                num *= w.numerator
+                den *= w.denominator
+            if num == 0:
                 continue
-            out, tr = game.evaluate(transcript)
-            outcome_dist[out] = outcome_dist.get(out, Fraction(0)) + weight
-            for a in agents:
-                for comp in TRANSFER_KEYS:
-                    extremes[a][comp] = max(extremes[a][comp], abs(tr[a][comp]))
-    transfers_zero = all(
-        value == 0 for per_agent in extremes.values() for value in per_agent.values()
-    )
+            out, items = kernel.evaluate([code for code, _, _ in message_combo])
+            weighted.append((out, num, den))
+            for top, row in zip(extremes, items):
+                top[:] = [max(t, abs(v)) for t, v in zip(top, row)]
+    common = 1
+    for _, _, den in weighted:
+        common = math.lcm(common, den)
+    outcome_dist = {}
+    for out, num, den in weighted:
+        outcome_dist[out] = outcome_dist.get(out, 0) + num * (common // den)
+    transfers_zero = all(value == 0 for top in extremes for value in top)
     return EquilibriumReport(
         is_bne=witness is None,
         slacks=slacks,
         witness=witness,
-        on_path_outcomes=outcome_dist,
-        transfer_extremes=extremes,
+        on_path_outcomes={out: Fraction(total, common) for out, total in outcome_dist.items()},
+        transfer_extremes={
+            agent: {key: Fraction(v, kernel.D) if v else _ZERO for key, v in zip(TRANSFER_KEYS, top)}
+            for agent, top in zip(agents, extremes)
+        },
         transfers_zero=transfers_zero,
     )
 
@@ -325,7 +402,7 @@ def canonical_perfect_plans(scenario: Scenario, source_state, target_state):
 # -- equilibrium search -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
     pure_cap: int = 4096
     plan_cap: int = 256
@@ -356,11 +433,12 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     found = {}
     flags = {}
 
-    def consider(profile, stamp):
+    def consider(profile, stamp, report=None):
         key = _profile_key(game, profile)
         if key in found:
             return
-        report = verify_bne(game, profile)
+        if report is None:
+            report = verify_bne(game, profile)
         if report.is_bne:
             report.stamp = stamp
             found[key] = (profile, report)
@@ -375,8 +453,11 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         for combo in itertools.product(*(game.actions[s] for s in slots)):
             profile = {a: {} for a in scenario.agents}
             for (agent, coll), msg in zip(slots, combo):
-                profile[agent][coll] = {msg: Fraction(1)}
-            consider(profile, "EXHAUSTIVE")
+                profile[agent][coll] = {msg: _ONE}
+            # enumerated profiles are distinct, so only equilibria need a key
+            report = verify_bne(game, profile)
+            if report.is_bne:
+                consider(profile, "EXHAUSTIVE", report)
     else:
         flags["pure_enumeration"] = f"BUDGET_EXCEEDED({total})"
 
@@ -407,28 +488,31 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     else:
         flags["closure_family"] = f"BUDGET_EXCEEDED({pure_total})"
 
-    # (c) best-response dynamics, heuristic
+    # (c) best-response dynamics, heuristic; an agent's opponent realizations
+    # are listed again only once another agent's play has changed
     flags["dynamics"] = "HEURISTIC"
     rng = random.Random(seed)
     for trial in budget.seeds:
         rng.seed(seed * 1000003 + trial)
         profile = {a: {} for a in scenario.agents}
+        position = {}
         for agent, coll in slots:
-            profile[agent][coll] = {rng.choice(game.actions[(agent, coll)]): Fraction(1)}
+            actions = game.actions[(agent, coll)]
+            position[(agent, coll)] = pick = rng.choice(range(len(actions)))
+            profile[agent][coll] = {actions[pick]: Fraction(1)}
+        realizations = {}
         for _ in range(budget.max_rounds):
             changed = False
             for agent, coll in slots:
-                best = None
-                best_value = None
-                for action in game.actions[(agent, coll)]:
-                    value = expected_utility(game, agent, coll, action, profile)
-                    if best_value is None or value > best_value:
-                        best, best_value = action, value
-                current = next(iter(profile[agent][coll]))
-                if best != current and best_value > expected_utility(
-                    game, agent, coll, current, profile
-                ):
-                    profile[agent][coll] = {best: Fraction(1)}
+                if agent not in realizations:
+                    realizations[agent] = game._realizations(agent, profile)[1]
+                i = scenario.agents.index(agent)
+                _, values = game._values(i, realizations[agent], game._codes[(agent, coll)])
+                best = max(range(len(values)), key=values.__getitem__)
+                if values[best] > values[position[(agent, coll)]]:
+                    position[(agent, coll)] = best
+                    profile[agent][coll] = {game.actions[(agent, coll)][best]: Fraction(1)}
+                    realizations = {agent: realizations[agent]}
                     changed = True
             if not changed:
                 break

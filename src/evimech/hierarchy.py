@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import format_rational, parse_rational
-from .scenario import Scenario, collection_key
+from .scenario import Scenario, collection_key, consensus_else_first
 
 
 class ModelFormatError(ValueError):
@@ -88,14 +88,6 @@ def validate_model(model: TypeSpaceModel) -> list:
 # -- embedding ----------------------------------------------------------------
 
 
-def consensus_state(scenario: Scenario, full_profile) -> str:
-    states = [t[0] for t in full_profile]
-    first = states[0]
-    if all(s == first for s in states):
-        return first
-    return states[0]
-
-
 def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
     """Independent embedding: types are (state, support collection) pairs,
     beliefs concentrate on the own state with product evidence probabilities,
@@ -133,13 +125,14 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
     model_profiles = [
         tuple(combo) for combo in itertools.product(*(types[a] for a in agents))
     ]
-    scf = {t: scenario.scf[consensus_state(scenario, t)] for t in model_profiles}
+    chosen = {t: consensus_else_first(state for state, _ in t) for t in model_profiles}
+    scf = {t: scenario.scf[chosen[t]] for t in model_profiles}
     utility_profiles = []
     for idx in range(len(scenario.utility_profiles)):
         per_agent = {}
         for agent in agents:
             per_agent[agent] = {
-                (outcome, t): scenario.utility(idx, agent, outcome, consensus_state(scenario, t))
+                (outcome, t): scenario.utility(idx, agent, outcome, chosen[t])
                 for outcome in scenario.outcomes
                 for t in model_profiles
             }

@@ -118,6 +118,15 @@ class Mechanism:
     def with_scaling(self, **overrides) -> "Mechanism":
         return replace(self, scaling=replace(self.scaling, **overrides))
 
+    def kernel(self) -> "Kernel":
+        """The integer kernel compiled from this mechanism's current fields,
+        built on first use and rebuilt when a field is reassigned."""
+        kernel = self.__dict__.get("_kernel")
+        sources = _kernel_sources(self)
+        if kernel is None or any(a is not b for a, b in zip(kernel.sources, sources)):
+            kernel = self._kernel = Kernel(self)
+        return kernel
+
     def truthful_message(self, agent, state, evidence=None) -> Message:
         scn = self.scenario
         right = scn.right_neighbor(agent)
@@ -128,45 +137,339 @@ class Mechanism:
         return Message(scn.dist(agent, state), scn.dist(right, state), frozenset(evidence), challenge=None)
 
 
-# -- outcome rule -------------------------------------------------------------
+# -- compiled kernel ----------------------------------------------------------
+
+
+def subsets(collection) -> list:
+    """Every subset of a collection: by size, then lexicographically."""
+    ordered = sorted(collection)
+    return [
+        frozenset(sub)
+        for r in range(len(ordered) + 1)
+        for sub in itertools.combinations(ordered, r)
+    ]
+
+
+# Game code packs one message code per agent into an int, agent i's code at bit
+# KEY_BITS * i: interned codes count objects held in memory, so they stay far
+# below 2**KEY_BITS.
+KEY_BITS = 32
+
+
+def _lowest_state(mask: int) -> int:
+    """Index of the least state in a state bitmask; -1 for the empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+class KernelBase:
+    """Shared interface of compiled mechanisms.
+
+    A subclass provides `agents`, the common denominator `D`, a `_menus` dict
+    and three methods: `_menu(i, endowment)` enumerates agent i's messages for
+    an endowment; `code(i, message)` interns one of agent i's messages as a
+    small int; `evaluate(codes)` takes one code per agent, in agent order, and
+    returns the outcome and, per agent, the five `TRANSFER_KEYS` components as
+    integer numerators over `D`.
+    """
+
+    def actions(self, i: int, endowment) -> tuple:
+        """(messages, their codes): agent i's action menu for an endowment,
+        built on first use and shared by every game of the mechanism."""
+        menu = self._menus.get((i, endowment))
+        if menu is None:
+            messages = tuple(self._menu(i, endowment))
+            menu = self._menus[(i, endowment)] = (messages, tuple(self.code(i, m) for m in messages))
+        return menu
+
+    def encode(self, transcript: dict) -> tuple:
+        return tuple(self.code(i, transcript[agent]) for i, agent in enumerate(self.agents))
+
+    def itemized(self, transcript: dict):
+        """(outcome, agent -> itemized exact transfers with their total)."""
+        outcome, items = self.evaluate(self.encode(transcript))
+        table = {}
+        for agent, row in zip(self.agents, items):
+            entry = {key: Fraction(value, self.D) for key, value in zip(TRANSFER_KEYS, row)}
+            entry["total"] = Fraction(sum(row), self.D)
+            table[agent] = entry
+        return outcome, table
+
+
+class Kernel(KernelBase):
+    """A mechanism compiled into exact integer tables.
+
+    A message's transfers depend only on its two claimed distributions, its
+    claim slot and its presented evidence, all drawn from finite sets, so each
+    is interned once per agent and every rule reads tables of integer
+    numerators over one common denominator `D`:
+
+    - `score[j][p][e]`: tau_low times the quadratic score of distribution code
+      p about agent j at j's evidence code e;
+    - `incentive[j][e]`: eps times the size of agent j's evidence e;
+    - bet payments: eps times a bet's value at its subject's evidence code;
+    - `tau_low` and `tau_high`.
+
+    Each interned message records the states its claims match as bitmasks, the
+    states its evidence refutes (None when it names an unknown article) and the
+    bets its claim slot activates per consensus state. A message the tables do
+    not cover yet (a distribution outside the alphabet, evidence outside the
+    presentable collections, an unknown claim) is interned when first met;
+    when one of its values needs a larger denominator, every table is
+    rescaled and `D` grows. The kernel holds no reference to its mechanism.
+    """
+
+    def __init__(self, mech: "Mechanism"):
+        scn = mech.scenario
+        self.sources = _kernel_sources(mech)
+        self.scenario = scn
+        self.agents = scn.agents
+        index = {agent: i for i, agent in enumerate(scn.agents)}
+        self.right = [index[scn.right_neighbor(agent)] for agent in scn.agents]
+        self.left = [index[scn.left_neighbor(agent)] for agent in scn.agents]
+        self.states = scn.states
+        self.outcomes = [scn.scf[state] for state in scn.states]
+        self.arbitrary_outcome = mech.arbitrary_outcome
+        self._all_states = (1 << len(scn.states)) - 1
+        self._state_index = {state: k for k, state in enumerate(scn.states)}
+        self._variant = mech.variant
+        self._bets = mech.bets
+        self._bet_agents = mech.bet_agents
+        self._challenges = mech.challenges
+        self._challenge_agents = mech.challenge_agents
+        self._agent_index = index
+        self._eps = mech.scaling.eps
+        self._tau_low = mech.scaling.tau_low
+        self._articles = frozenset(scn.articles)
+
+        n = len(scn.agents)
+        self.D = 1
+        self.tau_low = self.tau_high = 0
+        self.score = [[] for _ in range(n)]
+        self.incentive = [[] for _ in range(n)]
+        self._dist_codes = [{} for _ in range(n)]
+        self._dists = [[] for _ in range(n)]
+        self._state_masks = [[] for _ in range(n)]
+        self._evidence_codes = [{} for _ in range(n)]
+        self._evidence = [[] for _ in range(n)]
+        self._refuted = [[] for _ in range(n)]
+        self._payments_on = [[] for _ in range(n)]  # subject -> [(value fn, payments)]
+        self._claims = {}
+        self._menus = {}
+        self._message_codes = [{} for _ in range(n)]
+        self._records = [[] for _ in range(n)]
+
+        self.tau_low, self.tau_high = self._fit([mech.scaling.tau_low, mech.scaling.tau_high])
+        for j, agent in enumerate(scn.agents):
+            for k, state in enumerate(scn.states):
+                self._state_masks[j][self._dist_code(j, scn.dist(agent, state))] |= 1 << k
+            for evidence in scn.presentable(agent):
+                self._evidence_code(j, evidence)
+
+    def _menu(self, i: int, endowment):
+        """Own claim x right-neighbour claim x presented subset x claim slot."""
+        scn = self.scenario
+        agent = self.agents[i]
+        if self._variant == "bne":
+            slot, claims = "state_claim", list(scn.states)
+        else:
+            slot, claims = "challenge", [None] + sorted(self._challenges, key=challenge_key)
+        for p_own in scn.alphabet(agent):
+            for p_right in scn.alphabet(scn.right_neighbor(agent)):
+                for sub in subsets(endowment):
+                    for claim in claims:
+                        yield Message(p_own, p_right, sub, **{slot: claim})
+
+    # -- interning --------------------------------------------------------
+
+    def code(self, i: int, msg: Message) -> int:
+        """Agent i's code for `msg`, interned on first use."""
+        codes = self._message_codes[i]
+        code = codes.get(msg)
+        if code is None:
+            right = self.right[i]
+            own = self._dist_code(i, msg.p_own)
+            claimed = self._dist_code(right, msg.p_right)
+            evidence = self._evidence_code(i, msg.evidence)
+            right_mask = self._state_masks[right][claimed]
+            record = (
+                own,
+                claimed,
+                evidence,
+                self._state_masks[i][own] & right_mask,
+                right_mask,
+                self._refuted[i][evidence],
+                self._claim_bets(msg.state_claim if self._variant == "bne" else msg.challenge),
+            )
+            code = codes[msg] = len(self._records[i])
+            self._records[i].append(record)
+        return code
+
+    def _fit(self, values) -> list:
+        """Numerators of `values` over D, first growing D to a common denominator."""
+        common = self.D
+        for value in values:
+            common = math.lcm(common, value.denominator)
+        if common != self.D:
+            self._rescale(common // self.D)
+        return [value.numerator * (common // value.denominator) for value in values]
+
+    def _rescale(self, factor: int):
+        self.D *= factor
+        self.tau_low *= factor
+        self.tau_high *= factor
+        rows = [row for table in self.score for row in table]
+        rows.extend(self.incentive)
+        rows.extend(payments for per_subject in self._payments_on for _, payments in per_subject)
+        for row in rows:
+            row[:] = [value * factor for value in row]
+
+    def _dist_code(self, j: int, dist: Distribution) -> int:
+        code = self._dist_codes[j].get(dist)
+        if code is None:
+            row = self._fit([self._tau_low * _quadratic_score(dist, e) for e in self._evidence[j]])
+            code = self._dist_codes[j][dist] = len(self._dists[j])
+            self._dists[j].append(dist)
+            self._state_masks[j].append(0)
+            self.score[j].append(row)
+        return code
+
+    def _evidence_code(self, j: int, evidence) -> int:
+        evidence = frozenset(evidence)
+        code = self._evidence_codes[j].get(evidence)
+        if code is None:
+            agent = self.agents[j]
+            refuted = None
+            if evidence <= self._articles:
+                refuted = 0
+                for k, state in enumerate(self.states):
+                    if refutes(self.scenario, evidence, state, agent):
+                        refuted |= 1 << k
+            payments = self._payments_on[j]
+            values = [self._eps * len(evidence)]
+            values.extend(self._tau_low * _quadratic_score(p, evidence) for p in self._dists[j])
+            values.extend(self._eps * value(evidence) for value, _ in payments)
+            nums = self._fit(values)
+            code = self._evidence_codes[j][evidence] = len(self._evidence[j])
+            self._evidence[j].append(evidence)
+            self._refuted[j].append(refuted)
+            self.incentive[j].append(nums[0])
+            for row, num in zip(self.score[j], nums[1 : 1 + len(self._dists[j])]):
+                row.append(num)
+            for (_, row), num in zip(payments, nums[1 + len(self._dists[j]) :]):
+                row.append(num)
+        return code
+
+    def _claim_bets(self, claim) -> dict:
+        """consensus state index -> (subject agent index, payments by the
+        subject's evidence code) of the bet the claim slot activates there."""
+        bets = self._claims.get(claim)
+        if bets is None:
+            bets = {}
+            if self._variant == "bne":
+                for k, state in enumerate(self.states):
+                    pair = (claim, state)
+                    if claim != state and pair in self._bets:
+                        bets[k] = self._payments(self._bet_agents[pair], self._bets[pair].value)
+            elif claim is not None and claim.source_state != claim.target_state:
+                k = self._state_index.get(claim.target_state)
+                if k is not None and claim in self._challenges:
+                    bets[k] = self._payments(self._challenge_agents[claim], self._challenges[claim].value)
+            self._claims[claim] = bets
+        return bets
+
+    def _payments(self, subject, value):
+        j = self._agent_index[subject]
+        payments = self._fit([self._eps * value(e) for e in self._evidence[j]])
+        self._payments_on[j].append((value, payments))
+        return j, payments
+
+    # -- rules --------------------------------------------------------------
+
+    def _claimed_states(self, records) -> tuple:
+        """(consensus, right-claim state) indices, -1 where none: the least
+        state every claim, or every right-neighbour claim, matches."""
+        consensus = right_claims = self._all_states
+        for record in records:
+            consensus &= record[3]
+            right_claims &= record[4]
+        return _lowest_state(consensus), _lowest_state(right_claims)
+
+    def consensus_state(self, transcript: dict) -> str | None:
+        codes = self.encode(transcript)
+        state, _ = self._claimed_states([self._records[i][code] for i, code in enumerate(codes)])
+        return self.states[state] if state >= 0 else None
+
+    def evaluate(self, codes):
+        records = [self._records[i][code] for i, code in enumerate(codes)]
+        consensus, right_claims = self._claimed_states(records)
+        n = len(records)
+
+        # A bet on the bettor's own evidence is void (the bettor could steer
+        # its value through its own presentation) and never feeds the
+        # evidence trigger.
+        payment = [0] * n
+        active = [False] * n
+        if consensus >= 0:
+            for i, record in enumerate(records):
+                bet = record[6].get(consensus)
+                if bet is not None and bet[0] != i:
+                    subject, payments = bet
+                    active[i] = True
+                    payment[i] = payments[records[subject][2]]
+        bettors = sum(active)
+
+        refuting = [False] * n
+        if right_claims >= 0:
+            for i, record in enumerate(records):
+                refuted = record[5]
+                if refuted is None:  # unknown article ids: refutes() raises
+                    evidence = self._evidence[i][record[2]]
+                    refutes(self.scenario, evidence, self.states[right_claims], self.agents[i])
+                refuting[i] = bool(refuted >> right_claims & 1)
+        refuters = sum(refuting)
+
+        items = []
+        for i, (own, claimed, evidence, _, _, refuted, _) in enumerate(records):
+            if consensus < 0 or bettors > active[i] or refuted >> consensus & 1:
+                incentive = self.incentive[i][evidence]
+            else:
+                incentive = 0
+            right = self.right[i]
+            score = self.score[right]
+            shown = records[right][2]
+            scoring = score[claimed][shown] - score[records[right][0]][shown]
+            crosscheck = -self.tau_low if own != records[self.left[i]][1] else 0
+            fine = -self.tau_high if refuters > refuting[i] else 0
+            items.append((incentive, scoring, crosscheck, fine, payment[i]))
+        outcome = self.outcomes[consensus] if consensus >= 0 else self.arbitrary_outcome
+        return outcome, items
+
+
+def _kernel_sources(mech: "Mechanism") -> tuple:
+    """The mechanism fields a kernel is compiled from."""
+    return (
+        mech.variant,
+        mech.scenario,
+        mech.scaling,
+        mech.bets,
+        mech.bet_agents,
+        mech.challenges,
+        mech.challenge_agents,
+        mech.arbitrary_outcome,
+    )
+
+
+# -- outcome rule and transfers -----------------------------------------------
 
 
 def consistency(mech: Mechanism, transcript: dict) -> str | None:
     """Canonically-least state every distributional claim matches, if any."""
-    scn = mech.scenario
-    for state in scn.states:
-        ok = True
-        for agent in scn.agents:
-            msg = transcript[agent]
-            right = scn.right_neighbor(agent)
-            if msg.p_own != scn.dist(agent, state) or msg.p_right != scn.dist(right, state):
-                ok = False
-                break
-        if ok:
-            return state
-    return None
-
-
-def right_claim_state(mech: Mechanism, transcript: dict) -> str | None:
-    """State matched by the right-neighbor claims alone (drives the refutation fine)."""
-    scn = mech.scenario
-    for state in scn.states:
-        if all(
-            transcript[agent].p_right == scn.dist(scn.right_neighbor(agent), state)
-            for agent in scn.agents
-        ):
-            return state
-    return None
+    return mech.kernel().consensus_state(transcript)
 
 
 def outcome(mech: Mechanism, transcript: dict) -> str:
-    state = consistency(mech, transcript)
-    if state is None:
-        return mech.arbitrary_outcome
-    return mech.scenario.scf[state]
-
-
-# -- transfers ----------------------------------------------------------------
+    kernel = mech.kernel()
+    return kernel.evaluate(kernel.encode(transcript))[0]
 
 
 def _quadratic_score(report: Distribution, evidence) -> Fraction:
@@ -174,90 +477,9 @@ def _quadratic_score(report: Distribution, evidence) -> Fraction:
     return 2 * report.prob(evidence) - self_dot
 
 
-def _active_bet_payment(mech: Mechanism, transcript: dict, agent, consensus):
-    """(active, payment) for the agent's whistle slot given the consensus.
-
-    A bet whose subject is the bettor herself is void (she could steer its
-    value through her own presentation), and never feeds the evidence trigger.
-    """
-    msg = transcript[agent]
-    if consensus is None:
-        return False, Fraction(0)
-    if mech.variant == "bne":
-        claim = msg.state_claim
-        if claim is None or claim == consensus:
-            return False, Fraction(0)
-        bet = mech.bets.get((claim, consensus))
-        if bet is None:
-            return False, Fraction(0)
-        target = mech.bet_agents[(claim, consensus)]
-        if target == agent:
-            return False, Fraction(0)
-        return True, mech.scaling.eps * bet.value(transcript[target].evidence)
-    challenge = msg.challenge
-    if challenge is None or challenge.target_state != consensus:
-        return False, Fraction(0)
-    if challenge.source_state == consensus:
-        return False, Fraction(0)
-    two_point = mech.challenges.get(challenge)
-    if two_point is None:
-        return False, Fraction(0)
-    target = mech.challenge_agents[challenge]
-    if target == agent:
-        return False, Fraction(0)
-    return True, mech.scaling.eps * two_point.value(transcript[target].evidence)
-
-
 def transfers(mech: Mechanism, transcript: dict) -> dict:
     """Itemized exact transfers per agent for one message profile."""
-    scn = mech.scenario
-    scaling = mech.scaling
-    consensus = consistency(mech, transcript)
-
-    bet_state = {}
-    for agent in scn.agents:
-        bet_state[agent] = _active_bet_payment(mech, transcript, agent, consensus)
-
-    rc_state = right_claim_state(mech, transcript)
-    refuters = []
-    if rc_state is not None:
-        refuters = [
-            agent
-            for agent in scn.agents
-            if refutes(scn, transcript[agent].evidence, rc_state, agent)
-        ]
-
-    result = {}
-    for agent in scn.agents:
-        msg = transcript[agent]
-        right = scn.right_neighbor(agent)
-        left = scn.left_neighbor(agent)
-        items = dict.fromkeys(TRANSFER_KEYS, Fraction(0))
-
-        own_refutes_consensus = consensus is not None and refutes(scn, msg.evidence, consensus, agent)
-        others_bet = any(bet_state[a][0] for a in scn.agents if a != agent)
-        if consensus is None or others_bet or own_refutes_consensus:
-            items["evidence_incentive"] = scaling.eps * len(msg.evidence)
-
-        neighbor_evidence = transcript[right].evidence
-        items["scoring"] = scaling.tau_low * (
-            _quadratic_score(msg.p_right, neighbor_evidence)
-            - _quadratic_score(transcript[right].p_own, neighbor_evidence)
-        )
-
-        if msg.p_own != transcript[left].p_right:
-            items["crosscheck"] = -scaling.tau_low
-
-        if rc_state is not None and any(r != agent for r in refuters):
-            items["refutation_fine"] = -scaling.tau_high
-
-        active, payment = bet_state[agent]
-        if active:
-            items["bet"] = payment
-
-        items["total"] = sum((items[k] for k in TRANSFER_KEYS), Fraction(0))
-        result[agent] = items
-    return result
+    return mech.kernel().itemized(transcript)[1]
 
 
 # -- scaling ------------------------------------------------------------------

@@ -37,7 +37,7 @@ class ScenarioError(ValueError):
 class Distribution:
     """Finite distribution over evidence collections, exact and hashable."""
 
-    __slots__ = ("_probs", "_key")
+    __slots__ = ("_probs", "_key", "_hash")
 
     def __init__(self, probs):
         cleaned = {}
@@ -47,6 +47,7 @@ class Distribution:
                 cleaned[frozenset(coll)] = cleaned.get(frozenset(coll), Fraction(0)) + prob
         self._probs = cleaned
         self._key = tuple(sorted((collection_key(c), p) for c, p in cleaned.items()))
+        self._hash = None
 
     def prob(self, collection) -> Fraction:
         return self._probs.get(frozenset(collection), Fraction(0))
@@ -67,7 +68,10 @@ class Distribution:
         return isinstance(other, Distribution) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        # computed on first use and kept: hashing the key re-hashes every Fraction
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self):
         body = ", ".join(f"{format_collection(c)}: {p}" for c, p in self.items())
@@ -96,6 +100,8 @@ class Scenario:
     outcomes: tuple
     utility_profiles: tuple  # each: agent -> {(outcome, state): Fraction}
     article_names: dict | None = None  # optional declared nomenclature
+    # shape problems the parser read past (validate_scenario reports them)
+    input_violations: tuple = field(default=(), compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- basic accessors -------------------------------------------------
@@ -171,6 +177,13 @@ class Scenario:
             if len(values) <= 1:
                 return idx
         return None
+
+
+def consensus_else_first(reports):
+    """The state the consensus-else-first-report rule picks from the agents'
+    state reports, in agent order: the common report when all agree, else the
+    first agent's, which is the first report either way."""
+    return next(iter(reports))
 
 
 # -- refutation and lie classification -----------------------------------
@@ -281,7 +294,7 @@ class ValidationReport:
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Structural and evidential checks; empty violation list means valid."""
-    violations = []
+    violations = list(scenario.input_violations)
 
     def flag(path, message):
         violations.append({"path": path, "message": message})
@@ -298,6 +311,30 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         flag("agents", "need at least two agents")
     if len(scenario.states) < 1:
         flag("states", "need at least one state")
+
+    # entries under ids nothing declares are never read: flag, do not drop them
+    undeclared = {}
+    for agent, state in scenario.dists:
+        if agent not in scenario.agents:
+            undeclared[f"distributions.{agent}"] = "undeclared agent"
+        elif state not in scenario.states:
+            undeclared[f"distributions.{agent}.{state}"] = "undeclared state"
+    for state in scenario.scf:
+        if state not in scenario.states:
+            undeclared[f"scf.{state}"] = "undeclared state"
+    for idx, profile in enumerate(scenario.utility_profiles):
+        for agent, per_agent in profile.items():
+            path = f"utility_profiles[{idx}].{agent}"
+            if agent not in scenario.agents:
+                undeclared[path] = "undeclared agent"
+                continue
+            for outcome, state in per_agent:
+                if outcome not in scenario.outcomes:
+                    undeclared[f"{path}.{outcome}"] = "undeclared outcome"
+                elif state not in scenario.states:
+                    undeclared[f"{path}.{outcome}.{state}"] = "undeclared state"
+    for path, message in undeclared.items():
+        flag(path, message)
 
     for agent in scenario.agents:
         for state in scenario.states:
@@ -525,17 +562,25 @@ def parse_scenario(data) -> Scenario:
     """Parse the JSON scenario document (structural errors raise ScenarioFormatError)."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario document must be an object")
+    violations = []
+
+    def ids(value, path):
+        # a string iterates as its characters: flag it rather than split it
+        if not isinstance(value, list):
+            violations.append({"path": path, "message": "must be a list of ids"})
+        return tuple(str(x) for x in value)
+
     try:
-        agents = tuple(str(a) for a in data["agents"])
-        states = tuple(str(s) for s in data["states"])
-        articles = tuple(str(a) for a in data["articles"])
-        outcomes = tuple(str(o) for o in data["outcomes"])
+        agents = ids(data["agents"], "agents")
+        states = ids(data["states"], "states")
+        articles = ids(data["articles"], "articles")
+        outcomes = ids(data["outcomes"], "outcomes")
         dists = {}
         for agent, per_state in data["distributions"].items():
             for state, rows in per_state.items():
                 probs = {}
                 for row in rows:
-                    coll = frozenset(str(x) for x in row["collection"])
+                    coll = frozenset(ids(row["collection"], f"distributions.{agent}.{state}"))
                     probs[coll] = probs.get(coll, Fraction(0)) + parse_rational(row["prob"])
                 dists[(str(agent), str(state))] = Distribution(probs)
         scf = {str(s): str(o) for s, o in data["scf"].items()}
@@ -552,7 +597,7 @@ def parse_scenario(data) -> Scenario:
         names = None
         if "article_names" in data:
             names = {
-                str(article): frozenset(str(s) for s in state_list)
+                str(article): frozenset(ids(state_list, f"article_names.{article}"))
                 for article, state_list in data["article_names"].items()
             }
     except ScenarioFormatError:
@@ -570,6 +615,7 @@ def parse_scenario(data) -> Scenario:
         outcomes=outcomes,
         utility_profiles=tuple(profiles),
         article_names=names,
+        input_violations=tuple(violations),
     )
 
 

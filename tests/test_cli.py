@@ -212,3 +212,38 @@ def test_audit_that_ran_no_check_fails(tmp_path, monkeypatch, audit, verdict):
     code, report = machine("audit", audit, _perturbed_without_profiles(tmp_path))
     assert code == 3
     assert report["payload"][verdict] is False
+
+
+def _set_agents_string(data):
+    data["agents"] = "AB"
+
+
+def _add_undeclared_agent(data):
+    data["distributions"]["Z"] = data["distributions"]["A"]
+
+
+def _add_undeclared_scf_state(data):
+    data["scf"]["Q"] = "grant_a"
+
+
+def _add_undeclared_outcome(data):
+    data["utility_profiles"][0]["A"]["veto"] = {"H": "0/1"}
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (_set_agents_string, "agents"),
+        (_add_undeclared_agent, "distributions.Z"),
+        (_add_undeclared_scf_state, "scf.Q"),
+        (_add_undeclared_outcome, "utility_profiles[0].A.veto"),
+    ],
+)
+def test_validate_rejects_what_it_would_drop(tmp_path, mutate, path):
+    data = json.loads((DATA / "perturbed.json").read_text())
+    mutate(data)
+    doc = tmp_path / "mutated.json"
+    doc.write_text(json.dumps(data))
+    code, report = machine("validate", str(doc))
+    assert code == 2
+    assert [v["path"] for v in report["payload"]["violations"]] == [path]

@@ -1,0 +1,155 @@
+"""Differential tests: the kernel-backed game layer against `game_reference`.
+
+Every report field is compared as an ordered list of items, with each value's
+type, so equal `Fraction`s and identical iteration order (which the rendered
+reports depend on) are both checked.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import game_reference as ref
+from evimech import fixtures, game, generators, mechanism
+from evimech.conditions import check_npd, check_stochastic_measurability
+
+SEEDS = tuple(range(9)) + (27,)
+
+
+def _typed(mapping):
+    return [(key, type(value), value) for key, value in mapping.items()]
+
+
+def report_fields(report):
+    return (
+        report.is_bne,
+        _typed(report.slacks),
+        report.witness,
+        _typed(report.on_path_outcomes),
+        [(agent, _typed(items)) for agent, items in report.transfer_extremes.items()],
+        report.transfers_zero,
+        report.stamp,
+    )
+
+
+def _scenarios():
+    out = [(name, build()) for name, build in fixtures.ALL_FIXTURES.items()]
+    out.extend((f"seed {seed}", generators.random_scenario(seed)) for seed in dict.fromkeys(SEEDS))
+    return out
+
+
+SCENARIOS = _scenarios()
+STRESS = ("seed 5", "seed 27")
+
+
+def _small(name, scn):
+    """Scenarios with two agents and at most three states get every check;
+    larger ones the lighter checks, the stress seeds 5 and 27 among them."""
+    return len(scn.agents) == 2 and len(scn.states) <= 3 and name not in STRESS
+
+
+def _mechanisms(scn, pure=True):
+    mechs = [("direct", game.DirectMechanism(scn))]
+    if not check_stochastic_measurability(scn).passed:
+        return mechs  # no transfer scaling exists
+    mechs.append(("bne", mechanism.assemble_bne_mechanism(scn)))
+    if pure and mechanism.pure_profile_count(scn) <= 20000:
+        mechs.append(("pure", mechanism.assemble_pure_mechanism(scn, z_cap=20000)))
+    return mechs
+
+
+def _profiles(g, rng):
+    """Truthful play, two random pure profiles, a random mixture and, where
+    the canonical plans exist, truthful play composed with a perfect
+    deception."""
+    scn = g.scenario
+    profiles = [game.truthful_profile(g)]
+    for _ in range(2):
+        profiles.append(
+            {a: {c: {rng.choice(g.actions[(a, c)]): Fraction(1)} for c in g.types[a]} for a in scn.agents}
+        )
+    # a mixture whose weights have different denominators
+    (agent, coll), actions = max(g.actions.items(), key=lambda slot: len(slot[1]))
+    if len(actions) >= 3:
+        mixed = game.truthful_profile(g)
+        weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+        mixed[agent][coll] = dict(zip(rng.sample(actions, 3), weights))
+        profiles.append(mixed)
+    for target in scn.states:
+        plans = game.canonical_perfect_plans(scn, g.state, target)
+        if plans is not None and target != g.state:
+            profiles.append(game.compose_with_truthful(g, plans))
+            break
+    return profiles
+
+
+@pytest.mark.parametrize("name, scn", SCENARIOS, ids=[name for name, _ in SCENARIOS])
+def test_verify_bne_matches_reference(name, scn):
+    rng = random.Random(name)
+    small = _small(name, scn)
+    for kind, mech in _mechanisms(scn, pure=small):
+        for idx in range(len(scn.utility_profiles)) if small else [0]:
+            for state in scn.states:
+                new = game.BayesianGame(scn, mech, state, idx)
+                old = ref.BayesianGame(scn, mech, state, idx)
+                profiles = _profiles(new, rng) if small and idx == 0 else [game.truthful_profile(new)]
+                for profile in profiles:
+                    assert report_fields(game.verify_bne(new, profile)) == report_fields(
+                        ref.verify_bne(old, profile)
+                    ), (kind, idx, state)
+
+
+def _search_fields(results, flags):
+    return [(item["profile"], report_fields(item["report"]), item["stamp"]) for item in results], flags
+
+
+@pytest.mark.parametrize("name, scn", SCENARIOS, ids=[name for name, _ in SCENARIOS])
+def test_search_matches_reference(name, scn):
+    idx = len(scn.utility_profiles) - 1
+    if _small(name, scn):
+        # every strategy at the first state; best-response dynamics alone,
+        # from more starts, at the others
+        full = game.SearchBudget(pure_cap=600, plan_cap=64, seeds=(0, 1), max_rounds=6)
+        dynamics = game.SearchBudget(pure_cap=0, plan_cap=0, seeds=(0, 1, 2), max_rounds=8)
+        games = [
+            (mech, state, full if state == scn.states[0] else dynamics)
+            for _, mech in _mechanisms(scn, pure=False)
+            for state in scn.states
+        ]
+    elif name in STRESS:
+        # seed 5's closure family (96 reference verifications, about 6 s) is
+        # left over budget; seed 27's runs and finds its hit
+        plan_cap = 256 if name == "seed 27" else 16
+        budget = game.SearchBudget(pure_cap=64, plan_cap=plan_cap, seeds=(0,), max_rounds=2)
+        games = [(mechanism.assemble_bne_mechanism(scn), scn.states[0], budget)]
+    else:
+        return
+    for mech, state, budget in games:
+        new = game.search_equilibria(game.BayesianGame(scn, mech, state, idx), budget, seed=3)
+        old = ref.search_equilibria(ref.BayesianGame(scn, mech, state, idx), budget, seed=3)
+        assert _search_fields(*new) == _search_fields(*old), state
+
+
+def _suite_fields(suite):
+    return [(r.name, r.passed, r.vacuous, r.details) for r in suite.results], suite.profile_indices
+
+
+@pytest.mark.parametrize("name, scn", SCENARIOS, ids=[name for name, _ in SCENARIOS])
+def test_claim_audits_match_reference(name, scn):
+    small = _small(name, scn)
+    if not (small or name in STRESS) or not check_stochastic_measurability(scn).passed:
+        return
+    mech = mechanism.assemble_bne_mechanism(scn)
+    variants = [mech]
+    if small and name in fixtures.ALL_FIXTURES:
+        # a lowered refutation fine and a raised eps make audits fail with details
+        variants.append(mech.with_scaling(tau_high=Fraction(0), eps=mech.scaling.eps * 100))
+    for variant in variants:
+        assert _suite_fields(game.claim_audits(scn, variant)) == _suite_fields(ref.claim_audits(scn, variant))
+
+
+def test_differential_corpus_is_not_vacuous():
+    built = [name for name, scn in SCENARIOS if check_npd(scn).passed]
+    assert len(built) >= 6
+    assert any(len(scn.agents) == 3 for _, scn in SCENARIOS)

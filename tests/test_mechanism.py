@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import game_reference
 from evimech import fixtures
+from evimech.game import BayesianGame, claim_audits, expected_utility, truthful_profile
 from evimech.mechanism import (
     Challenge,
     DegenerateGap,
@@ -19,6 +22,7 @@ from evimech.mechanism import (
     pure_profile_count,
     transfers,
 )
+from evimech.scenario import Distribution, ScenarioError
 
 F = Fraction
 RICH = frozenset({"h", "mh", "lmh"})
@@ -301,3 +305,73 @@ def test_mechanism_report_shape(perturbed_mech, leading_pure_mech):
     pure_report = mechanism_report(leading_pure_mech)
     assert pure_report["identifier_count"] == 839808
     assert pure_report["valid_challenges"] == len(leading_pure_mech.challenges)
+
+
+# -- compiled kernel ----------------------------------------------------------
+
+
+def _random_transcripts(mech, count, seed=0):
+    scn = mech.scenario
+    rng = random.Random(seed)
+    games = [BayesianGame(scn, mech, state, 0) for state in scn.states]
+    for _ in range(count):
+        g = rng.choice(games)
+        yield {a: rng.choice(g.actions[(a, rng.choice(g.types[a]))]) for a in scn.agents}
+
+
+def test_rescaled_copy_gets_its_own_kernel():
+    scn = fixtures.perturbed_example()
+    mech = build_bne_mechanism(scn)
+    assert claim_audits(scn, mech, profile_indices=[0]).passed  # compiles mech's kernel
+    lowered = mech.with_scaling(tau_high=0)
+    suite = claim_audits(scn, lowered, profile_indices=[0])
+    assert not {r.name: r for r in suite.results}["refutation_escape"].passed
+    refuted = {
+        "A": claims_message(lowered, "A", "M", RICH, state_claim="M"),
+        "B": claims_message(lowered, "B", "M", EMPTY, state_claim="M"),
+    }
+    for transcript in [refuted, *_random_transcripts(lowered, 300)]:
+        assert transfers(lowered, transcript) == game_reference.transfers(lowered, transcript)
+    assert transfers(lowered, refuted)["B"]["refutation_fine"] == 0
+    assert transfers(mech, refuted)["B"]["refutation_fine"] == -mech.scaling.tau_high
+    # reassigning a field recompiles as well
+    mech.scaling = lowered.scaling
+    assert transfers(mech, refuted)["B"]["refutation_fine"] == 0
+
+
+def test_messages_outside_the_tables_are_scored_like_the_reference():
+    scn = fixtures.perturbed_example()
+    mech = build_bne_mechanism(scn)
+    # a claim about A outside A's alphabet, with a denominator (7) no table
+    # entry has; B presenting an article it never holds; an unknown claim
+    odd = Distribution({TOP: F(1, 7), LOW: F(6, 7)})
+    transcript = {
+        "A": Message(odd, scn.dist("B", "M"), frozenset({"h"}), state_claim="M"),
+        "B": Message(scn.dist("B", "M"), odd, frozenset({"mh"}), state_claim="nowhere"),
+    }
+    before = mech.kernel().D
+    assert transfers(mech, transcript) == game_reference.transfers(mech, transcript)
+    assert mech.kernel().D == 49 * before  # the score squares the 7
+    # every table was rescaled with it
+    for other in _random_transcripts(mech, 300):
+        assert transfers(mech, other) == game_reference.transfers(mech, other)
+    # payoffs a game cached before D grew are not reused after it
+    g = BayesianGame(scn, mech, "H", 1)  # nonzero utilities: a stale scale shows
+    old = game_reference.BayesianGame(scn, mech, "H", 1)
+    profile = truthful_profile(g)
+    truthful = mech.truthful_message("A", "H", TOP)
+    wide = Distribution({TOP: F(1, 11), LOW: F(10, 11)})
+    for msg in (truthful, Message(wide, truthful.p_right, TOP, "M"), truthful):
+        assert expected_utility(g, "A", TOP, msg, profile) == game_reference.expected_utility(
+            old, "A", TOP, msg, profile
+        )
+
+
+def test_unknown_article_raises():
+    scn = fixtures.perturbed_example()
+    mech = build_bne_mechanism(scn)
+    transcript = truthful_transcript(mech, "M")
+    transcript["A"] = claims_message(mech, "A", "M", {"lmh", "zz"}, state_claim="M")
+    for rules in (transfers, game_reference.transfers):
+        with pytest.raises(ScenarioError, match="unknown article ids"):
+            rules(mech, transcript)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import game_reference
 from evimech import fixtures
 from evimech.conditions import check_npd, check_nppd, check_stochastic_measurability
 from evimech.deception import (
@@ -17,7 +18,15 @@ from evimech.deception import (
     synthesize_bet,
 )
 from evimech.generators import random_scenario
-from evimech.mechanism import Message, build_bne_mechanism, transfers, TRANSFER_KEYS
+from evimech.mechanism import (
+    TRANSFER_KEYS,
+    Challenge,
+    Message,
+    build_bne_mechanism,
+    build_pure_mechanism,
+    challenge_key,
+    transfers,
+)
 from evimech.scenario import (
     check_deterministic_equivalence,
     classify_lie,
@@ -178,29 +187,48 @@ def test_truthful_equilibrium_on_random_built_mechanisms():
     assert built >= 10
 
 
-def test_transfer_case_split_totality_fuzz():
-    scn = fixtures.perturbed_example()
-    mech = build_bne_mechanism(scn)
-    rng = random.Random(20260810)
-    pools = {}
-    for agent in scn.agents:
-        right = scn.right_neighbor(agent)
-        pools[agent] = (
+def _fuzz_pools(mech):
+    """Per agent: own and right-neighbour alphabets, presentable evidence and
+    claim-slot values (every state, or no challenge, every valid challenge
+    and an invalid one)."""
+    scn = mech.scenario
+    if mech.variant == "bne":
+        claims = list(scn.states)
+    else:
+        valid = sorted(mech.challenges, key=challenge_key)
+        stray = Challenge(scn.states[0], scn.states[0], valid[0].assignments)
+        claims = [None, stray] + valid
+    return {
+        agent: (
             list(scn.alphabet(agent)),
-            list(scn.alphabet(right)),
+            list(scn.alphabet(scn.right_neighbor(agent))),
             list(scn.presentable(agent)),
-            list(scn.states),
+            claims,
         )
-    for _ in range(100_000):
-        transcript = {}
-        for agent in scn.agents:
-            own, rights, evidence, claims = pools[agent]
-            transcript[agent] = Message(
-                rng.choice(own),
-                rng.choice(rights),
-                rng.choice(evidence),
-                state_claim=rng.choice(claims),
-            )
-        table = transfers(mech, transcript)
-        for agent, items in table.items():
-            assert items["total"] == sum((items[k] for k in TRANSFER_KEYS), F(0))
+        for agent in scn.agents
+    }
+
+
+def test_transfer_case_split_totality_fuzz():
+    # every component of every agent's transfers equals the reference's, on
+    # bne transcripts (perturbed) and pure-variant ones (leading)
+    keys = (*TRANSFER_KEYS, "total")
+    rng = random.Random(20260810)
+    for mech in (
+        build_bne_mechanism(fixtures.perturbed_example()),
+        build_pure_mechanism(fixtures.leading_example()),
+    ):
+        slot = "state_claim" if mech.variant == "bne" else "challenge"
+        pools = _fuzz_pools(mech)
+        for _ in range(50_000):
+            transcript = {}
+            for agent, (own, rights, evidence, claims) in pools.items():
+                transcript[agent] = Message(
+                    rng.choice(own), rng.choice(rights), rng.choice(evidence), **{slot: rng.choice(claims)}
+                )
+            table = transfers(mech, transcript)
+            expected = game_reference.transfers(mech, transcript)
+            for agent, items in table.items():
+                assert [(k, type(items[k]), items[k]) for k in keys] == [
+                    (k, Fraction, expected[agent][k]) for k in keys
+                ]
