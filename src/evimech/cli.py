@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -376,7 +377,11 @@ def _add_common(parser):
     parser.add_argument("--eps", default="1/100")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared: `parse_args`
+    does not change it, and every build would leave a tree of reference
+    cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="evimech",
         description="verification and synthesis for implementation with uncertain hard evidence",

@@ -485,6 +485,48 @@ def transfers(mech: Mechanism, transcript: dict) -> dict:
 # -- scaling ------------------------------------------------------------------
 
 
+def _integer_alphabet(scenario: Scenario, agent) -> tuple:
+    """The agent's alphabet over one common denominator L, the lcm of its
+    probability denominators: (L, [n_p, ...]) with n_p = L p as a map from
+    collection to int, in alphabet order."""
+    alphabet = scenario.alphabet(agent)
+    scale = 1
+    for dist in alphabet:
+        for _, prob in dist.items():
+            scale = math.lcm(scale, prob.denominator)
+    rows = [
+        {coll: prob.numerator * (scale // prob.denominator) for coll, prob in dist.items()}
+        for dist in alphabet
+    ]
+    return scale, rows
+
+
+def _closest_pair(scale, rows) -> Fraction | None:
+    """Least squared distance between two alphabet members; None for fewer than two."""
+    closest = None
+    for i, p in enumerate(rows):
+        for q in rows[i + 1 :]:
+            gap = sum((p.get(c, 0) - q.get(c, 0)) ** 2 for c in p.keys() | q.keys())
+            if closest is None or gap < closest:
+                closest = gap
+    return None if closest is None else Fraction(closest, scale * scale)
+
+
+def _widest_score_gap(presentable, scale, rows) -> Fraction:
+    """max over presentable evidence e and alphabet pairs (p, q) of
+    S(p, e) - S(q, e), for the quadratic score S(p, e) = 2 p(e) - |p|^2.
+
+    For each e the pair maximum is max_p S(p, e) - min_q S(q, e), and
+    S(p, e) L^2 = 2 L n_p(e) - |n_p|^2 is an integer.
+    """
+    self_dots = [sum(n * n for n in row.values()) for row in rows]
+    widest = 0
+    for evidence in presentable:
+        scores = [2 * scale * row.get(evidence, 0) - dot for row, dot in zip(rows, self_dots)]
+        widest = max(widest, max(scores) - min(scores))
+    return Fraction(widest, scale * scale)
+
+
 def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
     """Canonical parameters satisfying the score-gap and refutation inequalities.
 
@@ -494,19 +536,12 @@ def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
     if not sm.passed:
         raise DegenerateGap("identical distribution profiles with distinct outcomes")
 
+    alphabets = {agent: _integer_alphabet(scenario, agent) for agent in scenario.agents}
     gap_min = None
     for agent in scenario.agents:
-        alphabet = scenario.alphabet(agent)
-        if len(alphabet) < 2:
-            continue
-        for state in scenario.states:
-            here = scenario.dist(agent, state)
-            for other in alphabet:
-                if other == here:
-                    continue
-                gap = here.squared_distance(other)
-                if gap_min is None or gap < gap_min:
-                    gap_min = gap
+        gap = _closest_pair(*alphabets[agent])
+        if gap is not None and (gap_min is None or gap < gap_min):
+            gap_min = gap
 
     collection_max = scenario.max_collection_size()
     bet_max = Fraction(0)
@@ -532,14 +567,8 @@ def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
     tau2_max = Fraction(0)
     for agent in scenario.agents:
         right = scenario.right_neighbor(agent)
-        alphabet = scenario.alphabet(right)
-        for evidence in scenario.presentable(right):
-            for p in alphabet:
-                for q in alphabet:
-                    swing = tau_low * (
-                        _quadratic_score(p, evidence) - _quadratic_score(q, evidence)
-                    )
-                    tau2_max = max(tau2_max, swing)
+        widest = _widest_score_gap(scenario.presentable(right), *alphabets[right])
+        tau2_max = max(tau2_max, tau_low * widest)
 
     rho_min = None
     for agent in scenario.agents:

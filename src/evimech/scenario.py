@@ -148,6 +148,12 @@ class Scenario:
             self._cache[key] = tuple(out)
         return self._cache[key]
 
+    def article_set(self) -> frozenset:
+        key = "article_set"
+        if key not in self._cache:
+            self._cache[key] = frozenset(self.articles)
+        return self._cache[key]
+
     def utility(self, profile_idx, agent, outcome, state) -> Fraction:
         return self.utility_profiles[profile_idx][agent][(outcome, state)]
 
@@ -192,7 +198,7 @@ def consensus_else_first(reports):
 def refutes(scenario: Scenario, collection, state, agent) -> bool:
     """True iff no support collection of `agent` at `state` contains `collection`."""
     collection = frozenset(collection)
-    unknown = collection - set(scenario.articles)
+    unknown = collection - scenario.article_set()
     if unknown:
         raise ScenarioError(f"unknown article ids {sorted(unknown)}")
     if state not in scenario.states:
@@ -246,18 +252,6 @@ def classify_lie(scenario: Scenario, true_state, target_state) -> LieClass:
             witnesses=witnesses,
         )
     return LieClass(true_state, target_state, "nonrefutable")
-
-
-def refutable_lies(scenario: Scenario, agent, state) -> list:
-    """States the agent can refute with positive probability at `state`."""
-    out = []
-    for target in scenario.states:
-        if target == state:
-            continue
-        cls = classify_lie(scenario, state, target)
-        if cls.verdict == "refutable" and agent in cls.refuters:
-            out.append(target)
-    return out
 
 
 def article_nomenclature(scenario: Scenario) -> dict:

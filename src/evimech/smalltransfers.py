@@ -54,14 +54,6 @@ class SmallTransferMechanism:
     def with_params(self, **overrides) -> "SmallTransferMechanism":
         return replace(self, **overrides)
 
-    def feasible_messages_shape(self, agent, type_id):
-        reports = self.model.feasible_reports(agent, type_id)
-        return {
-            "evidence": 2 ** len(self.model.evidence[(agent, type_id)]),
-            "belief_slots": [len(reports)] * (self.k_bar + 1),
-            "outcome_slots": [len(reports)] * self.rounds,
-        }
-
     def truthful_message(self, agent, type_id) -> AmMessage:
         return AmMessage(
             evidence=self.model.evidence[(agent, type_id)],

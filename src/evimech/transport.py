@@ -1,9 +1,20 @@
-"""Exact max-flow on the subset-arc transport network behind deception feasibility."""
+"""Exact max-flow on the subset-arc transport network behind deception feasibility.
+
+Supplies and demands are brought over one common denominator `L` (the lcm of
+their denominators), and the Edmonds–Karp search (breadth-first augmenting
+paths; Edmonds and Karp, *J. ACM* 19, 1972) runs on the integer capacities
+`L · mass`. Scaling by `L` changes no comparison and no path choice, so the
+flows are the rational flows divided by `L`; `Fraction`s are built only for
+the returned flow value, arc flows and witness sums.
+"""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from .scenario import collection_key
 
@@ -41,100 +52,86 @@ def solve_transport(supplies, demands) -> TransportResult:
     """
     sources = sorted(supplies, key=collection_key)
     sinks = sorted(demands, key=collection_key)
+    supply = [Fraction(supplies[c]) for c in sources]
+    demand = [Fraction(demands[c]) for c in sinks]
+    scale = reduce(lcm, (q.denominator for q in supply + demand), 1)
+    supply = [q.numerator * (scale // q.denominator) for q in supply]
+    demand = [q.numerator * (scale // q.denominator) for q in demand]
+
     # Node ids: 0 = super source, 1..len(sources) sources, then sinks, then sink node.
-    src_id = {c: 1 + i for i, c in enumerate(sources)}
-    snk_id = {c: 1 + len(sources) + i for i, c in enumerate(sinks)}
-    t_node = 1 + len(sources) + len(sinks)
-    n = t_node + 1
-
-    capacity = [dict() for _ in range(n)]
-    adjacency = [[] for _ in range(n)]
-
-    def add_edge(u, v, cap):
-        if v not in capacity[u]:
-            capacity[u][v] = Fraction(0)
-            adjacency[u].append(v)
-        if u not in capacity[v]:
-            capacity[v][u] = Fraction(0)
-            adjacency[v].append(u)
-        capacity[u][v] += cap
-
-    total_supply = Fraction(0)
-    for coll in sources:
-        add_edge(0, src_id[coll], Fraction(supplies[coll]))
-        total_supply += Fraction(supplies[coll])
-    total_demand = Fraction(0)
-    for coll in sinks:
-        add_edge(snk_id[coll], t_node, Fraction(demands[coll]))
-        total_demand += Fraction(demands[coll])
+    # residual[u] maps each neighbour of u to the integer residual capacity of
+    # u -> v (a reverse arc starts at 0); the search visits neighbours in
+    # insertion order.
+    first_sink = 1 + len(sources)
+    t_node = first_sink + len(sinks)
+    residual = [dict() for _ in range(t_node + 1)]
+    for i, mass in enumerate(supply):
+        residual[0][1 + i] = mass
+        residual[1 + i][0] = 0
+    for j, mass in enumerate(demand):
+        residual[first_sink + j][t_node] = mass
+        residual[t_node][first_sink + j] = 0
     # Arc capacity bounded by source supply keeps values finite.
-    for s_coll in sources:
-        for d_coll in sinks:
+    for i, s_coll in enumerate(sources):
+        for j, d_coll in enumerate(sinks):
             if d_coll <= s_coll:
-                add_edge(src_id[s_coll], snk_id[d_coll], Fraction(supplies[s_coll]))
+                residual[1 + i][first_sink + j] = supply[i]
+                residual[first_sink + j][1 + i] = 0
 
-    flow = [dict.fromkeys(capacity[u], Fraction(0)) for u in range(n)]
-
-    def bfs_path():
+    value = 0
+    while True:
+        # Breadth-first search for a shortest augmenting path. It may stop once
+        # the sink is reached: no parent is ever reassigned, so the path is the
+        # one a full search would give.
         parent = {0: None}
-        queue = [0]
-        while queue:
-            u = queue.pop(0)
-            if u == t_node:
-                break
-            for v in adjacency[u]:
-                if v not in parent and capacity[u][v] - flow[u][v] > 0:
+        queue = deque((0,))
+        while queue and t_node not in parent:
+            u = queue.popleft()
+            for v, room in residual[u].items():
+                if room > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
         if t_node not in parent:
-            return None
+            break
         path = []
         v = t_node
-        while parent[v] is not None:
+        while v:
             u = parent[v]
             path.append((u, v))
             v = u
-        path.reverse()
-        return path
-
-    value = Fraction(0)
-    while True:
-        path = bfs_path()
-        if path is None:
-            break
-        bottleneck = min(capacity[u][v] - flow[u][v] for u, v in path)
+        bottleneck = min(residual[u][v] for u, v in path)
         for u, v in path:
-            flow[u][v] += bottleneck
-            flow[v][u] -= bottleneck
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
         value += bottleneck
 
     arc_flows = {}
-    for s_coll in sources:
-        u = src_id[s_coll]
-        for d_coll in sinks:
-            v = snk_id.get(d_coll)
-            if v in capacity[u] and flow[u][v] > 0:
-                arc_flows[(s_coll, d_coll)] = flow[u][v]
+    for i, s_coll in enumerate(sources):
+        out = residual[1 + i]
+        for j, d_coll in enumerate(sinks):
+            v = first_sink + j
+            if v in out and out[v] < supply[i]:
+                arc_flows[(s_coll, d_coll)] = Fraction(supply[i] - out[v], scale)
 
-    feasible = value == total_supply and total_supply == total_demand
+    total_supply = sum(supply)
+    feasible = value == total_supply and total_supply == sum(demand)
     witness = None
     if not feasible:
         reachable = {0}
-        queue = [0]
+        queue = deque((0,))
         while queue:
-            u = queue.pop(0)
-            for v in adjacency[u]:
-                if v not in reachable and capacity[u][v] - flow[u][v] > 0:
+            u = queue.popleft()
+            for v, room in residual[u].items():
+                if room > 0 and v not in reachable:
                     reachable.add(v)
                     queue.append(v)
-        scarce = tuple(c for c in sinks if snk_id[c] not in reachable)
-        serving = tuple(
-            c for c in sources if any(d <= c for d in scarce)
-        )
+        scarce = [j for j in range(len(sinks)) if first_sink + j not in reachable]
+        targets = tuple(sinks[j] for j in scarce)
+        serving = [i for i, c in enumerate(sources) if any(d <= c for d in targets)]
         witness = HallWitness(
-            targets=scarce,
-            demand=sum((Fraction(demands[c]) for c in scarce), Fraction(0)),
-            sources=serving,
-            supply=sum((Fraction(supplies[c]) for c in serving), Fraction(0)),
+            targets=targets,
+            demand=Fraction(sum(demand[j] for j in scarce), scale),
+            sources=tuple(sources[i] for i in serving),
+            supply=Fraction(sum(supply[i] for i in serving), scale),
         )
-    return TransportResult(feasible, value, arc_flows, witness)
+    return TransportResult(feasible, Fraction(value, scale), arc_flows, witness)

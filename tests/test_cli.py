@@ -1,10 +1,15 @@
+import gc
 import io
 import json
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import evimech
 from evimech import cli
 from evimech.cli import main
 from evimech.scenario import ValidationReport
@@ -247,3 +252,53 @@ def test_validate_rejects_what_it_would_drop(tmp_path, mutate, path):
     code, report = machine("validate", str(doc))
     assert code == 2
     assert [v["path"] for v in report["payload"]["violations"]] == [path]
+
+
+_SEQUENCE = (
+    ("check", "bogus", str(DATA / "leading.json")),  # usage error: exit 2
+    ("validate", str(DATA / "leading.json")),
+    ("check", "npd", str(DATA / "leading.json")),
+)
+
+
+def _alone(argv):
+    """Exit code, stdout and stderr of one command in a fresh interpreter."""
+    package_root = str(Path(evimech.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COLUMNS="80", PYTHONIOENCODING="utf-8", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "evimech.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def test_commands_in_one_process_write_what_each_writes_alone(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    together = [_in_process(argv) for argv in _SEQUENCE]
+    assert [run[0] for run in together] == [2, 0, 3]
+    assert together == [_alone(argv) for argv in _SEQUENCE]
+
+
+def test_repeated_calls_leave_no_parser_garbage():
+    _in_process(_SEQUENCE[1])  # builds the parser
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in _SEQUENCE[1:] * 3:
+            _in_process(argv)
+        gc.collect()
+        leftovers = [obj for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leftovers == []

@@ -2,8 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evimech import fixtures
+from evimech.generators import random_scenario
 from evimech.scenario import (
     Distribution,
     NonDegenerateInput,
@@ -223,6 +226,18 @@ def test_json_round_trip(perturbed):
     assert again.scf == perturbed.scf
     assert again.utility_profiles == perturbed.utility_profiles
     assert again.article_names == perturbed.article_names
+
+
+_any_scenario = st.one_of(
+    st.sampled_from(sorted(fixtures.ALL_FIXTURES)).map(lambda name: fixtures.ALL_FIXTURES[name]()),
+    st.builds(random_scenario, st.integers(0, 10**6), degenerate=st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_any_scenario)
+def test_json_round_trip_is_the_identity(scenario):
+    assert parse_scenario(json.loads(json.dumps(scenario_to_json(scenario)))) == scenario
 
 
 def test_parse_rejects_malformed_document():

@@ -1,0 +1,103 @@
+"""Differential tests: the integer max-flow against the `Fraction` max-flow
+it replaced (`transport_reference.py`). Feasibility, flow value, arc flows
+(as `Fraction`s, in the same dict order) and the Hall witness must be
+identical, on every transport of criterion 9's population, on the fixtures
+and on fuzzed networks."""
+
+from contextlib import contextmanager
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import transport_reference
+from evimech import deception, fixtures, transport
+from evimech.deception import find_perfect_deception
+from evimech.scenario import collection_key
+from test_acceptance import _population
+
+
+def _typed(value):
+    return type(value), value
+
+
+def _fields(result):
+    witness = result.witness
+    if witness is not None:
+        witness = (witness.targets, _typed(witness.demand), witness.sources, _typed(witness.supply))
+    arcs = [(arc, _typed(flow)) for arc, flow in result.arc_flows.items()]
+    return result.feasible, _typed(result.flow_value), arcs, witness
+
+
+def assert_matches_reference(supplies, demands):
+    new = transport.solve_transport(supplies, demands)
+    reference = transport_reference.solve_transport(supplies, demands)
+    assert _fields(new) == _fields(reference), (supplies, demands)
+    return new
+
+
+@contextmanager
+def captured_transports():
+    """Collect the distinct (supplies, demands) pairs solved inside the block."""
+    seen = {}
+    original = deception.solve_transport
+
+    def capture(supplies, demands):
+        key = repr(
+            [sorted(m.items(), key=lambda kv: collection_key(kv[0])) for m in (supplies, demands)]
+        )
+        seen.setdefault(key, (dict(supplies), dict(demands)))
+        return original(supplies, demands)
+
+    deception.solve_transport = capture
+    try:
+        yield seen
+    finally:
+        deception.solve_transport = original
+
+
+def _solve_every_ordered_pair(scenarios):
+    with captured_transports() as seen:
+        for scn in scenarios:
+            for agent in scn.agents:
+                for s in scn.states:
+                    for s_prime in scn.states:
+                        if s != s_prime:
+                            find_perfect_deception(scn, agent, s, s_prime)
+    return seen
+
+
+def test_every_criterion_9_transport_matches_the_reference():
+    seen = _solve_every_ordered_pair(_population())
+    assert len(seen) > 5000
+    feasible = sum(assert_matches_reference(*pair).feasible for pair in seen.values())
+    assert 0 < feasible < len(seen)
+
+
+def test_fixture_transports_match_the_reference():
+    seen = _solve_every_ordered_pair([build() for build in fixtures.ALL_FIXTURES.values()])
+    assert len(seen) >= 20
+    for pair in seen.values():
+        assert_matches_reference(*pair)
+
+
+_collection = st.frozensets(st.sampled_from("abcd"), max_size=3)  # the empty one too
+_mass = st.fractions(min_value=0, max_value=2, max_denominator=12)
+_masses = st.dictionaries(_collection, _mass, max_size=6)
+
+
+@st.composite
+def equal_totals(draw):
+    """Demands rescaled to the supply total: feasible exactly when the
+    subset arcs can carry it."""
+    supplies = draw(_masses)
+    weights = draw(st.dictionaries(_collection, st.fractions(min_value=1, max_value=5, max_denominator=7), min_size=1, max_size=6))
+    total = sum(supplies.values(), Fraction(0))
+    scale = total / sum(weights.values())
+    return supplies, {coll: w * scale for coll, w in weights.items()}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.tuples(_masses, _masses), equal_totals()))
+def test_fuzzed_transports_match_the_reference(pair):
+    assert_matches_reference(*pair)
