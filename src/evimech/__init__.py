@@ -57,10 +57,5 @@ from .hierarchy import (
     check_higher_order_measurability,
     embed_flat_scenario,
 )
-from .smalltransfers import (
-    build_small_transfer_mechanism,
-    eliminate_rationalizable,
-    verify_rationalizable_implementation,
-)
-from .icr import FiniteBayesianGame, icr_eliminate
+from .smalltransfers import build_small_transfer_mechanism, eliminate_rationalizable
 

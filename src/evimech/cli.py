@@ -372,7 +372,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     parser.add_argument("--budget-pure", type=int, default=4096)
     parser.add_argument("--budget-plan", type=int, default=256)
-    parser.add_argument("--budget-icr", type=int, default=200000)
     parser.add_argument("--budget-z", type=int, default=10**6)
     parser.add_argument("--eps", default="1/100")
 
@@ -421,7 +420,6 @@ def main(argv=None) -> int:
         "format": args.format,
         "budget_pure": args.budget_pure,
         "budget_plan": args.budget_plan,
-        "budget_icr": args.budget_icr,
         "budget_z": args.budget_z,
         "eps": args.eps,
     }

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
-from .scenario import Distribution, Scenario, collection_key, format_collection
+from .scenario import Distribution, Scenario, collection_key, format_collection, subsets
 from .transport import HallWitness, solve_transport
 
 
@@ -111,10 +111,8 @@ def perfect_deception(scenario: Scenario, agent, source_state, target_state) -> 
     result = solve_transport(supplies, demands)
     if not result.feasible:
         return PerfectDeceptionResult(None, result.flow_value, result.witness)
-    flows = tuple(
-        (src, dst, f)
-        for (src, dst), f in sorted(result.arc_flows.items(), key=lambda kv: (collection_key(kv[0][0]), collection_key(kv[0][1])))
-    )
+    # arc_flows lists arcs in canonical (source, target) collection order
+    flows = tuple((src, dst, f) for (src, dst), f in result.arc_flows.items())
     return PerfectDeceptionResult(
         TransportPlan(agent, source_state, target_state, flows), result.flow_value, None
     )
@@ -198,9 +196,7 @@ class Bet:
 def _bet_domain(scenario: Scenario, agent, truth_state, lie_state):
     domain = set()
     for coll in scenario.support(agent, truth_state):
-        for r in range(len(coll) + 1):
-            for sub in itertools.combinations(sorted(coll), r):
-                domain.add(frozenset(sub))
+        domain.update(subsets(coll))
     domain.update(scenario.support(agent, lie_state))
     return sorted(domain, key=collection_key)
 
@@ -329,11 +325,7 @@ def sourcewise_worst_case(scenario: Scenario, bet: Bet) -> Fraction:
     total = Fraction(0)
     dist = scenario.dist(bet.agent, bet.truth_state)
     for src, prob in dist.items():
-        best = min(
-            weights.get(frozenset(sub), Fraction(0))
-            for r in range(len(src) + 1)
-            for sub in itertools.combinations(sorted(src), r)
-        )
+        best = min(weights.get(sub, Fraction(0)) for sub in subsets(src))
         total += prob * best
     return total
 

@@ -6,13 +6,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import mechanism as mech_mod
 from .deception import TransportPlan, induced_distribution, perfect_deception
-from .mechanism import KEY_BITS, TRANSFER_KEYS, Challenge, KernelBase, Mechanism, Message, subsets
-from .scenario import Scenario, classify_lie, collection_key, consensus_else_first
+from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism
+from .scenario import Scenario, classify_lie, collection_key, consensus_else_first, subsets
 
 
 _ZERO = Fraction(0)
@@ -32,8 +32,6 @@ class DirectMessage:
 class DirectMechanism:
     """Type-report game with a consensus-else-first-report outcome and no
     transfers; the minimal setting for the necessity replay."""
-
-    variant = "direct"
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -206,14 +204,16 @@ class BayesianGame:
 
 
 def truthful_profile(game: BayesianGame) -> dict:
-    profile = {}
-    for agent in game.scenario.agents:
-        per_type = {}
-        for coll in game.types[agent]:
-            msg = game.mech.truthful_message(agent, game.state, coll)
-            per_type[coll] = {msg: Fraction(1)}
-        profile[agent] = per_type
-    return profile
+    return _reported_profile(game, game.state)
+
+
+def _reported_profile(game: BayesianGame, state) -> dict:
+    """Every type plays, with probability 1, its truthful message at `state`:
+    the game's own state, or a lie every agent reports."""
+    return {
+        agent: {coll: {game.mech.truthful_message(agent, state, coll): _ONE} for coll in game.types[agent]}
+        for agent in game.scenario.agents
+    }
 
 
 def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> Fraction:
@@ -367,7 +367,7 @@ def deception_closure_audit(
         if plan is None or plan.agent != agent or plan.source_state != source_state:
             raise NotPerfect(f"missing or mismatched plan for {agent}")
         if plan.check(scenario):
-            raise NotPerfect(f"plan for {agent} violates its invariants")
+            raise NotPerfect(f"plan for {agent} fails its own consistency checks")
         if induced_distribution(plan) != scenario.dist(agent, target):
             raise NotPerfect(f"plan for {agent} does not match the target marginals")
 
@@ -527,14 +527,6 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
 # -- proof audits -------------------------------------------------------------
 
 
-def _lie_consistent_message(mech: Mechanism, agent, lie_state, evidence):
-    scn = mech.scenario
-    right = scn.right_neighbor(agent)
-    if mech.variant == "bne":
-        return Message(scn.dist(agent, lie_state), scn.dist(right, lie_state), evidence, state_claim=lie_state)
-    return Message(scn.dist(agent, lie_state), scn.dist(right, lie_state), evidence, challenge=None)
-
-
 def _fixed_profile(game, messages_by_agent):
     """Profile where each type of each agent plays a fixed evidence-dependent message."""
     profile = {}
@@ -568,8 +560,7 @@ def _audit_scoring_dominance(scenario, mech, profile_idx):
                 if wrong == scenario.dist(subject, state):
                     continue
                 def deviant(coll, wrong=wrong, predictor=predictor, state=state):
-                    msg = game.mech.truthful_message(predictor, state, coll)
-                    return Message(msg.p_own, wrong, msg.evidence, msg.state_claim, msg.challenge)
+                    return replace(game.mech.truthful_message(predictor, state, coll), p_right=wrong)
                 for coll in game.types[predictor]:
                     truth_msg = game.mech.truthful_message(predictor, state, coll)
                     gain = expected_utility(game, predictor, coll, truth_msg, truthful) - expected_utility(
@@ -600,8 +591,7 @@ def _audit_crosscheck(scenario, mech, profile_idx):
                     return game.mech.truthful_message(other, state, coll)
                 messages[other] = plain
             def self_liar(coll, agent=agent, state=state, wrong=wrong):
-                msg = game.mech.truthful_message(agent, state, coll)
-                return Message(wrong, msg.p_right, msg.evidence, msg.state_claim, msg.challenge)
+                return replace(game.mech.truthful_message(agent, state, coll), p_own=wrong)
             messages[agent] = self_liar
             profile = _fixed_profile(game, messages)
             for coll in game.types[agent]:
@@ -640,16 +630,10 @@ def _audit_refutation_escape(scenario, mech, profile_idx):
         if deviator == refuter:
             continue
         game = BayesianGame(scenario, mech, state, profile_idx)
-        messages = {
-            other: (lambda coll, other=other: _lie_consistent_message(mech, other, lie, coll))
-            for other in scenario.agents
-        }
-        profile = _fixed_profile(game, messages)
+        profile = _reported_profile(game, lie)
         for coll in game.types[deviator]:
-            base = _lie_consistent_message(mech, deviator, lie, coll)
-            honest = Message(
-                base.p_own, scenario.dist(refuter, state), base.evidence, base.state_claim, base.challenge
-            )
+            base = mech.truthful_message(deviator, lie, coll)
+            honest = replace(base, p_right=scenario.dist(refuter, state))
             gain = expected_utility(game, deviator, coll, honest, profile) - expected_utility(
                 game, deviator, coll, base, profile
             )
@@ -670,36 +654,16 @@ def _audit_whistle_profit(scenario, mech, profile_idx):
                 continue
             if classify_lie(scenario, state, lie).verdict != "nonrefutable":
                 continue
+            whistle = mech.whistle(state, lie)
+            if whistle is None:
+                continue
+            claim, challenger_target = whistle
             game = BayesianGame(scenario, mech, state, profile_idx)
-            if mech.variant == "bne":
-                pair = (state, lie)
-                if pair not in mech.bets:
-                    continue
-                challenger_target = mech.bet_agents[pair]
-            else:
-                identity = Challenge(
-                    target_state=lie,
-                    source_state=state,
-                    assignments=tuple(
-                        (agent, tuple((src, src) for src in scenario.support(agent, state)))
-                        for agent in scenario.agents
-                    ),
-                )
-                if identity not in mech.challenges:
-                    continue
-                challenger_target = mech.challenge_agents[identity]
-            messages = {
-                other: (lambda coll, other=other: _lie_consistent_message(mech, other, lie, coll))
-                for other in scenario.agents
-            }
-            profile = _fixed_profile(game, messages)
+            profile = _reported_profile(game, lie)
             deviator = next(a for a in scenario.agents if a != challenger_target)
             for coll in game.types[deviator]:
-                base = _lie_consistent_message(mech, deviator, lie, coll)
-                if mech.variant == "bne":
-                    whistle = Message(base.p_own, base.p_right, base.evidence, state_claim=state)
-                else:
-                    whistle = Message(base.p_own, base.p_right, base.evidence, challenge=identity)
+                base = mech.truthful_message(deviator, lie, coll)
+                whistle = replace(base, claim=claim)
                 gain = expected_utility(game, deviator, coll, whistle, profile) - expected_utility(
                     game, deviator, coll, base, profile
                 )
@@ -732,18 +696,19 @@ def _audit_zero_on_truth(scenario, mech, profile_idx):
         if not good:
             ok = False
             details["failures"].append((state, "truthful profile not clean"))
-        if mech.variant == "bne":
-            for claim in scenario.states:
-                pair = (claim, state)
-                bet = mech.bets.get(pair)
-                if bet is None:
-                    continue
-                target = mech.bet_agents[pair]
-                expectation = scenario.dist(target, state).dot(bet.weight_map())
-                details["losing_bets_checked"] += 1
-                if expectation >= 0:
-                    ok = False
-                    details["failures"].append((state, claim, "bet against truth does not lose"))
+        # every bet of the state-pair table (empty when the claim slot holds
+        # challenges) must lose against truthful play
+        for claim in scenario.states:
+            pair = (claim, state)
+            bet = mech.bets.get(pair)
+            if bet is None:
+                continue
+            target = mech.bet_agents[pair]
+            expectation = scenario.dist(target, state).dot(bet.weight_map())
+            details["losing_bets_checked"] += 1
+            if expectation >= 0:
+                ok = False
+                details["failures"].append((state, claim, "bet against truth does not lose"))
     return AuditResult("zero_on_truth", ok, False, details)
 
 

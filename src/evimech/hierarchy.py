@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, parse_rational
 from .scenario import Scenario, collection_key, consensus_else_first
 
 
@@ -42,6 +42,12 @@ class TypeSpaceModel:
     def belief(self, agent, type_id):
         return self.beliefs[(agent, type_id)]
 
+    def full_profile(self, agent, own_type, opponent_profile) -> tuple:
+        """The full type profile, in agent order, of one agent's type and its
+        opponents' profile (the other agents' types, in agent order)."""
+        i = self.agents.index(agent)
+        return opponent_profile[:i] + (own_type,) + opponent_profile[i:]
+
     def utility(self, profile_idx, agent, outcome, full_profile) -> Fraction:
         return self.utility_profiles[profile_idx][agent][(outcome, full_profile)]
 
@@ -61,7 +67,11 @@ class TypeSpaceModel:
 
 def validate_model(model: TypeSpaceModel) -> list:
     problems = []
+    if not model.agents:
+        problems.append("agents: need at least one agent")
     for agent in model.agents:
+        if not model.types[agent]:
+            problems.append(f"types.{agent}: need at least one type")
         for type_id in model.types[agent]:
             belief = model.belief(agent, type_id)
             total = sum(belief.values(), Fraction(0))
@@ -70,9 +80,30 @@ def validate_model(model: TypeSpaceModel) -> list:
             for prob in belief.values():
                 if prob <= 0:
                     problems.append(f"beliefs.{agent}.{type_id}: non-positive entry")
+            for t_other in belief:
+                for other, t in zip(model.opponents(agent), t_other):
+                    if t not in model.types[other]:
+                        problems.append(f"beliefs.{agent}.{type_id}: undeclared type {t!r} of {other}")
+    profiles = set(model.profiles())
     for profile in model.profiles():
         if profile not in model.scf:
             problems.append(f"scf: missing outcome for {profile}")
+    for profile, outcome in model.scf.items():
+        if profile not in profiles:
+            problems.append(f"scf: undeclared type profile {profile}")
+        elif outcome not in model.outcomes:
+            problems.append(f"scf: undeclared outcome {outcome!r} for {profile}")
+    # entries under ids nothing declares are never read: flag, do not drop them
+    undeclared = {}
+    for idx, prof in enumerate(model.utility_profiles):
+        for agent in model.agents:
+            for outcome, profile in prof[agent]:
+                path = f"utility_profiles[{idx}].{agent}.{outcome}"
+                if outcome not in model.outcomes:
+                    undeclared[path] = "undeclared outcome"
+                elif profile not in profiles:
+                    undeclared[f"{path}.{profile}"] = "undeclared type profile"
+    problems.extend(f"{path}: {message}" for path, message in undeclared.items())
     for idx, prof in enumerate(model.utility_profiles):
         for agent in model.agents:
             for outcome in model.outcomes:
@@ -323,15 +354,14 @@ def check_evidence_ic(model: TypeSpaceModel, profile_indices=None) -> EicVerdict
     failures = []
     for idx in profile_indices:
         for agent in model.agents:
-            others = model.opponents(agent)
             for type_id in model.types[agent]:
                 belief = model.belief(agent, type_id)
 
                 def value(report):
                     total = Fraction(0)
                     for t_other, prob in belief.items():
-                        full = _full_profile(model, agent, report, others, t_other)
-                        true_full = _full_profile(model, agent, type_id, others, t_other)
+                        full = model.full_profile(agent, report, t_other)
+                        true_full = model.full_profile(agent, type_id, t_other)
                         total += prob * model.utility(idx, agent, model.scf[full], true_full)
                     return total
 
@@ -341,12 +371,6 @@ def check_evidence_ic(model: TypeSpaceModel, profile_indices=None) -> EicVerdict
                     if gain > 0:
                         failures.append((idx, agent, type_id, report, gain))
     return EicVerdict(not failures, failures)
-
-
-def _full_profile(model, agent, own_type, others, opponent_profile):
-    by_agent = dict(zip(others, opponent_profile))
-    by_agent[agent] = own_type
-    return tuple(by_agent[a] for a in model.agents)
 
 
 # -- JSON wire format -----------------------------------------------------------
@@ -400,6 +424,8 @@ def parse_model(data) -> TypeSpaceModel:
             utility_profiles.append(per_agent)
     except ModelFormatError:
         raise
+    except RationalFormatError as exc:
+        raise ModelFormatError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
     return TypeSpaceModel(

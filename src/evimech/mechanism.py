@@ -18,7 +18,7 @@ from .deception import (
     synthesize_bet,
     synthesize_gamma_delta,
 )
-from .scenario import Distribution, Scenario, collection_key, refutes
+from .scenario import Distribution, Scenario, collection_key, refutes, subsets
 
 TRANSFER_KEYS = ("evidence_incentive", "scoring", "crosscheck", "refutation_fine", "bet")
 
@@ -45,11 +45,14 @@ class DegenerateGap(ValueError):
 
 @dataclass(frozen=True)
 class Message:
+    """One agent's report: its own and its right neighbour's evidence
+    distribution, the evidence it presents, and the whistle slot `claim`,
+    which the mechanism's variant reads (see `Mechanism.claims`)."""
+
     p_own: Distribution
     p_right: Distribution
     evidence: frozenset
-    state_claim: str | None = None
-    challenge: "Challenge | None" = None
+    claim: object = None
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,6 @@ class Challenge:
     target_state: str
     source_state: str
     assignments: tuple  # ((agent, ((src, dst), ...)), ...) in agent order
-
-    def assignment_for(self, agent):
-        for name, rows in self.assignments:
-            if name == agent:
-                return dict(rows)
-        return None
 
 
 def challenge_key(challenge: "Challenge") -> tuple:
@@ -127,27 +124,50 @@ class Mechanism:
             kernel = self._kernel = Kernel(self)
         return kernel
 
-    def truthful_message(self, agent, state, evidence=None) -> Message:
-        scn = self.scenario
-        right = scn.right_neighbor(agent)
-        if evidence is None:
-            raise ValueError("pass the type's endowment explicitly")
+    def claims(self) -> list:
+        """The claim slot's menu: every state (bne, a claim of the true state),
+        or no challenge and every valid challenge (pure)."""
         if self.variant == "bne":
-            return Message(scn.dist(agent, state), scn.dist(right, state), frozenset(evidence), state_claim=state)
-        return Message(scn.dist(agent, state), scn.dist(right, state), frozenset(evidence), challenge=None)
+            return list(self.scenario.states)
+        return [None] + sorted(self.challenges, key=challenge_key)
+
+    def truthful_message(self, agent, state, evidence) -> Message:
+        """The type's truthful report at `state`: claims of both distributions,
+        the whole endowment, and the state (bne) or no challenge (pure)."""
+        scn = self.scenario
+        claim = state if self.variant == "bne" else None
+        return Message(scn.dist(agent, state), scn.dist(scn.right_neighbor(agent), state), frozenset(evidence), claim)
+
+    def claim_bet(self, claim, state):
+        """(subject agent, bet) that `claim` activates when every distribution
+        claim agrees on `state`, or None: the bet of the pair (claimed state,
+        consensus) (bne), or a valid challenge's two-point bet at its target
+        (pure). Neither table holds a bet whose claimed and consensus states
+        are equal."""
+        if self.variant == "bne":
+            if (claim, state) in self.bets:
+                return self.bet_agents[(claim, state)], self.bets[(claim, state)]
+        elif claim in self.challenges and claim.target_state == state:
+            return self.challenge_agents[claim], self.challenges[claim]
+        return None
+
+    def whistle(self, state, lie):
+        """(claim, bet subject) of the whistle that contests a consensus on
+        `lie` at the true `state`: the claim of `state` (bne) or the identity
+        challenge from `state` (pure); None when no bet backs it."""
+        scn = self.scenario
+        if self.variant == "bne":
+            claim = state
+        else:
+            identity = tuple(
+                (agent, tuple((src, src) for src in scn.support(agent, state))) for agent in scn.agents
+            )
+            claim = Challenge(target_state=lie, source_state=state, assignments=identity)
+        bet = self.claim_bet(claim, lie)
+        return None if bet is None else (claim, bet[0])
 
 
 # -- compiled kernel ----------------------------------------------------------
-
-
-def subsets(collection) -> list:
-    """Every subset of a collection: by size, then lexicographically."""
-    ordered = sorted(collection)
-    return [
-        frozenset(sub)
-        for r in range(len(ordered) + 1)
-        for sub in itertools.combinations(ordered, r)
-    ]
 
 
 # Game code packs one message code per agent into an int, agent i's code at bit
@@ -230,12 +250,15 @@ class Kernel(KernelBase):
         self.outcomes = [scn.scf[state] for state in scn.states]
         self.arbitrary_outcome = mech.arbitrary_outcome
         self._all_states = (1 << len(scn.states)) - 1
-        self._state_index = {state: k for k, state in enumerate(scn.states)}
-        self._variant = mech.variant
-        self._bets = mech.bets
-        self._bet_agents = mech.bet_agents
-        self._challenges = mech.challenges
-        self._challenge_agents = mech.challenge_agents
+        self._claim_menu = mech.claims()
+        # claim -> [(consensus state index, subject agent, bet)]; a claim off
+        # the menu activates no bet
+        self._claim_policy = {}
+        for claim in self._claim_menu:
+            for k, state in enumerate(scn.states):
+                bet = mech.claim_bet(claim, state)
+                if bet is not None:
+                    self._claim_policy.setdefault(claim, []).append((k, *bet))
         self._agent_index = index
         self._eps = mech.scaling.eps
         self._tau_low = mech.scaling.tau_low
@@ -269,15 +292,11 @@ class Kernel(KernelBase):
         """Own claim x right-neighbour claim x presented subset x claim slot."""
         scn = self.scenario
         agent = self.agents[i]
-        if self._variant == "bne":
-            slot, claims = "state_claim", list(scn.states)
-        else:
-            slot, claims = "challenge", [None] + sorted(self._challenges, key=challenge_key)
         for p_own in scn.alphabet(agent):
             for p_right in scn.alphabet(scn.right_neighbor(agent)):
                 for sub in subsets(endowment):
-                    for claim in claims:
-                        yield Message(p_own, p_right, sub, **{slot: claim})
+                    for claim in self._claim_menu:
+                        yield Message(p_own, p_right, sub, claim)
 
     # -- interning --------------------------------------------------------
 
@@ -298,7 +317,7 @@ class Kernel(KernelBase):
                 self._state_masks[i][own] & right_mask,
                 right_mask,
                 self._refuted[i][evidence],
-                self._claim_bets(msg.state_claim if self._variant == "bne" else msg.challenge),
+                self._claim_bets(msg.claim),
             )
             code = codes[msg] = len(self._records[i])
             self._records[i].append(record)
@@ -364,17 +383,9 @@ class Kernel(KernelBase):
         subject's evidence code) of the bet the claim slot activates there."""
         bets = self._claims.get(claim)
         if bets is None:
-            bets = {}
-            if self._variant == "bne":
-                for k, state in enumerate(self.states):
-                    pair = (claim, state)
-                    if claim != state and pair in self._bets:
-                        bets[k] = self._payments(self._bet_agents[pair], self._bets[pair].value)
-            elif claim is not None and claim.source_state != claim.target_state:
-                k = self._state_index.get(claim.target_state)
-                if k is not None and claim in self._challenges:
-                    bets[k] = self._payments(self._challenge_agents[claim], self._challenges[claim].value)
-            self._claims[claim] = bets
+            bets = self._claims[claim] = {
+                k: self._payments(subject, bet.value) for k, subject, bet in self._claim_policy.get(claim, ())
+            }
         return bets
 
     def _payments(self, subject, value):
@@ -512,16 +523,22 @@ def _closest_pair(scale, rows) -> Fraction | None:
     return None if closest is None else Fraction(closest, scale * scale)
 
 
-def _widest_score_gap(presentable, scale, rows) -> Fraction:
+def _widest_score_gap(scale, rows) -> Fraction:
     """max over presentable evidence e and alphabet pairs (p, q) of
     S(p, e) - S(q, e), for the quadratic score S(p, e) = 2 p(e) - |p|^2.
 
     For each e the pair maximum is max_p S(p, e) - min_q S(q, e), and
     S(p, e) L^2 = 2 L n_p(e) - |n_p|^2 is an integer.
+
+    The maximum is reached on a support collection of the alphabet, so only
+    those are scanned. Evidence outside every support scores -|p|^2, a gap of
+    at most |q|^2 - |p|^2 for p of least and q of greatest |.|^2. Because
+    distributions sum to 1, some e in supp(p) has p(e) >= q(e), and the gap
+    S(p, e) - S(q, e) = 2 (p(e) - q(e)) + |q|^2 - |p|^2 there is at least as wide.
     """
     self_dots = [sum(n * n for n in row.values()) for row in rows]
     widest = 0
-    for evidence in presentable:
+    for evidence in {coll for row in rows for coll in row}:
         scores = [2 * scale * row.get(evidence, 0) - dot for row, dot in zip(rows, self_dots)]
         widest = max(widest, max(scores) - min(scores))
     return Fraction(widest, scale * scale)
@@ -567,7 +584,7 @@ def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
     tau2_max = Fraction(0)
     for agent in scenario.agents:
         right = scenario.right_neighbor(agent)
-        widest = _widest_score_gap(scenario.presentable(right), *alphabets[right])
+        widest = _widest_score_gap(*alphabets[right])
         tau2_max = max(tau2_max, tau_low * widest)
 
     rho_min = None
@@ -654,15 +671,7 @@ def assemble_bne_mechanism(scenario: Scenario) -> Mechanism:
 def _assignments_for(scenario: Scenario, agent, state):
     """All pure single-state assignments: support collection -> a subset."""
     sources = scenario.support(agent, state)
-    per_source = []
-    for src in sources:
-        per_source.append(
-            [
-                (src, frozenset(sub))
-                for r in range(len(src) + 1)
-                for sub in itertools.combinations(sorted(src), r)
-            ]
-        )
+    per_source = [[(src, sub) for sub in subsets(src)] for src in sources]
     return [tuple(choice) for choice in itertools.product(*per_source)]
 
 

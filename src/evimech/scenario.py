@@ -22,6 +22,16 @@ def collection_key(collection: Collection) -> tuple:
     return (len(collection), tuple(sorted(collection)))
 
 
+def subsets(collection) -> list:
+    """Every subset of a collection: by size, then lexicographically."""
+    ordered = sorted(collection)
+    return [
+        frozenset(sub)
+        for r in range(len(ordered) + 1)
+        for sub in itertools.combinations(ordered, r)
+    ]
+
+
 def format_collection(collection: Collection) -> str:
     return "{" + ",".join(sorted(collection)) + "}"
 
@@ -37,7 +47,7 @@ class ScenarioError(ValueError):
 class Distribution:
     """Finite distribution over evidence collections, exact and hashable."""
 
-    __slots__ = ("_probs", "_key", "_hash")
+    __slots__ = ("_probs", "_support", "_key", "_hash")
 
     def __init__(self, probs):
         cleaned = {}
@@ -46,17 +56,20 @@ class Distribution:
             if prob != 0:
                 cleaned[frozenset(coll)] = cleaned.get(frozenset(coll), Fraction(0)) + prob
         self._probs = cleaned
-        self._key = tuple(sorted((collection_key(c), p) for c, p in cleaned.items()))
+        keyed = sorted((collection_key(c), c) for c in cleaned)
+        self._support = tuple(c for _, c in keyed)
+        self._key = tuple((key, cleaned[c]) for key, c in keyed)
         self._hash = None
 
     def prob(self, collection) -> Fraction:
         return self._probs.get(frozenset(collection), Fraction(0))
 
     def support(self) -> list:
-        return sorted(self._probs, key=collection_key)
+        """The support in canonical collection order (a fresh list)."""
+        return list(self._support)
 
     def items(self):
-        return [(c, self._probs[c]) for c in self.support()]
+        return [(c, self._probs[c]) for c in self._support]
 
     def total(self) -> Fraction:
         return sum(self._probs.values(), Fraction(0))
@@ -130,9 +143,7 @@ class Scenario:
             seen = set()
             for state in self.states:
                 for coll in self.support(agent, state):
-                    for r in range(len(coll) + 1):
-                        for sub in itertools.combinations(sorted(coll), r):
-                            seen.add(frozenset(sub))
+                    seen.update(subsets(coll))
             self._cache[key] = sorted(seen, key=collection_key)
         return self._cache[key]
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .hierarchy import HierarchyTable, TypeSpaceModel, build_hierarchy, check_evidence_ic, check_higher_order_measurability
+from .scenario import collection_key
 
 AM_TRANSFER_KEYS = ("evidence_reward", "scoring", "first_deviant_fine", "mismatch_fine")
 
@@ -91,7 +92,7 @@ class SmallTransferMechanism:
                 report = msg.belief_reports[k - 1]
                 dist = table.level_distribution(agent, report, k)
                 point = tuple(
-                    (("ev", _ev_key(transcript[o].evidence)),)
+                    (("ev", collection_key(transcript[o].evidence)),)
                     + tuple(
                         table.level(o, transcript[o].belief_reports[j - 1], j)
                         for j in range(1, k)
@@ -117,12 +118,6 @@ class SmallTransferMechanism:
         evidence_max = self.beta * self.model.max_evidence_size()
         scoring_max = self.beta * sum(self.level_bounds, Fraction(0))
         return evidence_max + scoring_max + self.first_deviant_fine + self.rounds * self.mismatch_fine
-
-
-def _ev_key(collection):
-    from .scenario import collection_key
-
-    return collection_key(collection)
 
 
 def _level_score_bound(table: HierarchyTable, model: TypeSpaceModel, k) -> Fraction:
@@ -306,7 +301,6 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
             if mech.first_deviant_fine + mech.mismatch_fine <= stake:
                 outcome_stage_ok = False
                 outcome_details["failures"].append((idx, agent, "fines below outcome stake", stake))
-            others = model.opponents(agent)
             for type_id in model.types[agent]:
                 belief = model.belief(agent, type_id)
                 cell = survivors[(agent, type_id)]["belief"][mech.k_bar]
@@ -319,9 +313,9 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
                         # the EIC slack of the lie, fine strictly negative
                         gain = Fraction(0)
                         for t_other, prob in belief.items():
-                            full_lie = _with_own(model, agent, lie, others, t_other)
-                            full_anchor = _with_own(model, agent, anchor, others, t_other)
-                            true_full = _with_own(model, agent, type_id, others, t_other)
+                            full_lie = model.full_profile(agent, lie, t_other)
+                            full_anchor = model.full_profile(agent, anchor, t_other)
+                            true_full = model.full_profile(agent, type_id, t_other)
                             gain += prob * (
                                 model.utility(idx, agent, model.scf[full_lie], true_full)
                                 - model.utility(idx, agent, model.scf[full_anchor], true_full)
@@ -361,13 +355,3 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
         transfer_bound=bound,
         transfer_bound_ok=bound <= mech.eps,
     )
-
-
-def _with_own(model, agent, own_type, others, opponent_profile):
-    by_agent = dict(zip(others, opponent_profile))
-    by_agent[agent] = own_type
-    return tuple(by_agent[a] for a in model.agents)
-
-
-def verify_rationalizable_implementation(mech: SmallTransferMechanism) -> RationalizabilityReport:
-    return eliminate_rationalizable(mech)

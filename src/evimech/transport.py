@@ -23,7 +23,7 @@ from .scenario import collection_key
 class TransportResult:
     feasible: bool
     flow_value: Fraction
-    arc_flows: dict  # (source collection, target collection) -> Fraction, positive only
+    arc_flows: dict  # (source collection, target collection) -> Fraction, positive only, in collection_key order
     witness: "HallWitness | None"
 
 

@@ -7,7 +7,10 @@ from three bindings: `BayesianGame.evaluate` calls this module's `outcome`
 and `transfers` (and `direct_outcome` for a `DirectMechanism`, whose own
 `outcome` method was folded into the kernel), and helpers that never touched
 payoffs (subset enumeration, profile keys, plan composition, fixed profiles,
-the report classes) are imported from `evimech`.
+the report classes) are imported from `evimech`. Messages carry one claim
+slot, `Message.claim`, read where the old code read `state_claim` or
+`challenge`, and the audits build lie-consistent messages with
+`Mechanism.truthful_message` at the lie state.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from evimech.game import (
     DirectMessage,
     EquilibriumReport,
     _fixed_profile,
-    _lie_consistent_message,
     _profile_key,
     _refutable_pairs,
     canonical_perfect_plans,
@@ -93,7 +95,7 @@ def _active_bet_payment(mech: Mechanism, transcript: dict, agent, consensus):
     if consensus is None:
         return False, Fraction(0)
     if mech.variant == "bne":
-        claim = msg.state_claim
+        claim = msg.claim
         if claim is None or claim == consensus:
             return False, Fraction(0)
         bet = mech.bets.get((claim, consensus))
@@ -103,7 +105,7 @@ def _active_bet_payment(mech: Mechanism, transcript: dict, agent, consensus):
         if target == agent:
             return False, Fraction(0)
         return True, mech.scaling.eps * bet.value(transcript[target].evidence)
-    challenge = msg.challenge
+    challenge = msg.claim
     if challenge is None or challenge.target_state != consensus:
         return False, Fraction(0)
     if challenge.source_state == consensus:
@@ -222,10 +224,7 @@ class BayesianGame:
             for p_right in scn.alphabet(right):
                 for sub in _subsets(endowment):
                     for claim in claims:
-                        if self.mech.variant == "bne":
-                            yield Message(p_own, p_right, sub, state_claim=claim)
-                        else:
-                            yield Message(p_own, p_right, sub, challenge=claim)
+                        yield Message(p_own, p_right, sub, claim=claim)
 
     def type_prob(self, agent, coll) -> Fraction:
         return self.scenario.dist(agent, self.state).prob(coll)
@@ -489,7 +488,7 @@ def _audit_scoring_dominance(scenario, mech, profile_idx):
                     continue
                 def deviant(coll, wrong=wrong, predictor=predictor, state=state):
                     msg = game.mech.truthful_message(predictor, state, coll)
-                    return Message(msg.p_own, wrong, msg.evidence, msg.state_claim, msg.challenge)
+                    return Message(msg.p_own, wrong, msg.evidence, msg.claim)
                 for coll in game.types[predictor]:
                     truth_msg = game.mech.truthful_message(predictor, state, coll)
                     gain = expected_utility(game, predictor, coll, truth_msg, truthful) - expected_utility(
@@ -521,7 +520,7 @@ def _audit_crosscheck(scenario, mech, profile_idx):
                 messages[other] = plain
             def self_liar(coll, agent=agent, state=state, wrong=wrong):
                 msg = game.mech.truthful_message(agent, state, coll)
-                return Message(wrong, msg.p_right, msg.evidence, msg.state_claim, msg.challenge)
+                return Message(wrong, msg.p_right, msg.evidence, msg.claim)
             messages[agent] = self_liar
             profile = _fixed_profile(game, messages)
             for coll in game.types[agent]:
@@ -561,14 +560,14 @@ def _audit_refutation_escape(scenario, mech, profile_idx):
             continue
         game = BayesianGame(scenario, mech, state, profile_idx)
         messages = {
-            other: (lambda coll, other=other: _lie_consistent_message(mech, other, lie, coll))
+            other: (lambda coll, other=other: mech.truthful_message(other, lie, coll))
             for other in scenario.agents
         }
         profile = _fixed_profile(game, messages)
         for coll in game.types[deviator]:
-            base = _lie_consistent_message(mech, deviator, lie, coll)
+            base = mech.truthful_message(deviator, lie, coll)
             honest = Message(
-                base.p_own, scenario.dist(refuter, state), base.evidence, base.state_claim, base.challenge
+                base.p_own, scenario.dist(refuter, state), base.evidence, base.claim
             )
             gain = expected_utility(game, deviator, coll, honest, profile) - expected_utility(
                 game, deviator, coll, base, profile
@@ -609,17 +608,17 @@ def _audit_whistle_profit(scenario, mech, profile_idx):
                     continue
                 challenger_target = mech.challenge_agents[identity]
             messages = {
-                other: (lambda coll, other=other: _lie_consistent_message(mech, other, lie, coll))
+                other: (lambda coll, other=other: mech.truthful_message(other, lie, coll))
                 for other in scenario.agents
             }
             profile = _fixed_profile(game, messages)
             deviator = next(a for a in scenario.agents if a != challenger_target)
             for coll in game.types[deviator]:
-                base = _lie_consistent_message(mech, deviator, lie, coll)
+                base = mech.truthful_message(deviator, lie, coll)
                 if mech.variant == "bne":
-                    whistle = Message(base.p_own, base.p_right, base.evidence, state_claim=state)
+                    whistle = Message(base.p_own, base.p_right, base.evidence, claim=state)
                 else:
-                    whistle = Message(base.p_own, base.p_right, base.evidence, challenge=identity)
+                    whistle = Message(base.p_own, base.p_right, base.evidence, claim=identity)
                 gain = expected_utility(game, deviator, coll, whistle, profile) - expected_utility(
                     game, deviator, coll, base, profile
                 )

@@ -43,7 +43,6 @@ from evimech.scenario import (
 from evimech.smalltransfers import (
     build_small_transfer_mechanism,
     eliminate_rationalizable,
-    verify_rationalizable_implementation,
 )
 
 F = Fraction
@@ -242,7 +241,7 @@ def test_criterion_12_small_transfer_end_to_end():
             pools = [report.survivors[(a, t)]["outcome"] for a, t in zip(model.agents, profile)]
             for combo in __import__("itertools").product(*pools):
                 assert model.scf[tuple(combo)] == model.scf[profile]
-        broken = verify_rationalizable_implementation(mech.with_params(rounds=1))
+        broken = eliminate_rationalizable(mech.with_params(rounds=1))
         assert not broken.passed
         code, cli_report = run_cli("audit", "icr", str(DATA / "micro_model.json"), "--eps", "1/100")
         assert code == 0 and cli_report["payload"]["passed"] is True

@@ -1,13 +1,17 @@
 import gc
 import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evimech
 from evimech import cli
@@ -302,3 +306,167 @@ def test_repeated_calls_leave_no_parser_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert leftovers == []
+
+
+# -- golden reports ---------------------------------------------------------------
+
+README = Path(__file__).parent.parent / "README.md"
+GOLDEN = DATA / "golden"
+
+
+def _readme_commands():
+    """The argv of every `evimech ...` line in the README, fixtures read from DATA."""
+    commands = []
+    for line in README.read_text().splitlines():
+        if line.startswith("evimech "):
+            argv = shlex.split(line.split("#")[0])[1:]
+            commands.append(tuple(str(DATA / Path(a).name) if a.endswith(".json") else a for a in argv))
+    return commands
+
+
+def _golden_name(argv):
+    positional = itertools.takewhile(lambda a: not a.startswith("--"), argv)
+    return "_".join(Path(a).stem if a.endswith(".json") else a for a in positional)
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=_golden_name)
+def test_readme_command_report_matches_golden(argv):
+    _, out = run_cli(*argv, "--format", "machine")
+    assert out == (GOLDEN / f"{_golden_name(argv)}.json").read_text()
+
+
+def test_human_report_matches_golden():
+    _, out = run_cli("build", "bne", str(DATA / "perturbed.json"), "--format", "human")
+    assert out == (GOLDEN / "build_bne_perturbed.txt").read_text()
+
+
+def test_golden_reports_are_the_readme_commands():
+    assert len(README_COMMANDS) == 12
+    names = {f"{_golden_name(argv)}.json" for argv in README_COMMANDS} | {"build_bne_perturbed.txt"}
+    assert names == {path.name for path in GOLDEN.iterdir()}
+
+
+# -- type-space models ------------------------------------------------------------
+
+MODEL_COMMANDS = (("build", "am"), ("check", "hom"), ("check", "eic"))
+
+
+def _model_runs(tmp_path, mutate):
+    data = json.loads((DATA / "micro_model.json").read_text())
+    mutate(data)
+    doc = tmp_path / "model.json"
+    doc.write_text(json.dumps(data))
+    return [machine(*command, str(doc)) for command in MODEL_COMMANDS]
+
+
+def _set_belief_prob(value):
+    def mutate(data):
+        data["beliefs"]["A"]["s1|{w}"][0]["prob"] = value
+    return mutate
+
+
+def _set_utility_value(data):
+    data["utility_profiles"][0]["A"]["o1"][0]["value"] = "x"
+
+
+@pytest.mark.parametrize(
+    "mutate", [_set_belief_prob(True), _set_belief_prob("x"), _set_utility_value], ids=["prob-true", "prob-x", "value-x"]
+)
+def test_model_with_unreadable_rational_exits_1(tmp_path, mutate):
+    for code, report in _model_runs(tmp_path, mutate):
+        assert code == 1
+        assert "rational" in report["payload"]["error"]
+
+
+def _scf_names_undeclared_outcome(data):
+    data["scf"][0]["outcome"] = "veto"
+
+
+def _belief_names_undeclared_type(data):
+    data["beliefs"]["A"]["s1|{w}"][0]["profile"]["B"] = "ghost"
+
+
+def _utility_for_undeclared_outcome(data):
+    data["utility_profiles"][0]["A"]["veto"] = data["utility_profiles"][0]["A"]["o1"]
+
+
+@pytest.mark.parametrize(
+    "mutate, violation",
+    [
+        (_scf_names_undeclared_outcome, "scf: undeclared outcome 'veto' for ('s1|{w}', 's1|{}')"),
+        (_belief_names_undeclared_type, "beliefs.A.s1|{w}: undeclared type 'ghost' of B"),
+        (_utility_for_undeclared_outcome, "utility_profiles[0].A.veto: undeclared outcome"),
+    ],
+    ids=["scf-outcome", "belief-type", "utility-outcome"],
+)
+def test_model_validation_rejects_undeclared_ids(tmp_path, mutate, violation):
+    for code, report in _model_runs(tmp_path, mutate):
+        assert code == 2
+        assert report["payload"]["violations"] == [violation]
+
+
+# -- fuzzed documents -------------------------------------------------------------
+
+FUZZ_COMMANDS = (
+    ("validate",),
+    *(("check", which) for which in ("sm", "npd", "nppd", "hom", "eic")),
+    *(("build", variant) for variant in ("bne", "pure", "am")),
+    *(("audit", suite) for suite in ("claims", "closure", "search", "icr")),
+    ("hierarchy",),
+)
+FUZZ_BUDGETS = ("--budget-pure", "64", "--budget-plan", "16", "--budget-z", "5000")
+FUZZ_DOCUMENTS = {path.name: json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))}
+_DELETE = object()
+# a deleted key or list entry, or a value swapped for null, a string, a
+# negative number, a list or an object
+FUZZ_REPLACEMENTS = (_DELETE, None, "x", "1/2", -1, [], ["x"], {}, {"x": "x"})
+
+
+def _json_paths(value, prefix=()):
+    """Every key or index path into a JSON document, the root excluded."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutated(document, path, replacement):
+    doc = json.loads(json.dumps(document))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = json.loads(json.dumps(replacement))
+    return doc
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    document = FUZZ_DOCUMENTS[name]
+    path = draw(st.sampled_from(list(_json_paths(document))))
+    return _mutated(document, path, draw(st.sampled_from(FUZZ_REPLACEMENTS)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(document=_fuzzed_documents())
+def test_every_command_fails_closed_on_fuzzed_documents(fuzz_path, document):
+    fuzz_path.write_text(json.dumps(document))
+    for command in FUZZ_COMMANDS:
+        argv = [*command, str(fuzz_path), *FUZZ_BUDGETS, "--format", "machine"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (command, document)
+        assert json.loads(out.getvalue())["command"] == command[0]
+        assert err.getvalue() == "", (command, document)

@@ -63,7 +63,7 @@ def test_bet_deviation_costs_eps_fifth(leading, leading_mech):
     profile = truthful_profile(game)
     eps = leading_mech.scaling.eps
     base = leading_mech.truthful_message("B", "H", EMPTY)
-    deviant = Message(base.p_own, base.p_right, base.evidence, state_claim="M")
+    deviant = Message(base.p_own, base.p_right, base.evidence, claim="M")
     truthful_value = expected_utility(game, "B", EMPTY, base, profile)
     deviant_value = expected_utility(game, "B", EMPTY, deviant, profile)
     assert deviant_value - truthful_value == -eps / 5
@@ -76,9 +76,9 @@ def test_refutation_term_in_expected_utility(perturbed, perturbed_mech):
     scn = perturbed
     profile = {"A": {}, "B": {}}
     for coll in game.types["A"]:
-        msg = Message(scn.dist("A", "M"), scn.dist("B", "M"), coll, state_claim="M")
+        msg = Message(scn.dist("A", "M"), scn.dist("B", "M"), coll, claim="M")
         profile["A"][coll] = {msg: F(1)}
-    b_msg = Message(scn.dist("B", "M"), scn.dist("A", "M"), EMPTY, state_claim="M")
+    b_msg = Message(scn.dist("B", "M"), scn.dist("A", "M"), EMPTY, claim="M")
     profile["B"][EMPTY] = {b_msg: F(1)}
     value = expected_utility(game, "B", EMPTY, b_msg, profile)
     tau_high = perturbed_mech.scaling.tau_high

@@ -48,15 +48,14 @@ def leading_pure_mech():
     return build_pure_mechanism(fixtures.leading_example())
 
 
-def claims_message(mech, agent, claimed_state, evidence, state_claim=None, challenge=None):
+def claims_message(mech, agent, claimed_state, evidence, claim=None):
     scn = mech.scenario
     right = scn.right_neighbor(agent)
     return Message(
         scn.dist(agent, claimed_state),
         scn.dist(right, claimed_state),
         frozenset(evidence),
-        state_claim=state_claim,
-        challenge=challenge,
+        claim=claim,
     )
 
 
@@ -150,7 +149,7 @@ def test_consistency(leading_mech):
     broken["A"] = Message(scn.dist("A", "H"), truthful["A"].p_right, truthful["A"].evidence, "M")
     assert consistency(leading_mech, broken) is None
     # claims decide consistency, not the true state
-    all_h = {a: claims_message(leading_mech, a, "H", t.evidence, state_claim="H") for a, t in truthful.items()}
+    all_h = {a: claims_message(leading_mech, a, "H", t.evidence, claim="H") for a, t in truthful.items()}
     assert consistency(leading_mech, all_h) == "H"
     assert outcome(leading_mech, all_h) == "grant_a"
 
@@ -172,8 +171,8 @@ def test_bet_transfer_expectation_is_minus_eps_fifth(leading_mech):
     expectation = F(0)
     for coll, prob in scn.dist("A", "H").items():
         transcript = {
-            "A": claims_message(leading_mech, "A", "H", coll, state_claim="H"),
-            "B": claims_message(leading_mech, "B", "H", EMPTY, state_claim="M"),
+            "A": claims_message(leading_mech, "A", "H", coll, claim="H"),
+            "B": claims_message(leading_mech, "B", "H", EMPTY, claim="M"),
         }
         table = transfers(leading_mech, transcript)
         assert table["B"]["bet"] == eps * bet.value(coll)
@@ -184,8 +183,8 @@ def test_bet_transfer_expectation_is_minus_eps_fifth(leading_mech):
 def test_inconsistent_transcript_evidence_incentive(leading_mech):
     scn = leading_mech.scenario
     transcript = {
-        "A": claims_message(leading_mech, "A", "H", TOP, state_claim="H"),
-        "B": claims_message(leading_mech, "B", "M", EMPTY, state_claim="M"),
+        "A": claims_message(leading_mech, "A", "H", TOP, claim="H"),
+        "B": claims_message(leading_mech, "B", "M", EMPTY, claim="M"),
     }
     # B's claims about A differ from A's self-claims: no consistent state
     assert consistency(leading_mech, transcript) is None
@@ -196,8 +195,8 @@ def test_inconsistent_transcript_evidence_incentive(leading_mech):
 
 def test_own_bet_gives_no_evidence_windfall(leading_mech):
     transcript = {
-        "A": claims_message(leading_mech, "A", "H", TOP, state_claim="H"),
-        "B": claims_message(leading_mech, "B", "H", EMPTY, state_claim="M"),
+        "A": claims_message(leading_mech, "A", "H", TOP, claim="H"),
+        "B": claims_message(leading_mech, "B", "H", EMPTY, claim="M"),
     }
     table = transfers(leading_mech, transcript)
     # B's own bet is active: A collects the evidence incentive, B does not
@@ -208,8 +207,8 @@ def test_own_bet_gives_no_evidence_windfall(leading_mech):
 
 def test_self_bet_is_void(leading_mech):
     transcript = {
-        "A": claims_message(leading_mech, "A", "H", LOW, state_claim="M"),
-        "B": claims_message(leading_mech, "B", "H", EMPTY, state_claim="H"),
+        "A": claims_message(leading_mech, "A", "H", LOW, claim="M"),
+        "B": claims_message(leading_mech, "B", "H", EMPTY, claim="H"),
     }
     table = transfers(leading_mech, transcript)
     assert table["A"]["bet"] == 0
@@ -230,8 +229,8 @@ def test_crosscheck_fine(leading_mech):
 def test_refutation_fine_on_perturbed(perturbed_mech):
     # consensus on M while A presents the witness collection that refutes M
     transcript = {
-        "A": claims_message(perturbed_mech, "A", "M", RICH, state_claim="M"),
-        "B": claims_message(perturbed_mech, "B", "M", EMPTY, state_claim="M"),
+        "A": claims_message(perturbed_mech, "A", "M", RICH, claim="M"),
+        "B": claims_message(perturbed_mech, "B", "M", EMPTY, claim="M"),
     }
     table = transfers(perturbed_mech, transcript)
     assert table["B"]["refutation_fine"] == -perturbed_mech.scaling.tau_high
@@ -279,7 +278,7 @@ def test_pure_challenge_payment(leading_pure_mech):
     for coll, prob in scn.dist("A", "M").items():
         transcript = {
             "A": claims_message(leading_pure_mech, "A", "H", coll),
-            "B": claims_message(leading_pure_mech, "B", "H", EMPTY, challenge=identity),
+            "B": claims_message(leading_pure_mech, "B", "H", EMPTY, claim=identity),
         }
         table = transfers(leading_pure_mech, transcript)
         assert table["B"]["bet"] == eps * two_point.value(coll)
@@ -327,8 +326,8 @@ def test_rescaled_copy_gets_its_own_kernel():
     suite = claim_audits(scn, lowered, profile_indices=[0])
     assert not {r.name: r for r in suite.results}["refutation_escape"].passed
     refuted = {
-        "A": claims_message(lowered, "A", "M", RICH, state_claim="M"),
-        "B": claims_message(lowered, "B", "M", EMPTY, state_claim="M"),
+        "A": claims_message(lowered, "A", "M", RICH, claim="M"),
+        "B": claims_message(lowered, "B", "M", EMPTY, claim="M"),
     }
     for transcript in [refuted, *_random_transcripts(lowered, 300)]:
         assert transfers(lowered, transcript) == game_reference.transfers(lowered, transcript)
@@ -346,8 +345,8 @@ def test_messages_outside_the_tables_are_scored_like_the_reference():
     # entry has; B presenting an article it never holds; an unknown claim
     odd = Distribution({TOP: F(1, 7), LOW: F(6, 7)})
     transcript = {
-        "A": Message(odd, scn.dist("B", "M"), frozenset({"h"}), state_claim="M"),
-        "B": Message(scn.dist("B", "M"), odd, frozenset({"mh"}), state_claim="nowhere"),
+        "A": Message(odd, scn.dist("B", "M"), frozenset({"h"}), claim="M"),
+        "B": Message(scn.dist("B", "M"), odd, frozenset({"mh"}), claim="nowhere"),
     }
     before = mech.kernel().D
     assert transfers(mech, transcript) == game_reference.transfers(mech, transcript)
@@ -371,7 +370,7 @@ def test_unknown_article_raises():
     scn = fixtures.perturbed_example()
     mech = build_bne_mechanism(scn)
     transcript = truthful_transcript(mech, "M")
-    transcript["A"] = claims_message(mech, "A", "M", {"lmh", "zz"}, state_claim="M")
+    transcript["A"] = claims_message(mech, "A", "M", {"lmh", "zz"}, claim="M")
     for rules in (transfers, game_reference.transfers):
         with pytest.raises(ScenarioError, match="unknown article ids"):
             rules(mech, transcript)

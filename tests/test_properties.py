@@ -218,13 +218,12 @@ def test_transfer_case_split_totality_fuzz():
         build_bne_mechanism(fixtures.perturbed_example()),
         build_pure_mechanism(fixtures.leading_example()),
     ):
-        slot = "state_claim" if mech.variant == "bne" else "challenge"
         pools = _fuzz_pools(mech)
         for _ in range(50_000):
             transcript = {}
             for agent, (own, rights, evidence, claims) in pools.items():
                 transcript[agent] = Message(
-                    rng.choice(own), rng.choice(rights), rng.choice(evidence), **{slot: rng.choice(claims)}
+                    rng.choice(own), rng.choice(rights), rng.choice(evidence), claim=rng.choice(claims)
                 )
             table = transfers(mech, transcript)
             expected = game_reference.transfers(mech, transcript)

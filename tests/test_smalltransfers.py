@@ -12,7 +12,6 @@ from evimech.smalltransfers import (
     TransferBoundExceeded,
     build_small_transfer_mechanism,
     eliminate_rationalizable,
-    verify_rationalizable_implementation,
 )
 
 F = Fraction
@@ -190,7 +189,7 @@ def test_elimination_passes_on_micro(micro_mech, micro_model):
 
 def test_round_count_negative_control(micro_mech):
     lowered = micro_mech.with_params(rounds=1)
-    report = verify_rationalizable_implementation(lowered)
+    report = eliminate_rationalizable(lowered)
     assert not report.passed
     outcome_stage = next(s for s in report.stages if s.name == "outcome_rounds")
     assert not outcome_stage.passed
@@ -204,7 +203,7 @@ def test_xor_model_end_to_end():
     report = eliminate_rationalizable(mech)
     assert report.passed
     # lowering the round count with the fine held fixed re-opens the outcome stakes
-    broken = verify_rationalizable_implementation(mech.with_params(rounds=2))
+    broken = eliminate_rationalizable(mech.with_params(rounds=2))
     assert not broken.passed
 
 
