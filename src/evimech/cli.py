@@ -92,16 +92,18 @@ def _pair_analysis(scn):
 # -- input handling ---------------------------------------------------------------
 
 
-def _load_document(path):
+def _read(path) -> bytes:
     try:
-        raw = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise _Abort(EXIT_IO, {"error": f"cannot read {path}: {exc}"})
+
+
+def _parse_json(raw: bytes):
     try:
-        data = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _Abort(EXIT_IO, {"error": f"not a JSON document: {exc}"})
-    return raw, data
 
 
 def _load_scenario(data) -> Scenario:
@@ -427,19 +429,13 @@ def main(argv=None) -> int:
         if hasattr(args, key):
             config[key] = getattr(args, key)
     command = args.command
+    digest = ""  # an unreadable input has none
     try:
-        raw, data = _load_document(args.path)
+        raw = _read(args.path)
         digest = reporting.input_digest(raw)
-        code, payload = COMMANDS[command](args, data)
+        code, payload = COMMANDS[command](args, _parse_json(raw))
     except _Abort as abort:
-        digest = ""
-        try:
-            digest = reporting.input_digest(Path(args.path).read_bytes())
-        except OSError:
-            pass
-        report = reporting.build_report(command, digest, config, abort.payload)
-        sys.stdout.write(reporting.render(report, args.format))
-        return abort.code
+        code, payload = abort.code, abort.payload
     report = reporting.build_report(command, digest, config, payload)
     report["exit_code"] = code
     sys.stdout.write(reporting.render(report, args.format))

@@ -352,11 +352,11 @@ def synthesize_gamma_delta(scenario: Scenario, pure_plan: PurePlan) -> TwoPointB
     loses against truthful play at the claimed state."""
     induced = induced_distribution(pure_plan.as_transport(scenario))
     target = scenario.dist(pure_plan.agent, pure_plan.target_state)
-    if induced == target:
-        raise NoImbalance("pure plan exactly matches the target distribution")
     domain = sorted(set(induced.support()) | set(target.support()), key=collection_key)
-    short = next(c for c in domain if induced.prob(c) < target.prob(c))
-    long = next(c for c in domain if induced.prob(c) > target.prob(c))
+    short = next((c for c in domain if induced.prob(c) < target.prob(c)), None)
+    long = next((c for c in domain if induced.prob(c) > target.prob(c)), None)
+    if short is None or long is None:  # equal, or unequal masses in total
+        raise NoImbalance("pure plan has no short and long collection against the target distribution")
     a, b = induced.prob(short), induced.prob(long)
     a_t, b_t = target.prob(short), target.prob(long)
     # gamma = -r, delta = 1 works for any ratio r in (b_t/a_t, b/a); a_t > 0 always.

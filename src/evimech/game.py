@@ -3,6 +3,7 @@ the deception-closure necessity replay, equilibrium search, and proof audits."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -527,17 +528,6 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
 # -- proof audits -------------------------------------------------------------
 
 
-def _fixed_profile(game, messages_by_agent):
-    """Profile where each type of each agent plays a fixed evidence-dependent message."""
-    profile = {}
-    for agent in game.scenario.agents:
-        per_type = {}
-        for coll in game.types[agent]:
-            per_type[coll] = {messages_by_agent[agent](coll): Fraction(1)}
-        profile[agent] = per_type
-    return profile
-
-
 @dataclass
 class AuditResult:
     name: str
@@ -546,64 +536,60 @@ class AuditResult:
     details: dict
 
 
-def _audit_scoring_dominance(scenario, mech, profile_idx):
-    """Maximal evidence by the subject forces truthful predictions (score gap)."""
-    details = {"checked": 0, "failures": []}
-    slacks = mech.scaling.slacks()
-    ok = slacks.get("score_gap", Fraction(1)) > 0
+def _deviation_audit(name, ok, cases, **extra) -> AuditResult:
+    """One deviation argument of the implementation proof, checked case by case.
+
+    A case is (game, agent, profile, better, worse, label): `better` and
+    `worse` map each of the agent's types to a message, and against `profile`
+    the first must earn strictly more than the second. Each failing type adds
+    (*label, gain) to the failures. The opponents' realizations are listed
+    once per case and both messages valued together.
+    """
+    details = {"checked": 0, "failures": [], **extra}
+    for game, agent, profile, better, worse, label in cases:
+        i = game.scenario.agents.index(agent)
+        W, realizations = game._realizations(agent, profile)
+        for coll in game.types[agent]:
+            codes = (game._kernel.code(i, better(coll)), game._kernel.code(i, worse(coll)))
+            G, (high, low) = game._values(i, realizations, codes)
+            gain = Fraction(high - low, W * G)
+            details["checked"] += 1
+            if gain <= 0:
+                ok = False
+                details["failures"].append((*label, gain))
+    return AuditResult(name, ok, details["checked"] == 0, details)
+
+
+def _scoring_cases(scenario, mech, profile_idx):
+    """Maximal evidence by the subject forces truthful predictions (score gap):
+    against truthful play, predicting the right neighbour truthfully beats
+    every wrong prediction."""
     for state in scenario.states:
         game = BayesianGame(scenario, mech, state, profile_idx)
         truthful = truthful_profile(game)
         for predictor in scenario.agents:
             subject = scenario.right_neighbor(predictor)
+            truth = functools.partial(mech.truthful_message, predictor, state)
             for wrong in scenario.alphabet(subject):
-                if wrong == scenario.dist(subject, state):
-                    continue
-                def deviant(coll, wrong=wrong, predictor=predictor, state=state):
-                    return replace(game.mech.truthful_message(predictor, state, coll), p_right=wrong)
-                for coll in game.types[predictor]:
-                    truth_msg = game.mech.truthful_message(predictor, state, coll)
-                    gain = expected_utility(game, predictor, coll, truth_msg, truthful) - expected_utility(
-                        game, predictor, coll, deviant(coll), truthful
-                    )
-                    details["checked"] += 1
-                    if gain <= 0:
-                        ok = False
-                        details["failures"].append((state, predictor, repr(wrong), gain))
-    return AuditResult("scoring_dominance", ok, details["checked"] == 0, details)
+                if wrong != scenario.dist(subject, state):
+                    deviant = lambda coll, truth=truth, wrong=wrong: replace(truth(coll), p_right=wrong)
+                    yield game, predictor, truthful, truth, deviant, (state, predictor, repr(wrong))
 
 
-def _audit_crosscheck(scenario, mech, profile_idx):
-    """A self-report contradicting the left neighbor is corrected (crosscheck fine)."""
-    details = {"checked": 0, "failures": []}
-    slacks = mech.scaling.slacks()
-    ok = slacks["eps_dominance"] > 0
+def _crosscheck_cases(scenario, mech, profile_idx):
+    """A self-report contradicting the left neighbour is corrected (crosscheck
+    fine): against truthful play, the truthful self-report beats a wrong one.
+    The deviator's own strategy does not enter its payoff, so the others'
+    truthful play is the whole profile."""
     for state in scenario.states:
         game = BayesianGame(scenario, mech, state, profile_idx)
+        truthful = truthful_profile(game)
         for agent in scenario.agents:
             alphabet = [d for d in scenario.alphabet(agent) if d != scenario.dist(agent, state)]
-            if not alphabet:
-                continue
-            wrong = alphabet[0]
-            messages = {}
-            for other in scenario.agents:
-                def plain(coll, other=other, state=state):
-                    return game.mech.truthful_message(other, state, coll)
-                messages[other] = plain
-            def self_liar(coll, agent=agent, state=state, wrong=wrong):
-                return replace(game.mech.truthful_message(agent, state, coll), p_own=wrong)
-            messages[agent] = self_liar
-            profile = _fixed_profile(game, messages)
-            for coll in game.types[agent]:
-                truth_msg = game.mech.truthful_message(agent, state, coll)
-                gain = expected_utility(game, agent, coll, truth_msg, profile) - expected_utility(
-                    game, agent, coll, self_liar(coll), profile
-                )
-                details["checked"] += 1
-                if gain <= 0:
-                    ok = False
-                    details["failures"].append((state, agent, gain))
-    return AuditResult("crosscheck_consistency", ok, details["checked"] == 0, details)
+            if alphabet:
+                truth = functools.partial(mech.truthful_message, agent, state)
+                self_liar = lambda coll, truth=truth, wrong=alphabet[0]: replace(truth(coll), p_own=wrong)
+                yield game, agent, truthful, truth, self_liar, (state, agent)
 
 
 def _refutable_pairs(scenario):
@@ -616,38 +602,21 @@ def _refutable_pairs(scenario):
                 yield state, lie, cls
 
 
-def _audit_refutation_escape(scenario, mech, profile_idx):
+def _refutation_cases(scenario, mech, profile_idx):
     """Consensus on a refutable lie is broken by truthfully reporting the refuter."""
-    details = {"checked": 0, "failures": [], "refutation_slack": None}
-    slack = mech.scaling.slacks().get("refutation")
-    details["refutation_slack"] = slack
-    ok = True
-    if mech.scaling.rho_min is not None and (slack is None or slack < 0):
-        ok = False
     for state, lie, cls in _refutable_pairs(scenario):
         refuter = cls.refuters[0]
         deviator = scenario.left_neighbor(refuter)
         if deviator == refuter:
             continue
         game = BayesianGame(scenario, mech, state, profile_idx)
-        profile = _reported_profile(game, lie)
-        for coll in game.types[deviator]:
-            base = mech.truthful_message(deviator, lie, coll)
-            honest = replace(base, p_right=scenario.dist(refuter, state))
-            gain = expected_utility(game, deviator, coll, honest, profile) - expected_utility(
-                game, deviator, coll, base, profile
-            )
-            details["checked"] += 1
-            if gain <= 0:
-                ok = False
-                details["failures"].append((state, lie, deviator, gain))
-    return AuditResult("refutation_escape", ok, details["checked"] == 0, details)
+        base = functools.partial(mech.truthful_message, deviator, lie)
+        honest = lambda coll, base=base, p=scenario.dist(refuter, state): replace(base(coll), p_right=p)
+        yield game, deviator, _reported_profile(game, lie), honest, base, (state, lie, deviator)
 
 
-def _audit_whistle_profit(scenario, mech, profile_idx):
+def _whistle_cases(scenario, mech, profile_idx):
     """Consensus on a nonrefutable lie with a different outcome invites a bet."""
-    details = {"checked": 0, "failures": []}
-    ok = True
     for state in scenario.states:
         for lie in scenario.states:
             if lie == state or scenario.scf[lie] == scenario.scf[state]:
@@ -657,21 +626,12 @@ def _audit_whistle_profit(scenario, mech, profile_idx):
             whistle = mech.whistle(state, lie)
             if whistle is None:
                 continue
-            claim, challenger_target = whistle
+            claim, subject = whistle
             game = BayesianGame(scenario, mech, state, profile_idx)
-            profile = _reported_profile(game, lie)
-            deviator = next(a for a in scenario.agents if a != challenger_target)
-            for coll in game.types[deviator]:
-                base = mech.truthful_message(deviator, lie, coll)
-                whistle = replace(base, claim=claim)
-                gain = expected_utility(game, deviator, coll, whistle, profile) - expected_utility(
-                    game, deviator, coll, base, profile
-                )
-                details["checked"] += 1
-                if gain <= 0:
-                    ok = False
-                    details["failures"].append((state, lie, deviator, gain))
-    return AuditResult("whistle_profit", ok, details["checked"] == 0, details)
+            deviator = next(a for a in scenario.agents if a != subject)
+            base = functools.partial(mech.truthful_message, deviator, lie)
+            blow = lambda coll, base=base, claim=claim: replace(base(coll), claim=claim)
+            yield game, deviator, _reported_profile(game, lie), blow, base, (state, lie, deviator)
 
 
 def _audit_zero_on_truth(scenario, mech, profile_idx):
@@ -696,15 +656,14 @@ def _audit_zero_on_truth(scenario, mech, profile_idx):
         if not good:
             ok = False
             details["failures"].append((state, "truthful profile not clean"))
-        # every bet of the state-pair table (empty when the claim slot holds
-        # challenges) must lose against truthful play
-        for claim in scenario.states:
-            pair = (claim, state)
-            bet = mech.bets.get(pair)
+        # every bet a claim activates at this consensus loses against its
+        # subject's truthful evidence
+        for claim in mech.claims():
+            bet = mech.claim_bet(claim, state)
             if bet is None:
                 continue
-            target = mech.bet_agents[pair]
-            expectation = scenario.dist(target, state).dot(bet.weight_map())
+            truth = scenario.dist(bet.agent, state)
+            expectation = sum((prob * bet.value(coll) for coll, prob in truth.items()), _ZERO)
             details["losing_bets_checked"] += 1
             if expectation >= 0:
                 ok = False
@@ -727,11 +686,22 @@ def claim_audits(scenario: Scenario, mech: Mechanism, profile_indices=None) -> A
     """Replay the implementation proof's deviation arguments on a built mechanism."""
     if profile_indices is None:
         profile_indices = list(range(len(scenario.utility_profiles)))
+    slacks = mech.scaling.slacks()
+    refutation = slacks.get("refutation")  # None when no lie is refutable
+    deviation_audits = (
+        ("scoring_dominance", _scoring_cases, slacks.get("score_gap", _ONE) > 0, {}),
+        ("crosscheck_consistency", _crosscheck_cases, slacks["eps_dominance"] > 0, {}),
+        (
+            "refutation_escape",
+            _refutation_cases,
+            refutation is None or refutation >= 0,
+            {"refutation_slack": refutation},
+        ),
+        ("whistle_profit", _whistle_cases, True, {}),
+    )
     results = []
     for idx in profile_indices:
-        results.append(_audit_scoring_dominance(scenario, mech, idx))
-        results.append(_audit_crosscheck(scenario, mech, idx))
-        results.append(_audit_refutation_escape(scenario, mech, idx))
-        results.append(_audit_whistle_profit(scenario, mech, idx))
+        for name, cases, ok, extra in deviation_audits:
+            results.append(_deviation_audit(name, ok, cases(scenario, mech, idx), **extra))
         results.append(_audit_zero_on_truth(scenario, mech, idx))
     return AuditSuite(results, list(profile_indices))

@@ -67,6 +67,11 @@ class TypeSpaceModel:
 
 def validate_model(model: TypeSpaceModel) -> list:
     problems = []
+    declared = [("agents", model.agents), ("outcomes", model.outcomes), ("articles", model.articles)]
+    declared.extend((f"types.{agent}", model.types[agent]) for agent in dict.fromkeys(model.agents))
+    for name, ids in declared:
+        if len(set(ids)) != len(ids):
+            problems.append(f"{name}: duplicate ids")
     if not model.agents:
         problems.append("agents: need at least one agent")
     for agent in model.agents:

@@ -10,9 +10,7 @@ from fractions import Fraction
 
 from .conditions import Verdict, check_npd, check_nppd, check_stochastic_measurability
 from .deception import (
-    Bet,
     PurePlan,
-    TwoPointBet,
     find_perfect_deception,
     induced_distribution,
     synthesize_bet,
@@ -105,10 +103,10 @@ class Mechanism:
     variant: str  # "bne" | "pure"
     scenario: Scenario
     scaling: ScalingParams
-    bets: dict  # (truth_state, lie_state) -> Bet, for the bne variant
-    bet_agents: dict  # (truth_state, lie_state) -> agent
-    challenges: dict  # Challenge -> TwoPointBet (with challenger agent resolved)
-    challenge_agents: dict  # Challenge -> agent whose evidence is bet on
+    # (claim, consensus state) -> the bet the claim activates there, on the
+    # evidence of its subject `bet.agent`: (truth, lie) -> Bet (bne) or
+    # (challenge, challenge.target_state) -> TwoPointBet (pure)
+    bets: dict
     z_count: int
     arbitrary_outcome: str
 
@@ -129,7 +127,7 @@ class Mechanism:
         or no challenge and every valid challenge (pure)."""
         if self.variant == "bne":
             return list(self.scenario.states)
-        return [None] + sorted(self.challenges, key=challenge_key)
+        return [None] + sorted((claim for claim, _ in self.bets), key=challenge_key)
 
     def truthful_message(self, agent, state, evidence) -> Message:
         """The type's truthful report at `state`: claims of both distributions,
@@ -139,17 +137,10 @@ class Mechanism:
         return Message(scn.dist(agent, state), scn.dist(scn.right_neighbor(agent), state), frozenset(evidence), claim)
 
     def claim_bet(self, claim, state):
-        """(subject agent, bet) that `claim` activates when every distribution
-        claim agrees on `state`, or None: the bet of the pair (claimed state,
-        consensus) (bne), or a valid challenge's two-point bet at its target
-        (pure). Neither table holds a bet whose claimed and consensus states
-        are equal."""
-        if self.variant == "bne":
-            if (claim, state) in self.bets:
-                return self.bet_agents[(claim, state)], self.bets[(claim, state)]
-        elif claim in self.challenges and claim.target_state == state:
-            return self.challenge_agents[claim], self.challenges[claim]
-        return None
+        """The bet `claim` activates when every distribution claim agrees on
+        `state`, or None. The table holds no bet whose claimed and consensus
+        states are equal."""
+        return self.bets.get((claim, state))
 
     def whistle(self, state, lie):
         """(claim, bet subject) of the whistle that contests a consensus on
@@ -164,7 +155,7 @@ class Mechanism:
             )
             claim = Challenge(target_state=lie, source_state=state, assignments=identity)
         bet = self.claim_bet(claim, lie)
-        return None if bet is None else (claim, bet[0])
+        return None if bet is None else (claim, bet.agent)
 
 
 # -- compiled kernel ----------------------------------------------------------
@@ -251,14 +242,11 @@ class Kernel(KernelBase):
         self.arbitrary_outcome = mech.arbitrary_outcome
         self._all_states = (1 << len(scn.states)) - 1
         self._claim_menu = mech.claims()
-        # claim -> [(consensus state index, subject agent, bet)]; a claim off
-        # the menu activates no bet
+        # claim -> [(consensus state index, bet)]
         self._claim_policy = {}
-        for claim in self._claim_menu:
-            for k, state in enumerate(scn.states):
-                bet = mech.claim_bet(claim, state)
-                if bet is not None:
-                    self._claim_policy.setdefault(claim, []).append((k, *bet))
+        state_index = {state: k for k, state in enumerate(scn.states)}
+        for (claim, state), bet in mech.bets.items():
+            self._claim_policy.setdefault(claim, []).append((state_index[state], bet))
         self._agent_index = index
         self._eps = mech.scaling.eps
         self._tau_low = mech.scaling.tau_low
@@ -384,7 +372,7 @@ class Kernel(KernelBase):
         bets = self._claims.get(claim)
         if bets is None:
             bets = self._claims[claim] = {
-                k: self._payments(subject, bet.value) for k, subject, bet in self._claim_policy.get(claim, ())
+                k: self._payments(bet.agent, bet.value) for k, bet in self._claim_policy.get(claim, ())
             }
         return bets
 
@@ -458,16 +446,7 @@ class Kernel(KernelBase):
 
 def _kernel_sources(mech: "Mechanism") -> tuple:
     """The mechanism fields a kernel is compiled from."""
-    return (
-        mech.variant,
-        mech.scenario,
-        mech.scaling,
-        mech.bets,
-        mech.bet_agents,
-        mech.challenges,
-        mech.challenge_agents,
-        mech.arbitrary_outcome,
-    )
+    return (mech.variant, mech.scenario, mech.scaling, mech.bets, mech.arbitrary_outcome)
 
 
 # -- outcome rule and transfers -----------------------------------------------
@@ -625,8 +604,8 @@ def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
 
 
 def _synthesize_bet_table(scenario: Scenario):
+    """(bets, bet values): the bne bet table and every weight its bets pay."""
     bets = {}
-    agents_for = {}
     for truth in scenario.states:
         for lie in scenario.states:
             if truth == lie:
@@ -639,8 +618,7 @@ def _synthesize_bet_table(scenario: Scenario):
             if chosen is None:
                 continue
             bets[(truth, lie)] = synthesize_bet(scenario, chosen, truth, lie)
-            agents_for[(truth, lie)] = chosen
-    return bets, agents_for
+    return bets, [w for bet in bets.values() for _, w in bet.weights]
 
 
 def build_bne_mechanism(scenario: Scenario) -> Mechanism:
@@ -652,17 +630,12 @@ def build_bne_mechanism(scenario: Scenario) -> Mechanism:
 
 def assemble_bne_mechanism(scenario: Scenario) -> Mechanism:
     """Mechanism assembly without the NPD gate (negative controls, audits)."""
-    bets, agents_for = _synthesize_bet_table(scenario)
-    values = [w for bet in bets.values() for _, w in bet.weights]
-    scaling = compute_scaling(scenario, values)
+    bets, values = _synthesize_bet_table(scenario)
     return Mechanism(
         variant="bne",
         scenario=scenario,
-        scaling=scaling,
+        scaling=compute_scaling(scenario, values),
         bets=bets,
-        bet_agents=agents_for,
-        challenges={},
-        challenge_agents={},
         z_count=0,
         arbitrary_outcome=scenario.outcomes[0],
     )
@@ -686,9 +659,9 @@ def pure_profile_count(scenario: Scenario) -> int:
 
 
 def enumerate_challenges(scenario: Scenario):
-    """Canonical valid challenges with their two-point bets and target agents."""
-    challenges = {}
-    agents_for = {}
+    """(bets, bet values): every valid challenge's two-point bet, keyed by
+    (challenge, its target state), and the gammas and deltas they pay."""
+    bets = {}
     for source_state in scenario.states:
         profiles = [
             _assignments_for(scenario, agent, source_state) for agent in scenario.agents
@@ -697,23 +670,21 @@ def enumerate_challenges(scenario: Scenario):
             for target_state in scenario.states:
                 if target_state == source_state:
                     continue
-                chosen = None
+                # the first agent whose plan misses its target marginal is the
+                # subject of the challenge's bet
                 for agent, rows in zip(scenario.agents, combo):
                     plan = PurePlan(agent, source_state, target_state, rows)
-                    induced = induced_distribution(plan.as_transport(scenario))
-                    if induced != scenario.dist(agent, target_state):
-                        chosen = (agent, plan)
+                    if induced_distribution(plan.as_transport(scenario)) != scenario.dist(agent, target_state):
                         break
-                if chosen is None:
+                else:
                     continue
                 challenge = Challenge(
                     target_state=target_state,
                     source_state=source_state,
                     assignments=tuple(zip(scenario.agents, combo)),
                 )
-                challenges[challenge] = synthesize_gamma_delta(scenario, chosen[1])
-                agents_for[challenge] = chosen[0]
-    return challenges, agents_for
+                bets[(challenge, target_state)] = synthesize_gamma_delta(scenario, plan)
+    return bets, [value for bet in bets.values() for value in (bet.gamma, bet.delta)]
 
 
 def build_pure_mechanism(scenario: Scenario, z_cap: int = 10**6) -> Mechanism:
@@ -727,19 +698,12 @@ def assemble_pure_mechanism(scenario: Scenario, z_cap: int = 10**6) -> Mechanism
     z = pure_profile_count(scenario)
     if z > z_cap:
         raise ZOverflow(f"{z} pure deception profiles exceed cap {z_cap}")
-    challenges, agents_for = enumerate_challenges(scenario)
-    values = []
-    for bet in challenges.values():
-        values.extend((bet.gamma, bet.delta))
-    scaling = compute_scaling(scenario, values)
+    bets, values = enumerate_challenges(scenario)
     return Mechanism(
         variant="pure",
         scenario=scenario,
-        scaling=scaling,
-        bets={},
-        bet_agents={},
-        challenges=challenges,
-        challenge_agents=agents_for,
+        scaling=compute_scaling(scenario, values),
+        bets=bets,
         z_count=z,
         arbitrary_outcome=scenario.outcomes[0],
     )
@@ -770,19 +734,6 @@ def mechanism_report(mech: Mechanism) -> dict:
         "tau2_max": format_rational(mech.scaling.tau2_max),
         "slack": {k: format_rational(v) for k, v in mech.scaling.slacks().items()},
     }
-    bets = []
-    for (truth, lie), bet in sorted(mech.bets.items()):
-        bets.append(
-            {
-                "truth_state": truth,
-                "lie_state": lie,
-                "agent": mech.bet_agents[(truth, lie)],
-                "margin": format_rational(bet.margin),
-                "weights": {
-                    format_collection(coll): format_rational(w) for coll, w in bet.weights
-                },
-            }
-        )
     report = {
         "variant": mech.variant,
         "message_space": sizes,
@@ -790,11 +741,19 @@ def mechanism_report(mech: Mechanism) -> dict:
         "arbitrary_outcome": mech.arbitrary_outcome,
     }
     if mech.variant == "bne":
-        report["bets"] = bets
-        report["challenger_table"] = {
-            f"{truth}->{lie}": agent for (truth, lie), agent in sorted(mech.bet_agents.items())
-        }
+        bets = sorted(mech.bets.items())
+        report["bets"] = [
+            {
+                "truth_state": truth,
+                "lie_state": lie,
+                "agent": bet.agent,
+                "margin": format_rational(bet.margin),
+                "weights": {format_collection(coll): format_rational(w) for coll, w in bet.weights},
+            }
+            for (truth, lie), bet in bets
+        ]
+        report["challenger_table"] = {f"{truth}->{lie}": bet.agent for (truth, lie), bet in bets}
     else:
         report["identifier_count"] = mech.z_count
-        report["valid_challenges"] = len(mech.challenges)
+        report["valid_challenges"] = len(mech.bets)
     return report

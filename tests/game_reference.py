@@ -6,11 +6,14 @@ before both moved onto the compiled integer kernel, copied verbatim apart
 from three bindings: `BayesianGame.evaluate` calls this module's `outcome`
 and `transfers` (and `direct_outcome` for a `DirectMechanism`, whose own
 `outcome` method was folded into the kernel), and helpers that never touched
-payoffs (subset enumeration, profile keys, plan composition, fixed profiles,
-the report classes) are imported from `evimech`. Messages carry one claim
-slot, `Message.claim`, read where the old code read `state_claim` or
-`challenge`, and the audits build lie-consistent messages with
-`Mechanism.truthful_message` at the lie state.
+payoffs (subset enumeration, profile keys, plan composition, the report
+classes) are imported from `evimech`; `_fixed_profile`, which `evimech` no
+longer has, is copied here. Messages carry one claim slot, `Message.claim`,
+read where the old code read `state_claim` or `challenge`, and the audits
+build lie-consistent messages with `Mechanism.truthful_message` at the lie
+state. Bets are read from the one table `Mechanism.bets`, keyed by (claim,
+consensus state), with each bet's subject its own `agent`, where the old code
+read the per-variant bet, challenge and agent tables.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from evimech.game import (
     DirectMechanism,
     DirectMessage,
     EquilibriumReport,
-    _fixed_profile,
     _profile_key,
     _refutable_pairs,
     canonical_perfect_plans,
@@ -101,7 +103,7 @@ def _active_bet_payment(mech: Mechanism, transcript: dict, agent, consensus):
         bet = mech.bets.get((claim, consensus))
         if bet is None:
             return False, Fraction(0)
-        target = mech.bet_agents[(claim, consensus)]
+        target = bet.agent
         if target == agent:
             return False, Fraction(0)
         return True, mech.scaling.eps * bet.value(transcript[target].evidence)
@@ -110,10 +112,10 @@ def _active_bet_payment(mech: Mechanism, transcript: dict, agent, consensus):
         return False, Fraction(0)
     if challenge.source_state == consensus:
         return False, Fraction(0)
-    two_point = mech.challenges.get(challenge)
+    two_point = mech.bets.get((challenge, challenge.target_state))
     if two_point is None:
         return False, Fraction(0)
-    target = mech.challenge_agents[challenge]
+    target = two_point.agent
     if target == agent:
         return False, Fraction(0)
     return True, mech.scaling.eps * two_point.value(transcript[target].evidence)
@@ -219,7 +221,7 @@ class BayesianGame:
         if self.mech.variant == "bne":
             claims = list(scn.states)
         else:
-            claims = [None] + sorted(self.mech.challenges, key=mech_mod.challenge_key)
+            claims = [None] + sorted((c for c, _ in self.mech.bets), key=mech_mod.challenge_key)
         for p_own in scn.alphabet(agent):
             for p_right in scn.alphabet(right):
                 for sub in _subsets(endowment):
@@ -473,6 +475,17 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     ], flags
 
 
+def _fixed_profile(game, messages_by_agent):
+    """Profile where each type of each agent plays a fixed evidence-dependent message."""
+    profile = {}
+    for agent in game.scenario.agents:
+        per_type = {}
+        for coll in game.types[agent]:
+            per_type[coll] = {messages_by_agent[agent](coll): Fraction(1)}
+        profile[agent] = per_type
+    return profile
+
+
 def _audit_scoring_dominance(scenario, mech, profile_idx):
     """Maximal evidence by the subject forces truthful predictions (score gap)."""
     details = {"checked": 0, "failures": []}
@@ -594,7 +607,7 @@ def _audit_whistle_profit(scenario, mech, profile_idx):
                 pair = (state, lie)
                 if pair not in mech.bets:
                     continue
-                challenger_target = mech.bet_agents[pair]
+                challenger_target = mech.bets[pair].agent
             else:
                 identity = Challenge(
                     target_state=lie,
@@ -604,9 +617,9 @@ def _audit_whistle_profit(scenario, mech, profile_idx):
                         for agent in scenario.agents
                     ),
                 )
-                if identity not in mech.challenges:
+                if (identity, lie) not in mech.bets:
                     continue
-                challenger_target = mech.challenge_agents[identity]
+                challenger_target = mech.bets[(identity, lie)].agent
             messages = {
                 other: (lambda coll, other=other: mech.truthful_message(other, lie, coll))
                 for other in scenario.agents
@@ -657,7 +670,7 @@ def _audit_zero_on_truth(scenario, mech, profile_idx):
                 bet = mech.bets.get(pair)
                 if bet is None:
                     continue
-                target = mech.bet_agents[pair]
+                target = bet.agent
                 expectation = scenario.dist(target, state).dot(bet.weight_map())
                 details["losing_bets_checked"] += 1
                 if expectation >= 0:

@@ -182,14 +182,16 @@ def test_reports_are_byte_identical():
 
 
 def test_exit_codes_total():
-    # every command path ends in {0,1,2,3}
+    # every command path ends in {0,1,2,3}, and its report carries the code
     runs = [
-        machine("validate", str(DATA / "leading.json"))[0],
-        machine("validate", str(DATA / "broken_sum.json"))[0],
-        machine("validate", str(DATA / "missing.json"))[0],
-        machine("check", "npd", str(DATA / "leading.json"))[0],
+        machine("validate", str(DATA / "leading.json")),
+        machine("validate", str(DATA / "broken_sum.json")),
+        machine("validate", str(DATA / "missing.json")),
+        machine("check", "npd", str(DATA / "leading.json")),
     ]
-    assert set(runs) <= {0, 1, 2, 3}
+    assert {code for code, _ in runs} <= {0, 1, 2, 3}
+    assert [report["exit_code"] for _, report in runs] == [code for code, _ in runs]
+    assert runs[2][0] == 1 and runs[2][1]["input_digest"] == ""
 
 
 def _perturbed_without_profiles(tmp_path):
@@ -408,6 +410,29 @@ def test_model_validation_rejects_undeclared_ids(tmp_path, mutate, violation):
         assert report["payload"]["violations"] == [violation]
 
 
+def _duplicate(key, agent=None):
+    def mutate(data):
+        ids = data[key] if agent is None else data[key][agent]
+        ids.append(ids[0])
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, violation",
+    [
+        (_duplicate("agents"), "agents: duplicate ids"),
+        (_duplicate("types", "B"), "types.B: duplicate ids"),
+        (_duplicate("outcomes"), "outcomes: duplicate ids"),
+        (_duplicate("articles"), "articles: duplicate ids"),
+    ],
+    ids=["agents", "types", "outcomes", "articles"],
+)
+def test_model_validation_rejects_duplicate_ids(tmp_path, mutate, violation):
+    for code, report in _model_runs(tmp_path, mutate):
+        assert code == 2
+        assert violation in report["payload"]["violations"]
+
+
 # -- fuzzed documents -------------------------------------------------------------
 
 FUZZ_COMMANDS = (
@@ -468,5 +493,7 @@ def test_every_command_fails_closed_on_fuzzed_documents(fuzz_path, document):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2, 3), (command, document)
-        assert json.loads(out.getvalue())["command"] == command[0]
+        report = json.loads(out.getvalue())
+        assert report["command"] == command[0]
+        assert report["exit_code"] == code, (command, document)
         assert err.getvalue() == "", (command, document)

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,8 @@ from evimech.deception import (
     synthesize_bet,
     synthesize_gamma_delta,
 )
-from evimech.scenario import Distribution
+from evimech.mechanism import build_pure_mechanism
+from evimech.scenario import Distribution, parse_scenario
 
 F = Fraction
 TOP = frozenset({"mh", "lmh"})
@@ -178,6 +181,14 @@ def test_gamma_delta_rejects_perfect_plan():
     plan = find_pure_perfect_deception(scn, "A", "H", "U")
     with pytest.raises(NoImbalance):
         synthesize_gamma_delta(scn, plan)
+
+
+def test_gamma_delta_rejects_plan_without_short_and_long_collections():
+    # A's masses at L sum to 9/10: a plan into L induces more mass in total
+    # than L holds, and on this document no collection is short
+    scn = parse_scenario(json.loads((Path(__file__).parent / "data" / "broken_sum.json").read_text()))
+    with pytest.raises(NoImbalance):
+        build_pure_mechanism(scn)
 
 
 def test_duality_on_fixture_pairs(leading, perturbed):

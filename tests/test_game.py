@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,20 @@ def test_claim_audits_negative_control(perturbed, perturbed_mech):
     by_name = {r.name: r for r in suite.results}
     assert not by_name["refutation_escape"].passed
     assert not suite.passed
+
+
+def test_zero_on_truth_checks_every_pure_bet():
+    scn = fixtures.micro_example()
+    mech = build_pure_mechanism(scn)
+    zero_on_truth = claim_audits(scn, mech, profile_indices=[0]).results[-1]
+    assert zero_on_truth.passed
+    assert zero_on_truth.details["losing_bets_checked"] == len(mech.bets) > 0
+    # a two-point bet with both entries positive cannot lose against the truth
+    (challenge, state), bet = next(iter(mech.bets.items()))
+    mech.bets = {**mech.bets, (challenge, state): replace(bet, gamma=-bet.gamma)}
+    zero_on_truth = claim_audits(scn, mech, profile_indices=[0]).results[-1]
+    assert not zero_on_truth.passed
+    assert (state, challenge, "bet against truth does not lose") in zero_on_truth.details["failures"]
 
 
 def test_claim_audits_vacuous_on_single_state():

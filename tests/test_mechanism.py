@@ -87,7 +87,7 @@ def test_pure_builder_z_cap():
 
 def test_bet_tables(perturbed_mech, leading_mech):
     assert set(perturbed_mech.bets) == {("M", "H"), ("L", "H"), ("L", "M")}
-    assert all(agent == "A" for agent in perturbed_mech.bet_agents.values())
+    assert all(bet.agent == "A" for bet in perturbed_mech.bets.values())
     assert set(leading_mech.bets) == {("M", "H"), ("L", "H"), ("L", "M")}
     assert leading_mech.bets[("M", "H")].margin == F(1, 5)
 
@@ -270,8 +270,8 @@ def test_pure_challenge_payment(leading_pure_mech):
             ("B", ((EMPTY, EMPTY),)),
         ),
     )
-    assert identity in leading_pure_mech.challenges
-    two_point = leading_pure_mech.challenges[identity]
+    two_point = leading_pure_mech.bets[(identity, "H")]
+    assert two_point.agent == "A"
     eps = leading_pure_mech.scaling.eps
     # consensus on H, B challenges with the identity plan at M
     expectation = F(0)
@@ -303,7 +303,7 @@ def test_mechanism_report_shape(perturbed_mech, leading_pure_mech):
     assert set(report["scaling"]["slack"]) >= {"score_gap", "eps_dominance", "one_dollar"}
     pure_report = mechanism_report(leading_pure_mech)
     assert pure_report["identifier_count"] == 839808
-    assert pure_report["valid_challenges"] == len(leading_pure_mech.challenges)
+    assert pure_report["valid_challenges"] == len(leading_pure_mech.bets)
 
 
 # -- compiled kernel ----------------------------------------------------------

@@ -195,7 +195,7 @@ def _fuzz_pools(mech):
     if mech.variant == "bne":
         claims = list(scn.states)
     else:
-        valid = sorted(mech.challenges, key=challenge_key)
+        valid = sorted((challenge for challenge, _ in mech.bets), key=challenge_key)
         stray = Challenge(scn.states[0], scn.states[0], valid[0].assignments)
         claims = [None, stray] + valid
     return {
