@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import mechanism as mech_mod
 from .deception import TransportPlan, induced_distribution, perfect_deception
-from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism
+from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space
 from .scenario import Scenario, classify_lie, collection_key, consensus_else_first, subsets
 
 
@@ -48,7 +48,8 @@ class DirectMechanism:
 
 
 class DirectKernel(KernelBase):
-    """DirectMechanism compiled: interned state reports, no transfers."""
+    """DirectMechanism compiled over its finite message space: every state
+    report with every presentable collection, no transfers."""
 
     D = 1
 
@@ -56,8 +57,12 @@ class DirectKernel(KernelBase):
         self.scenario = scenario
         self.agents = scenario.agents
         self._menus = {}
-        self._codes = [{} for _ in scenario.agents]
-        self._reports = [[] for _ in scenario.agents]
+        self._codes = []
+        self._reports = []
+        for agent in scenario.agents:
+            messages = [DirectMessage(state, e) for state in scenario.states for e in scenario.presentable(agent)]
+            self._codes.append({msg: code for code, msg in enumerate(messages)})
+            self._reports.append([msg.state_report for msg in messages])
         self._zero = [(0,) * len(TRANSFER_KEYS)] * len(scenario.agents)
 
     def _menu(self, i: int, endowment):
@@ -66,11 +71,9 @@ class DirectKernel(KernelBase):
                 yield DirectMessage(state, sub)
 
     def code(self, i: int, msg: DirectMessage) -> int:
-        codes = self._codes[i]
-        code = codes.get(msg)
+        code = self._codes[i].get(msg)
         if code is None:
-            code = codes[msg] = len(self._reports[i])
-            self._reports[i].append(msg.state_report)
+            raise outside_space(self.scenario, self.agents[i], msg)
         return code
 
     def evaluate(self, codes):
@@ -83,9 +86,10 @@ class BayesianGame:
     """The Bayesian game a mechanism induces at one state and utility profile.
 
     Payoffs are read from the mechanism's kernel and cached as integer
-    numerators over a common denominator G (the kernel's D times the
-    utilities' denominators), keyed by the transcript's message codes packed
-    into one int (`KEY_BITS` per agent).
+    numerators over a common denominator G, the lcm of the kernel's fixed D
+    and the utilities' denominators, set once in `__post_init__`. The cache
+    is keyed by the transcript's message codes packed into one int
+    (`KEY_BITS` per agent).
     """
 
     scenario: Scenario
@@ -97,8 +101,10 @@ class BayesianGame:
     _kernel: object = field(init=False, repr=False, compare=False)
     _codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> action codes
     _payoffs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _scale: tuple = field(init=False, repr=False, compare=False, default=None)
     _probs: dict = field(init=False, repr=False, compare=False)  # (agent, type) -> prob
+    _G: int = field(init=False, repr=False, compare=False)
+    _factor: int = field(init=False, repr=False, compare=False)  # G // D
+    _utility: dict = field(init=False, repr=False, compare=False)  # outcome -> numerators over G
 
     def __post_init__(self):
         scn = self.scenario
@@ -111,6 +117,22 @@ class BayesianGame:
         for i, agent in enumerate(scn.agents):
             for coll in self.types[agent]:
                 self.actions[(agent, coll)], self._codes[(agent, coll)] = self._kernel.actions(i, coll)
+        profile = scn.utility_profiles[self.profile_idx]
+        rows = {}
+        for outcome in scn.outcomes:
+            row = [profile[agent].get((outcome, self.state)) for agent in scn.agents]
+            if None not in row:
+                rows[outcome] = row
+        G = self._kernel.D
+        for row in rows.values():
+            for value in row:
+                G = math.lcm(G, value.denominator)
+        self._G = G
+        self._factor = G // self._kernel.D
+        self._utility = {
+            outcome: tuple(value.numerator * (G // value.denominator) for value in row)
+            for outcome, row in rows.items()
+        }
 
     def type_prob(self, agent, coll) -> Fraction:
         return self._probs.get((agent, frozenset(coll)), _ZERO)
@@ -119,37 +141,13 @@ class BayesianGame:
         """(outcome, itemized transfers) for a message profile."""
         return self._kernel.itemized(transcript)
 
-    def _sync(self) -> tuple:
-        """(D, G, G // D, outcome -> per-agent utility numerators over G) for
-        the kernel's current D; payoffs cached under an older D are dropped."""
-        if self._scale is None or self._scale[0] != self._kernel.D:
-            scn = self.scenario
-            profile = scn.utility_profiles[self.profile_idx]
-            rows = {}
-            for outcome in scn.outcomes:
-                row = [profile[agent].get((outcome, self.state)) for agent in scn.agents]
-                if None not in row:
-                    rows[outcome] = row
-            denominator = self._kernel.D
-            common = denominator
-            for row in rows.values():
-                for value in row:
-                    common = math.lcm(common, value.denominator)
-            utility = {
-                outcome: tuple(value.numerator * (common // value.denominator) for value in row)
-                for outcome, row in rows.items()
-            }
-            self._payoffs.clear()
-            self._scale = (denominator, common, common // denominator, utility)
-        return self._scale
-
     def _payoff_row(self, key: int) -> tuple:
         """Every agent's payoff numerator (over G) on the packed transcript."""
         mask = (1 << KEY_BITS) - 1
         codes = [key >> (KEY_BITS * i) & mask for i in range(len(self.scenario.agents))]
         outcome, items = self._kernel.evaluate(codes)
-        _, _, factor, utility = self._scale
-        row = tuple(base + factor * sum(parts) for base, parts in zip(utility[outcome], items))
+        factor = self._factor
+        row = tuple(base + factor * sum(parts) for base, parts in zip(self._utility[outcome], items))
         self._payoffs[key] = row
         return row
 
@@ -185,9 +183,8 @@ class BayesianGame:
                 common = math.lcm(common, den)
         return common, [(num * (common // den), key) for num, den, key in combos]
 
-    def _values(self, i, realizations, codes) -> tuple:
-        """(G, expected payoff numerators over W * G of agent i's `codes`)."""
-        G = self._sync()[1]
+    def _values(self, i, realizations, codes) -> list:
+        """Expected payoff numerators over W * G of agent i's `codes`."""
         cache = self._payoffs
         shift = KEY_BITS * i
         values = []
@@ -201,7 +198,7 @@ class BayesianGame:
                     row = self._payoff_row(key)
                 total += weight * row[i]
             values.append(total)
-        return G, values
+        return values
 
 
 def truthful_profile(game: BayesianGame) -> dict:
@@ -221,8 +218,8 @@ def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> 
     """Exact interim expected utility of a pure message for one type."""
     i = game.scenario.agents.index(agent)
     W, realizations = game._realizations(agent, profile)
-    G, (value,) = game._values(i, realizations, (game._kernel.code(i, message),))
-    return Fraction(value, W * G)
+    (value,) = game._values(i, realizations, (game._kernel.code(i, message),))
+    return Fraction(value, W * game._G)
 
 
 @dataclass
@@ -256,10 +253,9 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
         for coll in game.types[agent]:
             mixture = coded[(agent, coll)]
             codes = game._codes[(agent, coll)]
-            G, values = game._values(i, realizations, codes)
-            value_of = dict(zip(codes, values))
+            value_of = dict(zip(codes, game._values(i, realizations, codes)))
             extra = [code for code, _, _ in mixture if code not in value_of]
-            value_of.update(zip(extra, game._values(i, realizations, extra)[1]))
+            value_of.update(zip(extra, game._values(i, realizations, extra)))
             best = max(value_of.values())
             common = 1
             for _, _, w in mixture:
@@ -267,7 +263,7 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
             current = sum(
                 w.numerator * (common // w.denominator) * value_of[code] for code, _, w in mixture
             )
-            slack = Fraction(best * common - current, W * G * common)
+            slack = Fraction(best * common - current, W * game._G * common)
             slacks[(agent, coll)] = slack
             if slack > 0 and witness is None:
                 message_of = dict(zip(codes, game.actions[(agent, coll)]))
@@ -508,7 +504,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
                 if agent not in realizations:
                     realizations[agent] = game._realizations(agent, profile)[1]
                 i = scenario.agents.index(agent)
-                _, values = game._values(i, realizations[agent], game._codes[(agent, coll)])
+                values = game._values(i, realizations[agent], game._codes[(agent, coll)])
                 best = max(range(len(values)), key=values.__getitem__)
                 if values[best] > values[position[(agent, coll)]]:
                     position[(agent, coll)] = best
@@ -551,8 +547,8 @@ def _deviation_audit(name, ok, cases, **extra) -> AuditResult:
         W, realizations = game._realizations(agent, profile)
         for coll in game.types[agent]:
             codes = (game._kernel.code(i, better(coll)), game._kernel.code(i, worse(coll)))
-            G, (high, low) = game._values(i, realizations, codes)
-            gain = Fraction(high - low, W * G)
+            high, low = game._values(i, realizations, codes)
+            gain = Fraction(high - low, W * game._G)
             details["checked"] += 1
             if gain <= 0:
                 ok = False

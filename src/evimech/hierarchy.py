@@ -77,6 +77,10 @@ def validate_model(model: TypeSpaceModel) -> list:
     for agent in model.agents:
         if not model.types[agent]:
             problems.append(f"types.{agent}: need at least one type")
+    if problems:
+        # id-level problems make the remaining checks unreliable; stop here.
+        return problems
+    for agent in model.agents:
         for type_id in model.types[agent]:
             belief = model.belief(agent, type_id)
             total = sum(belief.values(), Fraction(0))

@@ -16,7 +16,7 @@ from .deception import (
     synthesize_bet,
     synthesize_gamma_delta,
 )
-from .scenario import Distribution, Scenario, collection_key, refutes, subsets
+from .scenario import Distribution, Scenario, ScenarioError, collection_key, refutes, subsets
 
 TRANSFER_KEYS = ("evidence_incentive", "scoring", "crosscheck", "refutation_fine", "bet")
 
@@ -39,6 +39,20 @@ class ZOverflow(RuntimeError):
 
 class DegenerateGap(ValueError):
     """Identical distribution profiles with distinct outcomes (SM failure)."""
+
+
+class MessageOutsideSpace(ScenarioError):
+    """A message outside a mechanism's finite message space: a distribution
+    outside the alphabet, a state not declared, or evidence the agent cannot
+    present."""
+
+
+def outside_space(scenario: Scenario, agent, msg) -> MessageOutsideSpace:
+    """The error for a message of `agent` outside its message space, naming
+    any undeclared article ids its evidence holds."""
+    unknown = sorted(frozenset(msg.evidence) - scenario.article_set())
+    detail = f": unknown article ids {unknown}" if unknown else ""
+    return MessageOutsideSpace(f"{msg!r} is outside the message space of agent {agent!r}{detail}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ class ScalingParams:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mechanism:
     variant: str  # "bne" | "pure"
     scenario: Scenario
@@ -114,12 +128,10 @@ class Mechanism:
         return replace(self, scaling=replace(self.scaling, **overrides))
 
     def kernel(self) -> "Kernel":
-        """The integer kernel compiled from this mechanism's current fields,
-        built on first use and rebuilt when a field is reassigned."""
+        """The integer kernel compiled from this mechanism, built on first use."""
         kernel = self.__dict__.get("_kernel")
-        sources = _kernel_sources(self)
-        if kernel is None or any(a is not b for a, b in zip(kernel.sources, sources)):
-            kernel = self._kernel = Kernel(self)
+        if kernel is None:
+            kernel = self.__dict__["_kernel"] = Kernel(self)
         return kernel
 
     def claims(self) -> list:
@@ -162,9 +174,11 @@ class Mechanism:
 
 
 # Game code packs one message code per agent into an int, agent i's code at bit
-# KEY_BITS * i: interned codes count objects held in memory, so they stay far
-# below 2**KEY_BITS.
+# KEY_BITS * i: codes count the messages coded so far, held in memory, so they
+# stay far below 2**KEY_BITS.
 KEY_BITS = 32
+
+_NO_BETS = {}  # the bets of a claim the bet table does not name
 
 
 def _lowest_state(mask: int) -> int:
@@ -175,10 +189,12 @@ def _lowest_state(mask: int) -> int:
 class KernelBase:
     """Shared interface of compiled mechanisms.
 
-    A subclass provides `agents`, the common denominator `D`, a `_menus` dict
+    A subclass compiles its finite message space once, in `__init__`, and
+    provides `agents`, the common denominator `D` fixed there, a `_menus` dict
     and three methods: `_menu(i, endowment)` enumerates agent i's messages for
-    an endowment; `code(i, message)` interns one of agent i's messages as a
-    small int; `evaluate(codes)` takes one code per agent, in agent order, and
+    an endowment; `code(i, message)` looks up one of agent i's messages as a
+    small int and raises `MessageOutsideSpace` for a message outside the
+    space; `evaluate(codes)` takes one code per agent, in agent order, and
     returns the outcome and, per agent, the five `TRANSFER_KEYS` components as
     integer numerators over `D`.
     """
@@ -207,31 +223,33 @@ class KernelBase:
 
 
 class Kernel(KernelBase):
-    """A mechanism compiled into exact integer tables.
+    """A mechanism compiled into exact integer tables over its finite message
+    space.
 
-    A message's transfers depend only on its two claimed distributions, its
-    claim slot and its presented evidence, all drawn from finite sets, so each
-    is interned once per agent and every rule reads tables of integer
-    numerators over one common denominator `D`:
+    A message's transfers depend only on its two claimed distributions, drawn
+    from the alphabets, the evidence it presents, drawn from its agent's
+    presentable collections, and its claim slot. `__init__` codes every
+    alphabet member and presentable collection and fills tables of integer
+    numerators over one common denominator `D`, fixed there:
 
-    - `score[j][p][e]`: tau_low times the quadratic score of distribution code
-      p about agent j at j's evidence code e;
-    - `incentive[j][e]`: eps times the size of agent j's evidence e;
-    - bet payments: eps times a bet's value at its subject's evidence code;
+    - `score[j][p][e]`: tau_low times the quadratic score of agent j's
+      alphabet member p at j's presentable collection e;
+    - `incentive[j][e]`: eps times the size of e;
+    - bet payments: eps times a bet's value at each presentable collection of
+      its subject;
     - `tau_low` and `tau_high`.
 
-    Each interned message records the states its claims match as bitmasks, the
-    states its evidence refutes (None when it names an unknown article) and the
-    bets its claim slot activates per consensus state. A message the tables do
-    not cover yet (a distribution outside the alphabet, evidence outside the
-    presentable collections, an unknown claim) is interned when first met;
-    when one of its values needs a larger denominator, every table is
-    rescaled and `D` grows. The kernel holds no reference to its mechanism.
+    `code` only looks messages up. A distribution outside the alphabet or
+    evidence the agent cannot present raises `MessageOutsideSpace`; a claim
+    the bet table does not name activates no bet, so an invalid challenge acts
+    like no challenge. Each coded message records the states its claims match
+    as bitmasks, the states its evidence refutes and the bets its claim slot
+    activates per consensus state. The kernel holds no reference to its
+    mechanism.
     """
 
     def __init__(self, mech: "Mechanism"):
         scn = mech.scenario
-        self.sources = _kernel_sources(mech)
         self.scenario = scn
         self.agents = scn.agents
         index = {agent: i for i, agent in enumerate(scn.agents)}
@@ -242,61 +260,74 @@ class Kernel(KernelBase):
         self.arbitrary_outcome = mech.arbitrary_outcome
         self._all_states = (1 << len(scn.states)) - 1
         self._claim_menu = mech.claims()
-        # claim -> [(consensus state index, bet)]
-        self._claim_policy = {}
-        state_index = {state: k for k, state in enumerate(scn.states)}
-        for (claim, state), bet in mech.bets.items():
-            self._claim_policy.setdefault(claim, []).append((state_index[state], bet))
-        self._agent_index = index
-        self._eps = mech.scaling.eps
-        self._tau_low = mech.scaling.tau_low
-        self._articles = frozenset(scn.articles)
-
-        n = len(scn.agents)
-        self.D = 1
-        self.tau_low = self.tau_high = 0
-        self.score = [[] for _ in range(n)]
-        self.incentive = [[] for _ in range(n)]
-        self._dist_codes = [{} for _ in range(n)]
-        self._dists = [[] for _ in range(n)]
-        self._state_masks = [[] for _ in range(n)]
-        self._evidence_codes = [{} for _ in range(n)]
-        self._evidence = [[] for _ in range(n)]
-        self._refuted = [[] for _ in range(n)]
-        self._payments_on = [[] for _ in range(n)]  # subject -> [(value fn, payments)]
-        self._claims = {}
         self._menus = {}
-        self._message_codes = [{} for _ in range(n)]
-        self._records = [[] for _ in range(n)]
+        self._message_codes = [{} for _ in scn.agents]
+        self._records = [[] for _ in scn.agents]
 
-        self.tau_low, self.tau_high = self._fit([mech.scaling.tau_low, mech.scaling.tau_high])
+        self._alphabets = alphabets = [scn.alphabet(agent) for agent in scn.agents]
+        evidence = [scn.presentable(agent) for agent in scn.agents]
+        self._dist_codes = [{dist: p for p, dist in enumerate(alphabet)} for alphabet in alphabets]
+        self._evidence_codes = [{e: c for c, e in enumerate(row)} for row in evidence]
+        self._state_masks = [[0] * len(alphabet) for alphabet in alphabets]
+        self._refuted = []
         for j, agent in enumerate(scn.agents):
             for k, state in enumerate(scn.states):
-                self._state_masks[j][self._dist_code(j, scn.dist(agent, state))] |= 1 << k
-            for evidence in scn.presentable(agent):
-                self._evidence_code(j, evidence)
+                self._state_masks[j][self._dist_codes[j][scn.dist(agent, state)]] |= 1 << k
+            self._refuted.append(
+                [sum(1 << k for k, state in enumerate(scn.states) if refutes(scn, e, state, agent)) for e in evidence[j]]
+            )
+
+        # exact values first, then every table as numerators over their lcm D
+        eps, tau_low = mech.scaling.eps, mech.scaling.tau_low
+        score = [
+            [[tau_low * _quadratic_score(p, e) for e in evidence[j]] for p in alphabet]
+            for j, alphabet in enumerate(alphabets)
+        ]
+        incentive = [[eps * len(e) for e in row] for row in evidence]
+        # claim -> consensus state index -> (subject index, payments by the
+        # subject's evidence code)
+        claims = {}
+        state_index = {state: k for k, state in enumerate(scn.states)}
+        for (claim, state), bet in mech.bets.items():
+            j = index[bet.agent]
+            claims.setdefault(claim, {})[state_index[state]] = (j, [eps * bet.value(e) for e in evidence[j]])
+        taus = [mech.scaling.tau_low, mech.scaling.tau_high]
+        rows = [taus, *incentive, *(row for table in score for row in table)]
+        rows.extend(payments for bets in claims.values() for _, payments in bets.values())
+        self.D = math.lcm(*(value.denominator for row in rows for value in row))
+
+        def numerators(row):
+            return [value.numerator * (self.D // value.denominator) for value in row]
+
+        self.tau_low, self.tau_high = numerators(taus)
+        self.score = [[numerators(row) for row in table] for table in score]
+        self.incentive = [numerators(row) for row in incentive]
+        self._claims = {
+            claim: {k: (j, numerators(payments)) for k, (j, payments) in bets.items()}
+            for claim, bets in claims.items()
+        }
 
     def _menu(self, i: int, endowment):
         """Own claim x right-neighbour claim x presented subset x claim slot."""
-        scn = self.scenario
-        agent = self.agents[i]
-        for p_own in scn.alphabet(agent):
-            for p_right in scn.alphabet(scn.right_neighbor(agent)):
+        for p_own in self._alphabets[i]:
+            for p_right in self._alphabets[self.right[i]]:
                 for sub in subsets(endowment):
                     for claim in self._claim_menu:
                         yield Message(p_own, p_right, sub, claim)
 
-    # -- interning --------------------------------------------------------
+    # -- coding -------------------------------------------------------------
 
     def code(self, i: int, msg: Message) -> int:
-        """Agent i's code for `msg`, interned on first use."""
+        """Agent i's code for `msg`; MessageOutsideSpace outside the message space."""
         codes = self._message_codes[i]
         code = codes.get(msg)
         if code is None:
             right = self.right[i]
-            own = self._dist_code(i, msg.p_own)
-            claimed = self._dist_code(right, msg.p_right)
-            evidence = self._evidence_code(i, msg.evidence)
+            own = self._dist_codes[i].get(msg.p_own)
+            claimed = self._dist_codes[right].get(msg.p_right)
+            evidence = self._evidence_codes[i].get(msg.evidence)
+            if None in (own, claimed, evidence):
+                raise outside_space(self.scenario, self.agents[i], msg)
             right_mask = self._state_masks[right][claimed]
             record = (
                 own,
@@ -305,82 +336,11 @@ class Kernel(KernelBase):
                 self._state_masks[i][own] & right_mask,
                 right_mask,
                 self._refuted[i][evidence],
-                self._claim_bets(msg.claim),
+                self._claims.get(msg.claim, _NO_BETS),
             )
             code = codes[msg] = len(self._records[i])
             self._records[i].append(record)
         return code
-
-    def _fit(self, values) -> list:
-        """Numerators of `values` over D, first growing D to a common denominator."""
-        common = self.D
-        for value in values:
-            common = math.lcm(common, value.denominator)
-        if common != self.D:
-            self._rescale(common // self.D)
-        return [value.numerator * (common // value.denominator) for value in values]
-
-    def _rescale(self, factor: int):
-        self.D *= factor
-        self.tau_low *= factor
-        self.tau_high *= factor
-        rows = [row for table in self.score for row in table]
-        rows.extend(self.incentive)
-        rows.extend(payments for per_subject in self._payments_on for _, payments in per_subject)
-        for row in rows:
-            row[:] = [value * factor for value in row]
-
-    def _dist_code(self, j: int, dist: Distribution) -> int:
-        code = self._dist_codes[j].get(dist)
-        if code is None:
-            row = self._fit([self._tau_low * _quadratic_score(dist, e) for e in self._evidence[j]])
-            code = self._dist_codes[j][dist] = len(self._dists[j])
-            self._dists[j].append(dist)
-            self._state_masks[j].append(0)
-            self.score[j].append(row)
-        return code
-
-    def _evidence_code(self, j: int, evidence) -> int:
-        evidence = frozenset(evidence)
-        code = self._evidence_codes[j].get(evidence)
-        if code is None:
-            agent = self.agents[j]
-            refuted = None
-            if evidence <= self._articles:
-                refuted = 0
-                for k, state in enumerate(self.states):
-                    if refutes(self.scenario, evidence, state, agent):
-                        refuted |= 1 << k
-            payments = self._payments_on[j]
-            values = [self._eps * len(evidence)]
-            values.extend(self._tau_low * _quadratic_score(p, evidence) for p in self._dists[j])
-            values.extend(self._eps * value(evidence) for value, _ in payments)
-            nums = self._fit(values)
-            code = self._evidence_codes[j][evidence] = len(self._evidence[j])
-            self._evidence[j].append(evidence)
-            self._refuted[j].append(refuted)
-            self.incentive[j].append(nums[0])
-            for row, num in zip(self.score[j], nums[1 : 1 + len(self._dists[j])]):
-                row.append(num)
-            for (_, row), num in zip(payments, nums[1 + len(self._dists[j]) :]):
-                row.append(num)
-        return code
-
-    def _claim_bets(self, claim) -> dict:
-        """consensus state index -> (subject agent index, payments by the
-        subject's evidence code) of the bet the claim slot activates there."""
-        bets = self._claims.get(claim)
-        if bets is None:
-            bets = self._claims[claim] = {
-                k: self._payments(bet.agent, bet.value) for k, bet in self._claim_policy.get(claim, ())
-            }
-        return bets
-
-    def _payments(self, subject, value):
-        j = self._agent_index[subject]
-        payments = self._fit([self._eps * value(e) for e in self._evidence[j]])
-        self._payments_on[j].append((value, payments))
-        return j, payments
 
     # -- rules --------------------------------------------------------------
 
@@ -420,11 +380,7 @@ class Kernel(KernelBase):
         refuting = [False] * n
         if right_claims >= 0:
             for i, record in enumerate(records):
-                refuted = record[5]
-                if refuted is None:  # unknown article ids: refutes() raises
-                    evidence = self._evidence[i][record[2]]
-                    refutes(self.scenario, evidence, self.states[right_claims], self.agents[i])
-                refuting[i] = bool(refuted >> right_claims & 1)
+                refuting[i] = bool(record[5] >> right_claims & 1)
         refuters = sum(refuting)
 
         items = []
@@ -442,11 +398,6 @@ class Kernel(KernelBase):
             items.append((incentive, scoring, crosscheck, fine, payment[i]))
         outcome = self.outcomes[consensus] if consensus >= 0 else self.arbitrary_outcome
         return outcome, items
-
-
-def _kernel_sources(mech: "Mechanism") -> tuple:
-    """The mechanism fields a kernel is compiled from."""
-    return (mech.variant, mech.scenario, mech.scaling, mech.bets, mech.arbitrary_outcome)
 
 
 # -- outcome rule and transfers -----------------------------------------------

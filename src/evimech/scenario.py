@@ -297,6 +297,23 @@ class ValidationReport:
         return not self.violations
 
 
+def _superset_evidence_violations(scenario: Scenario):
+    """(agent, state, "se1" | "se2", collection) for each failure of (se1)/(se2)
+    under the superset-based refutation: a support collection that refutes its
+    own state, or a presentable collection that does not refute a state
+    although no support collection there contains it."""
+    for agent in scenario.agents:
+        for state in scenario.states:
+            for coll in scenario.support(agent, state):
+                if refutes(scenario, coll, state, agent):
+                    yield agent, state, "se1", coll
+        for state in scenario.states:
+            for coll in scenario.presentable(agent):
+                if not refutes(scenario, coll, state, agent):
+                    if not any(coll <= sup for sup in scenario.support(agent, state)):
+                        yield agent, state, "se2", coll
+
+
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Structural and evidential checks; empty violation list means valid."""
     violations = list(scenario.input_violations)
@@ -386,22 +403,12 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     # (se1)/(se2) against the superset-based refutation are consequences of the
     # definition; they are re-checked explicitly all the same.
-    for agent in scenario.agents:
-        for state in scenario.states:
-            for coll in scenario.support(agent, state):
-                if refutes(scenario, coll, state, agent):
-                    flag(
-                        f"distributions.{agent}.{state}",
-                        f"(se1) violated: support collection {format_collection(coll)} refutes its own state",
-                    )
-        for state in scenario.states:
-            for coll in scenario.presentable(agent):
-                if not refutes(scenario, coll, state, agent):
-                    if not any(coll <= sup for sup in scenario.support(agent, state)):
-                        flag(
-                            f"distributions.{agent}.{state}",
-                            f"(se2) violated for {format_collection(coll)}",
-                        )
+    for agent, state, condition, coll in _superset_evidence_violations(scenario):
+        if condition == "se1":
+            message = f"(se1) violated: support collection {format_collection(coll)} refutes its own state"
+        else:
+            message = f"(se2) violated for {format_collection(coll)}"
+        flag(f"distributions.{agent}.{state}", message)
 
     # Declared nomenclature, when present, makes "proof is true" substantive.
     if scenario.article_names is not None:
@@ -476,19 +483,9 @@ def check_deterministic_equivalence(scenario: Scenario, nomenclature=None) -> Eq
             if not scenario.dist(agent, state).is_degenerate():
                 raise NonDegenerateInput(f"distribution for {agent} at {state} has >1 support collection")
 
-    se1 = all(
-        not refutes(scenario, coll, state, agent)
-        for agent in scenario.agents
-        for state in scenario.states
-        for coll in scenario.support(agent, state)
-    )
-    se2 = True
-    for agent in scenario.agents:
-        for state in scenario.states:
-            for coll in scenario.presentable(agent):
-                if not refutes(scenario, coll, state, agent):
-                    if not any(coll <= sup for sup in scenario.support(agent, state)):
-                        se2 = False
+    violated = {condition for _, _, condition, _ in _superset_evidence_violations(scenario)}
+    se1 = "se1" not in violated
+    se2 = "se2" not in violated
 
     per_agent_names = {agent: agent_nomenclature(scenario, agent) for agent in scenario.agents}
 

@@ -132,6 +132,13 @@ def _level_score_bound(table: HierarchyTable, model: TypeSpaceModel, k) -> Fract
     return worst
 
 
+def _squared_distance(own: dict, other: dict) -> Fraction:
+    """Exact squared euclidean distance between two level distributions, over
+    the union of their points."""
+    points = own.keys() | other.keys()
+    return sum(((own.get(p, Fraction(0)) - other.get(p, Fraction(0))) ** 2 for p in points), Fraction(0))
+
+
 def build_small_transfer_mechanism(model: TypeSpaceModel, eps: Fraction) -> SmallTransferMechanism:
     """Scale the mechanism so every transfer stays within eps while the
     elimination chain (score gaps > fines > outcome stakes) holds strictly."""
@@ -163,13 +170,7 @@ def build_small_transfer_mechanism(model: TypeSpaceModel, eps: Fraction) -> Smal
             for report in model.feasible_reports(agent, type_id):
                 if report == type_id or table.level(agent, report, top) == own_sig:
                     continue
-                other = table.level_distribution(agent, report, top)
-                points = set(own) | set(other)
-                gap = sum(
-                    ((own.get(p, Fraction(0)) - other.get(p, Fraction(0))) ** 2 for p in points),
-                    Fraction(0),
-                )
-                candidates.append(gap)
+                candidates.append(_squared_distance(own, table.level_distribution(agent, report, top)))
         beta_bar[agent] = beta * min(candidates) if candidates else None
 
     defined = [v for v in beta_bar.values() if v is not None]
@@ -271,12 +272,7 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
                     if table.level(agent, report, k) == own_sig:
                         keep.append(report)
                         continue
-                    other = table.level_distribution(agent, report, k)
-                    points = set(own_dist) | set(other)
-                    loss = mech.beta * sum(
-                        ((own_dist.get(p, Fraction(0)) - other.get(p, Fraction(0))) ** 2 for p in points),
-                        Fraction(0),
-                    )
+                    loss = mech.beta * _squared_distance(own_dist, table.level_distribution(agent, report, k))
                     belief_details["eliminations"] += 1
                     required = fines_total if final_slot else Fraction(0)
                     if loss <= required:

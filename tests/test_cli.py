@@ -430,7 +430,7 @@ def _duplicate(key, agent=None):
 def test_model_validation_rejects_duplicate_ids(tmp_path, mutate, violation):
     for code, report in _model_runs(tmp_path, mutate):
         assert code == 2
-        assert violation in report["payload"]["violations"]
+        assert report["payload"]["violations"] == [violation]
 
 
 # -- fuzzed documents -------------------------------------------------------------

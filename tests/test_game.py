@@ -250,7 +250,7 @@ def test_zero_on_truth_checks_every_pure_bet():
     assert zero_on_truth.details["losing_bets_checked"] == len(mech.bets) > 0
     # a two-point bet with both entries positive cannot lose against the truth
     (challenge, state), bet = next(iter(mech.bets.items()))
-    mech.bets = {**mech.bets, (challenge, state): replace(bet, gamma=-bet.gamma)}
+    mech = replace(mech, bets={**mech.bets, (challenge, state): replace(bet, gamma=-bet.gamma)})
     zero_on_truth = claim_audits(scn, mech, profile_indices=[0]).results[-1]
     assert not zero_on_truth.passed
     assert (state, challenge, "bet against truth does not lose") in zero_on_truth.details["failures"]

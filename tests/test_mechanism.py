@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,11 +6,12 @@ import pytest
 
 import game_reference
 from evimech import fixtures
-from evimech.game import BayesianGame, claim_audits, expected_utility, truthful_profile
+from evimech.game import BayesianGame, DirectMechanism, DirectMessage, claim_audits, expected_utility, truthful_profile
 from evimech.mechanism import (
     Challenge,
     DegenerateGap,
     Message,
+    MessageOutsideSpace,
     NpdViolation,
     NppdViolation,
     ZOverflow,
@@ -333,37 +335,43 @@ def test_rescaled_copy_gets_its_own_kernel():
         assert transfers(lowered, transcript) == game_reference.transfers(lowered, transcript)
     assert transfers(lowered, refuted)["B"]["refutation_fine"] == 0
     assert transfers(mech, refuted)["B"]["refutation_fine"] == -mech.scaling.tau_high
-    # reassigning a field recompiles as well
-    mech.scaling = lowered.scaling
-    assert transfers(mech, refuted)["B"]["refutation_fine"] == 0
+    # fields cannot be reassigned under a compiled kernel
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mech.scaling = lowered.scaling
 
 
-def test_messages_outside_the_tables_are_scored_like_the_reference():
+def test_messages_outside_the_space_raise_and_leave_the_tables_alone():
     scn = fixtures.perturbed_example()
     mech = build_bne_mechanism(scn)
+    kernel = mech.kernel()
+
+    def tables():
+        return kernel.D, kernel.tau_low, kernel.tau_high, repr(kernel.score), repr(kernel.incentive), repr(kernel._claims)
+
+    before = tables()
     # a claim about A outside A's alphabet, with a denominator (7) no table
-    # entry has; B presenting an article it never holds; an unknown claim
+    # entry has, on either claim; B presenting an article it never holds
     odd = Distribution({TOP: F(1, 7), LOW: F(6, 7)})
-    transcript = {
-        "A": Message(odd, scn.dist("B", "M"), frozenset({"h"}), claim="M"),
-        "B": Message(scn.dist("B", "M"), odd, frozenset({"mh"}), claim="nowhere"),
-    }
-    before = mech.kernel().D
-    assert transfers(mech, transcript) == game_reference.transfers(mech, transcript)
-    assert mech.kernel().D == 49 * before  # the score squares the 7
-    # every table was rescaled with it
-    for other in _random_transcripts(mech, 300):
-        assert transfers(mech, other) == game_reference.transfers(mech, other)
-    # payoffs a game cached before D grew are not reused after it
-    g = BayesianGame(scn, mech, "H", 1)  # nonzero utilities: a stale scale shows
-    old = game_reference.BayesianGame(scn, mech, "H", 1)
-    profile = truthful_profile(g)
-    truthful = mech.truthful_message("A", "H", TOP)
-    wide = Distribution({TOP: F(1, 11), LOW: F(10, 11)})
-    for msg in (truthful, Message(wide, truthful.p_right, TOP, "M"), truthful):
-        assert expected_utility(g, "A", TOP, msg, profile) == game_reference.expected_utility(
-            old, "A", TOP, msg, profile
-        )
+    truthful = truthful_transcript(mech, "M")
+    outside = [
+        ("A", dataclasses.replace(truthful["A"], p_own=odd)),
+        ("B", dataclasses.replace(truthful["B"], p_right=odd)),
+        ("B", dataclasses.replace(truthful["B"], evidence=frozenset({"mh"}))),
+    ]
+    games = [BayesianGame(scn, mech, state, idx) for state in scn.states for idx in range(len(scn.utility_profiles))]
+    for agent, msg in outside:
+        for rules in (transfers, outcome, consistency):
+            with pytest.raises(MessageOutsideSpace):
+                rules(mech, {**truthful, agent: msg})
+        for g in games:
+            with pytest.raises(MessageOutsideSpace):
+                expected_utility(g, agent, g.types[agent][0], msg, truthful_profile(g))
+    assert mech.kernel() is kernel
+    assert tables() == before
+    # the direct mechanism's space holds declared states only
+    g = BayesianGame(scn, DirectMechanism(scn), "M", 0)
+    with pytest.raises(MessageOutsideSpace, match="'nowhere'"):
+        expected_utility(g, "A", g.types["A"][0], DirectMessage("nowhere", frozenset()), truthful_profile(g))
 
 
 def test_unknown_article_raises():
