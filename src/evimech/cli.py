@@ -79,6 +79,14 @@ def _verdict_payload(verdict):
     }
 
 
+def _eic_failures_payload(verdict):
+    label = hierarchy._type_to_str
+    return [
+        {"profile": idx, "agent": agent, "type": label(t), "report": label(r), "gain": g}
+        for idx, agent, t, r, g in verdict.failures
+    ]
+
+
 def _pair_analysis(scn):
     rows = []
     for s in scn.states:
@@ -177,18 +185,13 @@ def cmd_check(args, data):
             "passed": verdict.passed,
             "stabilization": verdict.stabilization,
             "k_bar": verdict.k_bar,
-            "failures": [str(pair) for pair in verdict.failures],
+            "failures": [
+                [[hierarchy._type_to_str(t) for t in profile] for profile in pair] for pair in verdict.failures
+            ],
         }
         return (EXIT_OK if verdict.passed else EXIT_FAIL), payload
     verdict = hierarchy.check_evidence_ic(model)
-    payload = {
-        "input": source,
-        "passed": verdict.passed,
-        "failures": [
-            {"profile": idx, "agent": agent, "type": str(t), "report": str(r), "gain": g}
-            for idx, agent, t, r, g in verdict.failures
-        ],
-    }
+    payload = {"input": source, "passed": verdict.passed, "failures": _eic_failures_payload(verdict)}
     return (EXIT_OK if verdict.passed else EXIT_FAIL), payload
 
 
@@ -214,10 +217,7 @@ def cmd_build(args, data):
     except smalltransfers.HomViolation:
         return EXIT_FAIL, {"refused": "hom"}
     except smalltransfers.EicViolation as exc:
-        return EXIT_FAIL, {
-            "refused": "eic",
-            "failures": [str(f) for f in exc.verdict.failures],
-        }
+        return EXIT_FAIL, {"refused": "eic", "failures": _eic_failures_payload(exc.verdict)}
     payload = {
         "input": source,
         "eps": mech.eps,
@@ -355,12 +355,16 @@ def cmd_hierarchy(args, data):
     model, source = _load_model(data)
     depth = args.depth
     if depth is None:
-        depth = hierarchy.stabilization_depth(model) + 1
-    table = hierarchy.build_hierarchy(model, depth)
+        table, stable = hierarchy.build_to_stabilization(model)
+        depth = stable + 1
+    elif depth < 0:
+        raise _Abort(EXIT_INVALID, {"error": "depth must be non-negative"})
+    else:
+        table = hierarchy.build_hierarchy(model, depth)
     payload = {"input": source, "depth": depth, "types": {}}
     for agent in model.agents:
         for type_id in model.types[agent]:
-            levels = [str(tok) for tok in table.signatures[(agent, type_id)]]
+            levels = [str(tok) for tok in table.signatures[(agent, type_id)][: depth + 1]]
             payload["types"][f"{agent}:{hierarchy._type_to_str(type_id)}"] = levels
     return EXIT_OK, payload
 

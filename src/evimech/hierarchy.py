@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .rationals import RationalFormatError, format_rational, parse_rational
 from .scenario import Scenario, collection_key, consensus_else_first
@@ -80,6 +81,11 @@ def validate_model(model: TypeSpaceModel) -> list:
     if problems:
         # id-level problems make the remaining checks unreliable; stop here.
         return problems
+    for agent in model.agents:
+        for type_id in model.types[agent]:
+            unknown = model.evidence[(agent, type_id)] - set(model.articles)
+            if unknown:
+                problems.append(f"evidence_map.{agent}.{type_id}: unknown article ids {sorted(unknown)}")
     for agent in model.agents:
         for type_id in model.types[agent]:
             belief = model.belief(agent, type_id)
@@ -194,12 +200,15 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
 
 @dataclass
 class HierarchyTable:
-    """Per-type signatures: level 0 is the endowment, level k >= 1 an interned
-    push-forward over opponents' lower-level signature tuples."""
+    """A model's belief hierarchies, built, stored and read in one place. Level 0
+    of a signature is the endowment token, level k >= 1 the interned token of the
+    type's push-forward onto opponents' level-(k-1) signatures, kept read-only."""
 
     model: TypeSpaceModel
     depth: int
-    signatures: dict  # (agent, type) -> tuple of per-level keys
+    signatures: dict  # (agent, type) -> tuple of per-level tokens
+    intern: dict = field(default_factory=dict)  # (k, sorted push-forward) -> token
+    pushforwards: dict = field(default_factory=dict)  # token -> read-only push-forward
 
     def level(self, agent, type_id, k):
         return self.signatures[(agent, type_id)][k]
@@ -208,76 +217,67 @@ class HierarchyTable:
         """Signature tuple at belief levels 1..k (endowment excluded)."""
         return self.signatures[(agent, type_id)][1 : k + 1]
 
-    def level_distribution(self, agent, type_id, k) -> dict:
-        """The level-k push-forward as an explicit point distribution."""
-        model = self.model
-        dist = {}
-        for t_other, prob in model.belief(agent, type_id).items():
-            point = self._point(agent, t_other, k - 1)
-            dist[point] = dist.get(point, Fraction(0)) + prob
-        return dist
+    def level_distribution(self, agent, type_id, k):
+        """The level-k push-forward (k >= 1): a lookup, built when level k was."""
+        return self.pushforwards[self.signatures[(agent, type_id)][k]]
 
-    def _point(self, agent, opponent_profile, upto) -> tuple:
-        others = self.model.opponents(agent)
-        return tuple(
-            self.signatures[(other, t)][: upto + 1]
-            for other, t in zip(others, opponent_profile)
-        )
+    def grow(self):
+        """Intern level depth + 1 for every type."""
+        model = self.model
+        k = self.depth + 1
+        grown = {}
+        for agent in model.agents:
+            others = model.opponents(agent)
+            for type_id in model.types[agent]:
+                dist = {}
+                for t_other, prob in model.belief(agent, type_id).items():
+                    point = tuple(self.signatures[(o, t)] for o, t in zip(others, t_other))
+                    dist[point] = dist.get(point, Fraction(0)) + prob
+                key = (k, tuple(sorted(dist.items())))
+                token = self.intern.get(key)
+                if token is None:
+                    token = self.intern[key] = ("lvl", k, len(self.intern))
+                    self.pushforwards[token] = MappingProxyType(dist)
+                grown[(agent, type_id)] = self.signatures[(agent, type_id)] + (token,)
+        self.signatures = grown
+        self.depth = k
+
+    def cell_counts(self) -> list:
+        """Distinct signatures per agent; levels refine, so equal counts mean equal partitions."""
+        return [len({self.signatures[(a, t)] for t in self.model.types[a]}) for a in self.model.agents]
+
+
+def evidence_token(evidence) -> tuple:
+    """The level-0 token of an endowment or presented evidence."""
+    return ("ev", collection_key(evidence))
 
 
 def _level_zero_table(model: TypeSpaceModel) -> HierarchyTable:
-    signatures = {}
-    for agent in model.agents:
-        for type_id in model.types[agent]:
-            endowment = model.evidence[(agent, type_id)]
-            signatures[(agent, type_id)] = (("ev", collection_key(endowment)),)
-    return HierarchyTable(model, 0, signatures)
-
-
-def extend_hierarchy(table: HierarchyTable, intern: dict) -> HierarchyTable:
-    model = table.model
-    k = table.depth + 1
-    new = {}
-    for agent in model.agents:
-        for type_id in model.types[agent]:
-            dist = table.level_distribution(agent, type_id, k)
-            key = tuple(sorted(dist.items()))
-            token = intern.setdefault((k, key), ("lvl", k, len(intern)))
-            new[(agent, type_id)] = table.signatures[(agent, type_id)] + (token,)
-    return HierarchyTable(model, k, new)
+    tokens = {(a, t): (evidence_token(model.evidence[(a, t)]),) for a in model.agents for t in model.types[a]}
+    return HierarchyTable(model, 0, tokens)
 
 
 def build_hierarchy(model: TypeSpaceModel, depth: int) -> HierarchyTable:
     """Exact hierarchies up to `depth`, canonically interned level by level."""
     table = _level_zero_table(model)
-    intern = {}
     for _ in range(depth):
-        table = extend_hierarchy(table, intern)
+        table.grow()
     return table
 
 
-def _partitions(model, table, k):
-    out = {}
-    for agent in model.agents:
-        cells = {}
-        for type_id in model.types[agent]:
-            cells.setdefault(table.signatures[(agent, type_id)][: k + 1], []).append(type_id)
-        out[agent] = sorted(tuple(sorted(map(str, cell))) for cell in cells.values())
-    return out
-
-
 def build_to_stabilization(model: TypeSpaceModel):
-    """(table, k_stable): grown one level at a time until partitions stop refining."""
+    """(table, k_stable): grown until no agent's partition refines (k_stable is
+    the last level that did, or 0), then one level more, to depth k_stable + 2.
+    Belief-prefix classes (levels 1..k) stop refining at k_stable + 1."""
     bound = sum(len(model.types[a]) for a in model.agents) + 1
     table = _level_zero_table(model)
-    intern = {}
-    previous = _partitions(model, table, 0)
+    previous = table.cell_counts()
     for k in range(1, bound + 1):
-        table = extend_hierarchy(table, intern)
-        current = _partitions(model, table, k)
+        table.grow()
+        current = table.cell_counts()
         if current == previous:
             # one more level: endowment-only splits surface in beliefs one step late
-            table = extend_hierarchy(table, intern)
+            table.grow()
             return table, k - 1
         previous = current
     return table, bound
@@ -356,6 +356,22 @@ class EicVerdict:
     failures: list  # (profile_idx, agent, type, better report, gain)
 
 
+def report_values(model: TypeSpaceModel, idx, agent, type_id) -> dict:
+    """Interim value to `agent`'s `type_id` under utility profile `idx` of each
+    evidence-feasible report, in `feasible_reports` order, against truthful
+    opponents: expected utility at the true profile of the reported profile's outcome."""
+    belief = model.belief(agent, type_id)
+    values = {}
+    for report in model.feasible_reports(agent, type_id):
+        total = Fraction(0)
+        for t_other, prob in belief.items():
+            full = model.full_profile(agent, report, t_other)
+            true_full = model.full_profile(agent, type_id, t_other)
+            total += prob * model.utility(idx, agent, model.scf[full], true_full)
+        values[report] = total
+    return values
+
+
 def check_evidence_ic(model: TypeSpaceModel, profile_indices=None) -> EicVerdict:
     """Truth must be optimal among evidence-feasible reports in the direct game."""
     if profile_indices is None:
@@ -364,19 +380,9 @@ def check_evidence_ic(model: TypeSpaceModel, profile_indices=None) -> EicVerdict
     for idx in profile_indices:
         for agent in model.agents:
             for type_id in model.types[agent]:
-                belief = model.belief(agent, type_id)
-
-                def value(report):
-                    total = Fraction(0)
-                    for t_other, prob in belief.items():
-                        full = model.full_profile(agent, report, t_other)
-                        true_full = model.full_profile(agent, type_id, t_other)
-                        total += prob * model.utility(idx, agent, model.scf[full], true_full)
-                    return total
-
-                truth = value(type_id)
-                for report in model.feasible_reports(agent, type_id):
-                    gain = value(report) - truth
+                values = report_values(model, idx, agent, type_id)
+                for report, value in values.items():
+                    gain = value - values[type_id]
                     if gain > 0:
                         failures.append((idx, agent, type_id, report, gain))
     return EicVerdict(not failures, failures)

@@ -7,6 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 from .conditions import Verdict, check_npd, check_nppd, check_stochastic_measurability
 from .deception import (
@@ -120,9 +121,12 @@ class Mechanism:
     # (claim, consensus state) -> the bet the claim activates there, on the
     # evidence of its subject `bet.agent`: (truth, lie) -> Bet (bne) or
     # (challenge, challenge.target_state) -> TwoPointBet (pure)
-    bets: dict
+    bets: dict  # stored read-only: the kernel compiled from it must not go stale
     z_count: int
     arbitrary_outcome: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "bets", MappingProxyType(dict(self.bets)))
 
     def with_scaling(self, **overrides) -> "Mechanism":
         return replace(self, scaling=replace(self.scaling, **overrides))

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evimech
-from evimech import cli
+from evimech import cli, fixtures, generators
 from evimech.cli import main
-from evimech.scenario import ValidationReport
+from evimech.scenario import ValidationReport, scenario_to_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,6 +171,34 @@ def test_hierarchy_dump():
     types = report["payload"]["types"]
     assert any(key.startswith("A:") for key in types)
     assert all(len(levels) == 3 for levels in types.values())
+
+
+def test_hierarchy_rejects_negative_depth():
+    code, report = machine("hierarchy", str(DATA / "micro_model.json"), "--depth", "-3")
+    assert code == 2
+    assert report["payload"] == {"error": "depth must be non-negative"}
+
+
+def _no_variation_scenario():
+    """Two states no report tells apart; A holds {a, b} at both."""
+    dists = {("A", s): {frozenset({"a", "b"}): Fraction(1)} for s in ("s1", "s2")}
+    dists.update({("B", s): {frozenset(): Fraction(1)} for s in ("s1", "s2")})
+    return fixtures.make_scenario(("A", "B"), ("s1", "s2"), ("a", "b"), dists, {"s1": "o1", "s2": "o2"}, ("o1", "o2"))
+
+
+def test_type_space_failure_reports_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    eic_doc = tmp_path / "eic.json"  # passes HOM, fails EIC
+    eic_doc.write_text(json.dumps(scenario_to_json(generators.random_scenario(161005607))))
+    hom_doc = tmp_path / "hom.json"
+    hom_doc.write_text(json.dumps(scenario_to_json(_no_variation_scenario())))
+    for argv in (("check", "eic", eic_doc), ("build", "am", eic_doc), ("check", "hom", hom_doc)):
+        runs = set()
+        for seed in range(4):
+            monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+            runs.add(_alone([*map(str, argv), "--format", "machine"]))
+        assert len(runs) == 1, argv
+        ((code, out, _),) = runs
+        assert code == 3 and json.loads(out)["payload"]["failures"], argv
 
 
 def test_reports_are_byte_identical():
@@ -395,14 +424,19 @@ def _utility_for_undeclared_outcome(data):
     data["utility_profiles"][0]["A"]["veto"] = data["utility_profiles"][0]["A"]["o1"]
 
 
+def _evidence_names_undeclared_article(data):
+    data["evidence_map"]["A"]["s1|{w}"].append("zzz")
+
+
 @pytest.mark.parametrize(
     "mutate, violation",
     [
         (_scf_names_undeclared_outcome, "scf: undeclared outcome 'veto' for ('s1|{w}', 's1|{}')"),
         (_belief_names_undeclared_type, "beliefs.A.s1|{w}: undeclared type 'ghost' of B"),
         (_utility_for_undeclared_outcome, "utility_profiles[0].A.veto: undeclared outcome"),
+        (_evidence_names_undeclared_article, "evidence_map.A.s1|{w}: unknown article ids ['zzz']"),
     ],
-    ids=["scf-outcome", "belief-type", "utility-outcome"],
+    ids=["scf-outcome", "belief-type", "utility-outcome", "evidence-article"],
 )
 def test_model_validation_rejects_undeclared_ids(tmp_path, mutate, violation):
     for code, report in _model_runs(tmp_path, mutate):

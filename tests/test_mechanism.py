@@ -340,6 +340,23 @@ def test_rescaled_copy_gets_its_own_kernel():
         mech.scaling = lowered.scaling
 
 
+def test_bet_table_is_read_only_and_a_copy_with_other_bets_gets_its_own_kernel():
+    scn = fixtures.perturbed_example()
+    mech = build_bne_mechanism(scn)
+    mech.kernel()
+    with pytest.raises(TypeError):
+        del mech.bets[("L", "H")]
+    with pytest.raises(TypeError):
+        mech.bets[("L", "H")] = mech.bets[("M", "H")]
+    fewer = dataclasses.replace(mech, bets={key: bet for key, bet in mech.bets.items() if key != ("L", "H")})
+    assert ("L", "H") in mech.bets and fewer.claim_bet("L", "H") is None
+    # B whistles L against a consensus on H: the bet on A's evidence pays only in mech
+    whistle = {"A": claims_message(mech, "A", "H", LOW), "B": claims_message(mech, "B", "H", EMPTY, claim="L")}
+    assert transfers(mech, whistle)["B"] != transfers(fewer, whistle)["B"]
+    for transcript in [whistle, *_random_transcripts(fewer, 300)]:
+        assert transfers(fewer, transcript) == game_reference.transfers(fewer, transcript)
+
+
 def test_messages_outside_the_space_raise_and_leave_the_tables_alone():
     scn = fixtures.perturbed_example()
     mech = build_bne_mechanism(scn)
