@@ -359,6 +359,9 @@ def cmd_hierarchy(args, data):
         depth = stable + 1
     elif depth < 0:
         raise _Abort(EXIT_INVALID, {"error": "depth must be non-negative"})
+    elif depth > (bound := hierarchy.depth_bound(model)):
+        # levels past stabilization + 1 add nothing: fail closed before building
+        raise _Abort(EXIT_INVALID, {"error": f"depth must be at most {bound}"})
     else:
         table = hierarchy.build_hierarchy(model, depth)
     payload = {"input": source, "depth": depth, "types": {}}
@@ -404,7 +407,9 @@ def build_parser():
     p.add_argument("suite", choices=("claims", "closure", "search", "icr"))
     _add_common(p)
     p = sub.add_parser("hierarchy", help="dump belief-hierarchy levels")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument(
+        "--depth", type=int, default=None, help="levels 0..depth, depth at most the total number of types + 1"
+    )
     _add_common(p)
     return parser
 

@@ -407,6 +407,62 @@ class SearchBudget:
     max_rounds: int = 40
 
 
+class SearchInconsistency(RuntimeError):
+    """The pure enumeration's best-response tables and `verify_bne` disagree."""
+
+
+def _pure_best_response_profiles(game: BayesianGame):
+    """Every pure profile in which each type plays a best response, in
+    `itertools.product` order over the (agent, type) slots.
+
+    An agent's pure strategy is a tuple of menu positions, one per type. Its
+    best-response sets against a pure strategy of its opponents (the argmax
+    positions of each type's whole menu, valued against one listing of the
+    opponents' realizations) are computed once and memoized for this call.
+    The strategies of every agent but the last are walked in product order,
+    the last agent's drawn from the product of its best-response sets, and a
+    profile is kept when every other agent's strategy lies in its own sets.
+    """
+    agents = game.scenario.agents
+    menus = [[game.actions[(agent, coll)] for coll in game.types[agent]] for agent in agents]
+    tables = [{} for _ in agents]
+
+    def profile_of(strategies, skip=None):
+        return {
+            agent: {
+                coll: {menu[pos]: _ONE}
+                for coll, menu, pos in zip(game.types[agent], menus[j], strategies[j])
+            }
+            for j, agent in enumerate(agents)
+            if j != skip
+        }
+
+    def best_responses(i, strategies):
+        others = strategies[:i] + strategies[i + 1 :]
+        sets = tables[i].get(others)
+        if sets is None:
+            agent = agents[i]
+            _, realizations = game._realizations(agent, profile_of(strategies, skip=i))
+            sets = []
+            for coll in game.types[agent]:
+                values = game._values(i, realizations, game._codes[(agent, coll)])
+                best = max(values)
+                sets.append(tuple(pos for pos, value in enumerate(values) if value == best))
+            tables[i][others] = sets = tuple(sets)
+        return sets
+
+    last = len(agents) - 1
+    heads = [itertools.product(*(range(len(menu)) for menu in menus[j])) for j in range(last)]
+    for prefix in itertools.product(*heads):
+        for tail in itertools.product(*best_responses(last, prefix + (None,))):
+            strategies = prefix + (tail,)
+            if all(
+                all(pos in best for pos, best in zip(strategies[j], best_responses(j, strategies)))
+                for j in range(last)
+            ):
+                yield profile_of(strategies)
+
+
 def _profile_key(game, profile):
     rows = []
     for agent in game.scenario.agents:
@@ -421,7 +477,10 @@ def _profile_key(game, profile):
 def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(), seed=0):
     """Three-strategy equilibrium search; every hit is re-verified exactly.
 
-    (a) exhaustive pure-profile enumeration under `pure_cap`;
+    (a) exhaustive pure-profile enumeration when the product of the menu sizes
+        is at most `pure_cap`, by best-response tables
+        (`_pure_best_response_profiles`); a hit `verify_bne` rejects raises
+        `SearchInconsistency`;
     (b) truthful play composed with deception profiles (canonical perfect plans
         per target plus pure deception profiles under `plan_cap`);
     (c) best-response dynamics from seeded random starts (heuristic).
@@ -440,21 +499,18 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
             report.stamp = stamp
             found[key] = (profile, report)
 
-    # (a) exhaustive pure enumeration
+    # (a) exhaustive pure enumeration by best-response tables
     slots = [(agent, coll) for agent in scenario.agents for coll in game.types[agent]]
     total = 1
     for slot in slots:
         total *= len(game.actions[slot])
     if total <= budget.pure_cap:
         flags["pure_enumeration"] = "EXHAUSTIVE"
-        for combo in itertools.product(*(game.actions[s] for s in slots)):
-            profile = {a: {} for a in scenario.agents}
-            for (agent, coll), msg in zip(slots, combo):
-                profile[agent][coll] = {msg: _ONE}
-            # enumerated profiles are distinct, so only equilibria need a key
+        for profile in _pure_best_response_profiles(game):
             report = verify_bne(game, profile)
-            if report.is_bne:
-                consider(profile, "EXHAUSTIVE", report)
+            if not report.is_bne:
+                raise SearchInconsistency(f"best-response tables admit a profile verify_bne rejects: {report.witness}")
+            consider(profile, "EXHAUSTIVE", report)
     else:
         flags["pure_enumeration"] = f"BUDGET_EXCEEDED({total})"
 

@@ -265,11 +265,18 @@ def build_hierarchy(model: TypeSpaceModel, depth: int) -> HierarchyTable:
     return table
 
 
+def depth_bound(model: TypeSpaceModel) -> int:
+    """Total number of types plus one. Every level refines the last, so the
+    partitions stabilize within the total number of types, and levels past
+    stabilization + 1 add nothing."""
+    return sum(len(model.types[a]) for a in model.agents) + 1
+
+
 def build_to_stabilization(model: TypeSpaceModel):
     """(table, k_stable): grown until no agent's partition refines (k_stable is
     the last level that did, or 0), then one level more, to depth k_stable + 2.
     Belief-prefix classes (levels 1..k) stop refining at k_stable + 1."""
-    bound = sum(len(model.types[a]) for a in model.agents) + 1
+    bound = depth_bound(model)
     table = _level_zero_table(model)
     previous = table.cell_counts()
     for k in range(1, bound + 1):

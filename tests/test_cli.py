@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -177,6 +178,20 @@ def test_hierarchy_rejects_negative_depth():
     code, report = machine("hierarchy", str(DATA / "micro_model.json"), "--depth", "-3")
     assert code == 2
     assert report["payload"] == {"error": "depth must be non-negative"}
+
+
+def test_hierarchy_rejects_depth_beyond_the_type_count():
+    # micro_model.json has 4 types: depths up to 5 are dumped, larger ones
+    # fail closed before any level is built
+    path = str(DATA / "micro_model.json")
+    code, report = machine("hierarchy", path, "--depth", "5")
+    assert code == 0
+    assert all(len(levels) == 6 for levels in report["payload"]["types"].values())
+    started = time.perf_counter()
+    code, report = machine("hierarchy", path, "--depth", "1000000")
+    assert time.perf_counter() - started < 5
+    assert code == 2
+    assert report["payload"] == {"error": "depth must be at most 5"}
 
 
 def _no_variation_scenario():

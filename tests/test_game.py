@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from evimech import fixtures
+from evimech import fixtures, generators
+from evimech import game as game_mod
 from evimech.deception import TransportPlan
 from evimech.game import (
     BayesianGame,
@@ -216,6 +218,68 @@ def test_search_empty_budget():
     assert results == []
     assert flags["pure_enumeration"].startswith("BUDGET_EXCEEDED")
     assert flags["closure_family"].startswith("BUDGET_EXCEEDED")
+
+
+def _exhaustive_only_games():
+    micro = fixtures.micro_example()
+    leading = fixtures.leading_example()
+    three = generators.random_scenario(13, max_states=3)
+    return [
+        BayesianGame(micro, build_bne_mechanism(micro), "s1", 1),
+        BayesianGame(leading, DirectMechanism(leading), "H", PREF),
+        BayesianGame(leading, assemble_bne_mechanism(leading), "M", PREF),
+        BayesianGame(three, DirectMechanism(three), three.states[0], len(three.utility_profiles) - 1),
+        BayesianGame(three, DirectMechanism(three), three.states[0], 0),
+    ]
+
+
+def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatch):
+    # the enumeration walks best-response tables: at most one opponent sweep
+    # per agent and opponents' pure strategy (the sweeps inside the hits'
+    # verifications are not counted), and one full verification per hit
+    verified = []
+    swept = []
+    real_verify = game_mod.verify_bne
+    real_sweep = BayesianGame._realizations
+
+    def counting_verify(game, profile):
+        verified.append(1)
+        outside = len(swept)
+        report = real_verify(game, profile)
+        del swept[outside:]
+        return report
+
+    def counting_sweep(self, agent, profile):
+        swept.append(1)
+        return real_sweep(self, agent, profile)
+
+    monkeypatch.setattr(game_mod, "verify_bne", counting_verify)
+    monkeypatch.setattr(BayesianGame, "_realizations", counting_sweep)
+    budget = SearchBudget(pure_cap=20000, plan_cap=0, seeds=())
+    games = _exhaustive_only_games()
+    assert any(len(g.scenario.agents) == 3 for g in games)
+    for game in games:
+        verified.clear()
+        swept.clear()
+        results, flags = search_equilibria(game, budget)
+        assert flags["pure_enumeration"] == "EXHAUSTIVE"
+        assert results and all(item["stamp"] == "EXHAUSTIVE" for item in results)
+        assert len(verified) == len(results)
+        counts = [math.prod(len(game.actions[(a, c)]) for c in game.types[a]) for a in game.scenario.agents]
+        bound = sum(math.prod(counts[:i] + counts[i + 1 :]) for i in range(len(counts)))
+        assert 0 < len(swept) <= bound < math.prod(counts)
+
+
+def test_pure_enumeration_fails_closed_when_verification_disagrees(monkeypatch):
+    real_verify = game_mod.verify_bne
+
+    def rejecting_verify(game, profile):
+        return replace(real_verify(game, profile), is_bne=False)
+
+    monkeypatch.setattr(game_mod, "verify_bne", rejecting_verify)
+    game = _exhaustive_only_games()[0]
+    with pytest.raises(game_mod.SearchInconsistency):
+        search_equilibria(game, SearchBudget(pure_cap=20000, plan_cap=0, seeds=()))
 
 
 # -- claim audits -------------------------------------------------------------
