@@ -4,6 +4,7 @@ evidence incentive compatibility, and the independent embedding of flat scenario
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -26,7 +27,18 @@ class TypeSpaceModel:
     scf: dict  # full type profile tuple -> outcome
     utility_profiles: tuple  # each: agent -> {(outcome, full profile): Fraction}
     articles: tuple = ()
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # shape problems the parser read past (validate_model reports them)
+    input_violations: tuple = field(default=(), compare=False, repr=False)
+    # derived data built on first use; init=False, so `dataclasses.replace`
+    # gives a copy a fresh cache instead of the original's tables
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def tables(self) -> "ModelTables":
+        """The integer tables compiled from this model, built on first use."""
+        tables = self._cache.get("tables")
+        if tables is None:
+            tables = self._cache["tables"] = ModelTables(self)
+        return tables
 
     def opponents(self, agent):
         return tuple(a for a in self.agents if a != agent)
@@ -53,9 +65,10 @@ class TypeSpaceModel:
         return self.utility_profiles[profile_idx][agent][(outcome, full_profile)]
 
     def utility_span(self, profile_idx, agent) -> Fraction:
-        profile = self.utility_profiles[profile_idx]
-        values = [profile[agent][(o, t)] for o in self.outcomes for t in self.profiles()]
-        return max(values) - min(values)
+        scale, numerators = self.tables().utility_table(profile_idx)
+        utility = numerators[agent]
+        values = [utility[(o, t)] for o in self.outcomes for t in self.profiles()]
+        return Fraction(max(values) - min(values), scale)
 
     def feasible_reports(self, agent, type_id):
         """Evidence-feasible type claims: reported endowment within the true one."""
@@ -64,6 +77,77 @@ class TypeSpaceModel:
 
     def max_evidence_size(self) -> int:
         return max((len(e) for e in self.evidence.values()), default=0)
+
+
+class ModelTables:
+    """A model's beliefs and utilities as exact integer numerators, compiled
+    once per model (`TypeSpaceModel.tables`).
+
+    - `L`: the lcm of every belief denominator. `beliefs[(agent, type)]` lists
+      (opponent profile, numerator over L) in the belief's own order. With one
+      denominator for the whole model, equal probabilities have equal
+      numerators, so integer push-forwards intern exactly as their `Fraction`
+      counterparts would.
+    - `utility_table(idx)`: (scale, agent -> {(outcome, full profile):
+      numerator}), utility profile idx over its own lcm `scale`, compiled on
+      first use.
+
+    `interim_values` values each (utility profile, agent, type) once and
+    keeps the result read-only. The tables hold no reference to their model.
+    """
+
+    def __init__(self, model: TypeSpaceModel):
+        self.L = L = math.lcm(*(p.denominator for belief in model.beliefs.values() for p in belief.values()))
+        self.beliefs = {
+            key: tuple((t_other, p.numerator * (L // p.denominator)) for t_other, p in belief.items())
+            for key, belief in model.beliefs.items()
+        }
+        self.agents = model.agents
+        self.scf = model.scf
+        self.feasible = {(a, t): model.feasible_reports(a, t) for a in model.agents for t in model.types[a]}
+        self._utility_profiles = model.utility_profiles
+        self._utilities = {}
+        self._values = {}
+
+    def utility_table(self, idx):
+        """(scale, agent -> {(outcome, full profile): numerator over scale})."""
+        table = self._utilities.get(idx)
+        if table is None:
+            profile = self._utility_profiles[idx]
+            scale = math.lcm(*(v.denominator for agent in self.agents for v in profile[agent].values()))
+            numerators = {
+                agent: {key: v.numerator * (scale // v.denominator) for key, v in profile[agent].items()}
+                for agent in self.agents
+            }
+            table = self._utilities[idx] = (scale, numerators)
+        return table
+
+    def interim_values(self, idx, agent, type_id):
+        """(denominator, read-only {report: numerator}): the interim values of
+        `report_values`, computed once per (utility profile, agent, type)."""
+        key = (idx, agent, type_id)
+        values = self._values.get(key)
+        if values is None:
+            values = self._values[key] = self._value_reports(idx, agent, type_id)
+        return values
+
+    def _value_reports(self, idx, agent, type_id):
+        scale, numerators = self.utility_table(idx)
+        utility = numerators[agent]
+        scf = self.scf
+        i = self.agents.index(agent)
+        # (numerator, opponents before agent, opponents after, true full profile)
+        rows = []
+        for t_other, prob in self.beliefs[(agent, type_id)]:
+            head, tail = t_other[:i], t_other[i:]
+            rows.append((prob, head, tail, head + (type_id,) + tail))
+        values = {}
+        for report in self.feasible[(agent, type_id)]:
+            total = 0
+            for prob, head, tail, true_full in rows:
+                total += prob * utility[(scf[head + (report,) + tail], true_full)]
+            values[report] = total
+        return self.L * scale, MappingProxyType(values)
 
 
 def validate_model(model: TypeSpaceModel) -> list:
@@ -81,6 +165,7 @@ def validate_model(model: TypeSpaceModel) -> list:
     if problems:
         # id-level problems make the remaining checks unreliable; stop here.
         return problems
+    problems.extend(model.input_violations)
     for agent in model.agents:
         for type_id in model.types[agent]:
             unknown = model.evidence[(agent, type_id)] - set(model.articles)
@@ -149,24 +234,28 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
                 evidence[(agent, (state, coll))] = coll
         types[agent] = tuple(rows)
 
+    # a type's belief depends on its state alone: each entry is one integer
+    # product over the opponents' evidence probabilities
     beliefs = {}
     for agent in agents:
         others = tuple(a for a in agents if a != agent)
+        by_state = {}
         for state, coll in types[agent]:
-            entries = {}
-            option_lists = [
-                [((state, c), scenario.dist(other, state).prob(c)) for c in scenario.support(other, state)]
-                for other in others
-            ]
-            for combo in itertools.product(*option_lists):
-                prob = Fraction(1)
-                profile = []
-                for (type_id, p) in combo:
-                    prob *= p
-                    profile.append(type_id)
-                if prob > 0:
-                    entries[tuple(profile)] = prob
-            beliefs[(agent, (state, coll))] = entries
+            entries = by_state.get(state)
+            if entries is None:
+                entries = by_state[state] = {}
+                option_lists = [
+                    [((state, c), p.numerator, p.denominator) for c, p in scenario.dist(other, state).items()]
+                    for other in others
+                ]
+                for combo in itertools.product(*option_lists):
+                    numerator = denominator = 1
+                    for _, n, d in combo:
+                        numerator *= n
+                        denominator *= d
+                    if numerator > 0:
+                        entries[tuple(type_id for type_id, _, _ in combo)] = Fraction(numerator, denominator)
+            beliefs[(agent, (state, coll))] = dict(entries)
 
     model_profiles = [
         tuple(combo) for combo in itertools.product(*(types[a] for a in agents))
@@ -177,10 +266,9 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
     for idx in range(len(scenario.utility_profiles)):
         per_agent = {}
         for agent in agents:
+            utility = scenario.utility_profiles[idx][agent]
             per_agent[agent] = {
-                (outcome, t): scenario.utility(idx, agent, outcome, chosen[t])
-                for outcome in scenario.outcomes
-                for t in model_profiles
+                (outcome, t): utility[(outcome, chosen[t])] for outcome in scenario.outcomes for t in model_profiles
             }
         utility_profiles.append(per_agent)
     return TypeSpaceModel(
@@ -202,43 +290,55 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
 class HierarchyTable:
     """A model's belief hierarchies, built, stored and read in one place. Level 0
     of a signature is the endowment token, level k >= 1 the interned token of the
-    type's push-forward onto opponents' level-(k-1) signatures, kept read-only."""
+    type's push-forward onto opponents' level-(k-1) signatures, kept read-only
+    as integer numerators over the model's `L` (`ModelTables`)."""
 
     model: TypeSpaceModel
     depth: int
     signatures: dict  # (agent, type) -> tuple of per-level tokens
-    intern: dict = field(default_factory=dict)  # (k, sorted push-forward) -> token
-    pushforwards: dict = field(default_factory=dict)  # token -> read-only push-forward
+    intern: dict = field(default_factory=dict)  # (k, sorted push-forward numerators) -> token
+    numerators: dict = field(default_factory=dict)  # token -> read-only push-forward numerators
+    pushforwards: dict = field(default_factory=dict)  # token -> read-only push-forward, on first read
 
     def level(self, agent, type_id, k):
         return self.signatures[(agent, type_id)][k]
 
-    def belief_prefix(self, agent, type_id, k):
-        """Signature tuple at belief levels 1..k (endowment excluded)."""
-        return self.signatures[(agent, type_id)][1 : k + 1]
-
     def level_distribution(self, agent, type_id, k):
-        """The level-k push-forward (k >= 1): a lookup, built when level k was."""
-        return self.pushforwards[self.signatures[(agent, type_id)][k]]
+        """The level-k push-forward (k >= 1), read-only, converted from its
+        numerators on first read."""
+        token = self.signatures[(agent, type_id)][k]
+        dist = self.pushforwards.get(token)
+        if dist is None:
+            L = self.model.tables().L
+            dist = {point: Fraction(n, L) for point, n in self.numerators[token].items()}
+            dist = self.pushforwards[token] = MappingProxyType(dist)
+        return dist
+
+    def level_numerators(self, agent, type_id, k):
+        """The level-k push-forward as numerators over the model's `L`."""
+        return self.numerators[self.signatures[(agent, type_id)][k]]
 
     def grow(self):
         """Intern level depth + 1 for every type."""
         model = self.model
+        beliefs = model.tables().beliefs
+        signatures = self.signatures
         k = self.depth + 1
         grown = {}
         for agent in model.agents:
             others = model.opponents(agent)
             for type_id in model.types[agent]:
                 dist = {}
-                for t_other, prob in model.belief(agent, type_id).items():
-                    point = tuple(self.signatures[(o, t)] for o, t in zip(others, t_other))
-                    dist[point] = dist.get(point, Fraction(0)) + prob
+                for t_other, prob in beliefs[(agent, type_id)]:
+                    point = tuple(map(signatures.__getitem__, zip(others, t_other)))
+                    dist[point] = dist.get(point, 0) + prob
+                # points are unique, so sorting never compares numerators
                 key = (k, tuple(sorted(dist.items())))
                 token = self.intern.get(key)
                 if token is None:
                     token = self.intern[key] = ("lvl", k, len(self.intern))
-                    self.pushforwards[token] = MappingProxyType(dist)
-                grown[(agent, type_id)] = self.signatures[(agent, type_id)] + (token,)
+                    self.numerators[token] = MappingProxyType(dist)
+                grown[(agent, type_id)] = signatures[(agent, type_id)] + (token,)
         self.signatures = grown
         self.depth = k
 
@@ -275,7 +375,7 @@ def depth_bound(model: TypeSpaceModel) -> int:
 def build_to_stabilization(model: TypeSpaceModel):
     """(table, k_stable): grown until no agent's partition refines (k_stable is
     the last level that did, or 0), then one level more, to depth k_stable + 2.
-    Belief-prefix classes (levels 1..k) stop refining at k_stable + 1."""
+    Level-k classes stop refining at k_stable + 1."""
     bound = depth_bound(model)
     table = _level_zero_table(model)
     previous = table.cell_counts()
@@ -325,8 +425,13 @@ def check_higher_order_measurability(model: TypeSpaceModel) -> HomVerdict:
     Endowment-only distinctions at the stabilized cumulative partition can
     surface in pure belief levels one step later, so the scan runs one level
     past stabilization; beyond that, push-forwards factor through the stable
-    partition and nothing new appears. Profiles are grouped by their
-    belief-signature vectors, so the check is linear in the profile count.
+    partition and nothing new appears.
+
+    Profiles are grouped at level k by each agent's level-k token alone, so
+    the check is linear in the profile count. That is the partition of belief
+    levels 1..k: a level-k push-forward determines every lower belief level,
+    since truncating its points' signatures by one level gives the level-(k-1)
+    push-forward, whose interned token is then fixed too.
     """
     table, depth = build_to_stabilization(model)
     profiles = model.profiles()
@@ -334,7 +439,7 @@ def check_higher_order_measurability(model: TypeSpaceModel) -> HomVerdict:
     def classes_at(k):
         groups = {}
         for t in profiles:
-            key = tuple(table.belief_prefix(agent, own, k) for agent, own in zip(model.agents, t))
+            key = tuple(table.level(agent, own, k) for agent, own in zip(model.agents, t))
             groups.setdefault(key, []).append(t)
         return groups
 
@@ -366,32 +471,26 @@ class EicVerdict:
 def report_values(model: TypeSpaceModel, idx, agent, type_id) -> dict:
     """Interim value to `agent`'s `type_id` under utility profile `idx` of each
     evidence-feasible report, in `feasible_reports` order, against truthful
-    opponents: expected utility at the true profile of the reported profile's outcome."""
-    belief = model.belief(agent, type_id)
-    values = {}
-    for report in model.feasible_reports(agent, type_id):
-        total = Fraction(0)
-        for t_other, prob in belief.items():
-            full = model.full_profile(agent, report, t_other)
-            true_full = model.full_profile(agent, type_id, t_other)
-            total += prob * model.utility(idx, agent, model.scf[full], true_full)
-        values[report] = total
-    return values
+    opponents: expected utility at the true profile of the reported profile's
+    outcome (`ModelTables.interim_values` as `Fraction`s)."""
+    denominator, values = model.tables().interim_values(idx, agent, type_id)
+    return {report: Fraction(value, denominator) for report, value in values.items()}
 
 
 def check_evidence_ic(model: TypeSpaceModel, profile_indices=None) -> EicVerdict:
     """Truth must be optimal among evidence-feasible reports in the direct game."""
     if profile_indices is None:
         profile_indices = range(len(model.utility_profiles))
+    tables = model.tables()
     failures = []
     for idx in profile_indices:
         for agent in model.agents:
             for type_id in model.types[agent]:
-                values = report_values(model, idx, agent, type_id)
+                denominator, values = tables.interim_values(idx, agent, type_id)
+                truth = values[type_id]
                 for report, value in values.items():
-                    gain = value - values[type_id]
-                    if gain > 0:
-                        failures.append((idx, agent, type_id, report, gain))
+                    if value > truth:
+                        failures.append((idx, agent, type_id, report, Fraction(value - truth, denominator)))
     return EicVerdict(not failures, failures)
 
 
@@ -408,6 +507,15 @@ def _type_to_str(type_id):
 def parse_model(data) -> TypeSpaceModel:
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be an object")
+    stray = {}  # violation path -> profile keys naming no agent the row expects
+
+    def profile_of(row, expected, path):
+        profile = row["profile"]
+        for key in profile:
+            if key not in expected:
+                stray.setdefault(path, {})[key] = None
+        return tuple(str(profile[a]) for a in expected)
+
     try:
         agents = tuple(str(a) for a in data["agents"])
         types = {a: tuple(str(t) for t in data["types"][a]) for a in agents}
@@ -425,22 +533,21 @@ def parse_model(data) -> TypeSpaceModel:
                 rows = data["beliefs"][agent][type_id]
                 entries = {}
                 for row in rows:
-                    profile = tuple(str(row["profile"][o]) for o in others)
+                    profile = profile_of(row, others, f"beliefs.{agent}.{type_id}")
                     entries[profile] = entries.get(profile, Fraction(0)) + parse_rational(row["prob"])
                 beliefs[(agent, type_id)] = entries
         outcomes = tuple(str(o) for o in data["outcomes"])
         scf = {}
         for row in data["scf"]:
-            profile = tuple(str(row["profile"][a]) for a in agents)
-            scf[profile] = str(row["outcome"])
+            scf[profile_of(row, agents, "scf")] = str(row["outcome"])
         utility_profiles = []
-        for prof in data["utility_profiles"]:
+        for idx, prof in enumerate(data["utility_profiles"]):
             per_agent = {}
             for agent in agents:
                 entries = {}
                 for outcome, rows in prof[agent].items():
                     for row in rows:
-                        profile = tuple(str(row["profile"][a]) for a in agents)
+                        profile = profile_of(row, agents, f"utility_profiles[{idx}].{agent}.{outcome}")
                         entries[(str(outcome), profile)] = parse_rational(row["value"])
                 per_agent[agent] = entries
             utility_profiles.append(per_agent)
@@ -459,6 +566,9 @@ def parse_model(data) -> TypeSpaceModel:
         scf=scf,
         utility_profiles=tuple(utility_profiles),
         articles=articles,
+        input_violations=tuple(
+            f"{path}: unexpected profile key {key!r}" for path, keys in stray.items() for key in keys
+        ),
     )
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evimech
-from evimech import cli, fixtures, generators
+from evimech import cli, fixtures, generators, hierarchy
 from evimech.cli import main
 from evimech.scenario import ValidationReport, scenario_to_json
 
@@ -443,6 +443,23 @@ def _evidence_names_undeclared_article(data):
     data["evidence_map"]["A"]["s1|{w}"].append("zzz")
 
 
+def _belief_profile_names_unknown_agent(data):
+    data["beliefs"]["A"]["s1|{w}"][0]["profile"]["ZZZ"] = "nope"
+
+
+def _belief_profile_names_own_agent(data):
+    data["beliefs"]["A"]["s1|{w}"][0]["profile"]["A"] = "s1|{w}"
+
+
+def _scf_profile_names_unknown_agent(data):
+    data["scf"][0]["profile"]["ZZZ"] = "nope"
+
+
+def _utility_profile_names_unknown_agent(data):
+    for row in data["utility_profiles"][0]["A"]["o1"]:
+        row["profile"]["ZZZ"] = "nope"
+
+
 @pytest.mark.parametrize(
     "mutate, violation",
     [
@@ -450,13 +467,57 @@ def _evidence_names_undeclared_article(data):
         (_belief_names_undeclared_type, "beliefs.A.s1|{w}: undeclared type 'ghost' of B"),
         (_utility_for_undeclared_outcome, "utility_profiles[0].A.veto: undeclared outcome"),
         (_evidence_names_undeclared_article, "evidence_map.A.s1|{w}: unknown article ids ['zzz']"),
+        (_belief_profile_names_unknown_agent, "beliefs.A.s1|{w}: unexpected profile key 'ZZZ'"),
+        (_belief_profile_names_own_agent, "beliefs.A.s1|{w}: unexpected profile key 'A'"),
+        (_scf_profile_names_unknown_agent, "scf: unexpected profile key 'ZZZ'"),
+        (_utility_profile_names_unknown_agent, "utility_profiles[0].A.o1: unexpected profile key 'ZZZ'"),
     ],
-    ids=["scf-outcome", "belief-type", "utility-outcome", "evidence-article"],
+    ids=[
+        "scf-outcome",
+        "belief-type",
+        "utility-outcome",
+        "evidence-article",
+        "belief-profile-key",
+        "belief-own-key",
+        "scf-profile-key",
+        "utility-profile-key",
+    ],
 )
 def test_model_validation_rejects_undeclared_ids(tmp_path, mutate, violation):
     for code, report in _model_runs(tmp_path, mutate):
         assert code == 2
         assert report["payload"]["violations"] == [violation]
+
+
+@pytest.mark.parametrize("source", ["micro_model.json", "random_scenario(23)"])
+def test_audit_icr_compiles_tables_once_and_values_each_type_once(tmp_path, monkeypatch, source):
+    """One set of integer tables per model; the EIC check and the elimination's
+    outcome rounds share each (utility profile, agent, type) valuation."""
+    path = DATA / source
+    if source.startswith("random"):
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(scenario_to_json(generators.random_scenario(23))))
+    compiled, valued = [], []
+    real_init, real_value = hierarchy.ModelTables.__init__, hierarchy.ModelTables._value_reports
+
+    def counting_init(self, model):
+        compiled.append(model)
+        real_init(self, model)
+
+    def counting_value(self, idx, agent, type_id):
+        valued.append((idx, agent, type_id))
+        return real_value(self, idx, agent, type_id)
+
+    monkeypatch.setattr(hierarchy.ModelTables, "__init__", counting_init)
+    monkeypatch.setattr(hierarchy.ModelTables, "_value_reports", counting_value)
+    code, report = machine("audit", "icr", str(path), "--eps", "1/100")
+    assert code == 0 and report["payload"]["passed"]
+    assert [stage["name"] for stage in report["payload"]["stages"]][-1] == "outcome_rounds"
+    assert len(compiled) == 1
+    model = compiled[0]
+    every = [(idx, a, t) for idx in range(len(model.utility_profiles)) for a in model.agents for t in model.types[a]]
+    assert len(every) > 4
+    assert valued == every
 
 
 def _duplicate(key, agent=None):

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from evimech.hierarchy import (
     embed_flat_scenario,
     model_to_json,
     parse_model,
+    report_values,
     stabilization_depth,
     validate_model,
 )
@@ -177,3 +180,22 @@ def test_model_json_round_trip(embedded_leading):
     assert len(again.types["A"]) == 5
     verdict = check_higher_order_measurability(again)
     assert verdict.passed and verdict.k_bar == 2
+
+
+def test_replaced_model_does_not_inherit_the_cache():
+    micro = parse_model(json.loads((Path(__file__).parent / "data" / "micro_model.json").read_text()))
+    assert len(micro.profiles()) == 4
+    values = report_values(micro, 0, "A", "s1|{w}")
+    tables = micro.tables()
+    single = replace(micro, types={a: micro.types[a][:1] for a in micro.agents})
+    assert single.profiles() == [("s1|{w}", "s1|{}")]
+    assert single.tables() is not tables
+    assert single.tables().feasible[("A", "s1|{w}")] == ["s1|{w}"]
+    # utilities replaced: the copy values reports from its own tables
+    raised = tuple(
+        {agent: {key: value + F(1, 3) for key, value in prof[agent].items()} for agent in micro.agents}
+        for prof in micro.utility_profiles
+    )
+    shifted = replace(micro, utility_profiles=raised)
+    assert report_values(shifted, 0, "A", "s1|{w}") == {r: v + F(1, 3) for r, v in values.items()}
+    assert report_values(micro, 0, "A", "s1|{w}") == values

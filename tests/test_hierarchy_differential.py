@@ -4,8 +4,10 @@ recomputed push-forwards on every read. Signatures and level distributions up
 to stabilization + 2, the default `hierarchy` levels, HOM and EIC verdicts,
 mechanism fields, elimination reports (with the rounds=1 and rounds=2
 controls) and `transfers` on random transcripts must be identical, on the
-fixtures, `micro_model.json`, the xor model and random scenarios."""
+fixtures, `micro_model.json`, the xor model, random scenarios and two
+hand-written models with pairwise coprime belief denominators."""
 
+import itertools
 import json
 import math
 import random
@@ -43,7 +45,58 @@ def _with_profile_terms(model, rng):
             term = {t: Fraction(rng.randint(-4, 4), 32) for t in model.profiles()}
             per_agent[agent] = {(o, t): v / 2 + term[t] for (o, t), v in prof[agent].items()}
         profiles.append(per_agent)
-    return replace(model, utility_profiles=tuple(profiles), _cache={})
+    return replace(model, utility_profiles=tuple(profiles))
+
+
+def _coprime_model(lying_pays):
+    """Three agents whose beliefs have denominators 7, 11 and 13 and whose
+    utilities have a different denominator per agent and per true profile, so
+    the model-wide belief lcm and each utility profile's lcm are large. The
+    outcome follows A's type; a bonus goes to the chosen outcome (truth is
+    strictly optimal) or, with `lying_pays`, to "o2" (A's first type gains by
+    hiding its evidence)."""
+    agents = ("A", "B", "C")
+    types = {"A": ("a1", "a2"), "B": ("b1", "b2"), "C": ("c1", "c2")}
+    evidence = {}
+    for agent in agents:
+        first, second = types[agent]
+        evidence[(agent, first)] = frozenset({f"x{agent}"})
+        evidence[(agent, second)] = frozenset()
+    weights = {
+        ("A", "a1"): (7, (1, 2, 3, 1)),
+        ("A", "a2"): (7, (3, 1, 1, 2)),
+        ("B", "b1"): (11, (2, 3, 4, 2)),
+        ("B", "b2"): (11, (5, 1, 1, 4)),
+        ("C", "c1"): (13, (3, 4, 5, 1)),
+        ("C", "c2"): (13, (6, 2, 2, 3)),
+    }
+    beliefs = {}
+    for (agent, type_id), (denominator, numerators) in weights.items():
+        others = [types[a] for a in agents if a != agent]
+        opponent_profiles = list(itertools.product(*others))
+        beliefs[(agent, type_id)] = {t: Fraction(n, denominator) for t, n in zip(opponent_profiles, numerators)}
+    profiles = list(itertools.product(*(types[a] for a in agents)))
+    scf = {t: "o1" if t[0] == "a1" else "o2" for t in profiles}
+    primes = iter((3, 5, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107))
+    utility = {}
+    for i, agent in enumerate(agents):
+        utility[agent] = {}
+        for k, t in enumerate(profiles):
+            base = Fraction(1 + k % 3, next(primes))
+            bonus = Fraction(1, 4 + i + k % 4)
+            for outcome in ("o1", "o2"):
+                paid = outcome == ("o2" if lying_pays else scf[t])
+                utility[agent][(outcome, t)] = base + (bonus if paid else 0) - Fraction(1, 2)
+    return hierarchy.TypeSpaceModel(
+        agents=agents,
+        types=types,
+        evidence=evidence,
+        beliefs=beliefs,
+        outcomes=("o1", "o2"),
+        scf=scf,
+        utility_profiles=(utility,),
+        articles=tuple(f"x{agent}" for agent in agents),
+    )
 
 
 def _models():
@@ -56,6 +109,8 @@ def _models():
             models.append((f"random_scenario({seed})", hierarchy.embed_flat_scenario(scn)))
     rng = random.Random(0)
     models.extend((f"{label}+profile terms", _with_profile_terms(model, rng)) for label, model in models[:60])
+    models.append(("coprime denominators", _coprime_model(lying_pays=False)))
+    models.append(("coprime denominators, lying pays", _coprime_model(lying_pays=True)))
     return models
 
 
@@ -148,6 +203,24 @@ def test_table_verdicts_mechanism_and_elimination_match_reference(label, model):
     eic = hierarchy.check_evidence_ic(model)
     ref_eic = reference.check_evidence_ic(model)
     assert _typed((eic.passed, eic.failures)) == _typed((ref_eic.passed, ref_eic.failures))
+    # interim values and utility spans (which the reference reads from the
+    # model itself) against `Fraction` sums over the model's own entries
+    for idx, prof in enumerate(model.utility_profiles):
+        for agent in model.agents:
+            values = [prof[agent][(o, t)] for o in model.outcomes for t in model.profiles()]
+            assert _typed(model.utility_span(idx, agent)) == _typed(max(values) - min(values))
+            for type_id in model.types[agent]:
+                belief = model.belief(agent, type_id)
+                expected = {}
+                for report in model.feasible_reports(agent, type_id):
+                    expected[report] = sum(
+                        (
+                            p * prof[agent][(model.scf[model.full_profile(agent, report, o)], model.full_profile(agent, type_id, o))]
+                            for o, p in belief.items()
+                        ),
+                        Fraction(0),
+                    )
+                assert _typed(hierarchy.report_values(model, idx, agent, type_id)) == _typed(expected)
 
     try:
         ref_mech = reference.build_small_transfer_mechanism(model, EPS)
