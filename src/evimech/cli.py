@@ -153,7 +153,6 @@ def _parse_eps(text):
 
 
 def cmd_validate(args, data):
-    scn = None
     try:
         scn = parse_scenario(data)
     except ScenarioFormatError as exc:
@@ -374,75 +373,76 @@ def cmd_hierarchy(args, data):
 
 # -- entry point -------------------------------------------------------------------
 
+FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--budget-pure": {"type": int, "default": game.SearchBudget.pure_cap},
+    "--budget-plan": {"type": int, "default": game.SearchBudget.plan_cap},
+    "--budget-z": {"type": int, "default": mechanism.Z_CAP},
+    "--eps": {"default": "1/100"},
+    "--depth": {"type": int, "help": "levels 0..depth, depth at most the total number of types + 1"},
+}
 
-def _add_common(parser):
-    parser.add_argument("path", help="scenario or model JSON file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("human", "machine"), default="human")
-    parser.add_argument("--budget-pure", type=int, default=4096)
-    parser.add_argument("--budget-plan", type=int, default=256)
-    parser.add_argument("--budget-z", type=int, default=10**6)
-    parser.add_argument("--eps", default="1/100")
+# command -> (handler, help, the dest of its choice; None: the command is its own leaf)
+COMMANDS = {
+    "validate": (cmd_validate, "validate a scenario file", None),
+    "check": (cmd_check, "decide an implementability condition", "which"),
+    "build": (cmd_build, "construct an implementing mechanism", "variant"),
+    "audit": (cmd_audit, "run an equilibrium or elimination audit suite", "suite"),
+    "hierarchy": (cmd_hierarchy, "dump belief-hierarchy levels", None),
+}
+
+# (command, choice) -> the flags that leaf's handler reads; it accepts no other
+LEAVES = {
+    ("validate", None): (),
+    ("check", "sm"): (),
+    ("check", "npd"): (),
+    ("check", "nppd"): (),
+    ("check", "hom"): (),
+    ("check", "eic"): (),
+    ("build", "bne"): (),
+    ("build", "pure"): ("--budget-z",),
+    ("build", "am"): ("--eps",),
+    ("audit", "claims"): (),
+    ("audit", "closure"): (),
+    ("audit", "search"): ("--seed", "--budget-pure", "--budget-plan"),
+    ("audit", "icr"): ("--eps",),
+    ("hierarchy", None): ("--depth",),
+}
 
 
 @functools.cache
 def build_parser():
-    """The command-line parser, built once per process and shared: `parse_args`
-    does not change it, and every build would leave a tree of reference
-    cycles for the collector."""
+    """The command-line parser, one argparse leaf per `LEAVES` entry, built
+    once per process and shared: `parse_args` does not change it, and every
+    build would leave a tree of reference cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="evimech",
         description="verification and synthesis for implementation with uncertain hard evidence",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("validate", help="validate a scenario file")
-    _add_common(p)
-    p = sub.add_parser("check", help="decide an implementability condition")
-    p.add_argument("which", choices=("sm", "npd", "nppd", "hom", "eic"))
-    _add_common(p)
-    p = sub.add_parser("build", help="construct an implementing mechanism")
-    p.add_argument("variant", choices=("bne", "pure", "am"))
-    _add_common(p)
-    p = sub.add_parser("audit", help="run an equilibrium or elimination audit suite")
-    p.add_argument("suite", choices=("claims", "closure", "search", "icr"))
-    _add_common(p)
-    p = sub.add_parser("hierarchy", help="dump belief-hierarchy levels")
-    p.add_argument(
-        "--depth", type=int, default=None, help="levels 0..depth, depth at most the total number of types + 1"
-    )
-    _add_common(p)
+    commands = parser.add_subparsers(dest="command", required=True)
+    nodes = {}
+    for command, (_, help_text, dest) in COMMANDS.items():
+        node = commands.add_parser(command, help=help_text)
+        nodes[command] = node if dest is None else node.add_subparsers(dest=dest, required=True)
+    for (command, choice), flags in LEAVES.items():
+        leaf = nodes[command] if choice is None else nodes[command].add_parser(choice)
+        leaf.add_argument("path", help="scenario or model JSON file")
+        leaf.add_argument("--format", choices=("human", "machine"), default="human")
+        for flag in flags:
+            leaf.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "check": cmd_check,
-    "build": cmd_build,
-    "audit": cmd_audit,
-    "hierarchy": cmd_hierarchy,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {
-        "seed": args.seed,
-        "format": args.format,
-        "budget_pure": args.budget_pure,
-        "budget_plan": args.budget_plan,
-        "budget_z": args.budget_z,
-        "eps": args.eps,
-    }
-    for key in ("which", "variant", "suite", "depth"):
-        if hasattr(args, key):
-            config[key] = getattr(args, key)
+    args = build_parser().parse_args(argv)
+    # each leaf parses only the flags it reads, so `config` is what the command used
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "path")}
     command = args.command
     digest = ""  # an unreadable input has none
     try:
         raw = _read(args.path)
         digest = reporting.input_digest(raw)
-        code, payload = COMMANDS[command](args, _parse_json(raw))
+        code, payload = COMMANDS[command][0](args, _parse_json(raw))
     except _Abort as abort:
         code, payload = abort.code, abort.payload
     report = reporting.build_report(command, digest, config, payload)

@@ -20,6 +20,7 @@ from .deception import (
 from .scenario import Distribution, Scenario, ScenarioError, collection_key, refutes, subsets
 
 TRANSFER_KEYS = ("evidence_incentive", "scoring", "crosscheck", "refutation_fine", "bet")
+Z_CAP = 10**6  # default cap on the pure variant's deception profile count z
 
 
 class NpdViolation(ValueError):
@@ -642,14 +643,14 @@ def enumerate_challenges(scenario: Scenario):
     return bets, [value for bet in bets.values() for value in (bet.gamma, bet.delta)]
 
 
-def build_pure_mechanism(scenario: Scenario, z_cap: int = 10**6) -> Mechanism:
+def build_pure_mechanism(scenario: Scenario, z_cap: int = Z_CAP) -> Mechanism:
     verdict = check_nppd(scenario)
     if not verdict.passed:
         raise NppdViolation(verdict)
     return assemble_pure_mechanism(scenario, z_cap=z_cap)
 
 
-def assemble_pure_mechanism(scenario: Scenario, z_cap: int = 10**6) -> Mechanism:
+def assemble_pure_mechanism(scenario: Scenario, z_cap: int = Z_CAP) -> Mechanism:
     z = pure_profile_count(scenario)
     if z > z_cap:
         raise ZOverflow(f"{z} pure deception profiles exceed cap {z_cap}")

@@ -115,7 +115,7 @@ class Scenario:
     article_names: dict | None = None  # optional declared nomenclature
     # shape problems the parser read past (validate_scenario reports them)
     input_violations: tuple = field(default=(), compare=False, repr=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- basic accessors -------------------------------------------------
 
@@ -297,23 +297,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _superset_evidence_violations(scenario: Scenario):
-    """(agent, state, "se1" | "se2", collection) for each failure of (se1)/(se2)
-    under the superset-based refutation: a support collection that refutes its
-    own state, or a presentable collection that does not refute a state
-    although no support collection there contains it."""
-    for agent in scenario.agents:
-        for state in scenario.states:
-            for coll in scenario.support(agent, state):
-                if refutes(scenario, coll, state, agent):
-                    yield agent, state, "se1", coll
-        for state in scenario.states:
-            for coll in scenario.presentable(agent):
-                if not refutes(scenario, coll, state, agent):
-                    if not any(coll <= sup for sup in scenario.support(agent, state)):
-                        yield agent, state, "se2", coll
-
-
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Structural and evidential checks; empty violation list means valid."""
     violations = list(scenario.input_violations)
@@ -401,16 +384,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         # id-level problems make the evidential checks unreliable; stop here.
         return ValidationReport(violations)
 
-    # (se1)/(se2) against the superset-based refutation are consequences of the
-    # definition; they are re-checked explicitly all the same.
-    for agent, state, condition, coll in _superset_evidence_violations(scenario):
-        if condition == "se1":
-            message = f"(se1) violated: support collection {format_collection(coll)} refutes its own state"
-        else:
-            message = f"(se2) violated for {format_collection(coll)}"
-        flag(f"distributions.{agent}.{state}", message)
-
-    # Declared nomenclature, when present, makes "proof is true" substantive.
+    # (se1)/(se2) hold by definition under the superset-based refutation (see
+    # `check_deterministic_equivalence`). A declared nomenclature, when present,
+    # makes "proof is true" substantive: only its analogues can fail.
     if scenario.article_names is not None:
         names = scenario.article_names
         for article in scenario.articles:
@@ -473,8 +449,16 @@ class EquivalenceReport:
 def check_deterministic_equivalence(scenario: Scenario, nomenclature=None) -> EquivalenceReport:
     """Evaluate (se1)/(se2) and their nomenclature analogues on a degenerate scenario.
 
-    With derived per-agent names both condition pairs hold by construction and
-    the substantive content is `relation_agreement`: superset-based refutation
+    (se1) and (se2) hold for every scenario under the superset-based
+    refutation, where `refutes` means that no support collection at the state
+    contains the presented one. (se1) asks for a support collection that
+    refutes its own state, but every collection contains itself. (se2) asks
+    for a collection that is not refuted at a state yet lies in no support
+    collection there, and "not refuted" says that some support collection
+    contains it. So `se1 = se2 = True` without a check.
+
+    With derived per-agent names (e1)/(e2) hold by construction too, and the
+    substantive content is `relation_agreement`: superset-based refutation
     coincides with name-based refutation on every presentable collection.
     A supplied (declared) nomenclature makes (e1)/(e2) substantive.
     """
@@ -483,9 +467,7 @@ def check_deterministic_equivalence(scenario: Scenario, nomenclature=None) -> Eq
             if not scenario.dist(agent, state).is_degenerate():
                 raise NonDegenerateInput(f"distribution for {agent} at {state} has >1 support collection")
 
-    violated = {condition for _, _, condition, _ in _superset_evidence_violations(scenario)}
-    se1 = "se1" not in violated
-    se2 = "se2" not in violated
+    se1 = se2 = True
 
     per_agent_names = {agent: agent_nomenclature(scenario, agent) for agent in scenario.agents}
 

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import itertools
@@ -354,6 +355,97 @@ def test_repeated_calls_leave_no_parser_garbage():
     assert leftovers == []
 
 
+# -- the leaf table ---------------------------------------------------------------
+
+# (command, choice) -> an input and the flags that leaf's handler reads, written
+# out here so that the parser's table is checked against it
+LEAF_READS = {
+    ("validate", None): ("leading.json", ()),
+    ("check", "sm"): ("leading.json", ()),
+    ("check", "npd"): ("leading.json", ()),
+    ("check", "nppd"): ("leading.json", ()),
+    ("check", "hom"): ("leading.json", ()),
+    ("check", "eic"): ("micro.json", ()),
+    ("build", "bne"): ("perturbed.json", ()),
+    ("build", "pure"): ("leading.json", ("--budget-z",)),
+    ("build", "am"): ("micro_model.json", ("--eps",)),
+    ("audit", "claims"): ("perturbed.json", ()),
+    ("audit", "closure"): ("leading.json", ()),
+    ("audit", "search"): ("micro.json", ("--seed", "--budget-pure", "--budget-plan")),
+    ("audit", "icr"): ("micro_model.json", ("--eps",)),
+    ("hierarchy", None): ("leading.json", ("--depth",)),
+}
+FLAG_VALUES = {
+    "--seed": 3,
+    "--budget-pure": 100000,
+    "--budget-plan": 64,
+    "--budget-z": 900000,
+    "--eps": "1/50",
+    "--depth": 2,
+}
+CHOICE_DESTS = {"check": "which", "build": "variant", "audit": "suite"}
+LEAVES = sorted(LEAF_READS, key=str)
+
+
+def _leaf_argv(leaf):
+    command, choice = leaf
+    document = str(DATA / LEAF_READS[leaf][0])
+    return [command, document] if choice is None else [command, choice, document]
+
+
+def _leaf_id(leaf):
+    return " ".join(filter(None, leaf))
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def test_the_leaf_table_is_the_one_written_out_here():
+    assert cli.LEAVES == {leaf: flags for leaf, (_, flags) in LEAF_READS.items()}
+    assert set(cli.FLAGS) == set(FLAG_VALUES)
+    # 14 leaves x 6 flags: --depth on `hierarchy` and 6 pairs of the other five
+    assert sum(map(len, cli.LEAVES.values())) == 7
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("leaf", LEAVES, ids=_leaf_id)
+def test_a_leaf_accepts_exactly_the_flags_it_reads(leaf, flag):
+    code, out, err = _in_process([*_leaf_argv(leaf), flag, str(FLAG_VALUES[flag]), "--format", "machine"])
+    if flag not in LEAF_READS[leaf][1]:
+        assert (code, out) == (2, b"")
+        assert f"unrecognized arguments: {flag}".encode() in err
+        return
+    assert code in (0, 3) and err == b""
+    report = json.loads(out)
+    assert report["exit_code"] == code
+    assert report["config"][_dest(flag)] == FLAG_VALUES[flag]
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=_leaf_id)
+def test_config_echoes_the_format_the_choice_and_the_flags_the_leaf_reads(leaf):
+    code, report = machine(*_leaf_argv(leaf))
+    command, choice = leaf
+    expected = {"format"} | {_dest(flag) for flag in LEAF_READS[leaf][1]}
+    assert set(report["config"]) == (expected if choice is None else expected | {CHOICE_DESTS[command]})
+    assert report["exit_code"] == code
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=_leaf_id)
+def test_each_handler_reads_exactly_the_flags_of_its_leaf(leaf):
+    args = cli.build_parser().parse_args(_leaf_argv(leaf))
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    cli.COMMANDS[leaf[0]][0](Recording(**vars(args)), json.loads(Path(args.path).read_text()))
+    read = {name for name in read if not name.startswith("_")} - set(CHOICE_DESTS.values())
+    assert read == {_dest(flag) for flag in LEAF_READS[leaf][1]}
+
+
 # -- golden reports ---------------------------------------------------------------
 
 README = Path(__file__).parent.parent / "README.md"
@@ -552,7 +644,11 @@ FUZZ_COMMANDS = (
     *(("audit", suite) for suite in ("claims", "closure", "search", "icr")),
     ("hierarchy",),
 )
-FUZZ_BUDGETS = ("--budget-pure", "64", "--budget-plan", "16", "--budget-z", "5000")
+# small budgets, each passed to the one leaf that reads it
+FUZZ_BUDGETS = {
+    ("audit", "search"): ("--budget-pure", "64", "--budget-plan", "16"),
+    ("build", "pure"): ("--budget-z", "5000"),
+}
 FUZZ_DOCUMENTS = {path.name: json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))}
 _DELETE = object()
 # a deleted key or list entry, or a value swapped for null, a string, a
@@ -598,7 +694,7 @@ def fuzz_path(tmp_path_factory):
 def test_every_command_fails_closed_on_fuzzed_documents(fuzz_path, document):
     fuzz_path.write_text(json.dumps(document))
     for command in FUZZ_COMMANDS:
-        argv = [*command, str(fuzz_path), *FUZZ_BUDGETS, "--format", "machine"]
+        argv = [*command, str(fuzz_path), *FUZZ_BUDGETS.get(command, ()), "--format", "machine"]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)

@@ -7,7 +7,6 @@ import pytest
 from evimech import fixtures
 from evimech.deception import (
     Bet,
-    CombinatorialBlowup,
     InfeasibleSeparation,
     NoImbalance,
     PurePlan,
@@ -156,12 +155,6 @@ def test_degenerate_absent_collection_bet():
     bet = synthesize_bet(scn, "A", "s2", "s1")
     report = certify_bet(scn, bet)
     assert report.passed and bet.margin > 0
-
-
-def test_certify_bet_blowup_cap(leading):
-    hand = Bet("A", "M", "H", ((LOW, F(1)), (TOP, F(-1))), margin=F(1, 5))
-    with pytest.raises(CombinatorialBlowup):
-        certify_bet(leading, hand, plan_cap=0)
 
 
 def test_gamma_delta_construction(leading):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,22 @@ def test_injected_support_violates_declared_se1(leading):
     report = validate_scenario(injected)
     assert not report.valid
     assert any("(se1)" in v["message"] and v["path"] == "distributions.A.L" for v in report.violations)
+
+
+def test_replaced_scenario_does_not_inherit_the_cache(leading):
+    # fill every cached accessor on the original first
+    assert leading.article_set() == {"lmh", "mh"}
+    assert TOP in leading.presentable("A")
+    assert len(leading.alphabet("A")) == 3
+    fewer = replace(leading, articles=("lmh",))
+    assert fewer._cache is not leading._cache
+    assert fewer.article_set() == {"lmh"}
+    # A holds only {lmh} at every state: one distribution, no collection with mh
+    dists = {key: Distribution({LOW: F(1)}) if key[0] == "A" else dist for key, dist in leading.dists.items()}
+    flat = replace(leading, dists=dists)
+    assert flat.presentable("A") == [frozenset(), LOW]
+    assert flat.alphabet("A") == (Distribution({LOW: F(1)}),)
+    assert leading.article_set() == {"lmh", "mh"} and len(leading.alphabet("A")) == 3
 
 
 def test_non_normalized_distribution_reported_with_path(leading):
