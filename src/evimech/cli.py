@@ -139,6 +139,23 @@ def _load_model(data):
     return hierarchy.embed_flat_scenario(scn), "embedded-scenario"
 
 
+def _built(scn, variant="bne", z_cap=None):
+    """The bne or pure mechanism for `scn`; a refusal aborts with exit 3 and
+    names what the builder refused on."""
+    try:
+        if variant == "bne":
+            return mechanism.build_bne_mechanism(scn)
+        return mechanism.build_pure_mechanism(scn, z_cap=z_cap)
+    except mechanism.NpdViolation as exc:
+        raise _Abort(EXIT_FAIL, {"refused": "npd", "verdict": _verdict_payload(exc.verdict)})
+    except mechanism.NppdViolation as exc:
+        raise _Abort(EXIT_FAIL, {"refused": "nppd", "verdict": _verdict_payload(exc.verdict)})
+    except mechanism.ZOverflow as exc:
+        raise _Abort(EXIT_FAIL, {"refused": "z-overflow", "detail": str(exc)})
+    except mechanism.SlackViolation as exc:
+        raise _Abort(EXIT_FAIL, {"refused": "slack", "slacks": exc.slacks})
+
+
 def _parse_eps(text):
     try:
         eps = parse_rational(text)
@@ -196,18 +213,8 @@ def cmd_check(args, data):
 
 def cmd_build(args, data):
     if args.variant in ("bne", "pure"):
-        scn = _load_scenario(data)
-        try:
-            if args.variant == "bne":
-                mech = mechanism.build_bne_mechanism(scn)
-            else:
-                mech = mechanism.build_pure_mechanism(scn, z_cap=args.budget_z)
-        except mechanism.NpdViolation as exc:
-            return EXIT_FAIL, {"refused": "npd", "verdict": _verdict_payload(exc.verdict)}
-        except mechanism.NppdViolation as exc:
-            return EXIT_FAIL, {"refused": "nppd", "verdict": _verdict_payload(exc.verdict)}
-        except mechanism.ZOverflow as exc:
-            return EXIT_FAIL, {"refused": "z-overflow", "detail": str(exc)}
+        z_cap = args.budget_z if args.variant == "pure" else None
+        mech = _built(_load_scenario(data), args.variant, z_cap)
         return EXIT_OK, {"mechanism": mechanism.mechanism_report(mech)}
     model, source = _load_model(data)
     eps = _parse_eps(args.eps)
@@ -239,10 +246,7 @@ def cmd_build(args, data):
 
 def _audit_claims(args, data):
     scn = _load_scenario(data)
-    try:
-        mech = mechanism.build_bne_mechanism(scn)
-    except mechanism.NpdViolation as exc:
-        return EXIT_FAIL, {"refused": "npd", "verdict": _verdict_payload(exc.verdict)}
+    mech = _built(scn)
     suite = game.claim_audits(scn, mech)
     payload = {
         "passed": suite.passed,
@@ -287,10 +291,7 @@ def _audit_closure(args, data):
 
 def _audit_search(args, data):
     scn = _load_scenario(data)
-    try:
-        mech = mechanism.build_bne_mechanism(scn)
-    except mechanism.NpdViolation as exc:
-        return EXIT_FAIL, {"refused": "npd", "verdict": _verdict_payload(exc.verdict)}
+    mech = _built(scn)
     budget = game.SearchBudget(pure_cap=args.budget_pure, plan_cap=args.budget_plan)
     clean = True
     rows = []
@@ -412,20 +413,22 @@ LEAVES = {
 
 @functools.cache
 def build_parser():
-    """The command-line parser, one argparse leaf per `LEAVES` entry, built
-    once per process and shared: `parse_args` does not change it, and every
-    build would leave a tree of reference cycles for the collector."""
+    """The command-line parser, one argparse leaf per `LEAVES` entry, none of
+    them accepting an abbreviated flag, built once per process and shared:
+    `parse_args` does not change it, and every build would leave a tree of
+    reference cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="evimech",
         description="verification and synthesis for implementation with uncertain hard evidence",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
     nodes = {}
     for command, (_, help_text, dest) in COMMANDS.items():
-        node = commands.add_parser(command, help=help_text)
+        node = commands.add_parser(command, help=help_text, allow_abbrev=False)
         nodes[command] = node if dest is None else node.add_subparsers(dest=dest, required=True)
     for (command, choice), flags in LEAVES.items():
-        leaf = nodes[command] if choice is None else nodes[command].add_parser(choice)
+        leaf = nodes[command] if choice is None else nodes[command].add_parser(choice, allow_abbrev=False)
         leaf.add_argument("path", help="scenario or model JSON file")
         leaf.add_argument("--format", choices=("human", "machine"), default="human")
         for flag in flags:

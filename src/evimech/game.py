@@ -54,9 +54,7 @@ class DirectKernel(KernelBase):
     D = 1
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.agents = scenario.agents
-        self._menus = {}
+        super().__init__(scenario)
         self._codes = []
         self._reports = []
         for agent in scenario.agents:
@@ -85,11 +83,12 @@ class DirectKernel(KernelBase):
 class BayesianGame:
     """The Bayesian game a mechanism induces at one state and utility profile.
 
-    Payoffs are read from the mechanism's kernel and cached as integer
-    numerators over a common denominator G, the lcm of the kernel's fixed D
-    and the utilities' denominators, set once in `__post_init__`. The cache
-    is keyed by the transcript's message codes packed into one int
-    (`KEY_BITS` per agent).
+    Payoffs come from the mechanism's transcript table (`KernelBase.payoff`,
+    keyed by the message codes packed `KEY_BITS` per agent), which every game
+    of the mechanism shares: an agent's payoff is its utility of the outcome
+    plus its transfer total, as integer numerators over a common denominator
+    G, the lcm of the kernel's fixed D and the utilities' denominators, set
+    once in `__post_init__`.
     """
 
     scenario: Scenario
@@ -100,11 +99,10 @@ class BayesianGame:
     actions: dict = field(init=False)
     _kernel: object = field(init=False, repr=False, compare=False)
     _codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> action codes
-    _payoffs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _probs: dict = field(init=False, repr=False, compare=False)  # (agent, type) -> prob
     _G: int = field(init=False, repr=False, compare=False)
     _factor: int = field(init=False, repr=False, compare=False)  # G // D
-    _utility: dict = field(init=False, repr=False, compare=False)  # outcome -> numerators over G
+    _utility: list = field(init=False, repr=False, compare=False)  # per agent: numerators over G by outcome code
 
     def __post_init__(self):
         scn = self.scenario
@@ -118,21 +116,19 @@ class BayesianGame:
             for coll in self.types[agent]:
                 self.actions[(agent, coll)], self._codes[(agent, coll)] = self._kernel.actions(i, coll)
         profile = scn.utility_profiles[self.profile_idx]
-        rows = {}
-        for outcome in scn.outcomes:
-            row = [profile[agent].get((outcome, self.state)) for agent in scn.agents]
-            if None not in row:
-                rows[outcome] = row
+        # by outcome code: every agent's utility, or None when one is missing
+        rows = [[profile[agent].get((outcome, self.state)) for agent in scn.agents] for outcome in scn.outcomes]
+        rows = [None if None in row else row for row in rows]
         G = self._kernel.D
-        for row in rows.values():
+        for row in filter(None, rows):
             for value in row:
                 G = math.lcm(G, value.denominator)
         self._G = G
         self._factor = G // self._kernel.D
-        self._utility = {
-            outcome: tuple(value.numerator * (G // value.denominator) for value in row)
-            for outcome, row in rows.items()
-        }
+        self._utility = [
+            [None if row is None else row[i].numerator * (G // row[i].denominator) for row in rows]
+            for i in range(len(scn.agents))
+        ]
 
     def type_prob(self, agent, coll) -> Fraction:
         return self._probs.get((agent, frozenset(coll)), _ZERO)
@@ -140,16 +136,6 @@ class BayesianGame:
     def evaluate(self, transcript: dict):
         """(outcome, itemized transfers) for a message profile."""
         return self._kernel.itemized(transcript)
-
-    def _payoff_row(self, key: int) -> tuple:
-        """Every agent's payoff numerator (over G) on the packed transcript."""
-        mask = (1 << KEY_BITS) - 1
-        codes = [key >> (KEY_BITS * i) & mask for i in range(len(self.scenario.agents))]
-        outcome, items = self._kernel.evaluate(codes)
-        factor = self._factor
-        row = tuple(base + factor * sum(parts) for base, parts in zip(self._utility[outcome], items))
-        self._payoffs[key] = row
-        return row
 
     def _realizations(self, agent, profile) -> tuple:
         """(W, [(weight numerator over W, packed opponents' codes), ...]) over
@@ -184,8 +170,12 @@ class BayesianGame:
         return common, [(num * (common // den), key) for num, den, key in combos]
 
     def _values(self, i, realizations, codes) -> list:
-        """Expected payoff numerators over W * G of agent i's `codes`."""
-        cache = self._payoffs
+        """Expected payoff numerators over W * G of agent i's `codes`: the sum
+        of w (U_i[outcome] + (G / D) T_i) over the transcript table."""
+        table = self._kernel.table
+        payoff = self._kernel.payoff
+        utility = self._utility[i]
+        factor = self._factor
         shift = KEY_BITS * i
         values = []
         for code in codes:
@@ -193,10 +183,8 @@ class BayesianGame:
             total = 0
             for weight, others in realizations:
                 key = others | mine
-                row = cache.get(key)
-                if row is None:
-                    row = self._payoff_row(key)
-                total += weight * row[i]
+                outcome, totals, _ = table.get(key) or payoff(key)
+                total += weight * (utility[outcome] + factor * totals[i])
             values.append(total)
         return values
 
@@ -275,7 +263,7 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
                 )
                 witness = (agent, coll, best_msg, slack)
 
-    weighted = []  # (outcome, unreduced weight numerator and denominator) on path
+    weighted = []  # (outcome code, unreduced weight numerator and denominator) on path
     extremes = [[0] * len(TRANSFER_KEYS) for _ in agents]
     type_lists = [
         [(coll, game.type_prob(a, coll)) for coll in game.types[a]] for a in agents
@@ -293,7 +281,10 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
                 den *= w.denominator
             if num == 0:
                 continue
-            out, items = kernel.evaluate([code for code, _, _ in message_combo])
+            key = 0
+            for i, (code, _, _) in enumerate(message_combo):
+                key |= code << (KEY_BITS * i)
+            out, _, items = kernel.payoff(key)
             weighted.append((out, num, den))
             for top, row in zip(extremes, items):
                 top[:] = [max(t, abs(v)) for t, v in zip(top, row)]
@@ -308,7 +299,9 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
         is_bne=witness is None,
         slacks=slacks,
         witness=witness,
-        on_path_outcomes={out: Fraction(total, common) for out, total in outcome_dist.items()},
+        on_path_outcomes={
+            game.scenario.outcomes[out]: Fraction(total, common) for out, total in outcome_dist.items()
+        },
         transfer_extremes={
             agent: {key: Fraction(v, kernel.D) if v else _ZERO for key, v in zip(TRANSFER_KEYS, top)}
             for agent, top in zip(agents, extremes)
@@ -612,12 +605,11 @@ def _deviation_audit(name, ok, cases, **extra) -> AuditResult:
     return AuditResult(name, ok, details["checked"] == 0, details)
 
 
-def _scoring_cases(scenario, mech, profile_idx):
+def _scoring_cases(scenario, mech, games):
     """Maximal evidence by the subject forces truthful predictions (score gap):
     against truthful play, predicting the right neighbour truthfully beats
     every wrong prediction."""
-    for state in scenario.states:
-        game = BayesianGame(scenario, mech, state, profile_idx)
+    for state, game in games.items():
         truthful = truthful_profile(game)
         for predictor in scenario.agents:
             subject = scenario.right_neighbor(predictor)
@@ -628,13 +620,12 @@ def _scoring_cases(scenario, mech, profile_idx):
                     yield game, predictor, truthful, truth, deviant, (state, predictor, repr(wrong))
 
 
-def _crosscheck_cases(scenario, mech, profile_idx):
+def _crosscheck_cases(scenario, mech, games):
     """A self-report contradicting the left neighbour is corrected (crosscheck
     fine): against truthful play, the truthful self-report beats a wrong one.
     The deviator's own strategy does not enter its payoff, so the others'
     truthful play is the whole profile."""
-    for state in scenario.states:
-        game = BayesianGame(scenario, mech, state, profile_idx)
+    for state, game in games.items():
         truthful = truthful_profile(game)
         for agent in scenario.agents:
             alphabet = [d for d in scenario.alphabet(agent) if d != scenario.dist(agent, state)]
@@ -654,20 +645,20 @@ def _refutable_pairs(scenario):
                 yield state, lie, cls
 
 
-def _refutation_cases(scenario, mech, profile_idx):
+def _refutation_cases(scenario, mech, games):
     """Consensus on a refutable lie is broken by truthfully reporting the refuter."""
     for state, lie, cls in _refutable_pairs(scenario):
         refuter = cls.refuters[0]
         deviator = scenario.left_neighbor(refuter)
         if deviator == refuter:
             continue
-        game = BayesianGame(scenario, mech, state, profile_idx)
+        game = games[state]
         base = functools.partial(mech.truthful_message, deviator, lie)
         honest = lambda coll, base=base, p=scenario.dist(refuter, state): replace(base(coll), p_right=p)
         yield game, deviator, _reported_profile(game, lie), honest, base, (state, lie, deviator)
 
 
-def _whistle_cases(scenario, mech, profile_idx):
+def _whistle_cases(scenario, mech, games):
     """Consensus on a nonrefutable lie with a different outcome invites a bet."""
     for state in scenario.states:
         for lie in scenario.states:
@@ -679,20 +670,19 @@ def _whistle_cases(scenario, mech, profile_idx):
             if whistle is None:
                 continue
             claim, subject = whistle
-            game = BayesianGame(scenario, mech, state, profile_idx)
+            game = games[state]
             deviator = next(a for a in scenario.agents if a != subject)
             base = functools.partial(mech.truthful_message, deviator, lie)
             blow = lambda coll, base=base, claim=claim: replace(base(coll), claim=claim)
             yield game, deviator, _reported_profile(game, lie), blow, base, (state, lie, deviator)
 
 
-def _audit_zero_on_truth(scenario, mech, profile_idx):
+def _audit_zero_on_truth(scenario, mech, games):
     """Truthful maximal-evidence play: equilibrium, correct outcome, no transfers,
     and every bet against the truth strictly loses."""
     details = {"states": {}, "losing_bets_checked": 0, "failures": []}
     ok = True
-    for state in scenario.states:
-        game = BayesianGame(scenario, mech, state, profile_idx)
+    for state, game in games.items():
         profile = truthful_profile(game)
         report = verify_bne(game, profile)
         good = (
@@ -735,25 +725,29 @@ class AuditSuite:
 
 
 def claim_audits(scenario: Scenario, mech: Mechanism, profile_indices=None) -> AuditSuite:
-    """Replay the implementation proof's deviation arguments on a built mechanism."""
+    """Replay the implementation proof's deviation arguments on a built mechanism.
+
+    Each (state, utility profile) game is built once and read by all five
+    audits."""
     if profile_indices is None:
         profile_indices = list(range(len(scenario.utility_profiles)))
-    slacks = mech.scaling.slacks()
-    refutation = slacks.get("refutation")  # None when no lie is refutable
+    failed = mech.scaling.failed_slacks()
     deviation_audits = (
-        ("scoring_dominance", _scoring_cases, slacks.get("score_gap", _ONE) > 0, {}),
-        ("crosscheck_consistency", _crosscheck_cases, slacks["eps_dominance"] > 0, {}),
+        ("scoring_dominance", _scoring_cases, "score_gap" not in failed, {}),
+        ("crosscheck_consistency", _crosscheck_cases, "eps_dominance" not in failed, {}),
         (
             "refutation_escape",
             _refutation_cases,
-            refutation is None or refutation >= 0,
-            {"refutation_slack": refutation},
+            "refutation" not in failed,
+            # None when no lie is refutable
+            {"refutation_slack": mech.scaling.slacks().get("refutation")},
         ),
         ("whistle_profit", _whistle_cases, True, {}),
     )
     results = []
     for idx in profile_indices:
+        games = {state: BayesianGame(scenario, mech, state, idx) for state in scenario.states}
         for name, cases, ok, extra in deviation_audits:
-            results.append(_deviation_audit(name, ok, cases(scenario, mech, idx), **extra))
-        results.append(_audit_zero_on_truth(scenario, mech, idx))
+            results.append(_deviation_audit(name, ok, cases(scenario, mech, games), **extra))
+        results.append(_audit_zero_on_truth(scenario, mech, games))
     return AuditSuite(results, list(profile_indices))

@@ -43,6 +43,16 @@ class DegenerateGap(ValueError):
     """Identical distribution profiles with distinct outcomes (SM failure)."""
 
 
+class SlackViolation(ValueError):
+    """Scaling parameters under which a proof inequality fails: `slacks` maps
+    each failing slack's name to its value."""
+
+    def __init__(self, slacks: dict):
+        failing = ", ".join(f"{name} = {value}" for name, value in slacks.items())
+        super().__init__(f"scaling slacks fail their tests: {failing}")
+        self.slacks = slacks
+
+
 class MessageOutsideSpace(ScenarioError):
     """A message outside a mechanism's finite message space: a distribution
     outside the alphabet, a state not declared, or evidence the agent cannot
@@ -112,6 +122,15 @@ class ScalingParams:
         out["eps_dominance"] = (self.tau_low - 1) - self.eps * (self.collection_max + self.bet_max)
         out["one_dollar"] = 1 - self.span - self.eps * (self.collection_max + 2 * self.bet_max)
         return out
+
+    def failed_slacks(self) -> dict:
+        """The slacks that fail their test: the refutation slack may be zero
+        (the fine exactly covers the loss), every other must be positive."""
+        return {
+            name: value
+            for name, value in self.slacks().items()
+            if value < 0 or (value == 0 and name != "refutation")
+        }
 
 
 @dataclass(frozen=True)
@@ -194,15 +213,30 @@ def _lowest_state(mask: int) -> int:
 class KernelBase:
     """Shared interface of compiled mechanisms.
 
-    A subclass compiles its finite message space once, in `__init__`, and
-    provides `agents`, the common denominator `D` fixed there, a `_menus` dict
-    and three methods: `_menu(i, endowment)` enumerates agent i's messages for
-    an endowment; `code(i, message)` looks up one of agent i's messages as a
-    small int and raises `MessageOutsideSpace` for a message outside the
-    space; `evaluate(codes)` takes one code per agent, in agent order, and
-    returns the outcome and, per agent, the five `TRANSFER_KEYS` components as
-    integer numerators over `D`.
+    A subclass compiles its finite message space once, in `__init__`, where
+    it calls `KernelBase.__init__` with its scenario and fixes the common
+    denominator `D`, and
+    provides three methods: `_menu(i, endowment)` enumerates agent i's
+    messages for an endowment; `code(i, message)` looks up one of agent i's
+    messages as a small int and raises `MessageOutsideSpace` for a message
+    outside the space; `evaluate(codes)` takes one code per agent, in agent
+    order, and returns the outcome and, per agent, the five `TRANSFER_KEYS`
+    components as integer numerators over `D`.
+
+    `evaluate` reads neither a state nor utilities, so its results are kept
+    in one transcript table, `table`, shared by every game of the mechanism:
+    `payoff(key)` evaluates each packed transcript once.
     """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.agents = scenario.agents
+        self._menus = {}
+        self._outcome_codes = {outcome: k for k, outcome in enumerate(scenario.outcomes)}
+        # packed transcript -> (the outcome's position in scenario.outcomes,
+        # per-agent transfer totals, per-agent components), every transfer a
+        # numerator over D
+        self.table = {}
 
     def actions(self, i: int, endowment) -> tuple:
         """(messages, their codes): agent i's action menu for an endowment,
@@ -216,15 +250,31 @@ class KernelBase:
     def encode(self, transcript: dict) -> tuple:
         return tuple(self.code(i, transcript[agent]) for i, agent in enumerate(self.agents))
 
+    def key(self, transcript: dict) -> int:
+        """The transcript's codes packed into one int, `KEY_BITS` per agent."""
+        key = 0
+        for i, code in enumerate(self.encode(transcript)):
+            key |= code << (KEY_BITS * i)
+        return key
+
+    def payoff(self, key: int) -> tuple:
+        """The `table` entry of a packed transcript, evaluated on first use."""
+        entry = self.table.get(key)
+        if entry is None:
+            mask = (1 << KEY_BITS) - 1
+            outcome, items = self.evaluate([key >> (KEY_BITS * i) & mask for i in range(len(self.agents))])
+            entry = self.table[key] = (self._outcome_codes[outcome], tuple(map(sum, items)), tuple(items))
+        return entry
+
     def itemized(self, transcript: dict):
         """(outcome, agent -> itemized exact transfers with their total)."""
-        outcome, items = self.evaluate(self.encode(transcript))
+        outcome_code, totals, items = self.payoff(self.key(transcript))
         table = {}
-        for agent, row in zip(self.agents, items):
+        for agent, total, row in zip(self.agents, totals, items):
             entry = {key: Fraction(value, self.D) for key, value in zip(TRANSFER_KEYS, row)}
-            entry["total"] = Fraction(sum(row), self.D)
+            entry["total"] = Fraction(total, self.D)
             table[agent] = entry
-        return outcome, table
+        return self.scenario.outcomes[outcome_code], table
 
 
 class Kernel(KernelBase):
@@ -255,8 +305,7 @@ class Kernel(KernelBase):
 
     def __init__(self, mech: "Mechanism"):
         scn = mech.scenario
-        self.scenario = scn
-        self.agents = scn.agents
+        super().__init__(scn)
         index = {agent: i for i, agent in enumerate(scn.agents)}
         self.right = [index[scn.right_neighbor(agent)] for agent in scn.agents]
         self.left = [index[scn.left_neighbor(agent)] for agent in scn.agents]
@@ -265,7 +314,6 @@ class Kernel(KernelBase):
         self.arbitrary_outcome = mech.arbitrary_outcome
         self._all_states = (1 << len(scn.states)) - 1
         self._claim_menu = mech.claims()
-        self._menus = {}
         self._message_codes = [{} for _ in scn.agents]
         self._records = [[] for _ in scn.agents]
 
@@ -414,8 +462,7 @@ def consistency(mech: Mechanism, transcript: dict) -> str | None:
 
 
 def outcome(mech: Mechanism, transcript: dict) -> str:
-    kernel = mech.kernel()
-    return kernel.evaluate(kernel.encode(transcript))[0]
+    return mech.kernel().itemized(transcript)[0]
 
 
 def _quadratic_score(report: Distribution, evidence) -> Fraction:
@@ -584,13 +631,23 @@ def build_bne_mechanism(scenario: Scenario) -> Mechanism:
     return assemble_bne_mechanism(scenario)
 
 
+def _checked_scaling(scenario: Scenario, bet_values) -> ScalingParams:
+    """`compute_scaling`, refused with `SlackViolation` when a slack fails."""
+    scaling = compute_scaling(scenario, bet_values)
+    failed = scaling.failed_slacks()
+    if failed:
+        raise SlackViolation(failed)
+    return scaling
+
+
 def assemble_bne_mechanism(scenario: Scenario) -> Mechanism:
-    """Mechanism assembly without the NPD gate (negative controls, audits)."""
+    """Mechanism assembly without the NPD gate (negative controls, audits);
+    a failing scaling slack still raises `SlackViolation`."""
     bets, values = _synthesize_bet_table(scenario)
     return Mechanism(
         variant="bne",
         scenario=scenario,
-        scaling=compute_scaling(scenario, values),
+        scaling=_checked_scaling(scenario, values),
         bets=bets,
         z_count=0,
         arbitrary_outcome=scenario.outcomes[0],
@@ -658,7 +715,7 @@ def assemble_pure_mechanism(scenario: Scenario, z_cap: int = Z_CAP) -> Mechanism
     return Mechanism(
         variant="pure",
         scenario=scenario,
-        scaling=compute_scaling(scenario, values),
+        scaling=_checked_scaling(scenario, values),
         bets=bets,
         z_count=z,
         arbitrary_outcome=scenario.outcomes[0],

@@ -420,6 +420,9 @@ def test_a_leaf_accepts_exactly_the_flags_it_reads(leaf, flag):
     report = json.loads(out)
     assert report["exit_code"] == code
     assert report["config"][_dest(flag)] == FLAG_VALUES[flag]
+    # only the full spelling
+    code, out, err = _in_process([*_leaf_argv(leaf), flag[:-1], str(FLAG_VALUES[flag])])
+    assert (code, out) == (2, b"")
 
 
 @pytest.mark.parametrize("leaf", LEAVES, ids=_leaf_id)
@@ -429,6 +432,7 @@ def test_config_echoes_the_format_the_choice_and_the_flags_the_leaf_reads(leaf):
     expected = {"format"} | {_dest(flag) for flag in LEAF_READS[leaf][1]}
     assert set(report["config"]) == (expected if choice is None else expected | {CHOICE_DESTS[command]})
     assert report["exit_code"] == code
+    assert _in_process([*_leaf_argv(leaf), "--forma", "machine"])[:2] == (2, b"")
 
 
 @pytest.mark.parametrize("leaf", LEAVES, ids=_leaf_id)
@@ -444,6 +448,52 @@ def test_each_handler_reads_exactly_the_flags_of_its_leaf(leaf):
     cli.COMMANDS[leaf[0]][0](Recording(**vars(args)), json.loads(Path(args.path).read_text()))
     read = {name for name in read if not name.startswith("_")} - set(CHOICE_DESTS.values())
     assert read == {_dest(flag) for flag in LEAF_READS[leaf][1]}
+
+
+@pytest.mark.parametrize(
+    "abbreviated, full",
+    [(("--budget", "5"), ("--budget-z", "5")), (("--form", "machine"), ("--format", "machine"))],
+    ids=["--budget", "--form"],
+)
+def test_abbreviated_flags_exit_2_and_full_spellings_parse(abbreviated, full):
+    argv = ["build", "pure", str(DATA / "leading.json")]
+    code, out, err = _in_process([*argv, *abbreviated])
+    assert (code, out) == (2, b"")
+    assert f"unrecognized arguments: {' '.join(abbreviated)}".encode() in err
+    code, out, err = _in_process([*argv, *full])
+    assert code in (0, 3) and out and err == b""
+    # the root parser's own flag too
+    assert _in_process(["--hel"])[:2] == (2, b"")
+
+
+# -- utilities as wide as validation accepts ---------------------------------------
+
+# fixtures with one more utility profile, 99/100 for the first outcome and
+# -99/100 for the other, at every state
+WIDE = ("perturbed_wide.json", "appended_article_wide.json", "micro_wide.json")
+
+
+@pytest.mark.parametrize("command", [("build", "bne"), ("build", "pure"), ("audit", "claims"), ("audit", "search")], ids=" ".join)
+@pytest.mark.parametrize("document", WIDE)
+def test_wide_utilities_refuse_or_build_a_mechanism_whose_truthful_play_verifies(document, command):
+    code, report = machine(*command, str(DATA / document))
+    payload = report["payload"]
+    if code == 3:
+        # refused before anything is built or audited, naming why
+        assert payload["refused"] in ("slack", "z-overflow"), payload
+        if payload["refused"] == "slack":
+            assert payload["slacks"] and all(Fraction(v) <= 0 for v in payload["slacks"].values())
+        return
+    assert code == 0 and report["exit_code"] == 0
+    if command[0] == "audit":
+        assert payload.get("passed", payload.get("clean")) is True
+        return
+    scn = evimech.parse_scenario(json.loads((DATA / document).read_text()))
+    mech = (evimech.build_bne_mechanism if command[1] == "bne" else evimech.build_pure_mechanism)(scn)
+    for idx in range(len(scn.utility_profiles)):
+        for state in scn.states:
+            g = evimech.BayesianGame(scn, mech, state, idx)
+            assert evimech.verify_bne(g, evimech.truthful_profile(g)).is_bne, (state, idx)
 
 
 # -- golden reports ---------------------------------------------------------------

@@ -153,3 +153,92 @@ def test_differential_corpus_is_not_vacuous():
     built = [name for name, scn in SCENARIOS if check_npd(scn).passed]
     assert len(built) >= 6
     assert any(len(scn.agents) == 3 for _, scn in SCENARIOS)
+
+
+# -- one transcript table per mechanism -------------------------------------------
+
+SHARED_BUDGET = game.SearchBudget(pure_cap=600, plan_cap=16, seeds=(0,), max_rounds=4)
+SHARED = ("micro", "perturbed", "appended_article", "seed 0")
+
+
+def _game_reports(module, g, profiles):
+    """Every verify_bne report of `profiles` and the search of game `g`."""
+    return (
+        [report_fields(module.verify_bne(g, profile)) for profile in profiles],
+        _search_fields(*module.search_equilibria(g, SHARED_BUDGET, seed=1)),
+    )
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_one_mechanism_shared_by_every_game_matches_reference_in_either_order(name):
+    # one table filled by every game and the audits, in two visiting orders:
+    # the audits after the games in state order, then before them in reverse
+    scn = dict(SCENARIOS)[name]
+    mech = mechanism.assemble_bne_mechanism(scn)
+    slots = [(state, idx) for idx in range(len(scn.utility_profiles)) for state in scn.states]
+    expected = {}
+    for state, idx in slots:
+        g = game.BayesianGame(scn, mech, state, idx)
+        profiles = _profiles(g, random.Random(f"{name} {state} {idx}"))
+        expected[(state, idx)] = profiles, _game_reports(ref, ref.BayesianGame(scn, mech, state, idx), profiles)
+    audits = _suite_fields(ref.claim_audits(scn, mech))
+    assert mech.kernel().table == {}  # the reference reads no kernel
+
+    for order in (slots, slots[::-1]):
+        shared = mechanism.assemble_bne_mechanism(scn)
+        if order is not slots:
+            assert _suite_fields(game.claim_audits(scn, shared)) == audits
+        for slot in order:
+            profiles, reports = expected[slot]
+            assert _game_reports(game, game.BayesianGame(scn, shared, *slot), profiles) == reports, slot
+        if order is slots:
+            assert _suite_fields(game.claim_audits(scn, shared)) == audits
+        assert shared.kernel().table
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["bne", "direct"])
+def test_every_transcript_of_a_mechanism_is_evaluated_once(monkeypatch, direct):
+    scn = fixtures.perturbed_example()
+    mech = game.DirectMechanism(scn) if direct else mechanism.build_bne_mechanism(scn)
+    kernel_class = type(mech.kernel())
+    evaluated = []
+    real_evaluate = kernel_class.evaluate
+
+    def counting_evaluate(self, codes):
+        evaluated.append(tuple(codes))
+        return real_evaluate(self, codes)
+
+    monkeypatch.setattr(kernel_class, "evaluate", counting_evaluate)
+    for _ in range(2):
+        for idx in range(len(scn.utility_profiles)):
+            for state in scn.states:
+                g = game.BayesianGame(scn, mech, state, idx)
+                game.verify_bne(g, game.truthful_profile(g))
+                game.search_equilibria(g, SHARED_BUDGET)
+        if not direct:
+            game.claim_audits(scn, mech)
+    assert len(evaluated) == len(set(evaluated)) == len(mech.kernel().table) > 0
+
+
+def test_a_rescaled_copy_gets_a_fresh_table():
+    scn = fixtures.perturbed_example()
+    mech = mechanism.build_bne_mechanism(scn)
+    for state in scn.states:
+        g = game.BayesianGame(scn, mech, state, 0)
+        game.verify_bne(g, game.truthful_profile(g))
+    game.claim_audits(scn, mech)
+    filled = dict(mech.kernel().table)
+    # a lowered refutation fine and a raised eps change transfers the
+    # original's table already holds
+    lowered = mech.with_scaling(tau_high=Fraction(0), eps=mech.scaling.eps * 100)
+    assert lowered.kernel() is not mech.kernel() and lowered.kernel().table == {}
+    assert _suite_fields(game.claim_audits(scn, lowered)) == _suite_fields(ref.claim_audits(scn, lowered))
+    for idx in range(len(scn.utility_profiles)):
+        for state in scn.states:
+            new = game.BayesianGame(scn, lowered, state, idx)
+            old = ref.BayesianGame(scn, lowered, state, idx)
+            profile = game.truthful_profile(new)
+            assert report_fields(game.verify_bne(new, profile)) == report_fields(ref.verify_bne(old, profile))
+    shared = filled.keys() & lowered.kernel().table.keys()
+    assert shared and any(filled[key] != lowered.kernel().table[key] for key in shared)
+    assert mech.kernel().table.items() >= filled.items()

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from evimech.mechanism import (
     MessageOutsideSpace,
     NpdViolation,
     NppdViolation,
+    SlackViolation,
     ZOverflow,
     assemble_bne_mechanism,
     build_bne_mechanism,
@@ -24,7 +27,7 @@ from evimech.mechanism import (
     pure_profile_count,
     transfers,
 )
-from evimech.scenario import Distribution, ScenarioError
+from evimech.scenario import Distribution, ScenarioError, parse_scenario
 
 F = Fraction
 RICH = frozenset({"h", "mh", "lmh"})
@@ -112,6 +115,39 @@ def test_scaling_values(perturbed_mech, leading_mech):
         assert slacks["refutation"] >= 0
         assert slacks["eps_dominance"] > 0
         assert slacks["one_dollar"] > 0
+
+
+# fixtures with one more utility profile, of span 99/50 (99/100 for the first
+# outcome, -99/100 for the other): the one-dollar slack of each bne build
+WIDE_ONE_DOLLAR = {"perturbed_wide": F(-549, 50), "appended_article_wide": F(-247, 150), "micro_wide": F(-173, 100)}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_ONE_DOLLAR))
+def test_builders_refuse_a_scaling_whose_slack_fails(name):
+    scn = parse_scenario(json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text()))
+    assert scn.utility_span() == F(99, 50)
+    with pytest.raises(SlackViolation, match="one_dollar") as raised:
+        build_bne_mechanism(scn)
+    assert raised.value.slacks == {"one_dollar": WIDE_ONE_DOLLAR[name]}
+    # the pure build refuses too: on its own slack, or first on its z cap
+    with pytest.raises((SlackViolation, ZOverflow)):
+        build_pure_mechanism(scn)
+
+
+def test_failed_slacks_apply_the_tests_of_the_audits(perturbed_mech):
+    scaling = perturbed_mech.scaling
+    assert scaling.failed_slacks() == {}
+    # a refutation fine that exactly covers the loss passes; a zero slack
+    # elsewhere fails, as does a negative one
+    tight = dataclasses.replace(scaling, tau_high=(1 + scaling.tau2_max) / scaling.rho_min)
+    assert tight.slacks()["refutation"] == 0 and tight.failed_slacks() == {}
+    even = dataclasses.replace(scaling, span=1 - scaling.eps * (scaling.collection_max + 2 * scaling.bet_max))
+    assert even.failed_slacks() == {"one_dollar": 0}
+    lowered = dataclasses.replace(scaling, tau_high=F(0), tau_low=F(1))
+    assert set(lowered.failed_slacks()) == {"refutation", "score_gap", "eps_dominance"}
+    suite = claim_audits(perturbed_mech.scenario, dataclasses.replace(perturbed_mech, scaling=lowered), [0])
+    passed = {r.name: r.passed for r in suite.results}
+    assert not (passed["scoring_dominance"] or passed["crosscheck_consistency"] or passed["refutation_escape"])
 
 
 def test_single_state_scaling_defaults():
