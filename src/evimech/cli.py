@@ -6,15 +6,15 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import conditions, game, hierarchy, mechanism, reporting, smalltransfers
 from .deception import PurePlan, induced_distribution
 from .rationals import RationalFormatError, parse_rational
 from .scenario import (
-    ScenarioFormatError,
     Scenario,
+    ScenarioFormatError,
+    contested_lies,
     format_collection,
     parse_scenario,
     validate_scenario,
@@ -87,16 +87,6 @@ def _eic_failures_payload(verdict):
     ]
 
 
-def _pair_analysis(scn):
-    rows = []
-    for s in scn.states:
-        for s_prime in scn.states:
-            if s == s_prime or scn.scf[s] == scn.scf[s_prime]:
-                continue
-            rows.append(conditions.pair_blocking_report(scn, s, s_prime))
-    return rows
-
-
 # -- input handling ---------------------------------------------------------------
 
 
@@ -156,6 +146,14 @@ def _built(scn, variant="bne", z_cap=None):
         raise _Abort(EXIT_FAIL, {"refused": "slack", "slacks": exc.slacks})
 
 
+def _budget(args, flag):
+    """The value of a budget flag; exit 2 when it is negative."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value < 0:
+        raise _Abort(EXIT_INVALID, {"error": f"{flag[2:]} must be non-negative"})
+    return value
+
+
 def _parse_eps(text):
     try:
         eps = parse_rational(text)
@@ -191,7 +189,9 @@ def cmd_check(args, data):
         verdict = checker(scn)
         payload = {"verdict": _verdict_payload(verdict)}
         if which == "npd":
-            payload["pair_analysis"] = _pair_analysis(scn)
+            payload["pair_analysis"] = [
+                conditions.pair_blocking_report(scn, s, s_prime) for s, s_prime, _ in contested_lies(scn, None)
+            ]
         return (EXIT_OK if verdict.passed else EXIT_FAIL), payload
     model, source = _load_model(data)
     if which == "hom":
@@ -213,8 +213,9 @@ def cmd_check(args, data):
 
 def cmd_build(args, data):
     if args.variant in ("bne", "pure"):
-        z_cap = args.budget_z if args.variant == "pure" else None
-        mech = _built(_load_scenario(data), args.variant, z_cap)
+        scn = _load_scenario(data)
+        z_cap = _budget(args, "--budget-z") if args.variant == "pure" else None
+        mech = _built(scn, args.variant, z_cap)
         return EXIT_OK, {"mechanism": mechanism.mechanism_report(mech)}
     model, source = _load_model(data)
     eps = _parse_eps(args.eps)
@@ -234,12 +235,7 @@ def cmd_build(args, data):
         "first_deviant_fine": mech.first_deviant_fine,
         "mismatch_fine": mech.mismatch_fine,
         "transfer_bound": mech.transfer_bound(),
-        "chain_slack": {
-            "fine_over_stake": mech.first_deviant_fine - Fraction(1, mech.rounds),
-            "budget_over_fines": (mech.min_beta_bar or Fraction(0))
-            - mech.first_deviant_fine
-            - mech.rounds * mech.mismatch_fine,
-        },
+        "chain_slack": mech.chain_slack(),
     }
     return EXIT_OK, {"mechanism": payload}
 
@@ -291,20 +287,15 @@ def _audit_closure(args, data):
 
 def _audit_search(args, data):
     scn = _load_scenario(data)
+    budget = game.SearchBudget(pure_cap=_budget(args, "--budget-pure"), plan_cap=_budget(args, "--budget-plan"))
     mech = _built(scn)
-    budget = game.SearchBudget(pure_cap=args.budget_pure, plan_cap=args.budget_plan)
     clean = True
     rows = []
     for profile_idx in range(len(scn.utility_profiles)):
         for state in scn.states:
             g = game.BayesianGame(scn, mech, state, profile_idx)
             results, flags = game.search_equilibria(g, budget, seed=args.seed)
-            bad = [
-                item
-                for item in results
-                if item["report"].on_path_outcomes != {scn.scf[state]: Fraction(1)}
-                or not item["report"].transfers_zero
-            ]
+            bad = [item for item in results if not item["report"].implements(scn.scf[state])]
             clean = clean and not bad
             rows.append(
                 {

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deception import find_perfect_deception, find_pure_perfect_deception, perfect_deception
-from .scenario import Scenario, classify_lie
+from .scenario import Scenario, classify_lie, contested_lies
 
 
 @dataclass
@@ -40,24 +40,17 @@ def check_stochastic_measurability(scenario: Scenario) -> Verdict:
 
 def _deception_condition(scenario: Scenario, finder, condition_name) -> Verdict:
     verdict = Verdict(condition_name, True)
-    for s in scenario.states:
-        for s_prime in scenario.states:
-            if s == s_prime or scenario.scf[s] == scenario.scf[s_prime]:
-                continue
-            if classify_lie(scenario, s, s_prime).verdict != "nonrefutable":
-                continue
-            certificates = {}
-            for agent in scenario.agents:
-                plan = finder(scenario, agent, s, s_prime)
-                if plan is None:
-                    certificates = None
-                    break
-                certificates[agent] = plan
-            if certificates is not None:
-                verdict.passed = False
-                verdict.failures.append(
-                    PairFailure(s, s_prime, certificates, "outcome differs across a deceivable pair")
-                )
+    for s, s_prime, _ in contested_lies(scenario):
+        certificates = {}
+        for agent in scenario.agents:
+            plan = finder(scenario, agent, s, s_prime)
+            if plan is None:
+                certificates = None
+                break
+            certificates[agent] = plan
+        if certificates is not None:
+            verdict.passed = False
+            verdict.failures.append(PairFailure(s, s_prime, certificates, "outcome differs across a deceivable pair"))
     return verdict
 
 

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import mechanism as mech_mod
-from .deception import TransportPlan, induced_distribution, perfect_deception
+from .deception import PurePlan, induced_distribution, perfect_deception
 from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space
-from .scenario import Scenario, classify_lie, collection_key, consensus_else_first, subsets
+from .rationals import over_lcm
+from .scenario import Scenario, collection_key, consensus_else_first, contested_lies, format_collection, subsets
 
 
 _ZERO = Fraction(0)
@@ -22,6 +23,11 @@ _ONE = Fraction(1)
 
 class NotPerfect(ValueError):
     """Closure audit asked to compose a plan profile that is not perfect."""
+
+
+class InvalidProfile(ValueError):
+    """A profile that is not a strategy profile: some type plays a message off
+    its own menu, a non-positive weight, or weights that do not sum to 1."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,7 @@ class BayesianGame:
     actions: dict = field(init=False)
     _kernel: object = field(init=False, repr=False, compare=False)
     _codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> action codes
+    _menus: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> set of action codes
     _probs: dict = field(init=False, repr=False, compare=False)  # (agent, type) -> prob
     _G: int = field(init=False, repr=False, compare=False)
     _factor: int = field(init=False, repr=False, compare=False)  # G // D
@@ -114,9 +121,12 @@ class BayesianGame:
         self.actions = {}
         for i, agent in enumerate(scn.agents):
             for coll in self.types[agent]:
-                self.actions[(agent, coll)], self._codes[(agent, coll)] = self._kernel.actions(i, coll)
+                slot = (agent, coll)
+                self.actions[slot], self._codes[slot], self._menus[slot] = self._kernel.actions(i, coll)
         profile = scn.utility_profiles[self.profile_idx]
-        # by outcome code: every agent's utility, or None when one is missing
+        # by outcome code: every agent's utility, or None when one is missing.
+        # Not `over_lcm`: this runs once per game, on the verification hot
+        # path, and filling the per-agent rows in the same pass is cheaper.
         rows = [[profile[agent].get((outcome, self.state)) for agent in scn.agents] for outcome in scn.outcomes]
         rows = [None if None in row else row for row in rows]
         G = self._kernel.D
@@ -137,9 +147,10 @@ class BayesianGame:
         """(outcome, itemized transfers) for a message profile."""
         return self._kernel.itemized(transcript)
 
-    def _realizations(self, agent, profile) -> tuple:
+    def _realizations(self, agent, play) -> tuple:
         """(W, [(weight numerator over W, packed opponents' codes), ...]) over
-        the opponents' types and mixed messages, zero weights left out."""
+        the opponents' types and mixed messages of a coded play (`_coded_play`);
+        with `agent` None, over every agent's: the distribution of joint play."""
         options = []
         for i, other in enumerate(self.scenario.agents):
             if other == agent:
@@ -147,11 +158,10 @@ class BayesianGame:
             shift = KEY_BITS * i
             rows = []
             for coll in self.types[other]:
-                prob = self.type_prob(other, coll)
-                for msg, weight in profile[other][coll].items():
-                    code = self._kernel.code(i, msg) << shift
-                    num = prob.numerator * weight.numerator
-                    rows.append((num, prob.denominator * weight.denominator, code))
+                prob = self._probs[(other, coll)]
+                scale, codes, weights = play[(other, coll)]
+                for code, weight in zip(codes, weights):
+                    rows.append((prob.numerator * weight, prob.denominator * scale, code << shift))
             options.append(rows)
         # products of unreduced numerators and denominators: W need only be
         # a common denominator, the caller's Fraction reduces the result
@@ -164,9 +174,8 @@ class BayesianGame:
                 num *= part_num
                 den *= part_den
                 key |= code
-            if num != 0:
-                combos.append((num, den, key))
-                common = math.lcm(common, den)
+            combos.append((num, den, key))
+            common = math.lcm(common, den)
         return common, [(num * (common // den), key) for num, den, key in combos]
 
     def _values(self, i, realizations, codes) -> list:
@@ -202,10 +211,35 @@ def _reported_profile(game: BayesianGame, state) -> dict:
     }
 
 
+def _coded_play(game: BayesianGame, profile) -> dict:
+    """(agent, type) -> (L, codes, numerators): a strategy profile's messages
+    as codes, their weights as numerators over the lcm L of the type's
+    weights; `InvalidProfile` unless every type plays only messages of its
+    own menu, with positive weights that sum to 1."""
+    play = {}
+    for i, agent in enumerate(game.scenario.agents):
+        plays = profile.get(agent, {})
+        for coll in game.types[agent]:
+            mixture = plays.get(coll, {})
+            codes = [game._kernel.code(i, msg) for msg in mixture]
+            weights, scale = over_lcm(mixture.values())
+            menu = game._menus[(agent, coll)]
+            if sum(weights) != scale or min(weights) <= 0 or not menu.issuperset(codes):
+                problems = [
+                    f"plays {msg!r}, which is not on its menu" for msg, c in zip(mixture, codes) if c not in menu
+                ]
+                problems += [f"plays {msg!r} with weight {w}" for msg, w in mixture.items() if w <= 0]
+                problems.append(f"has weights summing to {sum(mixture.values())}, not 1")
+                raise InvalidProfile(f"type {format_collection(coll)} of {agent} {problems[0]}")
+            play[(agent, coll)] = (scale, codes, weights)
+    return play
+
+
 def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> Fraction:
-    """Exact interim expected utility of a pure message for one type."""
+    """Exact interim expected utility of a pure message for one type against
+    a strategy profile (`InvalidProfile` otherwise)."""
     i = game.scenario.agents.index(agent)
-    W, realizations = game._realizations(agent, profile)
+    W, realizations = game._realizations(agent, _coded_play(game, profile))
     (value,) = game._values(i, realizations, (game._kernel.code(i, message),))
     return Fraction(value, W * game._G)
 
@@ -220,88 +254,56 @@ class EquilibriumReport:
     transfers_zero: bool
     stamp: str = "EXHAUSTIVE"
 
+    def implements(self, outcome) -> bool:
+        """A clean equilibrium: best responses everywhere, `outcome` with
+        probability 1 on path, and no transfer ever paid there."""
+        return self.is_bne and self.transfers_zero and self.on_path_outcomes == {outcome: _ONE}
+
 
 def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
-    """Exhaustive exact best-response check for every positive-probability type.
+    """Exhaustive exact best-response check for every positive-probability
+    type of a strategy profile (`InvalidProfile` otherwise).
 
     Each agent's opponent realizations are listed once; every candidate
     message of every type is then valued in integers over one denominator.
     """
     kernel = game._kernel
     agents = game.scenario.agents
-    coded = {
-        (agent, coll): [(kernel.code(i, msg), msg, w) for msg, w in profile[agent][coll].items()]
-        for i, agent in enumerate(agents)
-        for coll in game.types[agent]
-    }
+    play = _coded_play(game, profile)
     witness = None
     slacks = {}
     for i, agent in enumerate(agents):
-        W, realizations = game._realizations(agent, profile)
+        W, realizations = game._realizations(agent, play)
         for coll in game.types[agent]:
-            mixture = coded[(agent, coll)]
             codes = game._codes[(agent, coll)]
-            value_of = dict(zip(codes, game._values(i, realizations, codes)))
-            extra = [code for code, _, _ in mixture if code not in value_of]
-            value_of.update(zip(extra, game._values(i, realizations, extra)))
-            best = max(value_of.values())
-            common = 1
-            for _, _, w in mixture:
-                common = math.lcm(common, w.denominator)
-            current = sum(
-                w.numerator * (common // w.denominator) * value_of[code] for code, _, w in mixture
-            )
+            values = game._values(i, realizations, codes)
+            value_of = dict(zip(codes, values))
+            best = max(values)
+            common, played, weights = play[(agent, coll)]
+            current = sum(n * value_of[code] for code, n in zip(played, weights))
             slack = Fraction(best * common - current, W * game._G * common)
             slacks[(agent, coll)] = slack
             if slack > 0 and witness is None:
-                message_of = dict(zip(codes, game.actions[(agent, coll)]))
-                for code, msg, _ in mixture:
-                    message_of.setdefault(code, msg)
                 best_msg = min(
-                    (message_of[code] for code, v in value_of.items() if v == best),
+                    (msg for msg, value in zip(game.actions[(agent, coll)], values) if value == best),
                     key=lambda m: repr(m),
                 )
                 witness = (agent, coll, best_msg, slack)
 
-    weighted = []  # (outcome code, unreduced weight numerator and denominator) on path
+    W, realizations = game._realizations(None, play)
+    outcome_weights = {}  # outcome code -> weight numerator over W on path
     extremes = [[0] * len(TRANSFER_KEYS) for _ in agents]
-    type_lists = [
-        [(coll, game.type_prob(a, coll)) for coll in game.types[a]] for a in agents
-    ]
-    for type_combo in itertools.product(*type_lists):
-        joint_num = joint_den = 1
-        for _, p in type_combo:
-            joint_num *= p.numerator
-            joint_den *= p.denominator
-        message_lists = [coded[(a, coll)] for a, (coll, _) in zip(agents, type_combo)]
-        for message_combo in itertools.product(*message_lists):
-            num, den = joint_num, joint_den
-            for _, _, w in message_combo:
-                num *= w.numerator
-                den *= w.denominator
-            if num == 0:
-                continue
-            key = 0
-            for i, (code, _, _) in enumerate(message_combo):
-                key |= code << (KEY_BITS * i)
-            out, _, items = kernel.payoff(key)
-            weighted.append((out, num, den))
-            for top, row in zip(extremes, items):
-                top[:] = [max(t, abs(v)) for t, v in zip(top, row)]
-    common = 1
-    for _, _, den in weighted:
-        common = math.lcm(common, den)
-    outcome_dist = {}
-    for out, num, den in weighted:
-        outcome_dist[out] = outcome_dist.get(out, 0) + num * (common // den)
+    for weight, key in realizations:
+        out, _, items = kernel.payoff(key)
+        outcome_weights[out] = outcome_weights.get(out, 0) + weight
+        for top, row in zip(extremes, items):
+            top[:] = [max(t, abs(v)) for t, v in zip(top, row)]
     transfers_zero = all(value == 0 for top in extremes for value in top)
     return EquilibriumReport(
         is_bne=witness is None,
         slacks=slacks,
         witness=witness,
-        on_path_outcomes={
-            game.scenario.outcomes[out]: Fraction(total, common) for out, total in outcome_dist.items()
-        },
+        on_path_outcomes={game.scenario.outcomes[out]: Fraction(total, W) for out, total in outcome_weights.items()},
         transfer_extremes={
             agent: {key: Fraction(v, kernel.D) if v else _ZERO for key, v in zip(TRANSFER_KEYS, top)}
             for agent, top in zip(agents, extremes)
@@ -366,8 +368,7 @@ def deception_closure_audit(
     source_game = BayesianGame(scenario, mech, source_state, profile_idx)
     composed = compose_with_truthful(source_game, plans)
     report = verify_bne(source_game, composed)
-    expected = {scenario.scf[target]: Fraction(1)}
-    certified = premise.is_bne and report.is_bne and report.on_path_outcomes == expected
+    certified = premise.is_bne and report.implements(scenario.scf[target])
     return ClosureReport(
         source_state=source_state,
         target_state=target,
@@ -420,14 +421,10 @@ def _pure_best_response_profiles(game: BayesianGame):
     menus = [[game.actions[(agent, coll)] for coll in game.types[agent]] for agent in agents]
     tables = [{} for _ in agents]
 
-    def profile_of(strategies, skip=None):
+    def profile_of(strategies):
         return {
-            agent: {
-                coll: {menu[pos]: _ONE}
-                for coll, menu, pos in zip(game.types[agent], menus[j], strategies[j])
-            }
+            agent: {coll: {menu[pos]: _ONE} for coll, menu, pos in zip(game.types[agent], menus[j], strategies[j])}
             for j, agent in enumerate(agents)
-            if j != skip
         }
 
     def best_responses(i, strategies):
@@ -435,7 +432,13 @@ def _pure_best_response_profiles(game: BayesianGame):
         sets = tables[i].get(others)
         if sets is None:
             agent = agents[i]
-            _, realizations = game._realizations(agent, profile_of(strategies, skip=i))
+            position = {
+                (other, coll): pos
+                for j, other in enumerate(agents)
+                if j != i
+                for coll, pos in zip(game.types[other], strategies[j])
+            }
+            _, realizations = game._realizations(agent, _pure_play(game, position))
             sets = []
             for coll in game.types[agent]:
                 values = game._values(i, realizations, game._codes[(agent, coll)])
@@ -454,6 +457,12 @@ def _pure_best_response_profiles(game: BayesianGame):
                 for j in range(last)
             ):
                 yield profile_of(strategies)
+
+
+def _pure_play(game: BayesianGame, position) -> dict:
+    """The coded play (`_coded_play`) in which each (agent, type) slot of
+    `position` plays its menu's message at `position[slot]`."""
+    return {slot: (1, (game._codes[slot][pos],), (1,)) for slot, pos in position.items()}
 
 
 def _profile_key(game, profile):
@@ -525,11 +534,10 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
             for target in scenario.states:
                 if target == game.state:
                     continue
-                plans = {}
-                for (agent, _), rows in zip(pure_assignment_lists, combo):
-                    dist = scenario.dist(agent, game.state)
-                    flows = tuple((src, dst, dist.prob(src)) for src, dst in rows)
-                    plans[agent] = TransportPlan(agent, game.state, target, flows)
+                plans = {
+                    agent: PurePlan(agent, game.state, target, rows).as_transport(scenario)
+                    for (agent, _), rows in zip(pure_assignment_lists, combo)
+                }
                 consider(compose_with_truthful(game, plans), "CLOSURE_FAMILY")
     else:
         flags["closure_family"] = f"BUDGET_EXCEEDED({pure_total})"
@@ -551,7 +559,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
             changed = False
             for agent, coll in slots:
                 if agent not in realizations:
-                    realizations[agent] = game._realizations(agent, profile)[1]
+                    realizations[agent] = game._realizations(agent, _pure_play(game, position))[1]
                 i = scenario.agents.index(agent)
                 values = game._values(i, realizations[agent], game._codes[(agent, coll)])
                 best = max(range(len(values)), key=values.__getitem__)
@@ -584,16 +592,17 @@ class AuditResult:
 def _deviation_audit(name, ok, cases, **extra) -> AuditResult:
     """One deviation argument of the implementation proof, checked case by case.
 
-    A case is (game, agent, profile, better, worse, label): `better` and
-    `worse` map each of the agent's types to a message, and against `profile`
-    the first must earn strictly more than the second. Each failing type adds
+    A case is (game, agent, play, better, worse, label): `better` and
+    `worse` map each of the agent's types to a message, and against the
+    coded play (`_coded_play`) the first must earn strictly more than the
+    second. Each failing type adds
     (*label, gain) to the failures. The opponents' realizations are listed
     once per case and both messages valued together.
     """
     details = {"checked": 0, "failures": [], **extra}
-    for game, agent, profile, better, worse, label in cases:
+    for game, agent, play, better, worse, label in cases:
         i = game.scenario.agents.index(agent)
-        W, realizations = game._realizations(agent, profile)
+        W, realizations = game._realizations(agent, play)
         for coll in game.types[agent]:
             codes = (game._kernel.code(i, better(coll)), game._kernel.code(i, worse(coll)))
             high, low = game._values(i, realizations, codes)
@@ -610,7 +619,7 @@ def _scoring_cases(scenario, mech, games):
     against truthful play, predicting the right neighbour truthfully beats
     every wrong prediction."""
     for state, game in games.items():
-        truthful = truthful_profile(game)
+        truthful = _coded_play(game, truthful_profile(game))
         for predictor in scenario.agents:
             subject = scenario.right_neighbor(predictor)
             truth = functools.partial(mech.truthful_message, predictor, state)
@@ -626,7 +635,7 @@ def _crosscheck_cases(scenario, mech, games):
     The deviator's own strategy does not enter its payoff, so the others'
     truthful play is the whole profile."""
     for state, game in games.items():
-        truthful = truthful_profile(game)
+        truthful = _coded_play(game, truthful_profile(game))
         for agent in scenario.agents:
             alphabet = [d for d in scenario.alphabet(agent) if d != scenario.dist(agent, state)]
             if alphabet:
@@ -636,13 +645,7 @@ def _crosscheck_cases(scenario, mech, games):
 
 
 def _refutable_pairs(scenario):
-    for state in scenario.states:
-        for lie in scenario.states:
-            if lie == state:
-                continue
-            cls = classify_lie(scenario, state, lie)
-            if cls.verdict == "refutable":
-                yield state, lie, cls
+    return [(s, t, lie) for (s, t), lie in scenario.lie_table().items() if lie.verdict == "refutable"]
 
 
 def _refutation_cases(scenario, mech, games):
@@ -655,26 +658,21 @@ def _refutation_cases(scenario, mech, games):
         game = games[state]
         base = functools.partial(mech.truthful_message, deviator, lie)
         honest = lambda coll, base=base, p=scenario.dist(refuter, state): replace(base(coll), p_right=p)
-        yield game, deviator, _reported_profile(game, lie), honest, base, (state, lie, deviator)
+        yield game, deviator, _coded_play(game, _reported_profile(game, lie)), honest, base, (state, lie, deviator)
 
 
 def _whistle_cases(scenario, mech, games):
     """Consensus on a nonrefutable lie with a different outcome invites a bet."""
-    for state in scenario.states:
-        for lie in scenario.states:
-            if lie == state or scenario.scf[lie] == scenario.scf[state]:
-                continue
-            if classify_lie(scenario, state, lie).verdict != "nonrefutable":
-                continue
-            whistle = mech.whistle(state, lie)
-            if whistle is None:
-                continue
-            claim, subject = whistle
-            game = games[state]
-            deviator = next(a for a in scenario.agents if a != subject)
-            base = functools.partial(mech.truthful_message, deviator, lie)
-            blow = lambda coll, base=base, claim=claim: replace(base(coll), claim=claim)
-            yield game, deviator, _reported_profile(game, lie), blow, base, (state, lie, deviator)
+    for state, lie, _ in contested_lies(scenario):
+        whistle = mech.whistle(state, lie)
+        if whistle is None:
+            continue
+        claim, subject = whistle
+        game = games[state]
+        deviator = next(a for a in scenario.agents if a != subject)
+        base = functools.partial(mech.truthful_message, deviator, lie)
+        blow = lambda coll, base=base, claim=claim: replace(base(coll), claim=claim)
+        yield game, deviator, _coded_play(game, _reported_profile(game, lie)), blow, base, (state, lie, deviator)
 
 
 def _audit_zero_on_truth(scenario, mech, games):
@@ -685,11 +683,7 @@ def _audit_zero_on_truth(scenario, mech, games):
     for state, game in games.items():
         profile = truthful_profile(game)
         report = verify_bne(game, profile)
-        good = (
-            report.is_bne
-            and report.transfers_zero
-            and report.on_path_outcomes == {scenario.scf[state]: Fraction(1)}
-        )
+        good = report.implements(scenario.scf[state])
         details["states"][state] = {
             "is_bne": report.is_bne,
             "transfers_zero": report.transfers_zero,

@@ -4,12 +4,11 @@ evidence incentive compatibility, and the independent embedding of flat scenario
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, over_lcm, parse_rational
 from .scenario import Scenario, collection_key, consensus_else_first
 
 
@@ -97,11 +96,9 @@ class ModelTables:
     """
 
     def __init__(self, model: TypeSpaceModel):
-        self.L = L = math.lcm(*(p.denominator for belief in model.beliefs.values() for p in belief.values()))
-        self.beliefs = {
-            key: tuple((t_other, p.numerator * (L // p.denominator)) for t_other, p in belief.items())
-            for key, belief in model.beliefs.items()
-        }
+        numerators, self.L = over_lcm(p for belief in model.beliefs.values() for p in belief.values())
+        position = iter(numerators)
+        self.beliefs = {key: tuple((t, next(position)) for t in belief) for key, belief in model.beliefs.items()}
         self.agents = model.agents
         self.scf = model.scf
         self.feasible = {(a, t): model.feasible_reports(a, t) for a in model.agents for t in model.types[a]}
@@ -114,11 +111,9 @@ class ModelTables:
         table = self._utilities.get(idx)
         if table is None:
             profile = self._utility_profiles[idx]
-            scale = math.lcm(*(v.denominator for agent in self.agents for v in profile[agent].values()))
-            numerators = {
-                agent: {key: v.numerator * (scale // v.denominator) for key, v in profile[agent].items()}
-                for agent in self.agents
-            }
+            numerators, scale = over_lcm(v for agent in self.agents for v in profile[agent].values())
+            position = iter(numerators)
+            numerators = {agent: {key: next(position) for key in profile[agent]} for agent in self.agents}
             table = self._utilities[idx] = (scale, numerators)
         return table
 

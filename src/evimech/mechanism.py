@@ -17,6 +17,7 @@ from .deception import (
     synthesize_bet,
     synthesize_gamma_delta,
 )
+from .rationals import over_lcm, quadratic_score, squared_distance
 from .scenario import Distribution, Scenario, ScenarioError, collection_key, refutes, subsets
 
 TRANSFER_KEYS = ("evidence_incentive", "scoring", "crosscheck", "refutation_fine", "bet")
@@ -239,12 +240,14 @@ class KernelBase:
         self.table = {}
 
     def actions(self, i: int, endowment) -> tuple:
-        """(messages, their codes): agent i's action menu for an endowment,
-        built on first use and shared by every game of the mechanism."""
+        """(messages, their codes, the codes as a set): agent i's action menu
+        for an endowment, built on first use and shared by every game of the
+        mechanism."""
         menu = self._menus.get((i, endowment))
         if menu is None:
             messages = tuple(self._menu(i, endowment))
-            menu = self._menus[(i, endowment)] = (messages, tuple(self.code(i, m) for m in messages))
+            codes = tuple(self.code(i, m) for m in messages)
+            menu = self._menus[(i, endowment)] = (messages, codes, frozenset(codes))
         return menu
 
     def encode(self, transcript: dict) -> tuple:
@@ -332,10 +335,8 @@ class Kernel(KernelBase):
 
         # exact values first, then every table as numerators over their lcm D
         eps, tau_low = mech.scaling.eps, mech.scaling.tau_low
-        score = [
-            [[tau_low * _quadratic_score(p, e) for e in evidence[j]] for p in alphabet]
-            for j, alphabet in enumerate(alphabets)
-        ]
+        probs = [[dict(p.items()) for p in alphabet] for alphabet in alphabets]
+        score = [[[tau_low * quadratic_score(p, e) for e in evidence[j]] for p in row] for j, row in enumerate(probs)]
         incentive = [[eps * len(e) for e in row] for row in evidence]
         # claim -> consensus state index -> (subject index, payments by the
         # subject's evidence code)
@@ -347,18 +348,13 @@ class Kernel(KernelBase):
         taus = [mech.scaling.tau_low, mech.scaling.tau_high]
         rows = [taus, *incentive, *(row for table in score for row in table)]
         rows.extend(payments for bets in claims.values() for _, payments in bets.values())
-        self.D = math.lcm(*(value.denominator for row in rows for value in row))
-
-        def numerators(row):
-            return [value.numerator * (self.D // value.denominator) for value in row]
-
-        self.tau_low, self.tau_high = numerators(taus)
-        self.score = [[numerators(row) for row in table] for table in score]
-        self.incentive = [numerators(row) for row in incentive]
-        self._claims = {
-            claim: {k: (j, numerators(payments)) for k, (j, payments) in bets.items()}
-            for claim, bets in claims.items()
-        }
+        numerators, self.D = over_lcm(value for row in rows for value in row)
+        position = iter(numerators)
+        rows = iter([[next(position) for _ in row] for row in rows])  # the same rows, as numerators over D
+        self.tau_low, self.tau_high = next(rows)
+        self.incentive = [next(rows) for _ in incentive]
+        self.score = [[next(rows) for _ in table] for table in score]
+        self._claims = {claim: {k: (j, next(rows)) for k, (j, _) in bets.items()} for claim, bets in claims.items()}
 
     def _menu(self, i: int, endowment):
         """Own claim x right-neighbour claim x presented subset x claim slot."""
@@ -465,11 +461,6 @@ def outcome(mech: Mechanism, transcript: dict) -> str:
     return mech.kernel().itemized(transcript)[0]
 
 
-def _quadratic_score(report: Distribution, evidence) -> Fraction:
-    self_dot = sum((p * p for _, p in report.items()), Fraction(0))
-    return 2 * report.prob(evidence) - self_dot
-
-
 def transfers(mech: Mechanism, transcript: dict) -> dict:
     """Itemized exact transfers per agent for one message profile."""
     return mech.kernel().itemized(transcript)[1]
@@ -483,15 +474,9 @@ def _integer_alphabet(scenario: Scenario, agent) -> tuple:
     probability denominators: (L, [n_p, ...]) with n_p = L p as a map from
     collection to int, in alphabet order."""
     alphabet = scenario.alphabet(agent)
-    scale = 1
-    for dist in alphabet:
-        for _, prob in dist.items():
-            scale = math.lcm(scale, prob.denominator)
-    rows = [
-        {coll: prob.numerator * (scale // prob.denominator) for coll, prob in dist.items()}
-        for dist in alphabet
-    ]
-    return scale, rows
+    numerators, scale = over_lcm(prob for dist in alphabet for _, prob in dist.items())
+    position = iter(numerators)
+    return scale, [{coll: next(position) for coll in dist.support()} for dist in alphabet]
 
 
 def _closest_pair(scale, rows) -> Fraction | None:
@@ -499,7 +484,7 @@ def _closest_pair(scale, rows) -> Fraction | None:
     closest = None
     for i, p in enumerate(rows):
         for q in rows[i + 1 :]:
-            gap = sum((p.get(c, 0) - q.get(c, 0)) ** 2 for c in p.keys() | q.keys())
+            gap = squared_distance(p, q)
             if closest is None or gap < closest:
                 closest = gap
     return None if closest is None else Fraction(closest, scale * scale)
@@ -518,10 +503,9 @@ def _widest_score_gap(scale, rows) -> Fraction:
     distributions sum to 1, some e in supp(p) has p(e) >= q(e), and the gap
     S(p, e) - S(q, e) = 2 (p(e) - q(e)) + |q|^2 - |p|^2 there is at least as wide.
     """
-    self_dots = [sum(n * n for n in row.values()) for row in rows]
     widest = 0
     for evidence in {coll for row in rows for coll in row}:
-        scores = [2 * scale * row.get(evidence, 0) - dot for row, dot in zip(rows, self_dots)]
+        scores = [quadratic_score(row, evidence, scale) for row in rows]
         widest = max(widest, max(scores) - min(scores))
     return Fraction(widest, scale * scale)
 
@@ -569,16 +553,9 @@ def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
         widest = _widest_score_gap(*alphabets[right])
         tau2_max = max(tau2_max, tau_low * widest)
 
-    rho_min = None
-    for agent in scenario.agents:
-        for state in scenario.states:
-            for target in scenario.states:
-                if target == state:
-                    continue
-                for coll, prob in scenario.dist(agent, state).items():
-                    if refutes(scenario, coll, target, agent):
-                        if rho_min is None or prob < rho_min:
-                            rho_min = prob
+    # the least probability of a collection refuting some lie: a refutable lie's witnesses
+    witnesses = [found for lie in scenario.lie_table().values() if lie.witnesses for found in lie.witnesses.values()]
+    rho_min = min((prob for found in witnesses for _, prob in found), default=None)
 
     tau_high = Fraction(1) if rho_min is None else Fraction(math.ceil((1 + tau2_max) / rho_min))
 

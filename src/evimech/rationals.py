@@ -1,8 +1,10 @@
-"""Exact rational parsing/formatting for the "num/den" wire format."""
+"""Exact rationals: the "num/den" wire format, and the one home of common
+denominators, the quadratic score and the squared distance."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class RationalFormatError(ValueError):
@@ -27,3 +29,31 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+# -- exact arithmetic shared by every layer -----------------------------------
+
+
+def over_lcm(values, den: int = 1) -> tuple:
+    """(numerators, L): each value's integer numerator over L, the lcm of
+    `den` and the values' denominators."""
+    values = list(values)
+    L = den
+    for value in values:
+        L = lcm(L, value.denominator)
+    return [value.numerator * (L // value.denominator) for value in values], L
+
+
+def quadratic_score(report, point, scale=1):
+    """The quadratic score 2 p(point) - |p|^2 of a report p, a map from
+    points to masses (a point it does not name has mass 0). With masses given
+    as numerators over `scale`, the score comes as a numerator over scale^2."""
+    return 2 * scale * report.get(point, 0) - sum(mass * mass for mass in report.values())
+
+
+def squared_distance(p, q):
+    """|p - q|^2 over the union of the points of two maps from points to
+    masses: the expected loss of reporting q under the quadratic score when
+    p is true. Numerators over a common L give a numerator over L^2."""
+    total = sum((mass - q.get(point, 0)) ** 2 for point, mass in p.items())
+    return total + sum(mass * mass for point, mass in q.items() if point not in p)

@@ -15,27 +15,20 @@ TOOL_NAME = "evimech"
 
 
 def jsonable(value):
-    """Recursively render report payloads into JSON-safe structures."""
+    """Recursively render report payloads into JSON-safe structures: string
+    keys only, and `TypeError` on any value JSON cannot carry as it is."""
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    if isinstance(value, (frozenset, set)):
-        return sorted(str(x) for x in value)
     if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if isinstance(key, (frozenset, set)):
-                key = "{" + ",".join(sorted(str(x) for x in key)) + "}"
-            elif isinstance(key, tuple):
-                key = "|".join(str(jsonable(x)) for x in key)
-            elif not isinstance(key, str):
-                key = str(key)
-            out[key] = jsonable(item)
-        return {k: out[k] for k in sorted(out)}
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report key {key!r} is not a string")
+        return {key: jsonable(value[key]) for key in sorted(value)}
     if isinstance(value, (list, tuple)):
         return [jsonable(x) for x in value]
-    return str(value)
+    raise TypeError(f"report value {value!r} of type {type(value).__name__} is not serializable")
 
 
 def input_digest(raw_bytes: bytes) -> str:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, parse_rational, squared_distance
 
 Collection = frozenset
 
@@ -92,8 +92,7 @@ class Distribution:
 
     def squared_distance(self, other: "Distribution") -> Fraction:
         """Exact squared euclidean distance over the union of supports."""
-        domain = set(self._probs) | set(other._probs)
-        return sum(((self.prob(c) - other.prob(c)) ** 2 for c in domain), Fraction(0))
+        return Fraction(squared_distance(self._probs, other._probs))
 
     def dot(self, weights) -> Fraction:
         """Expectation of a collection-indexed weight map (0 off-support of weights)."""
@@ -157,6 +156,14 @@ class Scenario:
                 if d not in out:
                     out.append(d)
             self._cache[key] = tuple(out)
+        return self._cache[key]
+
+    def lie_table(self) -> dict:
+        """(true state, target state) -> the lie's `LieClass`, for every
+        ordered pair of states in state order, classified on first use."""
+        key = "lie_table"
+        if key not in self._cache:
+            self._cache[key] = {(s, t): _classify(self, s, t) for s in self.states for t in self.states}
         return self._cache[key]
 
     def article_set(self) -> frozenset:
@@ -239,10 +246,16 @@ class LieClass:
 
 
 def classify_lie(scenario: Scenario, true_state, target_state) -> LieClass:
-    """Classify the lie `target_state` told at `true_state` by refutability."""
+    """Classify the lie `target_state` told at `true_state` by refutability
+    (a read of the scenario's lie table)."""
     for st in (true_state, target_state):
         if st not in scenario.states:
             raise ScenarioError(f"unknown state {st!r}")
+    return scenario.lie_table()[(true_state, target_state)]
+
+
+def _classify(scenario: Scenario, true_state, target_state) -> LieClass:
+    """One lie's class, with each refuting agent's witness collections."""
     if true_state == target_state:
         return LieClass(true_state, target_state, "self_identical")
     witnesses = {}
@@ -263,6 +276,18 @@ def classify_lie(scenario: Scenario, true_state, target_state) -> LieClass:
             witnesses=witnesses,
         )
     return LieClass(true_state, target_state, "nonrefutable")
+
+
+def contested_lies(scenario: Scenario, verdict="nonrefutable") -> list:
+    """(true state, lie, LieClass) of every ordered pair of states whose
+    outcomes differ and whose lie has `verdict` (any when None), in state
+    order. By default these are the lies NPD/NPPD decide and the whistle bets
+    contest."""
+    return [
+        (s, t, lie)
+        for (s, t), lie in scenario.lie_table().items()
+        if scenario.scf[s] != scenario.scf[t] and verdict in (None, lie.verdict)
+    ]
 
 
 def article_nomenclature(scenario: Scenario) -> dict:

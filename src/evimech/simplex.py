@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
+from .rationals import over_lcm
+
 LE, GE, EQ = "<=", ">=", "=="
 
 _STALL_LIMIT = 12
@@ -28,12 +30,6 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: Fraction | None
     values: list | None
-
-
-def _integer_row(values):
-    """Integer numerators of `values` over their least common denominator."""
-    den = reduce(lcm, [v.denominator for v in values], 1)
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _eliminate(row, den, c, prow, nz):
@@ -157,7 +153,7 @@ def maximize(objective, constraints, bounds):
     base = [b.numerator if b.denominator == 1 else b for b in base]
 
     def expand(coeffs):
-        nums, den = _integer_row(coeffs)
+        nums, den = over_lcm(coeffs)
         row = [0] * y_count
         shift = 0
         for j, a in enumerate(nums):

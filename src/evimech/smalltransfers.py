@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .hierarchy import HierarchyTable, TypeSpaceModel, check_evidence_ic, check_higher_order_measurability
 from .hierarchy import evidence_token
+from .rationals import quadratic_score, squared_distance
 
 AM_TRANSFER_KEYS = ("evidence_reward", "scoring", "first_deviant_fine", "mismatch_fine")
 
@@ -98,8 +99,7 @@ class SmallTransferMechanism:
                     )
                     for o in others
                 )
-                sq = sum((p * p for p in dist.values()), Fraction(0))
-                items["scoring"] += self.beta * (2 * dist.get(point, Fraction(0)) - sq)
+                items["scoring"] += self.beta * quadratic_score(dist, point)
             if first_deviation_round is not None:
                 j = first_deviation_round
                 if msg.outcome_reports[j] != anchor[agent]:
@@ -116,7 +116,22 @@ class SmallTransferMechanism:
         """Exact component-wise maximum of |transfer| over every message profile."""
         evidence_max = self.beta * self.model.max_evidence_size()
         scoring_max = self.beta * sum(self.level_bounds, Fraction(0))
-        return evidence_max + scoring_max + self.first_deviant_fine + self.rounds * self.mismatch_fine
+        return evidence_max + scoring_max + self.fines()
+
+    def fines(self) -> Fraction:
+        """The most an agent can be fined: the first-deviant fine plus a
+        mismatch fine in each of the J rounds."""
+        return self.first_deviant_fine + self.rounds * self.mismatch_fine
+
+    def chain_slack(self) -> dict:
+        """The elimination chain's margins, each positive when its link holds:
+        the first-deviant fine over one round's outcome stake 1/J, and the
+        least belief-pinning gain `min_beta_bar` (0 when no type has one) over
+        the fines."""
+        return {
+            "fine_over_stake": self.first_deviant_fine - Fraction(1, self.rounds),
+            "budget_over_fines": (self.min_beta_bar or Fraction(0)) - self.fines(),
+        }
 
 
 def _level_score_bound(table: HierarchyTable, model: TypeSpaceModel, k) -> Fraction:
@@ -126,16 +141,10 @@ def _level_score_bound(table: HierarchyTable, model: TypeSpaceModel, k) -> Fract
     worst = 0
     for token in {table.level(a, t, k) for a in model.agents for t in model.types[a]}:
         dist = table.numerators[token]
-        sq = sum(n * n for n in dist.values())
-        worst = max(worst, abs(2 * L * max(dist.values()) - sq), sq)
+        # the extremes: the score at the heaviest point and at a point off the support
+        top = quadratic_score(dist, max(dist, key=dist.get), L)
+        worst = max(worst, abs(top), -quadratic_score(dist, None, L))
     return Fraction(worst, L * L)
-
-
-def _squared_distance(own, other) -> int:
-    """Exact squared euclidean distance between two level push-forwards, given
-    as numerators over L (the result is over L^2), over the union of their points."""
-    total = sum((n - other.get(p, 0)) ** 2 for p, n in own.items())
-    return total + sum(n * n for p, n in other.items() if p not in own)
 
 
 def build_small_transfer_mechanism(model: TypeSpaceModel, eps: Fraction) -> SmallTransferMechanism:
@@ -173,7 +182,7 @@ def build_small_transfer_mechanism(model: TypeSpaceModel, eps: Fraction) -> Smal
             for report in model.feasible_reports(agent, type_id):
                 if report == type_id or table.level(agent, report, top) == own_sig:
                     continue
-                distances.append(_squared_distance(own, table.level_numerators(agent, report, top)))
+                distances.append(squared_distance(own, table.level_numerators(agent, report, top)))
         if distances:
             candidates.append(Fraction(min(distances), L * L))
         beta_bar[agent] = beta * min(candidates) if candidates else None
@@ -262,8 +271,8 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
         )
     )
 
-    chain_ok = True
-    fines_total = mech.first_deviant_fine + mech.rounds * mech.mismatch_fine
+    fines_total = mech.fines()
+    chain = mech.chain_slack()
     belief_ok = True
     belief_details = {"eliminations": 0, "failures": []}
     L2 = tables.L**2
@@ -278,7 +287,7 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
                     if table.level(agent, report, k) == own_sig:
                         keep.append(report)
                         continue
-                    distance = _squared_distance(own_dist, table.level_numerators(agent, report, k))
+                    distance = squared_distance(own_dist, table.level_numerators(agent, report, k))
                     loss = mech.beta * Fraction(distance, L2)
                     belief_details["eliminations"] += 1
                     required = fines_total if final_slot else Fraction(0)
@@ -286,14 +295,14 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
                         belief_ok = False
                         belief_details["failures"].append((agent, type_id, report, k, loss))
                 survivors[(agent, type_id)]["belief"].append(keep)
-    if mech.min_beta_bar is not None and mech.min_beta_bar <= fines_total:
+    if mech.min_beta_bar is not None and chain["budget_over_fines"] <= 0:
         belief_ok = False
         belief_details["failures"].append(("chain", "min_beta_bar", mech.min_beta_bar, fines_total))
     stages.append(StageReport("belief_pinning", belief_ok, belief_details))
 
     outcome_stage_ok = True
     outcome_details = {"chain": {}, "failures": [], "checked": 0}
-    outcome_details["chain"]["fine_exceeds_stake"] = mech.first_deviant_fine > Fraction(1, mech.rounds)
+    outcome_details["chain"]["fine_exceeds_stake"] = chain["fine_over_stake"] > 0
     if not outcome_details["chain"]["fine_exceeds_stake"]:
         outcome_stage_ok = False
         outcome_details["failures"].append(("chain", "first_deviant_fine <= 1/J"))

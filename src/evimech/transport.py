@@ -13,9 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import lcm
-
+from .rationals import over_lcm
 from .scenario import collection_key
 
 
@@ -52,11 +50,8 @@ def solve_transport(supplies, demands) -> TransportResult:
     """
     sources = sorted(supplies, key=collection_key)
     sinks = sorted(demands, key=collection_key)
-    supply = [Fraction(supplies[c]) for c in sources]
-    demand = [Fraction(demands[c]) for c in sinks]
-    scale = reduce(lcm, (q.denominator for q in supply + demand), 1)
-    supply = [q.numerator * (scale // q.denominator) for q in supply]
-    demand = [q.numerator * (scale // q.denominator) for q in demand]
+    masses, scale = over_lcm([Fraction(supplies[c]) for c in sources] + [Fraction(demands[c]) for c in sinks])
+    supply, demand = masses[: len(sources)], masses[len(sources) :]
 
     # Node ids: 0 = super source, 1..len(sources) sources, then sinks, then sink node.
     # residual[u] maps each neighbour of u to the integer residual capacity of

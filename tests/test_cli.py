@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import io
 import itertools
@@ -753,3 +754,60 @@ def test_every_command_fails_closed_on_fuzzed_documents(fuzz_path, document):
         assert report["command"] == command[0]
         assert report["exit_code"] == code, (command, document)
         assert err.getvalue() == "", (command, document)
+
+
+# -- flag values --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("audit", "search", "micro.json", "--budget-pure", "-1"), "budget-pure"),
+        (("audit", "search", "micro.json", "--budget-plan", "-5"), "budget-plan"),
+        (("build", "pure", "leading.json", "--budget-z", "-1"), "budget-z"),
+    ],
+)
+def test_negative_budget_exit_2(argv, flag):
+    code, report = machine(*(str(DATA / a) if a.endswith(".json") else a for a in argv))
+    assert code == 2 and report["exit_code"] == 2
+    assert report["payload"] == {"error": f"{flag} must be non-negative"}
+
+
+@pytest.mark.parametrize("leaf", [("build", "am"), ("audit", "icr")])
+@pytest.mark.parametrize(
+    "eps, code, error",
+    [
+        ("1/0", 1, "bad rational '1/0'"),
+        ("tiny", 1, "bad rational 'tiny'"),
+        ("0", 2, "eps must be strictly positive"),
+        ("-1/2", 2, "eps must be strictly positive"),
+    ],
+)
+def test_eps_must_be_a_positive_rational(leaf, eps, code, error):
+    exit_code, report = machine(*leaf, str(DATA / "micro_model.json"), f"--eps={eps}")
+    assert exit_code == code
+    assert report["payload"]["error"].startswith(error)
+
+
+@pytest.mark.parametrize("leaf", [("build", "am"), ("audit", "icr")])
+def test_small_transfers_refused_without_hom(tmp_path, leaf):
+    # A's evidence at H copies M's, B's is constant: M and H look the same to
+    # every agent at every order, yet their outcomes differ
+    scn = fixtures.leading_example()
+    dists = dict(scn.dists)
+    dists[("A", "H")] = scn.dist("A", "M")
+    path = tmp_path / "no_hom.json"
+    path.write_text(json.dumps(scenario_to_json(dataclasses.replace(scn, dists=dists))))
+    assert machine("check", "hom", str(path))[1]["payload"]["passed"] is False
+    code, report = machine(*leaf, str(path))
+    assert code == 3
+    assert report["payload"] == {"refused": "hom"}
+
+
+def test_reports_refuse_values_json_cannot_carry():
+    from evimech.reporting import jsonable
+
+    assert jsonable({"b": [Fraction(1, 2), (1, None)], "a": True}) == {"a": True, "b": ["1/2", [1, None]]}
+    for bad in ({frozenset({"x"}): 1}, {("s", "t"): 1}, {1: 1}, {"x": frozenset()}, [{"y"}], object()):
+        with pytest.raises(TypeError):
+            jsonable(bad)

@@ -65,6 +65,25 @@ def test_plan_sending_all_mass_to_empty(leading):
     assert induced_distribution(plan) == Distribution({EMPTY: F(1)})
 
 
+@pytest.mark.parametrize(
+    "flows, problem",
+    [
+        # A holds TOP with 3/5 and LOW with 2/5 at H
+        (((TOP, TOP, F(4, 5)), (TOP, LOW, F(-1, 5)), (LOW, LOW, F(2, 5))), "negative flow on {lmh,mh}->{lmh}"),
+        (((TOP, TOP, F(3, 5)), (LOW, TOP, F(2, 5))), "target {lmh,mh} not within source {lmh}"),
+        (((TOP, TOP, F(3, 5)), (LOW, LOW, F(1, 5))), "out-mass of {lmh} differs from its probability"),
+        (
+            ((TOP, TOP, F(3, 5)), (LOW, LOW, F(2, 5)), (EMPTY, EMPTY, F(1, 5))),
+            "flow out of zero-probability source {}",
+        ),
+    ],
+)
+def test_plan_check_names_each_problem(leading, flows, problem):
+    from evimech.deception import TransportPlan
+
+    assert TransportPlan("A", "H", "M", flows).check(leading) == [problem]
+
+
 def test_no_perfect_deception_m_to_h(leading):
     result = perfect_deception(leading, "A", "M", "H")
     assert result.plan is None

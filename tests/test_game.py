@@ -10,6 +10,7 @@ from evimech.deception import TransportPlan
 from evimech.game import (
     BayesianGame,
     DirectMechanism,
+    InvalidProfile,
     NotPerfect,
     SearchBudget,
     canonical_perfect_plans,
@@ -172,6 +173,44 @@ def test_closure_audit_identity(leading):
     report = deception_closure_audit(leading, DirectMechanism(leading), "M", plans, profile_idx=0)
     assert report.certified
     assert report.on_path_outcomes == {"grant_b": F(1)}
+
+
+def _valid_plans(leading):
+    plans = canonical_perfect_plans(leading, "H", "M")
+    assert plans is not None and deception_closure_audit(leading, DirectMechanism(leading), "H", plans).certified
+    return plans
+
+
+def test_closure_audit_rejects_plans_that_disagree_on_the_target(leading):
+    plans = _valid_plans(leading)
+    plans["B"] = replace(plans["B"], target_state="L")
+    with pytest.raises(NotPerfect, match="disagree on the target"):
+        deception_closure_audit(leading, DirectMechanism(leading), "H", plans)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda plans: {"A": plans["A"]},  # no plan for B
+        lambda plans: {**plans, "B": replace(plans["A"])},  # A's plan filed under B
+        lambda plans: {**plans, "B": replace(plans["B"], source_state="M")},  # another source
+    ],
+)
+def test_closure_audit_rejects_missing_or_mismatched_plans(leading, broken):
+    with pytest.raises(NotPerfect, match="missing or mismatched plan for B"):
+        deception_closure_audit(leading, DirectMechanism(leading), "H", broken(_valid_plans(leading)))
+
+
+def test_closure_audit_rejects_a_plan_failing_its_checks(leading):
+    plans = _valid_plans(leading)
+    # the right target marginal, but the mass is routed out of a collection A
+    # does not hold at H
+    plan = plans["A"]
+    bogus = tuple((frozenset({"forged"}), dst, f) for _, dst, f in plan.flows)
+    plans["A"] = replace(plan, flows=bogus)
+    assert plan.check(leading) == [] and plans["A"].check(leading)
+    with pytest.raises(NotPerfect, match="fails its own consistency checks"):
+        deception_closure_audit(leading, DirectMechanism(leading), "H", plans)
 
 
 def test_closure_audit_rejects_imperfect(perturbed):
@@ -342,3 +381,62 @@ def test_compose_with_truthful_weights(leading, leading_mech):
     assert sum(mixture.values(), F(0)) == 1
     weights = sorted(mixture.values())
     assert weights == [F(1, 3), F(2, 3)]
+
+
+# -- strategy profiles ----------------------------------------------------------
+
+
+def _h_game(perturbed, perturbed_mech):
+    game = BayesianGame(perturbed, perturbed_mech, "H", 0)
+    return game, truthful_profile(game)
+
+
+def test_verify_bne_rejects_a_message_off_the_type_menu(perturbed, perturbed_mech):
+    # type {lmh} plays the truthful message of type {h,lmh,mh}, whose evidence it does not hold
+    game, profile = _h_game(perturbed, perturbed_mech)
+    profile["A"][LOW] = dict(profile["A"][RICH])
+    with pytest.raises(InvalidProfile, match="not on its menu"):
+        verify_bne(game, profile)
+    with pytest.raises(InvalidProfile, match="not on its menu"):
+        expected_utility(game, "B", EMPTY, profile["B"][EMPTY].popitem()[0], profile)
+
+
+def test_verify_bne_rejects_weights_that_do_not_sum_to_one(perturbed, perturbed_mech):
+    # type {h,lmh,mh} plays its message with weight 1/2: half its mass vanishes
+    game, profile = _h_game(perturbed, perturbed_mech)
+    ((msg, _),) = profile["A"][RICH].items()
+    profile["A"][RICH] = {msg: F(1, 2)}
+    with pytest.raises(InvalidProfile, match="summing to 1/2, not 1"):
+        verify_bne(game, profile)
+    with pytest.raises(InvalidProfile, match="summing to 1/2, not 1"):
+        expected_utility(game, "B", EMPTY, perturbed_mech.truthful_message("B", "H", EMPTY), profile)
+
+
+def test_verify_bne_rejects_a_negative_weight(perturbed, perturbed_mech):
+    # weights 3/2 and -1/2 sum to 1 but are no mixture
+    game, profile = _h_game(perturbed, perturbed_mech)
+    ((msg, _),) = profile["A"][RICH].items()
+    other = next(m for m in game.actions[("A", RICH)] if m != msg)
+    profile["A"][RICH] = {msg: F(3, 2), other: F(-1, 2)}
+    with pytest.raises(InvalidProfile, match="with weight -1/2"):
+        verify_bne(game, profile)
+    with pytest.raises(InvalidProfile, match="with weight -1/2"):
+        expected_utility(game, "B", EMPTY, perturbed_mech.truthful_message("B", "H", EMPTY), profile)
+
+
+def test_verify_bne_rejects_a_type_without_play(perturbed, perturbed_mech):
+    game, profile = _h_game(perturbed, perturbed_mech)
+    del profile["A"][LOW]
+    with pytest.raises(InvalidProfile, match="type {lmh} of A has weights summing to 0, not 1"):
+        verify_bne(game, profile)
+    with pytest.raises(InvalidProfile, match="type {} of B has weights summing to 0, not 1"):
+        verify_bne(game, {"A": truthful_profile(game)["A"]})
+
+
+def test_implements_requires_a_clean_equilibrium(perturbed, perturbed_mech):
+    game, profile = _h_game(perturbed, perturbed_mech)
+    report = verify_bne(game, profile)
+    assert report.implements("grant_a") and not report.implements("grant_b")
+    assert not replace(report, transfers_zero=False).implements("grant_a")
+    assert not replace(report, is_bne=False).implements("grant_a")
+    assert not replace(report, on_path_outcomes={"grant_a": F(1, 2), "grant_b": F(1, 2)}).implements("grant_a")

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from evimech import fixtures
 from evimech.generators import random_scenario
+from evimech.rationals import over_lcm, quadratic_score, squared_distance
 from evimech.scenario import (
     Distribution,
     NonDegenerateInput,
@@ -15,6 +17,7 @@ from evimech.scenario import (
     article_nomenclature,
     check_deterministic_equivalence,
     classify_lie,
+    contested_lies,
     most_informative_projection,
     parse_scenario,
     refutes,
@@ -147,6 +150,34 @@ def test_classify_lie_examples(leading, perturbed):
     assert perturbed_lie.witness_mass("A") == F(1, 10)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_lie_filters_read_one_table(seed):
+    scn = random_scenario(seed)
+    table = scn.lie_table()
+    assert scn.lie_table() is table and list(table) == [(s, t) for s in scn.states for t in scn.states]
+    assert all(classify_lie(scn, s, t) is lie for (s, t), lie in table.items())
+    contested = [(s, t, lie) for (s, t), lie in table.items() if scn.scf[s] != scn.scf[t]]
+    assert contested_lies(scn, None) == contested and all(s != t for s, t, _ in contested)
+    assert contested_lies(scn) == [row for row in contested if row[2].verdict == "nonrefutable"]
+    assert contested_lies(scn, "refutable") == [row for row in contested if row[2].verdict == "refutable"]
+
+
+def test_exact_arithmetic_helpers():
+    assert over_lcm([F(1, 6), F(3, 4), 2]) == ([2, 9, 24], 12)
+    assert over_lcm([F(1, 2)], 3) == ([3], 6) and over_lcm([]) == ([], 1)
+    p = {"a": F(1, 2), "b": F(1, 2)}
+    q = {"b": F(1, 4), "c": F(3, 4)}
+    assert squared_distance(p, q) == squared_distance(q, p) == F(1, 4) + F(1, 16) + F(9, 16)
+    # the expected loss of reporting q when p is true is |p - q|^2
+    loss = sum(prob * (quadratic_score(p, e) - quadratic_score(q, e)) for e, prob in p.items())
+    assert loss == squared_distance(p, q)
+    # numerators over L give the score over L^2 and the distance over L^2
+    (a, b, c, d), L = over_lcm([*p.values(), *q.values()])
+    assert (L, a, b, c, d) == (4, 2, 2, 1, 3)
+    assert F(quadratic_score({"a": a, "b": b}, "b", L), L * L) == quadratic_score(p, "b")
+    assert F(squared_distance({"a": a, "b": b}, {"b": c, "c": d}), L * L) == squared_distance(p, q)
+
+
 def test_nonrefutable_implies_superset_support(leading, perturbed):
     # claim (*): every support collection at s has a superset in the support at s'
     for scn in (leading, perturbed):
@@ -255,6 +286,18 @@ _any_scenario = st.one_of(
 @given(_any_scenario)
 def test_json_round_trip_is_the_identity(scenario):
     assert parse_scenario(json.loads(json.dumps(scenario_to_json(scenario)))) == scenario
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+def test_fixture_matches_its_json_document(name):
+    # tests/data/<name>.json and fixtures.<name>_example() are one scenario
+    document = json.loads((DATA / f"{name}.json").read_text())
+    scenario = fixtures.ALL_FIXTURES[name]()
+    assert parse_scenario(document) == scenario
+    assert scenario_to_json(scenario) == document
 
 
 def test_parse_rejects_malformed_document():

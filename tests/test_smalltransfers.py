@@ -196,6 +196,40 @@ def test_round_count_negative_control(micro_mech):
     assert not outcome_stage.details["chain"]["fine_exceeds_stake"]
 
 
+def test_belief_pinning_negative_control(micro_mech):
+    # a first-deviant fine of 1 outweighs every final-slot scoring loss, and
+    # the chain's belief budget with it
+    report = eliminate_rationalizable(micro_mech.with_params(first_deviant_fine=F(1)))
+    assert not report.passed
+    belief = next(s for s in report.stages if s.name == "belief_pinning")
+    assert not belief.passed
+    final = micro_mech.k_bar + 1
+    lies = [f for f in belief.details["failures"] if f[0] != "chain"]
+    assert lies and all(k == final and loss <= F(1) for _, _, _, k, loss in lies)
+    fines = F(1) + micro_mech.rounds * micro_mech.mismatch_fine
+    assert belief.details["failures"][-1] == ("chain", "min_beta_bar", micro_mech.min_beta_bar, fines)
+
+
+def test_chain_budget_negative_control(micro_mech):
+    # fines just above the least belief-pinning gain break only the chain link
+    lowered = micro_mech.with_params(first_deviant_fine=micro_mech.min_beta_bar)
+    assert lowered.chain_slack()["budget_over_fines"] < 0 < micro_mech.chain_slack()["budget_over_fines"]
+    belief = next(s for s in eliminate_rationalizable(lowered).stages if s.name == "belief_pinning")
+    assert not belief.passed
+    assert belief.details["failures"] == [("chain", "min_beta_bar", lowered.min_beta_bar, lowered.fines())]
+
+
+def test_outcome_rounds_eic_negative_control(micro_mech):
+    # without a mismatch fine, a lie that leaves the interim value unchanged
+    # costs nothing in the outcome rounds
+    report = eliminate_rationalizable(micro_mech.with_params(mismatch_fine=F(0)))
+    assert not report.passed
+    outcome_stage = next(s for s in report.stages if s.name == "outcome_rounds")
+    assert not outcome_stage.passed
+    failures = outcome_stage.details["failures"]
+    assert failures and all(f[-1] == "EIC case" for f in failures)
+
+
 def test_xor_model_end_to_end():
     model = xor_model()
     mech = build_small_transfer_mechanism(model, F(1, 100))
