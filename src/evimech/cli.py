@@ -295,7 +295,8 @@ def _audit_search(args, data):
         for state in scn.states:
             g = game.BayesianGame(scn, mech, state, profile_idx)
             results, flags = game.search_equilibria(g, budget, seed=args.seed)
-            bad = [item for item in results if not item["report"].implements(scn.scf[state])]
+            reports = [item["report"] for item in results]
+            bad = [r for r in reports if not (r.implements(scn.scf[state]) and r.transfers_zero)]
             clean = clean and not bad
             rows.append(
                 {

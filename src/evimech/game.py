@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import mechanism as mech_mod
 from .deception import PurePlan, induced_distribution, perfect_deception
 from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space
-from .rationals import over_lcm
+from .rationals import common_denominator, numerators
 from .scenario import Scenario, collection_key, consensus_else_first, contested_lies, format_collection, subsets
 
 
@@ -124,21 +124,14 @@ class BayesianGame:
                 slot = (agent, coll)
                 self.actions[slot], self._codes[slot], self._menus[slot] = self._kernel.actions(i, coll)
         profile = scn.utility_profiles[self.profile_idx]
-        # by outcome code: every agent's utility, or None when one is missing.
-        # Not `over_lcm`: this runs once per game, on the verification hot
-        # path, and filling the per-agent rows in the same pass is cheaper.
+        # by outcome code: every agent's utility, or None when one is missing
         rows = [[profile[agent].get((outcome, self.state)) for agent in scn.agents] for outcome in scn.outcomes]
         rows = [None if None in row else row for row in rows]
-        G = self._kernel.D
-        for row in filter(None, rows):
-            for value in row:
-                G = math.lcm(G, value.denominator)
+        G = math.lcm(self._kernel.D, common_denominator(value for row in filter(None, rows) for value in row))
         self._G = G
         self._factor = G // self._kernel.D
-        self._utility = [
-            [None if row is None else row[i].numerator * (G // row[i].denominator) for row in rows]
-            for i in range(len(scn.agents))
-        ]
+        rows = [None if row is None else numerators(row, G) for row in rows]
+        self._utility = [[None if row is None else row[i] for row in rows] for i in range(len(scn.agents))]
 
     def type_prob(self, agent, coll) -> Fraction:
         return self._probs.get((agent, frozenset(coll)), _ZERO)
@@ -222,7 +215,8 @@ def _coded_play(game: BayesianGame, profile) -> dict:
         for coll in game.types[agent]:
             mixture = plays.get(coll, {})
             codes = [game._kernel.code(i, msg) for msg in mixture]
-            weights, scale = over_lcm(mixture.values())
+            scale = common_denominator(mixture.values())
+            weights = numerators(mixture.values(), scale)
             menu = game._menus[(agent, coll)]
             if sum(weights) != scale or min(weights) <= 0 or not menu.issuperset(codes):
                 problems = [
@@ -255,9 +249,9 @@ class EquilibriumReport:
     stamp: str = "EXHAUSTIVE"
 
     def implements(self, outcome) -> bool:
-        """A clean equilibrium: best responses everywhere, `outcome` with
-        probability 1 on path, and no transfer ever paid there."""
-        return self.is_bne and self.transfers_zero and self.on_path_outcomes == {outcome: _ONE}
+        """Best responses everywhere and `outcome` with probability 1 on path,
+        whatever the transfers (a clean equilibrium also has `transfers_zero`)."""
+        return self.is_bne and self.on_path_outcomes == {outcome: _ONE}
 
 
 def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
@@ -349,7 +343,9 @@ def deception_closure_audit(
     scenario: Scenario, mech, source_state, plans: dict, profile_idx=0
 ) -> ClosureReport:
     """Replay the necessity argument: compose truthful target-state play with a
-    perfect deception profile and verify it is an equilibrium at the source."""
+    perfect deception profile and verify it is an equilibrium at the source.
+    `certified` when truthful target play is an equilibrium and the composed
+    profile `implements` the target's outcome, with or without transfers."""
     targets = {plan.target_state for plan in plans.values()}
     if len(targets) != 1:
         raise NotPerfect("plans disagree on the target state")
@@ -683,7 +679,7 @@ def _audit_zero_on_truth(scenario, mech, games):
     for state, game in games.items():
         profile = truthful_profile(game)
         report = verify_bne(game, profile)
-        good = report.implements(scenario.scf[state])
+        good = report.implements(scenario.scf[state]) and report.transfers_zero
         details["states"][state] = {
             "is_bne": report.is_bne,
             "transfers_zero": report.transfers_zero,

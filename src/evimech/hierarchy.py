@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rationals import RationalFormatError, format_rational, over_lcm, parse_rational
+from .rationals import RationalFormatError, common_denominator, format_rational, numerators, parse_rational
 from .scenario import Scenario, collection_key, consensus_else_first
 
 
@@ -96,9 +96,8 @@ class ModelTables:
     """
 
     def __init__(self, model: TypeSpaceModel):
-        numerators, self.L = over_lcm(p for belief in model.beliefs.values() for p in belief.values())
-        position = iter(numerators)
-        self.beliefs = {key: tuple((t, next(position)) for t in belief) for key, belief in model.beliefs.items()}
+        self.L = L = common_denominator(p for belief in model.beliefs.values() for p in belief.values())
+        self.beliefs = {key: tuple(zip(b, numerators(b.values(), L))) for key, b in model.beliefs.items()}
         self.agents = model.agents
         self.scf = model.scf
         self.feasible = {(a, t): model.feasible_reports(a, t) for a in model.agents for t in model.types[a]}
@@ -111,10 +110,9 @@ class ModelTables:
         table = self._utilities.get(idx)
         if table is None:
             profile = self._utility_profiles[idx]
-            numerators, scale = over_lcm(v for agent in self.agents for v in profile[agent].values())
-            position = iter(numerators)
-            numerators = {agent: {key: next(position) for key in profile[agent]} for agent in self.agents}
-            table = self._utilities[idx] = (scale, numerators)
+            scale = common_denominator(v for agent in self.agents for v in profile[agent].values())
+            rows = {a: dict(zip(profile[a], numerators(profile[a].values(), scale))) for a in self.agents}
+            table = self._utilities[idx] = (scale, rows)
         return table
 
     def interim_values(self, idx, agent, type_id):

@@ -17,7 +17,7 @@ from .deception import (
     synthesize_bet,
     synthesize_gamma_delta,
 )
-from .rationals import over_lcm, quadratic_score, squared_distance
+from .rationals import common_denominator, numerators, quadratic_scores, squared_distance
 from .scenario import Distribution, Scenario, ScenarioError, collection_key, refutes, subsets
 
 TRANSFER_KEYS = ("evidence_incentive", "scoring", "crosscheck", "refutation_fine", "bet")
@@ -336,7 +336,7 @@ class Kernel(KernelBase):
         # exact values first, then every table as numerators over their lcm D
         eps, tau_low = mech.scaling.eps, mech.scaling.tau_low
         probs = [[dict(p.items()) for p in alphabet] for alphabet in alphabets]
-        score = [[[tau_low * quadratic_score(p, e) for e in evidence[j]] for p in row] for j, row in enumerate(probs)]
+        score = [[[tau_low * s for s in quadratic_scores(p, evidence[j])] for p in row] for j, row in enumerate(probs)]
         incentive = [[eps * len(e) for e in row] for row in evidence]
         # claim -> consensus state index -> (subject index, payments by the
         # subject's evidence code)
@@ -348,13 +348,11 @@ class Kernel(KernelBase):
         taus = [mech.scaling.tau_low, mech.scaling.tau_high]
         rows = [taus, *incentive, *(row for table in score for row in table)]
         rows.extend(payments for bets in claims.values() for _, payments in bets.values())
-        numerators, self.D = over_lcm(value for row in rows for value in row)
-        position = iter(numerators)
-        rows = iter([[next(position) for _ in row] for row in rows])  # the same rows, as numerators over D
-        self.tau_low, self.tau_high = next(rows)
-        self.incentive = [next(rows) for _ in incentive]
-        self.score = [[next(rows) for _ in table] for table in score]
-        self._claims = {claim: {k: (j, next(rows)) for k, (j, _) in bets.items()} for claim, bets in claims.items()}
+        self.D = D = common_denominator(value for row in rows for value in row)
+        self.tau_low, self.tau_high = numerators(taus, D)
+        self.incentive = [numerators(row, D) for row in incentive]
+        self.score = [[numerators(row, D) for row in table] for table in score]
+        self._claims = {c: {k: (j, numerators(row, D)) for k, (j, row) in bets.items()} for c, bets in claims.items()}
 
     def _menu(self, i: int, endowment):
         """Own claim x right-neighbour claim x presented subset x claim slot."""
@@ -473,10 +471,9 @@ def _integer_alphabet(scenario: Scenario, agent) -> tuple:
     """The agent's alphabet over one common denominator L, the lcm of its
     probability denominators: (L, [n_p, ...]) with n_p = L p as a map from
     collection to int, in alphabet order."""
-    alphabet = scenario.alphabet(agent)
-    numerators, scale = over_lcm(prob for dist in alphabet for _, prob in dist.items())
-    position = iter(numerators)
-    return scale, [{coll: next(position) for coll in dist.support()} for dist in alphabet]
+    rows = [dict(dist.items()) for dist in scenario.alphabet(agent)]
+    scale = common_denominator(prob for row in rows for prob in row.values())
+    return scale, [dict(zip(row, numerators(row.values(), scale))) for row in rows]
 
 
 def _closest_pair(scale, rows) -> Fraction | None:
@@ -503,10 +500,9 @@ def _widest_score_gap(scale, rows) -> Fraction:
     distributions sum to 1, some e in supp(p) has p(e) >= q(e), and the gap
     S(p, e) - S(q, e) = 2 (p(e) - q(e)) + |q|^2 - |p|^2 there is at least as wide.
     """
-    widest = 0
-    for evidence in {coll for row in rows for coll in row}:
-        scores = [quadratic_score(row, evidence, scale) for row in rows]
-        widest = max(widest, max(scores) - min(scores))
+    points = list({coll for row in rows for coll in row})
+    table = [quadratic_scores(row, points, scale) for row in rows]
+    widest = max((max(scores) - min(scores) for scores in zip(*table)), default=0)
     return Fraction(widest, scale * scale)
 
 

@@ -34,21 +34,22 @@ def format_rational(value: Fraction) -> str:
 # -- exact arithmetic shared by every layer -----------------------------------
 
 
-def over_lcm(values, den: int = 1) -> tuple:
-    """(numerators, L): each value's integer numerator over L, the lcm of
-    `den` and the values' denominators."""
-    values = list(values)
-    L = den
-    for value in values:
-        L = lcm(L, value.denominator)
-    return [value.numerator * (L // value.denominator) for value in values], L
+def common_denominator(values) -> int:
+    """L, the lcm of the values' denominators (1 for no values)."""
+    return lcm(*(value.denominator for value in values))
 
 
-def quadratic_score(report, point, scale=1):
-    """The quadratic score 2 p(point) - |p|^2 of a report p, a map from
-    points to masses (a point it does not name has mass 0). With masses given
-    as numerators over `scale`, the score comes as a numerator over scale^2."""
-    return 2 * scale * report.get(point, 0) - sum(mass * mass for mass in report.values())
+def numerators(values, L) -> list:
+    """Each value as its integer numerator over L, a multiple of its denominator."""
+    return [value.numerator * (L // value.denominator) for value in values]
+
+
+def quadratic_scores(report, points, scale=1) -> list:
+    """The quadratic score 2 p(e) - |p|^2 of a report p (a map from points to
+    masses; mass 0 off it) at each point e. With masses given as numerators
+    over `scale`, each score comes as a numerator over scale^2."""
+    self_dot = sum(mass * mass for mass in report.values())
+    return [2 * scale * report.get(point, 0) - self_dot for point in points]
 
 
 def squared_distance(p, q):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .rationals import RationalFormatError, format_rational, parse_rational, squared_distance
 
@@ -158,12 +159,13 @@ class Scenario:
             self._cache[key] = tuple(out)
         return self._cache[key]
 
-    def lie_table(self) -> dict:
-        """(true state, target state) -> the lie's `LieClass`, for every
-        ordered pair of states in state order, classified on first use."""
+    def lie_table(self) -> MappingProxyType:
+        """Read-only (true state, target state) -> the lie's `LieClass`, for
+        every ordered pair of states in state order, classified on first use."""
         key = "lie_table"
         if key not in self._cache:
-            self._cache[key] = {(s, t): _classify(self, s, t) for s in self.states for t in self.states}
+            table = {(s, t): _classify(self, s, t) for s in self.states for t in self.states}
+            self._cache[key] = MappingProxyType(table)
         return self._cache[key]
 
     def article_set(self) -> frozenset:
@@ -237,7 +239,7 @@ class LieClass:
     target_state: str
     verdict: str  # "self_identical" | "refutable" | "nonrefutable"
     refuters: tuple = ()
-    witnesses: dict | None = None  # agent -> [(collection, prob)]
+    witnesses: MappingProxyType | None = None  # read-only agent -> ((collection, prob), ...)
 
     def witness_mass(self, agent) -> Fraction:
         if not self.witnesses or agent not in self.witnesses:
@@ -260,11 +262,11 @@ def _classify(scenario: Scenario, true_state, target_state) -> LieClass:
         return LieClass(true_state, target_state, "self_identical")
     witnesses = {}
     for agent in scenario.agents:
-        found = [
+        found = tuple(
             (coll, prob)
             for coll, prob in scenario.dist(agent, true_state).items()
             if refutes(scenario, coll, target_state, agent)
-        ]
+        )
         if found:
             witnesses[agent] = found
     if witnesses:
@@ -273,7 +275,7 @@ def _classify(scenario: Scenario, true_state, target_state) -> LieClass:
             target_state,
             "refutable",
             refuters=tuple(a for a in scenario.agents if a in witnesses),
-            witnesses=witnesses,
+            witnesses=MappingProxyType(witnesses),
         )
     return LieClass(true_state, target_state, "nonrefutable")
 

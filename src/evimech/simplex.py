@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .rationals import over_lcm
+from .rationals import common_denominator, numerators
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -153,7 +153,8 @@ def maximize(objective, constraints, bounds):
     base = [b.numerator if b.denominator == 1 else b for b in base]
 
     def expand(coeffs):
-        nums, den = over_lcm(coeffs)
+        den = common_denominator(coeffs)
+        nums = numerators(coeffs, den)
         row = [0] * y_count
         shift = 0
         for j, a in enumerate(nums):

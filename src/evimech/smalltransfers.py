@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .hierarchy import HierarchyTable, TypeSpaceModel, check_evidence_ic, check_higher_order_measurability
 from .hierarchy import evidence_token
-from .rationals import quadratic_score, squared_distance
+from .rationals import quadratic_scores, squared_distance
 
 AM_TRANSFER_KEYS = ("evidence_reward", "scoring", "first_deviant_fine", "mismatch_fine")
 
@@ -99,7 +99,7 @@ class SmallTransferMechanism:
                     )
                     for o in others
                 )
-                items["scoring"] += self.beta * quadratic_score(dist, point)
+                items["scoring"] += self.beta * quadratic_scores(dist, [point])[0]
             if first_deviation_round is not None:
                 j = first_deviation_round
                 if msg.outcome_reports[j] != anchor[agent]:
@@ -141,9 +141,9 @@ def _level_score_bound(table: HierarchyTable, model: TypeSpaceModel, k) -> Fract
     worst = 0
     for token in {table.level(a, t, k) for a in model.agents for t in model.types[a]}:
         dist = table.numerators[token]
-        # the extremes: the score at the heaviest point and at a point off the support
-        top = quadratic_score(dist, max(dist, key=dist.get), L)
-        worst = max(worst, abs(top), -quadratic_score(dist, None, L))
+        # the extremes: at the heaviest point, and -r.r (r's squared distance from 0) off the support
+        (top,) = quadratic_scores(dist, [max(dist, key=dist.get)], L)
+        worst = max(worst, abs(top), squared_distance(dist, {}))
     return Fraction(worst, L * L)
 
 

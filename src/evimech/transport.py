@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from .rationals import over_lcm
+
+from .rationals import common_denominator, numerators
 from .scenario import collection_key
 
 
@@ -50,8 +51,10 @@ def solve_transport(supplies, demands) -> TransportResult:
     """
     sources = sorted(supplies, key=collection_key)
     sinks = sorted(demands, key=collection_key)
-    masses, scale = over_lcm([Fraction(supplies[c]) for c in sources] + [Fraction(demands[c]) for c in sinks])
-    supply, demand = masses[: len(sources)], masses[len(sources) :]
+    supply = [Fraction(supplies[c]) for c in sources]
+    demand = [Fraction(demands[c]) for c in sinks]
+    scale = common_denominator(supply + demand)
+    supply, demand = numerators(supply, scale), numerators(demand, scale)
 
     # Node ids: 0 = super source, 1..len(sources) sources, then sinks, then sink node.
     # residual[u] maps each neighbour of u to the integer residual capacity of

@@ -433,10 +433,11 @@ def test_verify_bne_rejects_a_type_without_play(perturbed, perturbed_mech):
         verify_bne(game, {"A": truthful_profile(game)["A"]})
 
 
-def test_implements_requires_a_clean_equilibrium(perturbed, perturbed_mech):
+def test_implements_requires_an_equilibrium_yielding_the_outcome(perturbed, perturbed_mech):
     game, profile = _h_game(perturbed, perturbed_mech)
     report = verify_bne(game, profile)
     assert report.implements("grant_a") and not report.implements("grant_b")
-    assert not replace(report, transfers_zero=False).implements("grant_a")
+    # transfers paid on path do not matter; a clean equilibrium also needs `transfers_zero`
+    assert replace(report, transfers_zero=False).implements("grant_a")
     assert not replace(report, is_bne=False).implements("grant_a")
     assert not replace(report, on_path_outcomes={"grant_a": F(1, 2), "grant_b": F(1, 2)}).implements("grant_a")

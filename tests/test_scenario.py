@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from evimech import fixtures
 from evimech.generators import random_scenario
-from evimech.rationals import over_lcm, quadratic_score, squared_distance
+from evimech.rationals import common_denominator, numerators, quadratic_scores, squared_distance
 from evimech.scenario import (
     Distribution,
     NonDegenerateInput,
@@ -150,6 +150,18 @@ def test_classify_lie_examples(leading, perturbed):
     assert perturbed_lie.witness_mass("A") == F(1, 10)
 
 
+def test_cached_lie_table_is_read_only(perturbed):
+    table = perturbed.lie_table()
+    with pytest.raises(TypeError):
+        table[("H", "M")] = None
+    lie = table[("H", "M")]
+    with pytest.raises(TypeError):
+        lie.witnesses["B"] = ()
+    with pytest.raises(AttributeError):
+        lie.witnesses["A"].append((frozenset(), F(1)))
+    assert classify_lie(perturbed, "H", "M").witness_mass("A") == F(1, 10)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_lie_filters_read_one_table(seed):
     scn = random_scenario(seed)
@@ -163,18 +175,22 @@ def test_lie_filters_read_one_table(seed):
 
 
 def test_exact_arithmetic_helpers():
-    assert over_lcm([F(1, 6), F(3, 4), 2]) == ([2, 9, 24], 12)
-    assert over_lcm([F(1, 2)], 3) == ([3], 6) and over_lcm([]) == ([], 1)
+    values = [F(1, 6), F(3, 4), 2]
+    assert common_denominator(values) == 12 and numerators(values, 12) == [2, 9, 24]
+    assert common_denominator([]) == 1 and numerators([F(1, 2)], 6) == [3]
     p = {"a": F(1, 2), "b": F(1, 2)}
     q = {"b": F(1, 4), "c": F(3, 4)}
     assert squared_distance(p, q) == squared_distance(q, p) == F(1, 4) + F(1, 16) + F(9, 16)
+    assert squared_distance(p, {}) == F(1, 2)  # |p|^2, minus the score off p's support
+    assert quadratic_scores(p, ["a", "b", "c"]) == [F(1, 2), F(1, 2), F(-1, 2)]
     # the expected loss of reporting q when p is true is |p - q|^2
-    loss = sum(prob * (quadratic_score(p, e) - quadratic_score(q, e)) for e, prob in p.items())
+    loss = sum(prob * (s - t) for prob, s, t in zip(p.values(), quadratic_scores(p, p), quadratic_scores(q, p)))
     assert loss == squared_distance(p, q)
     # numerators over L give the score over L^2 and the distance over L^2
-    (a, b, c, d), L = over_lcm([*p.values(), *q.values()])
+    L = common_denominator([*p.values(), *q.values()])
+    (a, b), (c, d) = numerators(p.values(), L), numerators(q.values(), L)
     assert (L, a, b, c, d) == (4, 2, 2, 1, 3)
-    assert F(quadratic_score({"a": a, "b": b}, "b", L), L * L) == quadratic_score(p, "b")
+    assert [F(s, L * L) for s in quadratic_scores({"a": a, "b": b}, ["b"], L)] == quadratic_scores(p, ["b"])
     assert F(squared_distance({"a": a, "b": b}, {"b": c, "c": d}), L * L) == squared_distance(p, q)
 
 
