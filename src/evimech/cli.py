@@ -428,8 +428,21 @@ def build_parser():
     return parser
 
 
+def _join_negative_rationals(argv):
+    """argv with a negative value of `--eps` joined to its flag (`--eps=-1/2`):
+    argparse reads a token that starts with `-` as an option unless it is a
+    plain negative number, so `--eps -1/2` would never reach `_parse_eps`."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--eps" and token.startswith("-") and token[1:2].isdigit():
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
     # each leaf parses only the flags it reads, so `config` is what the command used
     config = {key: value for key, value in vars(args).items() if key not in ("command", "path")}
     command = args.command

@@ -19,7 +19,8 @@ class NoImbalance(ValueError):
 
 
 class NotSeparating(RuntimeError):
-    """A synthesized bet misses the signs it was constructed to have."""
+    """A synthesized bet misses the signs it was constructed to have, or the
+    Hall witness it is read from is not scarce in the scenario."""
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,57 @@ def _bet_domain(scenario: Scenario, agent, truth_state, lie_state):
     return sorted(domain, key=collection_key)
 
 
+def witness_bet(scenario: Scenario, agent, truth_state, lie_state, witness: HallWitness) -> Bet:
+    """A separating bet with sup-norm 1, read in closed form off the Hall
+    witness of a failed perfect deception `truth_state` -> `lie_state`.
+
+    The witness's targets T carry demand a = q(T) at the lie state, and only
+    its sources, of supply b < a at the truth state, hold a sub-collection in
+    T. Paying -x on T and +y on every other collection of the bet domain is
+    worth -x·a + y·(1-a) against truthful play at the lie, and at least
+    -x·b + y·(1-b) against any withholding at the truth. With
+    x/y = (2-a-b)/(a+b) and max(x, y) = 1 these are -m and +m for the margin
+    m = (a-b)/max(a+b, 2-a-b) (the max-flow min-cut duality: Ford and
+    Fulkerson 1956; Strassen 1965).
+
+    a and b are recomputed from the scenario and T; `NotSeparating` is raised
+    when they differ from the witness's demand and supply or when m <= 0.
+    """
+    targets = frozenset(witness.targets)
+    demand = sum(
+        (prob for coll, prob in scenario.dist(agent, lie_state).items() if coll in targets), Fraction(0)
+    )
+    supply = sum(
+        (
+            prob
+            for src, prob in scenario.dist(agent, truth_state).items()
+            if any(target <= src for target in targets)
+        ),
+        Fraction(0),
+    )
+    if (demand, supply) != (witness.demand, witness.supply):
+        raise NotSeparating(
+            f"witness claims demand {witness.demand} and supply {witness.supply}; "
+            f"the scenario gives {demand} and {supply}"
+        )
+    scale = max(demand + supply, 2 - demand - supply)
+    margin = (demand - supply) / scale
+    if margin <= 0:
+        raise NotSeparating(f"witness demand {demand} does not exceed its supply {supply}")
+    x, y = (2 - demand - supply) / scale, (demand + supply) / scale
+    weights = tuple(
+        (coll, -x if coll in targets else y) for coll in _bet_domain(scenario, agent, truth_state, lie_state)
+    )
+    return Bet(agent, truth_state, lie_state, weights, margin)
+
+
 def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
     """Largest-margin separating bet with sup-norm at most 1, solved as one LP.
+
+    The builders take `witness_bet` instead, which needs no LP; this LP is
+    the independent side of the duality check (a perfect deception exists
+    exactly when no bet has a positive margin) and the oracle whose margin
+    bounds the witness bet's from above.
 
     Sourcewise minima encode the deception polytope exactly: a deceiving agent
     best-responds source by source, each picking its cheapest legal target.

@@ -12,10 +12,10 @@ from types import MappingProxyType
 from .conditions import Verdict, check_npd, check_nppd, check_stochastic_measurability
 from .deception import (
     PurePlan,
-    find_perfect_deception,
     induced_distribution,
-    synthesize_bet,
+    perfect_deception,
     synthesize_gamma_delta,
+    witness_bet,
 )
 from .rationals import common_denominator, numerators, quadratic_scores, squared_distance
 from .scenario import Distribution, Scenario, ScenarioError, collection_key, refutes, subsets
@@ -580,20 +580,18 @@ def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
 
 
 def _synthesize_bet_table(scenario: Scenario):
-    """(bets, bet values): the bne bet table and every weight its bets pay."""
+    """(bets, bet values): the bne bet table and every weight its bets pay.
+
+    Each (truth, lie) pair gets the witness bet of the first agent with no
+    perfect deception from truth to lie, read off that transport's Hall
+    witness; a pair every agent can deceive gets no bet."""
     bets = {}
-    for truth in scenario.states:
-        for lie in scenario.states:
-            if truth == lie:
-                continue
-            chosen = None
-            for agent in scenario.agents:
-                if find_perfect_deception(scenario, agent, truth, lie) is None:
-                    chosen = agent
-                    break
-            if chosen is None:
-                continue
-            bets[(truth, lie)] = synthesize_bet(scenario, chosen, truth, lie)
+    for truth, lie in itertools.permutations(scenario.states, 2):
+        for agent in scenario.agents:
+            result = perfect_deception(scenario, agent, truth, lie)
+            if not result.exists:
+                bets[(truth, lie)] = witness_bet(scenario, agent, truth, lie, result.witness)
+                break
     return bets, [w for bet in bets.values() for _, w in bet.weights]
 
 

@@ -26,18 +26,26 @@ class TransportResult:
     witness: "HallWitness | None"
 
 
-@dataclass
+class NotScarce(ValueError):
+    """A Hall witness whose targets demand no more than their sources supply."""
+
+
+@dataclass(frozen=True)
 class HallWitness:
     """Infeasibility certificate: scarce targets versus the sources able to serve them.
 
     `targets` is closed under supersets within the target support; the exact
-    inequality demand > supply is re-verified on construction.
+    inequality demand > supply is re-verified on construction (`NotScarce`).
     """
 
     targets: tuple
     demand: Fraction
     sources: tuple
     supply: Fraction
+
+    def __post_init__(self):
+        if not self.verify():
+            raise NotScarce(f"witness demand {self.demand} does not exceed its supply {self.supply}")
 
     def verify(self) -> bool:
         return self.demand > self.supply
@@ -47,7 +55,10 @@ def solve_transport(supplies, demands) -> TransportResult:
     """Route supply mass to demands along subset arcs (target ⊆ source).
 
     supplies / demands: mapping collection -> positive Fraction with equal totals.
-    Feasible iff the max flow moves the whole supply.
+    Feasible iff the max flow moves the whole supply. An infeasible result
+    carries the `HallWitness` of its minimum cut, which is scarce whenever
+    the flow falls short of the demand; unequal totals with every demand met
+    have no such witness and raise `NotScarce`.
     """
     sources = sorted(supplies, key=collection_key)
     sinks = sorted(demands, key=collection_key)

@@ -196,7 +196,13 @@ def test_criterion_09_duality_over_population():
                             continue
                         plan = find_perfect_deception(scn, agent, s, s_prime)
                         if plan is None:
-                            assert synthesize_bet(scn, agent, s, s_prime).margin > 0
+                            # evaluated directly too, so that neither side of
+                            # the duality rests on the max-flow alone
+                            bet = synthesize_bet(scn, agent, s, s_prime)
+                            assert bet.margin > 0
+                            report = certify_bet(scn, bet)
+                            assert report.passed
+                            assert report.robust_worst_case >= bet.margin
                         else:
                             with pytest.raises(InfeasibleSeparation):
                                 synthesize_bet(scn, agent, s, s_prime)

@@ -783,10 +783,27 @@ def test_negative_budget_exit_2(argv, flag):
         ("-1/2", 2, "eps must be strictly positive"),
     ],
 )
-def test_eps_must_be_a_positive_rational(leaf, eps, code, error):
-    exit_code, report = machine(*leaf, str(DATA / "micro_model.json"), f"--eps={eps}")
-    assert exit_code == code
+@pytest.mark.parametrize("joined", [True, False], ids=["--eps=VALUE", "--eps VALUE"])
+def test_eps_must_be_a_positive_rational(leaf, eps, code, error, joined):
+    flag = [f"--eps={eps}"] if joined else ["--eps", eps]
+    exit_code, report = machine(*leaf, str(DATA / "micro_model.json"), *flag)
+    assert exit_code == code and report["exit_code"] == code
+    assert report["config"]["eps"] == eps
     assert report["payload"]["error"].startswith(error)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("hierarchy", "leading.json", "--depth", "-1/2"), "--depth"),
+        (("audit", "search", "micro.json", "--seed", "-1/2"), "--seed"),
+        (("build", "pure", "leading.json", "--budget-z", "-1/2"), "--budget-z"),
+    ],
+)
+def test_only_eps_takes_a_negative_rational_as_its_value(argv, flag):
+    code, out, err = _in_process([str(DATA / a) if a.endswith(".json") else a for a in argv])
+    assert (code, out) == (2, b"")
+    assert f"argument {flag}: expected one argument".encode() in err
 
 
 @pytest.mark.parametrize("leaf", [("build", "am"), ("audit", "icr")])

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from evimech import fixtures
+from evimech import fixtures, mechanism
 from evimech.deception import (
     Bet,
     InfeasibleSeparation,
     NoImbalance,
+    NotSeparating,
+    PerfectDeceptionResult,
     PurePlan,
     certify_bet,
     find_perfect_deception,
@@ -19,9 +21,11 @@ from evimech.deception import (
     sourcewise_worst_case,
     synthesize_bet,
     synthesize_gamma_delta,
+    witness_bet,
 )
-from evimech.mechanism import build_pure_mechanism
+from evimech.mechanism import build_bne_mechanism, build_pure_mechanism
 from evimech.scenario import Distribution, parse_scenario
+from evimech.transport import HallWitness
 
 F = Fraction
 TOP = frozenset({"mh", "lmh"})
@@ -161,6 +165,55 @@ def test_synthesized_bet_on_known_pair(leading):
 def test_bet_synthesis_refuses_deceivable_pair(leading):
     with pytest.raises(InfeasibleSeparation):
         synthesize_bet(leading, "A", "H", "M")
+
+
+def test_witness_bet_on_known_pair(leading):
+    witness = perfect_deception(leading, "A", "M", "H").witness
+    assert (witness.targets, witness.demand, witness.supply) == ((TOP,), F(3, 5), F(2, 5))
+    bet = witness_bet(leading, "A", "M", "H", witness)
+    # a + b = 1: x = y = 1, and the margin is the LP's
+    assert bet.margin == synthesize_bet(leading, "A", "M", "H").margin == F(1, 5)
+    assert bet.weight_map() == {EMPTY: F(1), LOW: F(1), frozenset({"mh"}): F(1), TOP: F(-1)}
+    report = certify_bet(leading, bet)
+    assert report.passed
+    assert (report.value_at_lie, report.robust_worst_case) == (-bet.margin, bet.margin)
+
+
+def _unchecked_witness(monkeypatch, targets, demand, supply):
+    """A `HallWitness` built past its demand > supply check."""
+    monkeypatch.setattr(HallWitness, "__post_init__", lambda self: None)
+    return HallWitness(targets, demand, (), supply)
+
+
+@pytest.mark.parametrize(
+    "targets, demand, supply",
+    [
+        ((TOP,), F(2, 5), F(3, 5)),  # demand and supply swapped
+        ((TOP,), F(3, 5), F(3, 5)),  # demand equal to supply
+        ((), F(0), F(0)),  # no target at all: nothing is scarce
+    ],
+)
+def test_witness_bet_refuses_a_witness_that_is_not_scarce(leading, monkeypatch, targets, demand, supply):
+    witness = _unchecked_witness(monkeypatch, targets, demand, supply)
+    with pytest.raises(NotSeparating):
+        witness_bet(leading, "A", "M", "H", witness)
+
+
+def test_witness_bet_refuses_a_witness_the_scenario_does_not_bear_out(leading):
+    # scarce as written, but T = {LOW} is demanded 2/5 at H and served by all of M
+    witness = HallWitness((LOW,), F(3, 5), (TOP,), F(2, 5))
+    with pytest.raises(NotSeparating):
+        witness_bet(leading, "A", "M", "H", witness)
+
+
+def test_bne_builder_refuses_a_bad_witness(monkeypatch):
+    scn = fixtures.perturbed_example()
+    bad = _unchecked_witness(monkeypatch, (TOP,), F(1, 5), F(1, 5))
+    monkeypatch.setattr(
+        mechanism, "perfect_deception", lambda *args: PerfectDeceptionResult(None, F(0), bad)
+    )
+    with pytest.raises(NotSeparating):
+        build_bne_mechanism(scn)
 
 
 def test_bet_scaling_invariance(leading):

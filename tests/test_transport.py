@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from evimech.transport import solve_transport
+import pytest
+
+from evimech.transport import HallWitness, NotScarce, solve_transport
 
 F = Fraction
 C_TOP = frozenset({"mh", "lmh"})
@@ -29,6 +31,12 @@ def test_infeasible_leading_m_to_h_with_witness():
         for other in (C_TOP, C_LOW):
             if scarce <= other and other != scarce:
                 assert other in witness.targets
+
+
+@pytest.mark.parametrize("demand, supply", [(F(2, 5), F(3, 5)), (F(1, 2), F(1, 2))])
+def test_witness_refuses_demand_at_most_supply(demand, supply):
+    with pytest.raises(NotScarce):
+        HallWitness((C_TOP,), demand, (C_TOP,), supply)
 
 
 def test_identity_is_feasible():
