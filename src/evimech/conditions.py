@@ -76,6 +76,18 @@ def pair_blocking_report(scenario: Scenario, s, s_prime) -> dict:
     for agent in scenario.agents:
         result = perfect_deception(scenario, agent, s, s_prime)
         if not result.exists:
-            blocked.append({"agent": agent, "max_flow": result.flow_value})
+            witness = result.witness
+            blocked.append(
+                {
+                    "agent": agent,
+                    "max_flow": result.flow_value,
+                    "witness": {
+                        "targets": [sorted(target) for target in witness.targets],
+                        "demand": witness.demand,
+                        "sources": [sorted(source) for source in witness.sources],
+                        "supply": witness.supply,
+                    },
+                }
+            )
     info["agents_without_deception"] = blocked
     return info

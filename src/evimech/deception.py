@@ -86,7 +86,7 @@ def induced_distribution(plan: TransportPlan) -> Distribution:
     return Distribution(masses)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerfectDeceptionResult:
     plan: TransportPlan | None
     flow_value: Fraction
@@ -99,7 +99,18 @@ class PerfectDeceptionResult:
 
 def perfect_deception(scenario: Scenario, agent, source_state, target_state) -> PerfectDeceptionResult:
     """Decide whether the agent can exactly mimic her `target_state` distribution
-    while truly at `source_state` (rational max-flow on the subset network)."""
+    while truly at `source_state` (rational max-flow on the subset network).
+
+    Solved once per scenario: the read-only result is kept in the scenario's
+    cache, so the conditions, the reports and the builders share each
+    transport."""
+    key = ("perfect_deception", agent, source_state, target_state)
+    if key not in scenario._cache:
+        scenario._cache[key] = _solve_perfect_deception(scenario, agent, source_state, target_state)
+    return scenario._cache[key]
+
+
+def _solve_perfect_deception(scenario: Scenario, agent, source_state, target_state) -> PerfectDeceptionResult:
     if source_state == target_state:
         return PerfectDeceptionResult(identity_plan(scenario, agent, source_state), Fraction(1), None)
     supplies = dict(scenario.dist(agent, source_state).items())
@@ -141,7 +152,15 @@ def _assign_sources(sources, masses, residual, assignment, idx):
 
 
 def find_pure_perfect_deception(scenario: Scenario, agent, source_state, target_state) -> PurePlan | None:
-    """Degenerate perfect deception via backtracking with exact residual demands."""
+    """Degenerate perfect deception via backtracking with exact residual
+    demands, searched once per scenario (the plan, or None, is cached)."""
+    key = ("pure_perfect_deception", agent, source_state, target_state)
+    if key not in scenario._cache:
+        scenario._cache[key] = _search_pure_perfect_deception(scenario, agent, source_state, target_state)
+    return scenario._cache[key]
+
+
+def _search_pure_perfect_deception(scenario: Scenario, agent, source_state, target_state) -> PurePlan | None:
     if source_state == target_state:
         assignment = tuple((c, c) for c in scenario.support(agent, source_state))
         return PurePlan(agent, source_state, target_state, assignment)
@@ -266,35 +285,37 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
     n = n_w + n_z + 1  # lie-support weights, per-source minima, margin
     margin_col = n - 1
 
+    # Coefficients are the ints 0, 1 and -1 apart from the probabilities,
+    # which stay Fractions; `simplex.maximize` reads both exactly.
     constraints = []
     # Value under truthful play at the lie state stays below -margin.
-    row = [Fraction(0)] * n
+    row = [0] * n
     for coll, prob in lie_dist.items():
         row[col_index[coll]] += prob
-    row[margin_col] = Fraction(1)
-    constraints.append((row, simplex.LE, Fraction(0)))
+    row[margin_col] = 1
+    constraints.append((row, simplex.LE, 0))
     # z_K lower-bounds every weight the source K could present; off-support
     # presentations are worth the pinned +1.
     for k_idx, src in enumerate(sources):
-        row = [Fraction(0)] * n
-        row[n_w + k_idx] = Fraction(1)
-        constraints.append((row, simplex.LE, Fraction(1)))
+        row = [0] * n
+        row[n_w + k_idx] = 1
+        constraints.append((row, simplex.LE, 1))
         for coll in lie_support:
             if coll <= src:
-                row = [Fraction(0)] * n
-                row[n_w + k_idx] = Fraction(1)
-                row[col_index[coll]] -= Fraction(1)
-                constraints.append((row, simplex.LE, Fraction(0)))
+                row = [0] * n
+                row[n_w + k_idx] = 1
+                row[col_index[coll]] -= 1
+                constraints.append((row, simplex.LE, 0))
     # Worst-case value at the truth state stays above +margin.
-    row = [Fraction(0)] * n
+    row = [0] * n
     for k_idx, src in enumerate(sources):
         row[n_w + k_idx] = truth_dist.prob(src)
-    row[margin_col] = Fraction(-1)
-    constraints.append((row, simplex.GE, Fraction(0)))
+    row[margin_col] = -1
+    constraints.append((row, simplex.GE, 0))
 
-    objective = [Fraction(0)] * n
-    objective[margin_col] = Fraction(1)
-    bounds = [(Fraction(-1), Fraction(1))] * n_w + [(None, None)] * n_z + [(None, None)]
+    objective = [0] * n
+    objective[margin_col] = 1
+    bounds = [(-1, 1)] * n_w + [(None, None)] * n_z + [(None, None)]
 
     result = simplex.maximize(objective, constraints, bounds)
     if result.status != "optimal":

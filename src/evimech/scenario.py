@@ -136,7 +136,7 @@ class Scenario:
         idx = self.agents.index(agent)
         return self.agents[(idx - 1) % len(self.agents)]
 
-    def presentable(self, agent) -> list:
+    def presentable(self, agent) -> tuple:
         """All collections the agent may ever present: subsets of support collections."""
         key = ("presentable", agent)
         if key not in self._cache:
@@ -144,7 +144,7 @@ class Scenario:
             for state in self.states:
                 for coll in self.support(agent, state):
                     seen.update(subsets(coll))
-            self._cache[key] = sorted(seen, key=collection_key)
+            self._cache[key] = tuple(sorted(seen, key=collection_key))
         return self._cache[key]
 
     def alphabet(self, agent) -> tuple:

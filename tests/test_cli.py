@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 import evimech
 from evimech import cli, fixtures, generators, hierarchy
 from evimech.cli import main
-from evimech.scenario import ValidationReport, scenario_to_json
+from evimech.deception import witness_bet
+from evimech.rationals import parse_rational
+from evimech.scenario import ValidationReport, parse_scenario, scenario_to_json
+from evimech.transport import HallWitness
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,6 +97,32 @@ def test_check_npd_perturbed_passes_with_pair_analysis():
     toward_m = analysis[("H", "M")]
     assert toward_m["lie"] == "refutable"
     assert toward_m["witness_mass"]["A"] == "1/10"
+
+
+@pytest.mark.parametrize(
+    "name", ["leading", "perturbed", "pure_deception", "projection", "micro", "appended_article"]
+)
+def test_check_npd_witnesses_are_scarce_and_give_separating_bets(name):
+    path = DATA / f"{name}.json"
+    scn = parse_scenario(json.loads(path.read_text()))
+    _, report = machine("check", "npd", str(path))
+    blocked = [
+        (row["source_state"], row["target_state"], entry)
+        for row in report["payload"]["pair_analysis"]
+        for entry in row["agents_without_deception"]
+    ]
+    assert blocked
+    for truth, lie, entry in blocked:
+        emitted = entry["witness"]
+        demand, supply = parse_rational(emitted["demand"]), parse_rational(emitted["supply"])
+        assert demand > supply
+        witness = HallWitness(
+            tuple(frozenset(t) for t in emitted["targets"]),
+            demand,
+            tuple(frozenset(s) for s in emitted["sources"]),
+            supply,
+        )
+        assert witness_bet(scn, entry["agent"], truth, lie, witness).margin > 0
 
 
 def test_check_nppd_pure_deception_fails_on_h_u():

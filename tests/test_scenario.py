@@ -85,7 +85,7 @@ def test_replaced_scenario_does_not_inherit_the_cache(leading):
     # A holds only {lmh} at every state: one distribution, no collection with mh
     dists = {key: Distribution({LOW: F(1)}) if key[0] == "A" else dist for key, dist in leading.dists.items()}
     flat = replace(leading, dists=dists)
-    assert flat.presentable("A") == [frozenset(), LOW]
+    assert flat.presentable("A") == (frozenset(), LOW)
     assert flat.alphabet("A") == (Distribution({LOW: F(1)}),)
     assert leading.article_set() == {"lmh", "mh"} and len(leading.alphabet("A")) == 3
 
