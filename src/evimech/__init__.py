@@ -37,6 +37,7 @@ from .mechanism import (
     build_pure_mechanism,
     compute_scaling,
     consistency,
+    outcome,
     transfers,
 )
 from .game import (
@@ -56,6 +57,10 @@ from .hierarchy import (
     check_evidence_ic,
     check_higher_order_measurability,
     embed_flat_scenario,
+    model_to_json,
+    report_values,
+    separating_level,
+    stabilization_depth,
 )
 from .smalltransfers import build_small_transfer_mechanism, eliminate_rationalizable
 

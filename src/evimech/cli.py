@@ -146,6 +146,20 @@ def _built(scn, variant="bne", z_cap=None):
         raise _Abort(EXIT_FAIL, {"refused": "slack", "slacks": exc.slacks})
 
 
+def _built_small(args, data):
+    """(small-transfer mechanism, input kind) for the model or embedded
+    scenario and `--eps`; a refusal aborts with exit 3 and names the failed
+    condition, with the EIC failures when EIC fails."""
+    model, source = _load_model(data)
+    eps = _parse_eps(args.eps)
+    try:
+        return smalltransfers.build_small_transfer_mechanism(model, eps), source
+    except smalltransfers.HomViolation:
+        raise _Abort(EXIT_FAIL, {"refused": "hom"})
+    except smalltransfers.EicViolation as exc:
+        raise _Abort(EXIT_FAIL, {"refused": "eic", "failures": _eic_failures_payload(exc.verdict)})
+
+
 def _budget(args, flag):
     """The value of a budget flag; exit 2 when it is negative."""
     value = getattr(args, flag[2:].replace("-", "_"))
@@ -217,14 +231,7 @@ def cmd_build(args, data):
         z_cap = _budget(args, "--budget-z") if args.variant == "pure" else None
         mech = _built(scn, args.variant, z_cap)
         return EXIT_OK, {"mechanism": mechanism.mechanism_report(mech)}
-    model, source = _load_model(data)
-    eps = _parse_eps(args.eps)
-    try:
-        mech = smalltransfers.build_small_transfer_mechanism(model, eps)
-    except smalltransfers.HomViolation:
-        return EXIT_FAIL, {"refused": "hom"}
-    except smalltransfers.EicViolation as exc:
-        return EXIT_FAIL, {"refused": "eic", "failures": _eic_failures_payload(exc.verdict)}
+    mech, source = _built_small(args, data)
     payload = {
         "input": source,
         "eps": mech.eps,
@@ -312,14 +319,7 @@ def _audit_search(args, data):
 
 
 def _audit_icr(args, data):
-    model, source = _load_model(data)
-    eps = _parse_eps(args.eps)
-    try:
-        mech = smalltransfers.build_small_transfer_mechanism(model, eps)
-    except smalltransfers.HomViolation:
-        return EXIT_FAIL, {"refused": "hom"}
-    except smalltransfers.EicViolation:
-        return EXIT_FAIL, {"refused": "eic"}
+    mech, source = _built_small(args, data)
     report = smalltransfers.eliminate_rationalizable(mech)
     payload = {
         "input": source,

@@ -36,18 +36,19 @@ class DirectMessage:
     evidence: frozenset
 
 
+@dataclass(frozen=True, eq=False)
 class DirectMechanism:
     """Type-report game with a consensus-else-first-report outcome and no
     transfers; the minimal setting for the necessity replay."""
 
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self._kernel = None
+    scenario: Scenario
 
     def kernel(self) -> "DirectKernel":
-        if self._kernel is None:
-            self._kernel = DirectKernel(self.scenario)
-        return self._kernel
+        """The kernel compiled from this mechanism, built on first use."""
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            kernel = self.__dict__["_kernel"] = DirectKernel(self.scenario)
+        return kernel
 
     def truthful_message(self, agent, state, evidence) -> DirectMessage:
         return DirectMessage(state, frozenset(evidence))
@@ -401,40 +402,26 @@ class SearchInconsistency(RuntimeError):
     """The pure enumeration's best-response tables and `verify_bne` disagree."""
 
 
-def _pure_best_response_profiles(game: BayesianGame):
-    """Every pure profile in which each type plays a best response, in
-    `itertools.product` order over the (agent, type) slots.
-
-    An agent's pure strategy is a tuple of menu positions, one per type. Its
-    best-response sets against a pure strategy of its opponents (the argmax
-    positions of each type's whole menu, valued against one listing of the
-    opponents' realizations) are computed once and memoized for this call.
-    The strategies of every agent but the last are walked in product order,
-    the last agent's drawn from the product of its best-response sets, and a
-    profile is kept when every other agent's strategy lies in its own sets.
-    """
+def _best_response_table(game: BayesianGame):
+    """`best_responses(i, strategies)`: per type of agent i, the argmax
+    positions of its whole menu against the opponents' pure strategies (each
+    a tuple of menu positions, one per type; i's own entry is ignored), valued
+    over one listing of their realizations and memoized by those strategies."""
     agents = game.scenario.agents
-    menus = [[game.actions[(agent, coll)] for coll in game.types[agent]] for agent in agents]
     tables = [{} for _ in agents]
-
-    def profile_of(strategies):
-        return {
-            agent: {coll: {menu[pos]: _ONE} for coll, menu, pos in zip(game.types[agent], menus[j], strategies[j])}
-            for j, agent in enumerate(agents)
-        }
 
     def best_responses(i, strategies):
         others = strategies[:i] + strategies[i + 1 :]
         sets = tables[i].get(others)
         if sets is None:
             agent = agents[i]
-            position = {
-                (other, coll): pos
+            play = {
+                (other, coll): (1, (game._codes[(other, coll)][pos],), (1,))
                 for j, other in enumerate(agents)
                 if j != i
                 for coll, pos in zip(game.types[other], strategies[j])
             }
-            _, realizations = game._realizations(agent, _pure_play(game, position))
+            _, realizations = game._realizations(agent, play)
             sets = []
             for coll in game.types[agent]:
                 values = game._values(i, realizations, game._codes[(agent, coll)])
@@ -443,8 +430,27 @@ def _pure_best_response_profiles(game: BayesianGame):
             tables[i][others] = sets = tuple(sets)
         return sets
 
+    return best_responses
+
+
+def _pure_profile(game: BayesianGame, strategies) -> dict:
+    """The strategy profile in which each type plays, with probability 1, its
+    menu's message at its agent's strategy's position."""
+    return {
+        agent: {coll: {game.actions[(agent, coll)][pos]: _ONE} for coll, pos in zip(game.types[agent], strategy)}
+        for agent, strategy in zip(game.scenario.agents, strategies)
+    }
+
+
+def _pure_best_response_profiles(game: BayesianGame, best_responses):
+    """Every pure profile in which each type plays a best response, in
+    `itertools.product` order over the (agent, type) slots: the strategies of
+    every agent but the last are walked in product order, the last agent's
+    drawn from the product of its best-response sets, and a profile is kept
+    when every other agent's strategy lies in its own sets."""
+    agents = game.scenario.agents
     last = len(agents) - 1
-    heads = [itertools.product(*(range(len(menu)) for menu in menus[j])) for j in range(last)]
+    heads = [itertools.product(*(range(len(game.actions[(a, c)])) for c in game.types[a])) for a in agents[:last]]
     for prefix in itertools.product(*heads):
         for tail in itertools.product(*best_responses(last, prefix + (None,))):
             strategies = prefix + (tail,)
@@ -452,13 +458,7 @@ def _pure_best_response_profiles(game: BayesianGame):
                 all(pos in best for pos, best in zip(strategies[j], best_responses(j, strategies)))
                 for j in range(last)
             ):
-                yield profile_of(strategies)
-
-
-def _pure_play(game: BayesianGame, position) -> dict:
-    """The coded play (`_coded_play`) in which each (agent, type) slot of
-    `position` plays its menu's message at `position[slot]`."""
-    return {slot: (1, (game._codes[slot][pos],), (1,)) for slot, pos in position.items()}
+                yield _pure_profile(game, strategies)
 
 
 def _profile_key(game, profile):
@@ -481,7 +481,8 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         `SearchInconsistency`;
     (b) truthful play composed with deception profiles (canonical perfect plans
         per target plus pure deception profiles under `plan_cap`);
-    (c) best-response dynamics from seeded random starts (heuristic).
+    (c) best-response dynamics from seeded random starts (heuristic), on
+        phase (a)'s memoized best-response table (`_best_response_table`).
     """
     scenario = game.scenario
     found = {}
@@ -497,14 +498,13 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
             report.stamp = stamp
             found[key] = (profile, report)
 
+    best_responses = _best_response_table(game)
+
     # (a) exhaustive pure enumeration by best-response tables
-    slots = [(agent, coll) for agent in scenario.agents for coll in game.types[agent]]
-    total = 1
-    for slot in slots:
-        total *= len(game.actions[slot])
+    total = math.prod(len(menu) for menu in game.actions.values())
     if total <= budget.pure_cap:
         flags["pure_enumeration"] = "EXHAUSTIVE"
-        for profile in _pure_best_response_profiles(game):
+        for profile in _pure_best_response_profiles(game, best_responses):
             report = verify_bne(game, profile)
             if not report.is_bne:
                 raise SearchInconsistency(f"best-response tables admit a profile verify_bne rejects: {report.witness}")
@@ -538,35 +538,27 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     else:
         flags["closure_family"] = f"BUDGET_EXCEEDED({pure_total})"
 
-    # (c) best-response dynamics, heuristic; an agent's opponent realizations
-    # are listed again only once another agent's play has changed
+    # (c) best-response dynamics, heuristic: each agent in turn moves every
+    # type that is not playing a best response to its set's first member
     flags["dynamics"] = "HEURISTIC"
     rng = random.Random(seed)
     for trial in budget.seeds:
         rng.seed(seed * 1000003 + trial)
-        profile = {a: {} for a in scenario.agents}
-        position = {}
-        for agent, coll in slots:
-            actions = game.actions[(agent, coll)]
-            position[(agent, coll)] = pick = rng.choice(range(len(actions)))
-            profile[agent][coll] = {actions[pick]: Fraction(1)}
-        realizations = {}
+        strategies = [
+            tuple(rng.choice(range(len(game.actions[(agent, coll)]))) for coll in game.types[agent])
+            for agent in scenario.agents
+        ]
         for _ in range(budget.max_rounds):
             changed = False
-            for agent, coll in slots:
-                if agent not in realizations:
-                    realizations[agent] = game._realizations(agent, _pure_play(game, position))[1]
-                i = scenario.agents.index(agent)
-                values = game._values(i, realizations[agent], game._codes[(agent, coll)])
-                best = max(range(len(values)), key=values.__getitem__)
-                if values[best] > values[position[(agent, coll)]]:
-                    position[(agent, coll)] = best
-                    profile[agent][coll] = {game.actions[(agent, coll)][best]: Fraction(1)}
-                    realizations = {agent: realizations[agent]}
+            for i, strategy in enumerate(strategies):
+                sets = best_responses(i, tuple(strategies))
+                moved = tuple(pos if pos in best else best[0] for pos, best in zip(strategy, sets))
+                if moved != strategy:
+                    strategies[i] = moved
                     changed = True
             if not changed:
                 break
-        consider(profile, "HEURISTIC")
+        consider(_pure_profile(game, strategies), "HEURISTIC")
 
     return [
         {"profile": profile, "report": report, "stamp": report.stamp}

@@ -9,7 +9,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .rationals import RationalFormatError, common_denominator, format_rational, numerators, parse_rational
-from .scenario import Scenario, collection_key, consensus_else_first
+from .scenario import Scenario, collection_key, consensus_else_first, read_only_rows
 
 
 class ModelFormatError(ValueError):
@@ -32,6 +32,13 @@ class TypeSpaceModel:
     # gives a copy a fresh cache instead of the original's tables
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        # stored read-only: the compiled tables must not go stale
+        for name in ("types", "evidence", "scf"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "beliefs", read_only_rows(self.beliefs))
+        object.__setattr__(self, "utility_profiles", tuple(map(read_only_rows, self.utility_profiles)))
+
     def tables(self) -> "ModelTables":
         """The integer tables compiled from this model, built on first use."""
         tables = self._cache.get("tables")
@@ -42,13 +49,11 @@ class TypeSpaceModel:
     def opponents(self, agent):
         return tuple(a for a in self.agents if a != agent)
 
-    def profiles(self):
+    def profiles(self) -> tuple:
         """All full type profiles, agent order."""
         key = "profiles"
         if key not in self._cache:
-            self._cache[key] = [
-                tuple(combo) for combo in itertools.product(*(self.types[a] for a in self.agents))
-            ]
+            self._cache[key] = tuple(itertools.product(*(self.types[a] for a in self.agents)))
         return self._cache[key]
 
     def belief(self, agent, type_id):
@@ -100,7 +105,7 @@ class ModelTables:
         self.beliefs = {key: tuple(zip(b, numerators(b.values(), L))) for key, b in model.beliefs.items()}
         self.agents = model.agents
         self.scf = model.scf
-        self.feasible = {(a, t): model.feasible_reports(a, t) for a in model.agents for t in model.types[a]}
+        self.feasible = {(a, t): tuple(model.feasible_reports(a, t)) for a in model.agents for t in model.types[a]}
         self._utility_profiles = model.utility_profiles
         self._utilities = {}
         self._values = {}
@@ -248,7 +253,7 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
                         denominator *= d
                     if numerator > 0:
                         entries[tuple(type_id for type_id, _, _ in combo)] = Fraction(numerator, denominator)
-            beliefs[(agent, (state, coll))] = dict(entries)
+            beliefs[(agent, (state, coll))] = entries
 
     model_profiles = [
         tuple(combo) for combo in itertools.product(*(types[a] for a in agents))

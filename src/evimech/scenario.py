@@ -33,6 +33,12 @@ def subsets(collection) -> list:
     ]
 
 
+def read_only_rows(mapping) -> MappingProxyType:
+    """A read-only copy of a mapping of mappings (a utility profile, the
+    beliefs), both levels copied once."""
+    return MappingProxyType({key: MappingProxyType(dict(row)) for key, row in mapping.items()})
+
+
 def format_collection(collection: Collection) -> str:
     return "{" + ",".join(sorted(collection)) + "}"
 
@@ -116,6 +122,13 @@ class Scenario:
     # shape problems the parser read past (validate_scenario reports them)
     input_violations: tuple = field(default=(), compare=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # stored read-only: the per-scenario caches must not go stale
+        for name in ("dists", "scf", "article_names"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "utility_profiles", tuple(map(read_only_rows, self.utility_profiles)))
 
     # -- basic accessors -------------------------------------------------
 
@@ -559,7 +572,7 @@ def most_informative_projection(scenario: Scenario) -> Scenario:
         states=scenario.states,
         articles=scenario.articles,
         dists=new_dists,
-        scf=dict(scenario.scf),
+        scf=scenario.scf,
         outcomes=scenario.outcomes,
         utility_profiles=scenario.utility_profiles,
         article_names=None,

@@ -261,9 +261,3 @@ def maximize(objective, constraints, bounds):
         values.append(Fraction(n, d))
     achieved = sum((c * v for c, v in zip(objective, values) if c), Fraction(0))
     return LpResult("optimal", achieved, values)
-
-
-def feasible(constraints, bounds) -> bool:
-    """Phase-1 feasibility of the constraint system."""
-    result = maximize([Fraction(0)] * len(bounds), constraints, bounds)
-    return result.status == "optimal"

@@ -850,6 +850,20 @@ def test_small_transfers_refused_without_hom(tmp_path, leaf):
     assert report["payload"] == {"refused": "hom"}
 
 
+@pytest.mark.parametrize("leaf", [("build", "am"), ("audit", "icr")])
+def test_small_transfers_refused_without_eic(tmp_path, leaf):
+    # the embedding of random_scenario(3) passes HOM and fails EIC: both
+    # leaves refuse and list the failures `check eic` reports
+    path = tmp_path / "no_eic.json"
+    path.write_text(json.dumps(scenario_to_json(generators.random_scenario(3))))
+    assert machine("check", "hom", str(path))[1]["payload"]["passed"] is True
+    code, eic = machine("check", "eic", str(path))
+    assert code == 3 and eic["payload"]["failures"]
+    code, report = machine(*leaf, str(path))
+    assert code == 3
+    assert report["payload"] == {"refused": "eic", "failures": eic["payload"]["failures"]}
+
+
 def test_reports_refuse_values_json_cannot_carry():
     from evimech.reporting import jsonable
 

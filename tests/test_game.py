@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -272,6 +272,17 @@ def _exhaustive_only_games():
     ]
 
 
+def test_direct_mechanism_keeps_its_scenario_with_its_kernel():
+    leading, perturbed = fixtures.leading_example(), fixtures.perturbed_example()
+    direct = DirectMechanism(leading)
+    kernel = direct.kernel()
+    with pytest.raises(FrozenInstanceError):
+        direct.scenario = perturbed
+    assert direct.kernel() is kernel and kernel.scenario is leading
+    other = replace(direct, scenario=perturbed)
+    assert other.kernel() is not kernel and other.kernel().scenario is perturbed
+
+
 def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatch):
     # the enumeration walks best-response tables: at most one opponent sweep
     # per agent and opponents' pure strategy (the sweeps inside the hits'
@@ -307,6 +318,12 @@ def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatc
         counts = [math.prod(len(game.actions[(a, c)]) for c in game.types[a]) for a in game.scenario.agents]
         bound = sum(math.prod(counts[:i] + counts[i + 1 :]) for i in range(len(counts)))
         assert 0 < len(swept) <= bound < math.prod(counts)
+        # the dynamics read the same table: both phases together stay in the
+        # bound, and they find nothing the exhaustive enumeration missed
+        swept.clear()
+        with_dynamics = search_equilibria(game, replace(budget, seeds=(0, 1, 2)))
+        assert 0 < len(swept) <= bound
+        assert [item["profile"] for item in with_dynamics[0]] == [item["profile"] for item in results]
 
 
 def test_pure_enumeration_fails_closed_when_verification_disagrees(monkeypatch):

@@ -182,15 +182,38 @@ def test_model_json_round_trip(embedded_leading):
     assert verdict.passed and verdict.k_bar == 2
 
 
+def test_model_inputs_are_read_only():
+    # interim values are cached per (profile, agent, type): an in-place edit
+    # of the utilities must raise instead of leaving them stale
+    model = embed_flat_scenario(fixtures.leading_example())
+    type_id = model.types["A"][0]
+    values = report_values(model, 1, "A", type_id)
+    key = next(iter(model.utility_profiles[1]["A"]))
+    with pytest.raises(TypeError):
+        model.utility_profiles[1]["A"][key] = F(3, 4)
+    with pytest.raises(TypeError):
+        model.utility_profiles[1]["A"] = {}
+    with pytest.raises(TypeError):
+        model.beliefs[("A", type_id)][next(iter(model.belief("A", type_id)))] = F(1)
+    with pytest.raises(TypeError):
+        model.beliefs[("A", type_id)] = {}
+    for name in ("types", "evidence", "scf"):
+        mapping = getattr(model, name)
+        with pytest.raises(TypeError):
+            mapping[next(iter(mapping))] = None
+    assert isinstance(model.profiles(), tuple)
+    assert report_values(model, 1, "A", type_id) == values
+
+
 def test_replaced_model_does_not_inherit_the_cache():
     micro = parse_model(json.loads((Path(__file__).parent / "data" / "micro_model.json").read_text()))
     assert len(micro.profiles()) == 4
     values = report_values(micro, 0, "A", "s1|{w}")
     tables = micro.tables()
     single = replace(micro, types={a: micro.types[a][:1] for a in micro.agents})
-    assert single.profiles() == [("s1|{w}", "s1|{}")]
+    assert single.profiles() == (("s1|{w}", "s1|{}"),)
     assert single.tables() is not tables
-    assert single.tables().feasible[("A", "s1|{w}")] == ["s1|{w}"]
+    assert single.tables().feasible[("A", "s1|{w}")] == ("s1|{w}",)
     # utilities replaced: the copy values reports from its own tables
     raised = tuple(
         {agent: {key: value + F(1, 3) for key, value in prof[agent].items()} for agent in micro.agents}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimech import fixtures
+from evimech.conditions import check_npd
 from evimech.generators import random_scenario
 from evimech.rationals import common_denominator, numerators, quadratic_scores, squared_distance
 from evimech.scenario import (
@@ -160,6 +161,28 @@ def test_cached_lie_table_is_read_only(perturbed):
     with pytest.raises(AttributeError):
         lie.witnesses["A"].append((frozenset(), F(1)))
     assert classify_lie(perturbed, "H", "M").witness_mass("A") == F(1, 10)
+
+
+def test_scenario_inputs_are_read_only():
+    # NPD fails on the leading example; an in-place edit that would make it
+    # pass must raise instead of leaving the cached deceptions stale
+    scn = fixtures.leading_example()
+    assert not check_npd(scn).passed
+    with pytest.raises(TypeError):
+        scn.dists[("A", "M")] = scn.dist("A", "L")
+    with pytest.raises(TypeError):
+        scn.scf["H"] = scn.scf["L"]
+    with pytest.raises(TypeError):
+        scn.article_names["mh"] = frozenset(scn.states)
+    with pytest.raises(TypeError):
+        scn.utility_profiles[0]["A"][(scn.outcomes[0], "H")] = F(1, 2)
+    with pytest.raises(TypeError):
+        scn.utility_profiles[0]["C"] = {}
+    assert not check_npd(scn).passed
+    # a copy with the edit is the way to change a scenario
+    dists = dict(scn.dists)
+    dists[("A", "M")] = scn.dist("A", "L")
+    assert check_npd(replace(scn, dists=dists)).passed
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,16 +1,21 @@
-"""Differential test: the pure enumeration by best-response tables against
+"""Differential test: the equilibrium search against
 `game_reference.search_equilibria`, which runs `verify_bne` on every pure
-profile.
+profile and values every message with `expected_utility` in its dynamics.
 
-The budget runs phase (a) alone. The corpus is every state of the fixtures and
-of `random_scenario(seed, max_states=3)` for seeds 0-199, two and three
-agents, under the direct mechanism, the bne mechanism (built where NPD holds,
+`BUDGET` runs phase (a), the pure enumeration by best-response tables, alone.
+The corpus is every state of the fixtures and of
+`random_scenario(seed, max_states=3)` for seeds 0-199, two and three agents,
+under the direct mechanism, the bne mechanism (built where NPD holds,
 assembled without the gate where it fails but SM holds, so that deception
 equilibria are hits) and, where z fits, the pure mechanism, at the constant
 utility profile 0 (massive ties) and the last profile. It keeps the games of
 at most `SMALL` pure profiles, the NPD-failing ones up to `NPD_FAILING`, and
 the `LARGE` games above 4,096 profiles: the reference takes about 8 s and
 9 s on those two.
+
+`DYNAMICS` runs phase (c), the best-response dynamics, alone, on a slice:
+the three-agent games and those above the default `pure_cap`, of the
+fixtures and of every `DYNAMICS_SEEDS` scenario.
 """
 
 import math
@@ -26,6 +31,8 @@ BUDGET = game.SearchBudget(pure_cap=20000, plan_cap=0, seeds=())
 SMALL = 200
 NPD_FAILING = 1300
 LARGE = {("perturbed", "direct", "H", 1), ("seed 82", "direct", "s2", 0)}
+DYNAMICS = game.SearchBudget(pure_cap=0, plan_cap=0, seeds=(0, 1, 2))
+DYNAMICS_SEEDS = range(0, 200, 30)
 
 SCENARIOS = [(name, build()) for name, build in fixtures.ALL_FIXTURES.items()]
 SCENARIOS.extend((f"seed {seed}", generators.random_scenario(seed, max_states=3)) for seed in range(200))
@@ -77,3 +84,43 @@ def test_search_corpus_is_not_vacuous():
     _, mech, state, idx, _ = next(g for g in _games("seed 4", scn) if g[0] == "npd-failing")
     results, _ = game.search_equilibria(game.BayesianGame(scn, mech, state, idx), BUDGET)
     assert any(item["report"].on_path_outcomes != {scn.scf[state]: 1} for item in results)
+
+
+def _dynamics_games(name, scn):
+    """The slice's games for the dynamics: those of three agents or above the
+    default `pure_cap`, at every state of a fixture and the first state of a
+    random scenario, at the constant utility profile 0 and the last."""
+    states = scn.states[:1] if name.startswith("seed") else scn.states
+    games = []
+    for kind, mech in _mechanisms(scn):
+        for state in states:
+            size = math.prod(len(menu) for menu in game.BayesianGame(scn, mech, state, 0).actions.values())
+            if len(scn.agents) == 3 or size > game.SearchBudget().pure_cap:
+                for idx in dict.fromkeys((0, len(scn.utility_profiles) - 1)):
+                    games.append((kind, mech, state, idx, size))
+    return games
+
+
+DYNAMICS_SCENARIOS = [
+    (name, scn)
+    for name, scn in SCENARIOS
+    if not name.startswith("seed") or int(name.split()[1]) in DYNAMICS_SEEDS
+]
+
+
+@pytest.mark.parametrize("name, scn", DYNAMICS_SCENARIOS, ids=[name for name, _ in DYNAMICS_SCENARIOS])
+def test_dynamics_match_reference(name, scn):
+    # the dynamics read the enumeration's best-response table; the reference
+    # values every message of every type with `expected_utility`
+    for kind, mech, state, idx, _ in _dynamics_games(name, scn):
+        new = game.search_equilibria(game.BayesianGame(scn, mech, state, idx), DYNAMICS)
+        old = ref.search_equilibria(ref.BayesianGame(scn, mech, state, idx), DYNAMICS)
+        assert _search_fields(*new) == _search_fields(*old), (kind, state, idx)
+
+
+def test_dynamics_slice_is_not_vacuous():
+    games = [(len(scn.agents), *game_) for name, scn in DYNAMICS_SCENARIOS for game_ in _dynamics_games(name, scn)]
+    assert len(games) >= 40
+    assert sum(agents == 3 for agents, *_ in games) >= 15
+    assert sum(size > game.SearchBudget().pure_cap for *_, size in games) >= 30
+    assert {kind for _, kind, *_ in games} >= {"direct", "bne", "npd-failing"}

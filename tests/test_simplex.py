@@ -73,9 +73,11 @@ def test_degenerate_cycling_guard():
 
 
 def test_feasibility_helper():
-    assert simplex.feasible([([F(1)], simplex.LE, F(1))], [(F(0), None)])
-    assert not simplex.feasible(
-        [([F(1)], simplex.LE, F(0)), ([F(1)], simplex.GE, F(1))], [(F(0), None)]
+    # with a zero objective, phase 1 alone decides feasibility
+    assert simplex.maximize([F(0)], [([F(1)], simplex.LE, F(1))], [(F(0), None)]).status == "optimal"
+    assert (
+        simplex.maximize([F(0)], [([F(1)], simplex.LE, F(0)), ([F(1)], simplex.GE, F(1))], [(F(0), None)]).status
+        == "infeasible"
     )
 
 
