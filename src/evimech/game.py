@@ -234,8 +234,13 @@ def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> 
     """Exact interim expected utility of a pure message for one type against
     a strategy profile (`InvalidProfile` otherwise)."""
     i = game.scenario.agents.index(agent)
+    code = game._kernel.code(i, message)
+    if code not in game._menus.get((agent, frozenset(type_coll)), ()):
+        raise InvalidProfile(
+            f"{agent} has no type {format_collection(type_coll)} at {game.state} with {message!r} on its menu"
+        )
     W, realizations = game._realizations(agent, _coded_play(game, profile))
-    (value,) = game._values(i, realizations, (game._kernel.code(i, message),))
+    (value,) = game._values(i, realizations, (code,))
     return Fraction(value, W * game._G)
 
 
@@ -262,7 +267,6 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
     Each agent's opponent realizations are listed once; every candidate
     message of every type is then valued in integers over one denominator.
     """
-    kernel = game._kernel
     agents = game.scenario.agents
     play = _coded_play(game, profile)
     witness = None
@@ -284,7 +288,15 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
                     key=lambda m: repr(m),
                 )
                 witness = (agent, coll, best_msg, slack)
+    return _equilibrium_report(game, play, slacks, witness)
 
+
+def _equilibrium_report(game: BayesianGame, play, slacks, witness) -> EquilibriumReport:
+    """The report of a coded play (`_coded_play`) with its slacks and first
+    profitable deviation: on-path outcomes and transfers over one enumeration
+    of joint play."""
+    kernel = game._kernel
+    agents = game.scenario.agents
     W, realizations = game._realizations(None, play)
     outcome_weights = {}  # outcome code -> weight numerator over W on path
     extremes = [[0] * len(TRANSFER_KEYS) for _ in agents]
@@ -398,10 +410,6 @@ class SearchBudget:
     max_rounds: int = 40
 
 
-class SearchInconsistency(RuntimeError):
-    """The pure enumeration's best-response tables and `verify_bne` disagree."""
-
-
 def _best_response_table(game: BayesianGame):
     """`best_responses(i, strategies)`: per type of agent i, the argmax
     positions of its whole menu against the opponents' pure strategies (each
@@ -443,11 +451,11 @@ def _pure_profile(game: BayesianGame, strategies) -> dict:
 
 
 def _pure_best_response_profiles(game: BayesianGame, best_responses):
-    """Every pure profile in which each type plays a best response, in
-    `itertools.product` order over the (agent, type) slots: the strategies of
-    every agent but the last are walked in product order, the last agent's
-    drawn from the product of its best-response sets, and a profile is kept
-    when every other agent's strategy lies in its own sets."""
+    """The strategies of every pure profile in which each type plays a best
+    response, in `itertools.product` order over the (agent, type) slots: the
+    strategies of every agent but the last are walked in product order, the
+    last agent's drawn from the product of its best-response sets, and a
+    profile is kept when every other agent's strategy lies in its own sets."""
     agents = game.scenario.agents
     last = len(agents) - 1
     heads = [itertools.product(*(range(len(game.actions[(a, c)])) for c in game.types[a])) for a in agents[:last]]
@@ -458,7 +466,7 @@ def _pure_best_response_profiles(game: BayesianGame, best_responses):
                 all(pos in best for pos, best in zip(strategies[j], best_responses(j, strategies)))
                 for j in range(last)
             ):
-                yield _pure_profile(game, strategies)
+                yield strategies
 
 
 def _profile_key(game, profile):
@@ -473,16 +481,17 @@ def _profile_key(game, profile):
 
 
 def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(), seed=0):
-    """Three-strategy equilibrium search; every hit is re-verified exactly.
+    """Three-strategy equilibrium search; every hit is certified exactly.
 
     (a) exhaustive pure-profile enumeration when the product of the menu sizes
         is at most `pure_cap`, by best-response tables
-        (`_pure_best_response_profiles`); a hit `verify_bne` rejects raises
-        `SearchInconsistency`;
+        (`_pure_best_response_profiles`), which certify each hit's slacks;
     (b) truthful play composed with deception profiles (canonical perfect plans
         per target plus pure deception profiles under `plan_cap`);
     (c) best-response dynamics from seeded random starts (heuristic), on
         phase (a)'s memoized best-response table (`_best_response_table`).
+    Profiles of (b) and (c) are checked by `verify_bne`. An exhaustive (a)
+    holds every pure equilibrium: (b)'s pure profiles and (c) are skipped.
     """
     scenario = game.scenario
     found = {}
@@ -502,12 +511,14 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
 
     # (a) exhaustive pure enumeration by best-response tables
     total = math.prod(len(menu) for menu in game.actions.values())
-    if total <= budget.pure_cap:
+    exhaustive = total <= budget.pure_cap
+    if exhaustive:
         flags["pure_enumeration"] = "EXHAUSTIVE"
-        for profile in _pure_best_response_profiles(game, best_responses):
-            report = verify_bne(game, profile)
-            if not report.is_bne:
-                raise SearchInconsistency(f"best-response tables admit a profile verify_bne rejects: {report.witness}")
+        for strategies in _pure_best_response_profiles(game, best_responses):
+            profile = _pure_profile(game, strategies)
+            play = _coded_play(game, profile)
+            # by the tables, every type plays a best response: every slack is 0
+            report = _equilibrium_report(game, play, dict.fromkeys(play, _ZERO), None)
             consider(profile, "EXHAUSTIVE", report)
     else:
         flags["pure_enumeration"] = f"BUDGET_EXCEEDED({total})"
@@ -526,7 +537,8 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
             plans = canonical_perfect_plans(scenario, game.state, target)
             if plans is not None:
                 consider(compose_with_truthful(game, plans), "CLOSURE_FAMILY")
-        for combo in itertools.product(*(rows for _, rows in pure_assignment_lists)):
+        # pure deception profiles are pure: an exhaustive phase (a) has them
+        for combo in () if exhaustive else itertools.product(*(rows for _, rows in pure_assignment_lists)):
             for target in scenario.states:
                 if target == game.state:
                     continue
@@ -539,10 +551,11 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         flags["closure_family"] = f"BUDGET_EXCEEDED({pure_total})"
 
     # (c) best-response dynamics, heuristic: each agent in turn moves every
-    # type that is not playing a best response to its set's first member
-    flags["dynamics"] = "HEURISTIC"
+    # type that is not playing a best response to its set's first member; its
+    # end points are pure, so an exhaustive phase (a) has them
+    flags["dynamics"] = "SUBSUMED" if exhaustive else "HEURISTIC"
     rng = random.Random(seed)
-    for trial in budget.seeds:
+    for trial in () if exhaustive else budget.seeds:
         rng.seed(seed * 1000003 + trial)
         strategies = [
             tuple(rng.choice(range(len(game.actions[(agent, coll)]))) for coll in game.types[agent])

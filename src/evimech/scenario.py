@@ -9,7 +9,7 @@ classification are exact set/zero tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -307,12 +307,8 @@ def contested_lies(scenario: Scenario, verdict="nonrefutable") -> list:
 
 def article_nomenclature(scenario: Scenario) -> dict:
     """Derived names: article -> set of states where any agent may hold it."""
-    names = {article: set() for article in scenario.articles}
-    for (agent, state), dist in scenario.dists.items():
-        for coll in dist.support():
-            for article in coll:
-                names[article].add(state)
-    return {article: frozenset(states) for article, states in names.items()}
+    per_agent = [agent_nomenclature(scenario, agent) for agent in scenario.agents]
+    return {article: frozenset().union(*(names[article] for names in per_agent)) for article in scenario.articles}
 
 
 def agent_nomenclature(scenario: Scenario, agent) -> dict:
@@ -567,16 +563,7 @@ def most_informative_projection(scenario: Scenario) -> Scenario:
                     target = frozenset({best})
                 merged[target] = merged.get(target, Fraction(0)) + prob
             new_dists[(agent, state)] = Distribution(merged)
-    return Scenario(
-        agents=scenario.agents,
-        states=scenario.states,
-        articles=scenario.articles,
-        dists=new_dists,
-        scf=scenario.scf,
-        outcomes=scenario.outcomes,
-        utility_profiles=scenario.utility_profiles,
-        article_names=None,
-    )
+    return replace(scenario, dists=new_dists, article_names=None, input_violations=())
 
 
 # -- JSON wire format --------------------------------------------------------

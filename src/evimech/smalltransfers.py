@@ -231,7 +231,7 @@ class RationalizabilityReport:
     outcome_ok: bool
     transfer_bound: Fraction
     transfer_bound_ok: bool
-    stamp: str = "EXHAUSTIVE (factored by message component)"
+    stamp: str = "PROOF_REPLAY"  # the proof's inequalities on closed-form bounds
 
     @property
     def passed(self) -> bool:

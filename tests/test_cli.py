@@ -194,7 +194,7 @@ def test_audit_icr_micro_model():
     code, report = machine("audit", "icr", str(DATA / "micro_model.json"), "--eps", "1/100")
     assert code == 0
     assert report["payload"]["passed"] is True
-    assert report["payload"]["stamp"].startswith("EXHAUSTIVE")
+    assert report["payload"]["stamp"] == "PROOF_REPLAY"
 
 
 def test_hierarchy_dump():

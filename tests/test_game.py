@@ -285,22 +285,20 @@ def test_direct_mechanism_keeps_its_scenario_with_its_kernel():
 
 def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatch):
     # the enumeration walks best-response tables: at most one opponent sweep
-    # per agent and opponents' pure strategy (the sweeps inside the hits'
-    # verifications are not counted), and one full verification per hit
+    # per agent and opponents' pure strategy; its hits are certified by those
+    # tables, with no verification and one joint-play enumeration each
     verified = []
     swept = []
+    joint = []
     real_verify = game_mod.verify_bne
     real_sweep = BayesianGame._realizations
 
     def counting_verify(game, profile):
         verified.append(1)
-        outside = len(swept)
-        report = real_verify(game, profile)
-        del swept[outside:]
-        return report
+        return real_verify(game, profile)
 
     def counting_sweep(self, agent, profile):
-        swept.append(1)
+        (swept if agent is not None else joint).append(1)
         return real_sweep(self, agent, profile)
 
     monkeypatch.setattr(game_mod, "verify_bne", counting_verify)
@@ -309,33 +307,22 @@ def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatc
     games = _exhaustive_only_games()
     assert any(len(g.scenario.agents) == 3 for g in games)
     for game in games:
-        verified.clear()
         swept.clear()
+        joint.clear()
         results, flags = search_equilibria(game, budget)
         assert flags["pure_enumeration"] == "EXHAUSTIVE"
         assert results and all(item["stamp"] == "EXHAUSTIVE" for item in results)
-        assert len(verified) == len(results)
+        assert verified == [] and len(joint) == len(results)
         counts = [math.prod(len(game.actions[(a, c)]) for c in game.types[a]) for a in game.scenario.agents]
         bound = sum(math.prod(counts[:i] + counts[i + 1 :]) for i in range(len(counts)))
         assert 0 < len(swept) <= bound < math.prod(counts)
-        # the dynamics read the same table: both phases together stay in the
-        # bound, and they find nothing the exhaustive enumeration missed
+        # the exhaustive enumeration subsumes the dynamics: they sweep nothing
+        enumeration = len(swept)
         swept.clear()
         with_dynamics = search_equilibria(game, replace(budget, seeds=(0, 1, 2)))
-        assert 0 < len(swept) <= bound
+        assert with_dynamics[1]["dynamics"] == "SUBSUMED"
+        assert verified == [] and len(swept) == enumeration
         assert [item["profile"] for item in with_dynamics[0]] == [item["profile"] for item in results]
-
-
-def test_pure_enumeration_fails_closed_when_verification_disagrees(monkeypatch):
-    real_verify = game_mod.verify_bne
-
-    def rejecting_verify(game, profile):
-        return replace(real_verify(game, profile), is_bne=False)
-
-    monkeypatch.setattr(game_mod, "verify_bne", rejecting_verify)
-    game = _exhaustive_only_games()[0]
-    with pytest.raises(game_mod.SearchInconsistency):
-        search_equilibria(game, SearchBudget(pure_cap=20000, plan_cap=0, seeds=()))
 
 
 # -- claim audits -------------------------------------------------------------
@@ -416,6 +403,19 @@ def test_verify_bne_rejects_a_message_off_the_type_menu(perturbed, perturbed_mec
         verify_bne(game, profile)
     with pytest.raises(InvalidProfile, match="not on its menu"):
         expected_utility(game, "B", EMPTY, profile["B"][EMPTY].popitem()[0], profile)
+
+
+def test_expected_utility_rejects_a_type_or_message_the_game_does_not_have(perturbed, perturbed_mech):
+    # type {lmh} values the truthful message of type {lmh,mh}, whose evidence
+    # it does not hold; {zzz} is no type of A at M
+    game = BayesianGame(perturbed, perturbed_mech, "M", 0)
+    profile = truthful_profile(game)
+    msg = perturbed_mech.truthful_message("A", "M", TOP)
+    assert expected_utility(game, "A", TOP, msg, profile) == perturbed.utility(0, "A", perturbed.scf["M"], "M")
+    with pytest.raises(InvalidProfile, match="A has no type {lmh} at M with "):
+        expected_utility(game, "A", LOW, msg, profile)
+    with pytest.raises(InvalidProfile, match="A has no type {zzz} at M with "):
+        expected_utility(game, "A", frozenset({"zzz"}), msg, profile)
 
 
 def test_verify_bne_rejects_weights_that_do_not_sum_to_one(perturbed, perturbed_mech):

@@ -8,6 +8,7 @@ import evimech
 
 PACKAGE = Path(evimech.__file__).parent
 BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def test_package_has_no_assert_statements():
@@ -45,8 +46,9 @@ def test_package_imports_only_the_standard_library():
 
 def _bindings(tree, module):
     """Name -> dotted path of what it names, for `module`'s top-level
-    functions and its imports (relative imports resolved in the package)."""
-    bound = {node.name: f"{module}.{node.name}" for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions and classes and its imports (relative imports resolved in the
+    package)."""
+    bound = {node.name: f"{module}.{node.name}" for node in tree.body if isinstance(node, DEFINITIONS)}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             base = node.module
@@ -68,7 +70,7 @@ def _locals(function):
     for node in ast.walk(function):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.FunctionDef) and node is not function:
+        elif isinstance(node, DEFINITIONS) and node is not function:
             names.add(node.name)
     return names
 
@@ -97,13 +99,15 @@ def _references(node, bound, own=None):
 
 
 def test_every_package_function_is_used():
-    # a module-level function of the package must be referenced outside its
-    # own definition: by the package (an import in `__init__` exports it) or
-    # by the benchmark, which drives the program as a user does. The tests do
-    # not count: a function that only its own test calls is dead code.
+    # a module-level function or class of the package must be referenced
+    # outside its own definition: by the package (an import in `__init__`
+    # exports it) or by the benchmark, which drives the program as a user
+    # does. The tests do not count: a function that only its own test calls
+    # is dead code.
     # References resolve through imports, `module.name` and local scopes, so
     # neither `result.feasible` nor a local variable `feasible` is a use of a
-    # function `feasible`.
+    # function `feasible`. A class counts as used when it is named: raised,
+    # built, subclassed or named in an annotation.
     files = {f"evimech.{path.stem}": path for path in sorted(PACKAGE.glob("*.py"))}
     files["evimech"] = files.pop("evimech.__init__")
     files.update({f"perfbench.{path.stem}": path for path in sorted(BENCHMARK.glob("*.py"))})
@@ -113,14 +117,14 @@ def test_every_package_function_is_used():
         for module, tree in trees.items()
         if module.startswith("evimech")
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, DEFINITIONS)
     }
     exported = _bindings(trees["evimech"], "evimech")
     used = set(exported.values())
     for module, tree in trees.items():
         bound = _bindings(tree, module)
         for top in tree.body:
-            own = f"{module}.{top.name}" if isinstance(top, ast.FunctionDef) else None
+            own = f"{module}.{top.name}" if isinstance(top, DEFINITIONS) else None
             for target in _references(top, bound, own):
                 # `evimech.name` is what `__init__` binds to `name`
                 head, _, rest = target.partition(".")[2].partition(".")
