@@ -21,7 +21,6 @@ class Verdict:
     condition: str
     passed: bool
     failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
 
 def check_stochastic_measurability(scenario: Scenario) -> Verdict:

@@ -209,11 +209,11 @@ class Bet:
 
 
 def _bet_domain(scenario: Scenario, agent, truth_state, lie_state):
-    domain = set()
-    for coll in scenario.support(agent, truth_state):
-        domain.update(subsets(coll))
-    domain.update(scenario.support(agent, lie_state))
-    return sorted(domain, key=collection_key)
+    """The agent's presentable collections not refuted at the truth, and the lie's support."""
+    presentable, _, refuted = scenario.evidence(agent)
+    truth = 1 << scenario.states.index(truth_state)
+    lie_support = set(scenario.support(agent, lie_state))
+    return [coll for coll, mask in zip(presentable, refuted) if not mask & truth or coll in lie_support]
 
 
 def witness_bet(scenario: Scenario, agent, truth_state, lie_state, witness: HallWitness) -> Bet:
@@ -274,10 +274,10 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
     cap the sourcewise minima, so they are pinned to +1 without loss; the LP
     ranges over the lie-support weights alone.
     """
-    domain = _bet_domain(scenario, agent, truth_state, lie_state)
     sources = scenario.support(agent, truth_state)
     truth_dist = scenario.dist(agent, truth_state)
     lie_dist = scenario.dist(agent, lie_state)
+    domain = _bet_domain(scenario, agent, truth_state, lie_state)
     lie_support = lie_dist.support()
     col_index = {c: i for i, c in enumerate(lie_support)}
     n_w = len(lie_support)

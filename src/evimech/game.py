@@ -14,7 +14,8 @@ from . import mechanism as mech_mod
 from .deception import PurePlan, induced_distribution, perfect_deception
 from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space
 from .rationals import common_denominator, numerators
-from .scenario import Scenario, collection_key, consensus_else_first, contested_lies, format_collection, subsets
+from .scenario import Scenario, ScenarioError, collection_key, consensus_else_first, contested_lies
+from .scenario import format_collection, subsets
 
 
 _ZERO = Fraction(0)
@@ -114,6 +115,8 @@ class BayesianGame:
 
     def __post_init__(self):
         scn = self.scenario
+        if self.mech.scenario is not scn and self.mech.scenario != scn:
+            raise ScenarioError("the mechanism was built for another scenario")
         self.types = {agent: scn.support(agent, self.state) for agent in scn.agents}
         self._probs = {
             (agent, coll): prob for agent in scn.agents for coll, prob in scn.dist(agent, self.state).items()

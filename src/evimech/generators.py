@@ -19,20 +19,14 @@ from .fixtures import make_scenario
 from .scenario import Scenario
 
 F = Fraction
+MAX_AGENTS, MAX_ARTICLES, MAX_DENOMINATOR = 3, 3, 12  # bounds of the draw protocol
 
 
-def random_scenario(
-    seed: int,
-    max_agents: int = 3,
-    max_states: int = 4,
-    max_articles: int = 3,
-    max_denominator: int = 12,
-    degenerate: bool = False,
-) -> Scenario:
+def random_scenario(seed: int, max_states: int = 4, degenerate: bool = False) -> Scenario:
     rng = random.Random(seed)
-    n_agents = rng.randint(2, max_agents)
+    n_agents = rng.randint(2, MAX_AGENTS)
     n_states = rng.randint(2, max_states) if max_states >= 2 else 1
-    n_articles = rng.randint(1, max_articles)
+    n_articles = rng.randint(1, MAX_ARTICLES)
     agents = tuple(f"A{i}" for i in range(n_agents))
     states = tuple(f"s{i}" for i in range(n_states))
     articles = tuple(f"e{i}" for i in range(n_articles))
@@ -55,7 +49,7 @@ def random_scenario(
                 coll = draw_collection()
                 if coll not in support:
                     support.append(coll)
-            den = rng.randint(len(support), max_denominator)
+            den = rng.randint(len(support), MAX_DENOMINATOR)
             if len(support) == 1:
                 weights = [den]
             else:

@@ -18,7 +18,7 @@ from .deception import (
     witness_bet,
 )
 from .rationals import common_denominator, numerators, quadratic_scores, squared_distance
-from .scenario import Distribution, Scenario, ScenarioError, collection_key, refutes, subsets
+from .scenario import Distribution, Scenario, ScenarioError, collection_key, subsets
 
 TRANSFER_KEYS = ("evidence_incentive", "scoring", "crosscheck", "refutation_fine", "bet")
 Z_CAP = 10**6  # default cap on the pure variant's deception profile count z
@@ -287,7 +287,8 @@ class Kernel(KernelBase):
     A message's transfers depend only on its two claimed distributions, drawn
     from the alphabets, the evidence it presents, drawn from its agent's
     presentable collections, and its claim slot. `__init__` codes every
-    alphabet member and presentable collection and fills tables of integer
+    alphabet member, takes each presentable collection's position and
+    refuted-state mask from `Scenario.evidence`, and fills tables of integer
     numerators over one common denominator `D`, fixed there:
 
     - `score[j][p][e]`: tau_low times the quadratic score of agent j's
@@ -321,17 +322,12 @@ class Kernel(KernelBase):
         self._records = [[] for _ in scn.agents]
 
         self._alphabets = alphabets = [scn.alphabet(agent) for agent in scn.agents]
-        evidence = [scn.presentable(agent) for agent in scn.agents]
+        evidence, self._positions, self._refuted_states = ([scn.evidence(a)[c] for a in scn.agents] for c in range(3))
         self._dist_codes = [{dist: p for p, dist in enumerate(alphabet)} for alphabet in alphabets]
-        self._evidence_codes = [{e: c for c, e in enumerate(row)} for row in evidence]
         self._state_masks = [[0] * len(alphabet) for alphabet in alphabets]
-        self._refuted = []
         for j, agent in enumerate(scn.agents):
             for k, state in enumerate(scn.states):
                 self._state_masks[j][self._dist_codes[j][scn.dist(agent, state)]] |= 1 << k
-            self._refuted.append(
-                [sum(1 << k for k, state in enumerate(scn.states) if refutes(scn, e, state, agent)) for e in evidence[j]]
-            )
 
         # exact values first, then every table as numerators over their lcm D
         eps, tau_low = mech.scaling.eps, mech.scaling.tau_low
@@ -372,7 +368,7 @@ class Kernel(KernelBase):
             right = self.right[i]
             own = self._dist_codes[i].get(msg.p_own)
             claimed = self._dist_codes[right].get(msg.p_right)
-            evidence = self._evidence_codes[i].get(msg.evidence)
+            evidence = self._positions[i].get(msg.evidence)
             if None in (own, claimed, evidence):
                 raise outside_space(self.scenario, self.agents[i], msg)
             right_mask = self._state_masks[right][claimed]
@@ -382,7 +378,7 @@ class Kernel(KernelBase):
                 evidence,
                 self._state_masks[i][own] & right_mask,
                 right_mask,
-                self._refuted[i][evidence],
+                self._refuted_states[i][evidence],
                 self._claims.get(msg.claim, _NO_BETS),
             )
             code = codes[msg] = len(self._records[i])

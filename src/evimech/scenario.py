@@ -149,16 +149,25 @@ class Scenario:
         idx = self.agents.index(agent)
         return self.agents[(idx - 1) % len(self.agents)]
 
+    def evidence(self, agent) -> tuple:
+        """(presentable collections in `collection_key` order, a read-only map
+        from each to its position, per position the mask of the states
+        refuting it), compiled on first use; bit k stands for `states[k]`."""
+        key = ("evidence", agent)
+        if key not in self._cache:
+            fits = {}  # presentable collection -> mask of the states a support collection holds it at
+            for k, state in enumerate(self.states):
+                for sub in itertools.chain.from_iterable(map(subsets, self.support(agent, state))):
+                    fits[sub] = fits.get(sub, 0) | 1 << k
+            presentable = tuple(sorted(fits, key=collection_key))
+            positions = MappingProxyType({coll: pos for pos, coll in enumerate(presentable)})
+            every = (1 << len(self.states)) - 1
+            self._cache[key] = (presentable, positions, tuple(every ^ fits[coll] for coll in presentable))
+        return self._cache[key]
+
     def presentable(self, agent) -> tuple:
         """All collections the agent may ever present: subsets of support collections."""
-        key = ("presentable", agent)
-        if key not in self._cache:
-            seen = set()
-            for state in self.states:
-                for coll in self.support(agent, state):
-                    seen.update(subsets(coll))
-            self._cache[key] = tuple(sorted(seen, key=collection_key))
-        return self._cache[key]
+        return self.evidence(agent)[0]
 
     def alphabet(self, agent) -> tuple:
         """Distinct evidence distributions of the agent, in first-state order."""
@@ -190,12 +199,10 @@ class Scenario:
     def utility(self, profile_idx, agent, outcome, state) -> Fraction:
         return self.utility_profiles[profile_idx][agent][(outcome, state)]
 
-    def utility_span(self, profile_idx=None) -> Fraction:
-        """Max over agents/states of the outcome-utility spread."""
-        indices = range(len(self.utility_profiles)) if profile_idx is None else [profile_idx]
+    def utility_span(self) -> Fraction:
+        """Max over profiles/agents/states of the outcome-utility spread."""
         span = Fraction(0)
-        for idx in indices:
-            profile = self.utility_profiles[idx]
+        for profile in self.utility_profiles:
             for agent in self.agents:
                 for state in self.states:
                     values = [profile[agent][(outcome, state)] for outcome in self.outcomes]
@@ -203,12 +210,8 @@ class Scenario:
         return span
 
     def max_collection_size(self) -> int:
-        best = 0
-        for agent in self.agents:
-            for state in self.states:
-                for coll in self.support(agent, state):
-                    best = max(best, len(coll))
-        return best
+        """Size of the largest support collection, the largest presentable one."""
+        return max((len(coll) for agent in self.agents for coll in self.presentable(agent)), default=0)
 
     def constant_profile_index(self) -> int | None:
         for idx, profile in enumerate(self.utility_profiles):
@@ -238,7 +241,9 @@ def refutes(scenario: Scenario, collection, state, agent) -> bool:
         raise ScenarioError(f"unknown state {state!r}")
     if agent not in scenario.agents:
         raise ScenarioError(f"unknown agent {agent!r}")
-    return not any(collection <= sup for sup in scenario.support(agent, state))
+    _, positions, refuted = scenario.evidence(agent)
+    # a collection the agent cannot present fits no support collection anywhere
+    return collection not in positions or bool(refuted[positions[collection]] >> scenario.states.index(state) & 1)
 
 
 def refutes_by_names(names, collection, state) -> bool:
@@ -273,12 +278,14 @@ def _classify(scenario: Scenario, true_state, target_state) -> LieClass:
     """One lie's class, with each refuting agent's witness collections."""
     if true_state == target_state:
         return LieClass(true_state, target_state, "self_identical")
+    target = scenario.states.index(target_state)
     witnesses = {}
     for agent in scenario.agents:
+        _, positions, refuted = scenario.evidence(agent)
         found = tuple(
             (coll, prob)
             for coll, prob in scenario.dist(agent, true_state).items()
-            if refutes(scenario, coll, target_state, agent)
+            if refuted[positions[coll]] >> target & 1
         )
         if found:
             witnesses[agent] = found

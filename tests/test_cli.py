@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -565,6 +566,14 @@ def test_golden_reports_are_the_readme_commands():
     assert len(README_COMMANDS) == 12
     names = {f"{_golden_name(argv)}.json" for argv in README_COMMANDS} | {"build_bne_perturbed.txt"}
     assert names == {path.name for path in GOLDEN.iterdir()}
+
+
+def test_readme_python_blocks_run():
+    # the worked session and any other python block of the README, in order
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert len(blocks) >= 1
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
 
 
 # -- type-space models ------------------------------------------------------------

@@ -23,6 +23,7 @@ from evimech.game import (
     verify_bne,
 )
 from evimech.mechanism import Message, assemble_bne_mechanism, build_bne_mechanism, build_pure_mechanism
+from evimech.scenario import ScenarioError
 
 F = Fraction
 RICH = frozenset({"h", "mh", "lmh"})
@@ -281,6 +282,18 @@ def test_direct_mechanism_keeps_its_scenario_with_its_kernel():
     assert direct.kernel() is kernel and kernel.scenario is leading
     other = replace(direct, scenario=perturbed)
     assert other.kernel() is not kernel and other.kernel().scenario is perturbed
+
+
+def test_a_game_refuses_a_mechanism_built_for_another_scenario(perturbed, perturbed_mech):
+    # leading fails NPD; with perturbed's menus and payoffs, truthful play on
+    # leading's types verified as a single-outcome BNE at every state
+    leading = fixtures.leading_example()
+    for mech in (perturbed_mech, DirectMechanism(perturbed)):
+        for state in leading.states:
+            with pytest.raises(ScenarioError, match="built for another scenario"):
+                BayesianGame(leading, mech, state, 0)
+    game = BayesianGame(replace(perturbed), perturbed_mech, "H", PREF)
+    assert verify_bne(game, truthful_profile(game)).is_bne
 
 
 def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatch):
