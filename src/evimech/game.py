@@ -11,10 +11,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import mechanism as mech_mod
-from .deception import PurePlan, induced_distribution, perfect_deception
+from .deception import induced_distribution, perfect_deception
 from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space
 from .rationals import common_denominator, numerators
-from .scenario import Scenario, ScenarioError, collection_key, consensus_else_first, contested_lies
+from .scenario import Scenario, ScenarioError, consensus_else_first, contested_lies
 from .scenario import format_collection, subsets
 
 
@@ -472,15 +472,12 @@ def _pure_best_response_profiles(game: BayesianGame, best_responses):
                 yield strategies
 
 
-def _profile_key(game, profile):
-    rows = []
-    for agent in game.scenario.agents:
-        for coll in game.types[agent]:
-            mixture = profile[agent][coll]
-            rows.append(
-                (agent, collection_key(coll), tuple(sorted(((repr(m), w) for m, w in mixture.items()))))
-            )
-    return tuple(rows)
+def _play_key(play) -> tuple:
+    """What tells coded plays (`_coded_play`) apart: each type's sorted
+    (message code, exact weight) pairs."""
+    return tuple(
+        tuple(sorted(zip(codes, (Fraction(w, scale) for w in weights)))) for scale, codes, weights in play.values()
+    )
 
 
 def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(), seed=0):
@@ -488,29 +485,53 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
 
     (a) exhaustive pure-profile enumeration when the product of the menu sizes
         is at most `pure_cap`, by best-response tables
-        (`_pure_best_response_profiles`), which certify each hit's slacks;
+        (`_pure_best_response_profiles`);
     (b) truthful play composed with deception profiles (canonical perfect plans
         per target plus pure deception profiles under `plan_cap`);
-    (c) best-response dynamics from seeded random starts (heuristic), on
-        phase (a)'s memoized best-response table (`_best_response_table`).
-    Profiles of (b) and (c) are checked by `verify_bne`. An exhaustive (a)
-    holds every pure equilibrium: (b)'s pure profiles and (c) are skipped.
+    (c) best-response dynamics from seeded random starts (heuristic).
+    Every pure profile, of any phase, is certified by one memoized
+    best-response table (`_best_response_table`): it is a hit iff each type's
+    position lies in its best-response set, and its report has every slack 0
+    and no witness. `verify_bne` checks only the canonical perfect plans,
+    which may be mixed. An exhaustive (a) holds every pure equilibrium: (b)'s
+    pure profiles and (c) are skipped. Each distinct profile, told apart by
+    its coded play (each type's message codes with their exact weights), is
+    judged once.
     """
     scenario = game.scenario
-    found = {}
+    agents = scenario.agents
+    verdicts = {}  # coded play key -> (profile, report) of a hit, None when rejected
     flags = {}
+    best_responses = _best_response_table(game)
 
-    def consider(profile, stamp, report=None):
-        key = _profile_key(game, profile)
-        if key in found:
+    def consider(strategies, stamp):
+        play = {
+            (agent, coll): (1, (game._codes[(agent, coll)][pos],), (1,))
+            for agent, strategy in zip(agents, strategies)
+            for coll, pos in zip(game.types[agent], strategy)
+        }
+        key = _play_key(play)
+        if key in verdicts:
             return
-        if report is None:
-            report = verify_bne(game, profile)
+        verdicts[key] = None
+        if all(
+            all(pos in best for pos, best in zip(strategy, best_responses(i, strategies)))
+            for i, strategy in enumerate(strategies)
+        ):
+            # by the table, every type plays a best response: every slack is 0
+            report = _equilibrium_report(game, play, dict.fromkeys(play, _ZERO), None)
+            report.stamp = stamp
+            verdicts[key] = (_pure_profile(game, strategies), report)
+
+    def consider_mixed(profile, stamp):
+        key = _play_key(_coded_play(game, profile))
+        if key in verdicts:
+            return
+        verdicts[key] = None
+        report = verify_bne(game, profile)
         if report.is_bne:
             report.stamp = stamp
-            found[key] = (profile, report)
-
-    best_responses = _best_response_table(game)
+            verdicts[key] = (profile, report)
 
     # (a) exhaustive pure enumeration by best-response tables
     total = math.prod(len(menu) for menu in game.actions.values())
@@ -518,45 +539,42 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     if exhaustive:
         flags["pure_enumeration"] = "EXHAUSTIVE"
         for strategies in _pure_best_response_profiles(game, best_responses):
-            profile = _pure_profile(game, strategies)
-            play = _coded_play(game, profile)
-            # by the tables, every type plays a best response: every slack is 0
-            report = _equilibrium_report(game, play, dict.fromkeys(play, _ZERO), None)
-            consider(profile, "EXHAUSTIVE", report)
+            consider(strategies, "EXHAUSTIVE")
     else:
         flags["pure_enumeration"] = f"BUDGET_EXCEEDED({total})"
 
     # (b) deception closure family
     flags["closure_family"] = "EXHAUSTIVE"
-    pure_assignment_lists = []
-    pure_total = 1
-    for agent in scenario.agents:
-        rows = mech_mod._assignments_for(scenario, agent, game.state)
-        pure_assignment_lists.append((agent, rows))
-        pure_total *= len(rows)
+    pure_assignment_lists = [mech_mod._assignments_for(scenario, agent, game.state) for agent in agents]
+    pure_total = math.prod(map(len, pure_assignment_lists))
     family_size = len(scenario.states) + pure_total * max(1, len(scenario.states) - 1)
     if family_size <= budget.plan_cap:
         for target in scenario.states:
             plans = canonical_perfect_plans(scenario, game.state, target)
             if plans is not None:
-                consider(compose_with_truthful(game, plans), "CLOSURE_FAMILY")
-        # pure deception profiles are pure: an exhaustive phase (a) has them
-        for combo in () if exhaustive else itertools.product(*(rows for _, rows in pure_assignment_lists)):
+                consider_mixed(compose_with_truthful(game, plans), "CLOSURE_FAMILY")
+        # pure deception profiles are pure: an exhaustive phase (a) has them.
+        # In one, each type plays, at its menu position, the truthful message
+        # at the target with its assigned subset
+        def position(i, src, target, dst):
+            agent = agents[i]
+            code = game._kernel.code(i, game.mech.truthful_message(agent, target, dst))
+            return game._codes[(agent, src)].index(code)
+
+        for combo in () if exhaustive else itertools.product(*pure_assignment_lists):
             for target in scenario.states:
-                if target == game.state:
-                    continue
-                plans = {
-                    agent: PurePlan(agent, game.state, target, rows).as_transport(scenario)
-                    for (agent, _), rows in zip(pure_assignment_lists, combo)
-                }
-                consider(compose_with_truthful(game, plans), "CLOSURE_FAMILY")
+                if target != game.state:
+                    strategies = tuple(
+                        tuple(position(i, src, target, dst) for src, dst in rows) for i, rows in enumerate(combo)
+                    )
+                    consider(strategies, "CLOSURE_FAMILY")
     else:
         flags["closure_family"] = f"BUDGET_EXCEEDED({pure_total})"
 
     # (c) best-response dynamics, heuristic: each agent in turn moves every
     # type that is not playing a best response to its set's first member; its
     # end points are pure, so an exhaustive phase (a) has them
-    flags["dynamics"] = "SUBSUMED" if exhaustive else "HEURISTIC"
+    flags["dynamics"] = "SUBSUMED" if exhaustive else "HEURISTIC" if budget.seeds else "NOT_RUN"
     rng = random.Random(seed)
     for trial in () if exhaustive else budget.seeds:
         rng.seed(seed * 1000003 + trial)
@@ -574,11 +592,11 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
                     changed = True
             if not changed:
                 break
-        consider(_pure_profile(game, strategies), "HEURISTIC")
+        consider(tuple(strategies), "HEURISTIC")
 
     return [
         {"profile": profile, "report": report, "stamp": report.stamp}
-        for profile, report in found.values()
+        for profile, report in filter(None, verdicts.values())
     ], flags
 
 

@@ -534,9 +534,10 @@ def check_deterministic_equivalence(scenario: Scenario, nomenclature=None) -> Eq
     relation_agreement = True
     for agent in scenario.agents:
         names = per_agent_names[agent]
-        for coll in scenario.presentable(agent):
-            for state in scenario.states:
-                if refutes(scenario, coll, state, agent) != refutes_by_names(names, coll, state):
+        presentable, _, refuted = scenario.evidence(agent)
+        for coll, mask in zip(presentable, refuted):
+            for k, state in enumerate(scenario.states):
+                if bool(mask >> k & 1) != refutes_by_names(names, coll, state):
                     relation_agreement = False
 
     return EquivalenceReport(se1, se2, e1, e2, relation_agreement)

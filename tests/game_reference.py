@@ -6,14 +6,15 @@ before both moved onto the compiled integer kernel, copied verbatim apart
 from three bindings: `BayesianGame.evaluate` calls this module's `outcome`
 and `transfers` (and `direct_outcome` for a `DirectMechanism`, whose own
 `outcome` method was folded into the kernel), and helpers that never touched
-payoffs (subset enumeration, profile keys, plan composition, the report
-classes) are imported from `evimech`; `_fixed_profile`, which `evimech` no
-longer has, is copied here. Messages carry one claim slot, `Message.claim`,
-read where the old code read `state_claim` or `challenge`, and the audits
-build lie-consistent messages with `Mechanism.truthful_message` at the lie
-state. Bets are read from the one table `Mechanism.bets`, keyed by (claim,
-consensus state), with each bet's subject its own `agent`, where the old code
-read the per-variant bet, challenge and agent tables.
+payoffs (subset enumeration, plan composition, the report classes) are
+imported from `evimech`; `_fixed_profile` and `_profile_key` (profile keys),
+which `evimech` no longer has, are copied here. Messages carry one claim
+slot, `Message.claim`, read where the old code read `state_claim` or
+`challenge`, and the audits build lie-consistent messages with
+`Mechanism.truthful_message` at the lie state. Bets are read from the one
+table `Mechanism.bets`, keyed by (claim, consensus state), with each bet's
+subject its own `agent`, where the old code read the per-variant bet,
+challenge and agent tables.
 """
 
 from __future__ import annotations
@@ -31,15 +32,25 @@ from evimech.game import (
     DirectMechanism,
     DirectMessage,
     EquilibriumReport,
-    _profile_key,
     _refutable_pairs,
     canonical_perfect_plans,
     compose_with_truthful,
 )
 from evimech.mechanism import TRANSFER_KEYS, Challenge, Mechanism, Message
 from evimech.mechanism import subsets as _subsets
-from evimech.scenario import Distribution, Scenario, classify_lie, refutes
+from evimech.scenario import Distribution, Scenario, classify_lie, collection_key, refutes
 
+
+
+def _profile_key(game, profile):
+    rows = []
+    for agent in game.scenario.agents:
+        for coll in game.types[agent]:
+            mixture = profile[agent][coll]
+            rows.append(
+                (agent, collection_key(coll), tuple(sorted(((repr(m), w) for m, w in mixture.items()))))
+            )
+    return tuple(rows)
 
 # -- mechanism rules ----------------------------------------------------------
 

@@ -258,6 +258,8 @@ def test_search_empty_budget():
     assert results == []
     assert flags["pure_enumeration"].startswith("BUDGET_EXCEEDED")
     assert flags["closure_family"].startswith("BUDGET_EXCEEDED")
+    # no dynamics trial ran: no heuristic pass
+    assert flags["dynamics"] == "NOT_RUN"
 
 
 def _exhaustive_only_games():
@@ -336,6 +338,89 @@ def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatc
         assert with_dynamics[1]["dynamics"] == "SUBSUMED"
         assert verified == [] and len(swept) == enumeration
         assert [item["profile"] for item in with_dynamics[0]] == [item["profile"] for item in results]
+
+
+def test_over_cap_search_verifies_only_the_canonical_plans(monkeypatch):
+    # every pure profile is judged by the best-response table: verify_bne
+    # runs once per distinct canonical-plan profile and on nothing else
+    verified = []
+    real_verify = game_mod.verify_bne
+
+    def counting_verify(game, profile):
+        verified.append(profile)
+        return real_verify(game, profile)
+
+    monkeypatch.setattr(game_mod, "verify_bne", counting_verify)
+    checked = 0
+    hits = []  # the pure ones
+    for game in _exhaustive_only_games():
+        scn = game.scenario
+        verified.clear()
+        results, flags = search_equilibria(game, SearchBudget(pure_cap=0))
+        assert flags["closure_family"] == "EXHAUSTIVE" and flags["dynamics"] == "HEURISTIC"
+        canonical = []
+        for target in scn.states:
+            plans = canonical_perfect_plans(scn, game.state, target)
+            profile = plans and compose_with_truthful(game, plans)
+            if profile and profile not in canonical:
+                canonical.append(profile)
+        assert verified == canonical
+        checked += len(canonical)
+        hits += [item for item in results if all(len(m) == 1 for p in item["profile"].values() for m in p.values())]
+    assert checked >= 5 and len(hits) >= 20
+    assert {item["stamp"] for item in hits} == {"CLOSURE_FAMILY", "HEURISTIC"}
+
+
+def test_search_lists_each_profile_once():
+    # profiles are told apart by their message codes and exact weights, not
+    # by repr: equal evidence sets built in different orders can print
+    # differently, so a canonical plan's hit could come back as a pure
+    # deception profile's (under some hash seeds)
+    scn = fixtures.pure_deception_example()
+    game = BayesianGame(scn, DirectMechanism(scn), "H", 0)
+    results, _ = search_equilibria(game, SearchBudget(pure_cap=0))
+    profiles = [item["profile"] for item in results]
+    assert len(profiles) > 100
+    assert all(profile not in profiles[:k] for k, profile in enumerate(profiles))
+
+
+def test_a_converged_dynamics_end_point_costs_no_sweep(monkeypatch):
+    # the end point's certification looks up the sets its last round looked
+    # up, in the memoized table: no opponent sweep
+    lookups = []  # (strategies, opponent sweeps the lookup made)
+    sweeps = []
+    real_table = game_mod._best_response_table
+    real_sweep = BayesianGame._realizations
+
+    def counting_sweep(self, agent, play):
+        sweeps.append(agent)
+        return real_sweep(self, agent, play)
+
+    def recording_table(game):
+        best_responses = real_table(game)
+
+        def recorded(i, strategies):
+            before = len(sweeps)
+            sets = best_responses(i, strategies)
+            lookups.append((tuple(strategies), len(sweeps) - before))
+            return sets
+
+        return recorded
+
+    monkeypatch.setattr(BayesianGame, "_realizations", counting_sweep)
+    monkeypatch.setattr(game_mod, "_best_response_table", recording_table)
+    converged = 0
+    for game in _exhaustive_only_games():
+        for seed in range(4):
+            lookups.clear()
+            search_equilibria(game, SearchBudget(pure_cap=0, plan_cap=0, seeds=(seed,)))
+            n = len(game.scenario.agents)
+            # the last round moved no type: its lookups and the end point's
+            # are all at the end point
+            if len({strategies for strategies, _ in lookups[-2 * n :]}) == 1:
+                converged += 1
+                assert [swept for _, swept in lookups[-n:]] == [0] * n
+    assert converged >= 10
 
 
 # -- claim audits -------------------------------------------------------------
