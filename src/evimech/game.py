@@ -69,7 +69,8 @@ class DirectKernel(KernelBase):
             messages = [DirectMessage(state, e) for state in scenario.states for e in scenario.presentable(agent)]
             self._codes.append({msg: code for code, msg in enumerate(messages)})
             self._reports.append([msg.state_report for msg in messages])
-        self._zero = [(0,) * len(TRANSFER_KEYS)] * len(scenario.agents)
+        self._state_outcomes = {state: self._outcome_codes[scenario.scf[state]] for state in scenario.states}
+        self._zero = (0,) * len(TRANSFER_KEYS)
 
     def _menu(self, i: int, endowment):
         for state in self.scenario.states:
@@ -77,26 +78,31 @@ class DirectKernel(KernelBase):
                 yield DirectMessage(state, sub)
 
     def code(self, i: int, msg: DirectMessage) -> int:
-        code = self._codes[i].get(msg)
+        code = self._codes[i].get(msg) if isinstance(msg, DirectMessage) else None
         if code is None:
             raise outside_space(self.scenario, self.agents[i], msg)
         return code
 
-    def evaluate(self, codes):
-        state = consensus_else_first(self._reports[i][code] for i, code in enumerate(codes))
-        return self.scenario.scf[state], self._zero
+    def evaluate_row(self, i: int, codes, others: int) -> list:
+        reports = [self._reports[j][code] for j, code in enumerate(self.unpack(others))]
+        row = []
+        for code in codes:
+            reports[i] = self._reports[i][code]
+            row.append((self._state_outcomes[consensus_else_first(reports)], self._zero))
+        return row
 
 
 @dataclass
 class BayesianGame:
     """The Bayesian game a mechanism induces at one state and utility profile.
 
-    Payoffs come from the mechanism's transcript table (`KernelBase.payoff`,
-    keyed by the message codes packed `KEY_BITS` per agent), which every game
-    of the mechanism shares: an agent's payoff is its utility of the outcome
-    plus its transfer total, as integer numerators over a common denominator
-    G, the lcm of the kernel's fixed D and the utilities' denominators, set
-    once in `__post_init__`.
+    Payoffs come from the mechanism's per-agent payoff rows (`KernelBase.row`,
+    keyed by the other agents' message codes packed `KEY_BITS` per agent),
+    which every game of the mechanism shares: an agent's payoff is its utility
+    of the outcome plus its transfer total, as integer numerators over a
+    common denominator G, the lcm of the kernel's fixed D and the utilities'
+    denominators, set once in `__post_init__`. A profile index outside the
+    scenario's utility profiles raises `ScenarioError`.
     """
 
     scenario: Scenario
@@ -117,6 +123,10 @@ class BayesianGame:
         scn = self.scenario
         if self.mech.scenario is not scn and self.mech.scenario != scn:
             raise ScenarioError("the mechanism was built for another scenario")
+        if not (isinstance(self.profile_idx, int) and 0 <= self.profile_idx < len(scn.utility_profiles)):
+            raise ScenarioError(
+                f"utility profile index {self.profile_idx!r} is outside 0..{len(scn.utility_profiles) - 1}"
+            )
         self.types = {agent: scn.support(agent, self.state) for agent in scn.agents}
         self._probs = {
             (agent, coll): prob for agent in scn.agents for coll, prob in scn.dist(agent, self.state).items()
@@ -177,21 +187,17 @@ class BayesianGame:
 
     def _values(self, i, realizations, codes) -> list:
         """Expected payoff numerators over W * G of agent i's `codes`: the sum
-        of w (U_i[outcome] + (G / D) T_i) over the transcript table."""
-        table = self._kernel.table
-        payoff = self._kernel.payoff
+        of w (U_i[outcome] + (G / D) T_i) over agent i's payoff rows, one
+        per realization."""
+        row = self._kernel.row
         utility = self._utility[i]
         factor = self._factor
-        shift = KEY_BITS * i
-        values = []
-        for code in codes:
-            mine = code << shift
-            total = 0
-            for weight, others in realizations:
-                key = others | mine
-                outcome, totals, _ = table.get(key) or payoff(key)
-                total += weight * (utility[outcome] + factor * totals[i])
-            values.append(total)
+        values = [0] * len(codes)
+        for weight, others in realizations:
+            values = [
+                value + weight * (utility[outcome] + factor * total)
+                for value, (outcome, total) in zip(values, row(i, codes, others))
+            ]
         return values
 
 
@@ -304,7 +310,7 @@ def _equilibrium_report(game: BayesianGame, play, slacks, witness) -> Equilibriu
     outcome_weights = {}  # outcome code -> weight numerator over W on path
     extremes = [[0] * len(TRANSFER_KEYS) for _ in agents]
     for weight, key in realizations:
-        out, _, items = kernel.payoff(key)
+        out, items = kernel.transcript(key)
         outcome_weights[out] = outcome_weights.get(out, 0) + weight
         for top, row in zip(extremes, items):
             top[:] = [max(t, abs(v)) for t, v in zip(top, row)]
@@ -494,9 +500,10 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     position lies in its best-response set, and its report has every slack 0
     and no witness. `verify_bne` checks only the canonical perfect plans,
     which may be mixed. An exhaustive (a) holds every pure equilibrium: (b)'s
-    pure profiles and (c) are skipped. Each distinct profile, told apart by
-    its coded play (each type's message codes with their exact weights), is
-    judged once.
+    pure profiles and (c) are skipped, and `plan_cap` gates only the
+    canonical plans (a `BUDGET_EXCEEDED` flag still counts the pure
+    profiles). Each distinct profile, told apart by its coded play (each
+    type's message codes with their exact weights), is judged once.
     """
     scenario = game.scenario
     agents = scenario.agents
@@ -543,11 +550,12 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     else:
         flags["pure_enumeration"] = f"BUDGET_EXCEEDED({total})"
 
-    # (b) deception closure family
+    # (b) deception closure family: the budget gates what this phase runs,
+    # so an exhaustive (a) leaves only the canonical plans under it
     flags["closure_family"] = "EXHAUSTIVE"
     pure_assignment_lists = [mech_mod._assignments_for(scenario, agent, game.state) for agent in agents]
     pure_total = math.prod(map(len, pure_assignment_lists))
-    family_size = len(scenario.states) + pure_total * max(1, len(scenario.states) - 1)
+    family_size = len(scenario.states) + (0 if exhaustive else pure_total * max(1, len(scenario.states) - 1))
     if family_size <= budget.plan_cap:
         for target in scenario.states:
             plans = canonical_perfect_plans(scenario, game.state, target)

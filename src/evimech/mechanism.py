@@ -63,7 +63,10 @@ class MessageOutsideSpace(ScenarioError):
 def outside_space(scenario: Scenario, agent, msg) -> MessageOutsideSpace:
     """The error for a message of `agent` outside its message space, naming
     any undeclared article ids its evidence holds."""
-    unknown = sorted(frozenset(msg.evidence) - scenario.article_set())
+    try:
+        unknown = sorted(frozenset(msg.evidence) - scenario.article_set())
+    except (AttributeError, TypeError):  # not a message with a collection
+        unknown = []
     detail = f": unknown article ids {unknown}" if unknown else ""
     return MessageOutsideSpace(f"{msg!r} is outside the message space of agent {agent!r}{detail}")
 
@@ -202,6 +205,7 @@ class Mechanism:
 # KEY_BITS * i: codes count the messages coded so far, held in memory, so they
 # stay far below 2**KEY_BITS.
 KEY_BITS = 32
+_CODE_MASK = (1 << KEY_BITS) - 1
 
 _NO_BETS = {}  # the bets of a claim the bet table does not name
 
@@ -220,13 +224,19 @@ class KernelBase:
     provides three methods: `_menu(i, endowment)` enumerates agent i's
     messages for an endowment; `code(i, message)` looks up one of agent i's
     messages as a small int and raises `MessageOutsideSpace` for a message
-    outside the space; `evaluate(codes)` takes one code per agent, in agent
-    order, and returns the outcome and, per agent, the five `TRANSFER_KEYS`
+    outside the space; `evaluate_row(i, codes, others)` takes agent i's
+    message codes and the other agents' codes packed `KEY_BITS` per agent
+    (agent i's bits zero) and returns, per code of agent i, the outcome's
+    position in `scenario.outcomes` and agent i's five `TRANSFER_KEYS`
     components as integer numerators over `D`.
 
-    `evaluate` reads neither a state nor utilities, so its results are kept
-    in one transcript table, `table`, shared by every game of the mechanism:
-    `payoff(key)` evaluates each packed transcript once.
+    Every certificate is a unilateral deviation: one agent's messages are
+    valued while the others' stay fixed. `evaluate_row` reads neither a state
+    nor utilities, so `row(i, codes, others)` keeps each code's (outcome
+    position, agent i's transfer total) in the per-agent payoff rows `rows`,
+    shared by every game of the mechanism, and evaluates each entry once. A
+    whole transcript (`transcript`, `itemized`) is assembled from one
+    single-code row per agent and is not kept.
     """
 
     def __init__(self, scenario: Scenario):
@@ -234,10 +244,10 @@ class KernelBase:
         self.agents = scenario.agents
         self._menus = {}
         self._outcome_codes = {outcome: k for k, outcome in enumerate(scenario.outcomes)}
-        # packed transcript -> (the outcome's position in scenario.outcomes,
-        # per-agent transfer totals, per-agent components), every transfer a
-        # numerator over D
-        self.table = {}
+        # per agent i: packed others' codes -> {code of agent i: (the
+        # outcome's position in scenario.outcomes, agent i's transfer total
+        # as a numerator over D)}
+        self.rows = [{} for _ in scenario.agents]
 
     def actions(self, i: int, endowment) -> tuple:
         """(messages, their codes, the codes as a set): agent i's action menu
@@ -260,22 +270,44 @@ class KernelBase:
             key |= code << (KEY_BITS * i)
         return key
 
-    def payoff(self, key: int) -> tuple:
-        """The `table` entry of a packed transcript, evaluated on first use."""
-        entry = self.table.get(key)
-        if entry is None:
-            mask = (1 << KEY_BITS) - 1
-            outcome, items = self.evaluate([key >> (KEY_BITS * i) & mask for i in range(len(self.agents))])
-            entry = self.table[key] = (self._outcome_codes[outcome], tuple(map(sum, items)), tuple(items))
-        return entry
+    def unpack(self, key: int) -> list:
+        """Every agent's code from a packed key, in agent order."""
+        return [key >> (KEY_BITS * i) & _CODE_MASK for i in range(len(self.agents))]
+
+    def row(self, i: int, codes, others: int) -> list:
+        """Agent i's payoff row against the packed `others`: (outcome
+        position, transfer total) per code of `codes`, each entry evaluated
+        on first use."""
+        rows = self.rows[i]
+        entries = rows.get(others)
+        if entries is None:
+            entries = rows[others] = {}
+        else:
+            try:
+                return [entries[code] for code in codes]
+            except KeyError:
+                pass
+        missing = [code for code in dict.fromkeys(codes) if code not in entries]
+        for code, (outcome, items) in zip(missing, self.evaluate_row(i, missing, others)):
+            entries[code] = (outcome, sum(items))
+        return [entries[code] for code in codes]
+
+    def transcript(self, key: int) -> tuple:
+        """(outcome position, per-agent components) of a packed transcript,
+        from one single-code row per agent (each row gives the outcome)."""
+        items = []
+        for i, code in enumerate(self.unpack(key)):
+            ((outcome, row),) = self.evaluate_row(i, (code,), key & ~(_CODE_MASK << (KEY_BITS * i)))
+            items.append(row)
+        return outcome, items
 
     def itemized(self, transcript: dict):
         """(outcome, agent -> itemized exact transfers with their total)."""
-        outcome_code, totals, items = self.payoff(self.key(transcript))
+        outcome_code, items = self.transcript(self.key(transcript))
         table = {}
-        for agent, total, row in zip(self.agents, totals, items):
+        for agent, row in zip(self.agents, items):
             entry = {key: Fraction(value, self.D) for key, value in zip(TRANSFER_KEYS, row)}
-            entry["total"] = Fraction(total, self.D)
+            entry["total"] = Fraction(sum(row), self.D)
             table[agent] = entry
         return self.scenario.outcomes[outcome_code], table
 
@@ -298,13 +330,18 @@ class Kernel(KernelBase):
       its subject;
     - `tau_low` and `tau_high`.
 
-    `code` only looks messages up. A distribution outside the alphabet or
-    evidence the agent cannot present raises `MessageOutsideSpace`; a claim
-    the bet table does not name activates no bet, so an invalid challenge acts
-    like no challenge. Each coded message records the states its claims match
-    as bitmasks, the states its evidence refutes and the bets its claim slot
-    activates per consensus state. The kernel holds no reference to its
-    mechanism.
+    `code` only looks messages up. Anything but a `Message`, a distribution
+    outside the alphabet or evidence the agent cannot present raises
+    `MessageOutsideSpace`; a claim the bet table does not name activates no
+    bet, so an invalid challenge acts like no challenge. Each coded message
+    records the states its claims match as bitmasks, the states its evidence
+    refutes, the bets its claim slot activates per consensus state (keyed by
+    the state's bit) and the states where those bets are live. The kernel
+    holds no reference to its mechanism.
+
+    `evaluate_row` decodes the other agents' records once per row: their
+    consensus and right-claim masks are ANDed, and their live bets and
+    refuting evidence ORed, so each of agent i's codes only adds its own.
     """
 
     def __init__(self, mech: "Mechanism"):
@@ -314,8 +351,10 @@ class Kernel(KernelBase):
         self.right = [index[scn.right_neighbor(agent)] for agent in scn.agents]
         self.left = [index[scn.left_neighbor(agent)] for agent in scn.agents]
         self.states = scn.states
-        self.outcomes = [scn.scf[state] for state in scn.states]
-        self.arbitrary_outcome = mech.arbitrary_outcome
+        # the outcome's position in scn.outcomes by the consensus state's bit,
+        # and with no consensus
+        self._bit_outcomes = {1 << k: self._outcome_codes[scn.scf[state]] for k, state in enumerate(scn.states)}
+        self._arbitrary_code = self._outcome_codes[mech.arbitrary_outcome]
         self._all_states = (1 << len(scn.states)) - 1
         self._claim_menu = mech.claims()
         self._message_codes = [{} for _ in scn.agents]
@@ -348,7 +387,9 @@ class Kernel(KernelBase):
         self.tau_low, self.tau_high = numerators(taus, D)
         self.incentive = [numerators(row, D) for row in incentive]
         self.score = [[numerators(row, D) for row in table] for table in score]
-        self._claims = {c: {k: (j, numerators(row, D)) for k, (j, row) in bets.items()} for c, bets in claims.items()}
+        self._claims = {
+            c: {1 << k: (j, numerators(row, D)) for k, (j, row) in bets.items()} for c, bets in claims.items()
+        }
 
     def _menu(self, i: int, endowment):
         """Own claim x right-neighbour claim x presented subset x claim slot."""
@@ -362,6 +403,8 @@ class Kernel(KernelBase):
 
     def code(self, i: int, msg: Message) -> int:
         """Agent i's code for `msg`; MessageOutsideSpace outside the message space."""
+        if not isinstance(msg, Message):
+            raise outside_space(self.scenario, self.agents[i], msg)
         codes = self._message_codes[i]
         code = codes.get(msg)
         if code is None:
@@ -372,6 +415,7 @@ class Kernel(KernelBase):
             if None in (own, claimed, evidence):
                 raise outside_space(self.scenario, self.agents[i], msg)
             right_mask = self._state_masks[right][claimed]
+            bets = self._claims.get(msg.claim, _NO_BETS)
             record = (
                 own,
                 claimed,
@@ -379,7 +423,11 @@ class Kernel(KernelBase):
                 self._state_masks[i][own] & right_mask,
                 right_mask,
                 self._refuted_states[i][evidence],
-                self._claims.get(msg.claim, _NO_BETS),
+                bets,
+                # the states where the bet is live: a bet on the bettor's own
+                # evidence is void (the bettor could steer its value through
+                # its own presentation)
+                sum(state for state, (subject, _) in bets.items() if subject != i),
             )
             code = codes[msg] = len(self._records[i])
             self._records[i].append(record)
@@ -387,60 +435,56 @@ class Kernel(KernelBase):
 
     # -- rules --------------------------------------------------------------
 
-    def _claimed_states(self, records) -> tuple:
-        """(consensus, right-claim state) indices, -1 where none: the least
-        state every claim, or every right-neighbour claim, matches."""
+    def _others(self, i: int, others: int) -> tuple:
+        """The fixed part of agent i's row: (records, every agent's but i's;
+        the states every other claim matches; those every other
+        right-neighbour claim matches; those where another agent's bet is
+        live; those another agent's evidence refutes), as state bitmasks."""
+        records = []
         consensus = right_claims = self._all_states
-        for record in records:
-            consensus &= record[3]
-            right_claims &= record[4]
-        return _lowest_state(consensus), _lowest_state(right_claims)
+        betting = refuting = 0
+        for j, code in enumerate(self.unpack(others)):
+            record = None if j == i else self._records[j][code]
+            records.append(record)
+            if record is not None:
+                consensus &= record[3]
+                right_claims &= record[4]
+                refuting |= record[5]
+                betting |= record[7]
+        return records, consensus, right_claims, betting, refuting
 
     def consensus_state(self, transcript: dict) -> str | None:
-        codes = self.encode(transcript)
-        state, _ = self._claimed_states([self._records[i][code] for i, code in enumerate(codes)])
+        key = self.key(transcript)
+        _, consensus, _, _, _ = self._others(0, key & ~_CODE_MASK)
+        state = _lowest_state(consensus & self._records[0][key & _CODE_MASK][3])
         return self.states[state] if state >= 0 else None
 
-    def evaluate(self, codes):
-        records = [self._records[i][code] for i, code in enumerate(codes)]
-        consensus, right_claims = self._claimed_states(records)
-        n = len(records)
-
-        # A bet on the bettor's own evidence is void (the bettor could steer
-        # its value through its own presentation) and never feeds the
-        # evidence trigger.
-        payment = [0] * n
-        active = [False] * n
-        if consensus >= 0:
-            for i, record in enumerate(records):
-                bet = record[6].get(consensus)
-                if bet is not None and bet[0] != i:
-                    subject, payments = bet
-                    active[i] = True
-                    payment[i] = payments[records[subject][2]]
-        bettors = sum(active)
-
-        refuting = [False] * n
-        if right_claims >= 0:
-            for i, record in enumerate(records):
-                refuting[i] = bool(record[5] >> right_claims & 1)
-        refuters = sum(refuting)
-
-        items = []
-        for i, (own, claimed, evidence, _, _, refuted, _) in enumerate(records):
-            if consensus < 0 or bettors > active[i] or refuted >> consensus & 1:
-                incentive = self.incentive[i][evidence]
-            else:
-                incentive = 0
-            right = self.right[i]
-            score = self.score[right]
+    def evaluate_row(self, i: int, codes, others: int) -> list:
+        records, consensus_others, right_others, betting, refuting = self._others(i, others)
+        right, left = self.right[i], self.left[i]
+        incentive, score, mine = self.incentive[i], self.score[right], self._records[i]
+        row = []
+        for code in codes:
+            # i's record joins the others' for its neighbours' lookups (a
+            # single agent is its own neighbour)
+            own, claimed, evidence, claims, right_claimed, refuted, bets, _ = records[i] = mine[code]
+            # a state is read as its bit: the least one set, 0 for none
+            consensus = consensus_others & claims
+            consensus &= -consensus
+            right_claims = right_others & right_claimed
             shown = records[right][2]
             scoring = score[claimed][shown] - score[records[right][0]][shown]
-            crosscheck = -self.tau_low if own != records[self.left[i]][1] else 0
-            fine = -self.tau_high if refuters > refuting[i] else 0
-            items.append((incentive, scoring, crosscheck, fine, payment[i]))
-        outcome = self.outcomes[consensus] if consensus >= 0 else self.arbitrary_outcome
-        return outcome, items
+            crosscheck = -self.tau_low if own != records[left][1] else 0
+            fine = -self.tau_high if refuting & right_claims & -right_claims else 0
+            if not consensus:
+                row.append((self._arbitrary_code, (incentive[evidence], scoring, crosscheck, fine, 0)))
+                continue
+            bet = bets.get(consensus)
+            payment = 0 if bet is None or bet[0] == i else bet[1][records[bet[0]][2]]
+            triggered = (betting | refuted) & consensus
+            items = (incentive[evidence] if triggered else 0, scoring, crosscheck, fine, payment)
+            row.append((self._bit_outcomes[consensus], items))
+        return row
 
 
 # -- outcome rule and transfers -----------------------------------------------

@@ -10,6 +10,7 @@ from evimech.deception import TransportPlan
 from evimech.game import (
     BayesianGame,
     DirectMechanism,
+    DirectMessage,
     InvalidProfile,
     NotPerfect,
     SearchBudget,
@@ -22,7 +23,13 @@ from evimech.game import (
     truthful_profile,
     verify_bne,
 )
-from evimech.mechanism import Message, assemble_bne_mechanism, build_bne_mechanism, build_pure_mechanism
+from evimech.mechanism import (
+    Message,
+    MessageOutsideSpace,
+    assemble_bne_mechanism,
+    build_bne_mechanism,
+    build_pure_mechanism,
+)
 from evimech.scenario import ScenarioError
 
 F = Fraction
@@ -262,6 +269,20 @@ def test_search_empty_budget():
     assert flags["dynamics"] == "NOT_RUN"
 
 
+def test_an_exhaustive_enumeration_leaves_the_canonical_plans_under_the_plan_cap():
+    # an exhaustive phase (a) skips the 256 pure deception profiles, so only
+    # the canonical plans, one per state at most, count against plan_cap
+    scn = generators.random_scenario(18)
+    game = BayesianGame(scn, DirectMechanism(scn), "s0", 0)
+    results, flags = search_equilibria(game)
+    assert flags == {"pure_enumeration": "EXHAUSTIVE", "closure_family": "EXHAUSTIVE", "dynamics": "SUBSUMED"}
+    # the one canonical plan (s0 -> s0) is pure, a hit phase (a) already has
+    unplanned, _ = search_equilibria(game, SearchBudget(plan_cap=0))
+    assert len(results) == 4096 and results == unplanned
+    _, flags = search_equilibria(game, SearchBudget(plan_cap=len(scn.states) - 1))
+    assert flags["closure_family"] == "BUDGET_EXCEEDED(256)"
+
+
 def _exhaustive_only_games():
     micro = fixtures.micro_example()
     leading = fixtures.leading_example()
@@ -486,6 +507,36 @@ def test_compose_with_truthful_weights(leading, leading_mech):
 
 
 # -- strategy profiles ----------------------------------------------------------
+
+
+def test_a_game_refuses_a_utility_profile_index_out_of_range(perturbed, perturbed_mech):
+    # -1 would read the last profile, len(...) would raise a bare IndexError
+    profiles = len(perturbed.utility_profiles)
+    for idx in (-1, profiles, profiles + 1, "0"):
+        for mech in (perturbed_mech, DirectMechanism(perturbed)):
+            with pytest.raises(ScenarioError, match="utility profile index"):
+                BayesianGame(perturbed, mech, "H", idx)
+        with pytest.raises(ScenarioError, match="utility profile index"):
+            claim_audits(perturbed, perturbed_mech, profile_indices=[0, idx])
+    assert BayesianGame(perturbed, perturbed_mech, "H", profiles - 1).profile_idx == profiles - 1
+
+
+def test_a_foreign_message_is_outside_the_message_space(perturbed, perturbed_mech):
+    # each kernel fails closed on a message of the other kind or no message at all
+    for mech, foreign in (
+        (perturbed_mech, DirectMessage("H", RICH)),
+        (DirectMechanism(perturbed), perturbed_mech.truthful_message("A", "H", RICH)),
+    ):
+        game = BayesianGame(perturbed, mech, "H", 0)
+        for msg in (foreign, "junk"):
+            profile = truthful_profile(game)
+            profile["A"][RICH] = {msg: F(1)}
+            with pytest.raises(MessageOutsideSpace, match="outside the message space of agent 'A'$"):
+                verify_bne(game, profile)
+        # a message valued on its own need not even be hashable
+        for msg in (foreign, "junk", ["junk"]):
+            with pytest.raises(MessageOutsideSpace, match="outside the message space of agent 'A'$"):
+                expected_utility(game, "A", RICH, msg, truthful_profile(game))
 
 
 def _h_game(perturbed, perturbed_mech):

@@ -159,7 +159,7 @@ def test_differential_corpus_is_not_vacuous():
     assert any(len(scn.agents) == 3 for _, scn in SCENARIOS)
 
 
-# -- one transcript table per mechanism -------------------------------------------
+# -- one set of payoff rows per mechanism -------------------------------------------
 
 SHARED_BUDGET = game.SearchBudget(pure_cap=600, plan_cap=16, seeds=(0,), max_rounds=4)
 SHARED = ("micro", "perturbed", "appended_article", "seed 0")
@@ -175,7 +175,7 @@ def _game_reports(module, g, profiles):
 
 @pytest.mark.parametrize("name", SHARED)
 def test_one_mechanism_shared_by_every_game_matches_reference_in_either_order(name):
-    # one table filled by every game and the audits, in two visiting orders:
+    # one set of payoff rows filled by every game and the audits, in two visiting orders:
     # the audits after the games in state order, then before them in reverse
     scn = dict(SCENARIOS)[name]
     mech = mechanism.assemble_bne_mechanism(scn)
@@ -186,7 +186,7 @@ def test_one_mechanism_shared_by_every_game_matches_reference_in_either_order(na
         profiles = _profiles(g, random.Random(f"{name} {state} {idx}"))
         expected[(state, idx)] = profiles, _game_reports(ref, ref.BayesianGame(scn, mech, state, idx), profiles)
     audits = _suite_fields(ref.claim_audits(scn, mech))
-    assert mech.kernel().table == {}  # the reference reads no kernel
+    assert _row_entries(mech.kernel()) == {}  # the reference reads no kernel
 
     for order in (slots, slots[::-1]):
         shared = mechanism.assemble_bne_mechanism(scn)
@@ -197,7 +197,17 @@ def test_one_mechanism_shared_by_every_game_matches_reference_in_either_order(na
             assert _game_reports(game, game.BayesianGame(scn, shared, *slot), profiles) == reports, slot
         if order is slots:
             assert _suite_fields(game.claim_audits(scn, shared)) == audits
-        assert shared.kernel().table
+        assert _row_entries(shared.kernel())
+
+
+def _row_entries(kernel):
+    """(agent index, packed others' codes, code) -> entry of the kernel's payoff rows."""
+    return {
+        (i, others, code): entry
+        for i, rows in enumerate(kernel.rows)
+        for others, entries in rows.items()
+        for code, entry in entries.items()
+    }
 
 
 @pytest.mark.parametrize("direct", [False, True], ids=["bne", "direct"])
@@ -205,14 +215,25 @@ def test_every_transcript_of_a_mechanism_is_evaluated_once(monkeypatch, direct):
     scn = fixtures.perturbed_example()
     mech = game.DirectMechanism(scn) if direct else mechanism.build_bne_mechanism(scn)
     kernel_class = type(mech.kernel())
-    evaluated = []
-    real_evaluate = kernel_class.evaluate
+    evaluated = []  # (agent index, packed others' codes, code) per row entry evaluated
+    transcripts = []  # the whole transcripts being assembled, which are not kept
+    real_evaluate_row = kernel_class.evaluate_row
+    real_transcript = kernel_class.transcript
 
-    def counting_evaluate(self, codes):
-        evaluated.append(tuple(codes))
-        return real_evaluate(self, codes)
+    def counting_evaluate_row(self, i, codes, others):
+        if not transcripts:
+            evaluated.extend((i, others, code) for code in codes)
+        return real_evaluate_row(self, i, codes, others)
 
-    monkeypatch.setattr(kernel_class, "evaluate", counting_evaluate)
+    def marking_transcript(self, key):
+        transcripts.append(key)
+        try:
+            return real_transcript(self, key)
+        finally:
+            transcripts.pop()
+
+    monkeypatch.setattr(kernel_class, "evaluate_row", counting_evaluate_row)
+    monkeypatch.setattr(kernel_class, "transcript", marking_transcript)
     for _ in range(2):
         for idx in range(len(scn.utility_profiles)):
             for state in scn.states:
@@ -221,7 +242,7 @@ def test_every_transcript_of_a_mechanism_is_evaluated_once(monkeypatch, direct):
                 game.search_equilibria(g, SHARED_BUDGET)
         if not direct:
             game.claim_audits(scn, mech)
-    assert len(evaluated) == len(set(evaluated)) == len(mech.kernel().table) > 0
+    assert len(evaluated) == len(set(evaluated)) == len(_row_entries(mech.kernel())) > 0
 
 
 def test_a_rescaled_copy_gets_a_fresh_table():
@@ -231,11 +252,11 @@ def test_a_rescaled_copy_gets_a_fresh_table():
         g = game.BayesianGame(scn, mech, state, 0)
         game.verify_bne(g, game.truthful_profile(g))
     game.claim_audits(scn, mech)
-    filled = dict(mech.kernel().table)
+    filled = _row_entries(mech.kernel())
     # a lowered refutation fine and a raised eps change transfers the
     # original's table already holds
     lowered = mech.with_scaling(tau_high=Fraction(0), eps=mech.scaling.eps * 100)
-    assert lowered.kernel() is not mech.kernel() and lowered.kernel().table == {}
+    assert lowered.kernel() is not mech.kernel() and _row_entries(lowered.kernel()) == {}
     assert _suite_fields(game.claim_audits(scn, lowered)) == _suite_fields(ref.claim_audits(scn, lowered))
     for idx in range(len(scn.utility_profiles)):
         for state in scn.states:
@@ -243,6 +264,7 @@ def test_a_rescaled_copy_gets_a_fresh_table():
             old = ref.BayesianGame(scn, lowered, state, idx)
             profile = game.truthful_profile(new)
             assert report_fields(game.verify_bne(new, profile)) == report_fields(ref.verify_bne(old, profile))
-    shared = filled.keys() & lowered.kernel().table.keys()
-    assert shared and any(filled[key] != lowered.kernel().table[key] for key in shared)
-    assert mech.kernel().table.items() >= filled.items()
+    refilled = _row_entries(lowered.kernel())
+    shared = filled.keys() & refilled.keys()
+    assert shared and any(filled[key] != refilled[key] for key in shared)
+    assert _row_entries(mech.kernel()).items() >= filled.items()
