@@ -3,11 +3,10 @@ the deception-closure necessity replay, equilibrium search, and proof audits."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import mechanism as mech_mod
@@ -57,31 +56,46 @@ class DirectMechanism:
 
 class DirectKernel(KernelBase):
     """DirectMechanism compiled over its finite message space: every state
-    report with every presentable collection, no transfers."""
+    report with every presentable collection, no transfers. A report's code
+    is its state's index times the agent's presentable count plus its
+    evidence's position in `Scenario.evidence`."""
 
     D = 1
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
-        self._codes = []
-        self._reports = []
-        for agent in scenario.agents:
-            messages = [DirectMessage(state, e) for state in scenario.states for e in scenario.presentable(agent)]
-            self._codes.append({msg: code for code, msg in enumerate(messages)})
-            self._reports.append([msg.state_report for msg in messages])
+        self._states = {state: k for k, state in enumerate(scenario.states)}
+        self._presentable = [scenario.evidence(agent)[0] for agent in scenario.agents]
+        # per agent: code -> the state it reports
+        self._reports = [[state for state in scenario.states for _ in shown] for shown in self._presentable]
+        for i, reports in enumerate(self._reports):
+            self._fits(i, len(reports) - 1)
         self._state_outcomes = {state: self._outcome_codes[scenario.scf[state]] for state in scenario.states}
         self._zero = (0,) * len(TRANSFER_KEYS)
 
-    def _menu(self, i: int, endowment):
-        for state in self.scenario.states:
-            for sub in subsets(endowment):
-                yield DirectMessage(state, sub)
+    def _menu_codes(self, i: int, endowment) -> tuple:
+        width = len(self._presentable[i])
+        shown = [self.positions[i][sub] for sub in subsets(endowment)]
+        return tuple(head + position for head in range(0, len(self._reports[i]), width) for position in shown)
+
+    def message(self, i: int, code: int) -> DirectMessage:
+        state, position = divmod(code, len(self._presentable[i]))
+        return DirectMessage(self.scenario.states[state], self._presentable[i][position])
 
     def code(self, i: int, msg: DirectMessage) -> int:
-        code = self._codes[i].get(msg) if isinstance(msg, DirectMessage) else None
-        if code is None:
+        indices = None
+        if isinstance(msg, DirectMessage):
+            try:
+                indices = (self._states.get(msg.state_report), self.positions[i].get(msg.evidence))
+            except TypeError:  # an unhashable part is no part of the space
+                indices = None
+        if indices is None or None in indices:
             raise outside_space(self.scenario, self.agents[i], msg)
-        return code
+        state, position = indices
+        return state * len(self._presentable[i]) + position
+
+    def truthful_code(self, i: int, state, position: int) -> int:
+        return self._states[state] * len(self._presentable[i]) + position
 
     def evaluate_row(self, i: int, codes, others: int) -> list:
         reports = [self._reports[j][code] for j, code in enumerate(self.unpack(others))]
@@ -113,7 +127,7 @@ class BayesianGame:
     actions: dict = field(init=False)
     _kernel: object = field(init=False, repr=False, compare=False)
     _codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> action codes
-    _menus: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> set of action codes
+    _menus: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> code -> menu position
     _probs: dict = field(init=False, repr=False, compare=False)  # (agent, type) -> prob
     _G: int = field(init=False, repr=False, compare=False)
     _factor: int = field(init=False, repr=False, compare=False)  # G // D
@@ -214,6 +228,17 @@ def _reported_profile(game: BayesianGame, state) -> dict:
     }
 
 
+def _reported_play(game: BayesianGame, state) -> dict:
+    """`_reported_profile` as a coded play (`_coded_play`), built from the
+    kernel's truthful codes."""
+    kernel = game._kernel
+    return {
+        (agent, coll): (1, (kernel.truthful_code(i, state, kernel.positions[i][coll]),), (1,))
+        for i, agent in enumerate(game.scenario.agents)
+        for coll in game.types[agent]
+    }
+
+
 def _coded_play(game: BayesianGame, profile) -> dict:
     """(agent, type) -> (L, codes, numerators): a strategy profile's messages
     as codes, their weights as numerators over the lcm L of the type's
@@ -228,7 +253,7 @@ def _coded_play(game: BayesianGame, profile) -> dict:
             scale = common_denominator(mixture.values())
             weights = numerators(mixture.values(), scale)
             menu = game._menus[(agent, coll)]
-            if sum(weights) != scale or min(weights) <= 0 or not menu.issuperset(codes):
+            if sum(weights) != scale or min(weights) <= 0 or not all(code in menu for code in codes):
                 problems = [
                     f"plays {msg!r}, which is not on its menu" for msg, c in zip(mixture, codes) if c not in menu
                 ]
@@ -276,8 +301,13 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
     Each agent's opponent realizations are listed once; every candidate
     message of every type is then valued in integers over one denominator.
     """
+    return _verify_play(game, _coded_play(game, profile))
+
+
+def _verify_play(game: BayesianGame, play) -> EquilibriumReport:
+    """`verify_bne` of a coded play (`_coded_play`); the witness decodes only
+    the best codes of its type's menu."""
     agents = game.scenario.agents
-    play = _coded_play(game, profile)
     witness = None
     slacks = {}
     for i, agent in enumerate(agents):
@@ -293,8 +323,8 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
             slacks[(agent, coll)] = slack
             if slack > 0 and witness is None:
                 best_msg = min(
-                    (msg for msg, value in zip(game.actions[(agent, coll)], values) if value == best),
-                    key=lambda m: repr(m),
+                    (game._kernel.message(i, code) for code, value in zip(codes, values) if value == best),
+                    key=repr,
                 )
                 witness = (agent, coll, best_msg, slack)
     return _equilibrium_report(game, play, slacks, witness)
@@ -565,9 +595,8 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         # In one, each type plays, at its menu position, the truthful message
         # at the target with its assigned subset
         def position(i, src, target, dst):
-            agent = agents[i]
-            code = game._kernel.code(i, game.mech.truthful_message(agent, target, dst))
-            return game._codes[(agent, src)].index(code)
+            kernel = game._kernel
+            return game._menus[(agents[i], src)][kernel.truthful_code(i, target, kernel.positions[i][dst])]
 
         for combo in () if exhaustive else itertools.product(*pure_assignment_lists):
             for target in scenario.states:
@@ -622,19 +651,21 @@ class AuditResult:
 def _deviation_audit(name, ok, cases, **extra) -> AuditResult:
     """One deviation argument of the implementation proof, checked case by case.
 
-    A case is (game, agent, play, better, worse, label): `better` and
-    `worse` map each of the agent's types to a message, and against the
-    coded play (`_coded_play`) the first must earn strictly more than the
-    second. Each failing type adds
-    (*label, gain) to the failures. The opponents' realizations are listed
-    once per case and both messages valued together.
+    A case is (game, agent, play, state, better, worse, label): `better` and
+    `worse` are changes (`Kernel.truthful_code` keywords) to each of the
+    agent's types' truthful message at `state`, and against the coded play
+    (`_coded_play`) the first must earn strictly more than the second. Each
+    failing type adds (*label, gain) to the failures. The opponents'
+    realizations are listed once per case and both messages valued together.
     """
     details = {"checked": 0, "failures": [], **extra}
-    for game, agent, play, better, worse, label in cases:
+    for game, agent, play, state, better, worse, label in cases:
         i = game.scenario.agents.index(agent)
+        kernel = game._kernel
         W, realizations = game._realizations(agent, play)
         for coll in game.types[agent]:
-            codes = (game._kernel.code(i, better(coll)), game._kernel.code(i, worse(coll)))
+            position = kernel.positions[i][coll]
+            codes = [kernel.truthful_code(i, state, position, **changes) for changes in (better, worse)]
             high, low = game._values(i, realizations, codes)
             gain = Fraction(high - low, W * game._G)
             details["checked"] += 1
@@ -649,29 +680,26 @@ def _scoring_cases(scenario, mech, games):
     against truthful play, predicting the right neighbour truthfully beats
     every wrong prediction."""
     for state, game in games.items():
-        truthful = _coded_play(game, truthful_profile(game))
+        truthful = _reported_play(game, state)
         for predictor in scenario.agents:
             subject = scenario.right_neighbor(predictor)
-            truth = functools.partial(mech.truthful_message, predictor, state)
-            for wrong in scenario.alphabet(subject):
+            for claimed, wrong in enumerate(scenario.alphabet(subject)):
                 if wrong != scenario.dist(subject, state):
-                    deviant = lambda coll, truth=truth, wrong=wrong: replace(truth(coll), p_right=wrong)
-                    yield game, predictor, truthful, truth, deviant, (state, predictor, repr(wrong))
+                    yield game, predictor, truthful, state, {}, {"claimed": claimed}, (state, predictor, repr(wrong))
 
 
 def _crosscheck_cases(scenario, mech, games):
     """A self-report contradicting the left neighbour is corrected (crosscheck
-    fine): against truthful play, the truthful self-report beats a wrong one.
-    The deviator's own strategy does not enter its payoff, so the others'
-    truthful play is the whole profile."""
+    fine): against truthful play, the truthful self-report beats the first
+    wrong one. The deviator's own strategy does not enter its payoff, so the
+    others' truthful play is the whole profile."""
     for state, game in games.items():
-        truthful = _coded_play(game, truthful_profile(game))
+        truthful = _reported_play(game, state)
         for agent in scenario.agents:
-            alphabet = [d for d in scenario.alphabet(agent) if d != scenario.dist(agent, state)]
-            if alphabet:
-                truth = functools.partial(mech.truthful_message, agent, state)
-                self_liar = lambda coll, truth=truth, wrong=alphabet[0]: replace(truth(coll), p_own=wrong)
-                yield game, agent, truthful, truth, self_liar, (state, agent)
+            truth = scenario.dist(agent, state)
+            wrong = next((own for own, d in enumerate(scenario.alphabet(agent)) if d != truth), None)
+            if wrong is not None:
+                yield game, agent, truthful, state, {}, {"own": wrong}, (state, agent)
 
 
 def _refutable_pairs(scenario):
@@ -686,9 +714,8 @@ def _refutation_cases(scenario, mech, games):
         if deviator == refuter:
             continue
         game = games[state]
-        base = functools.partial(mech.truthful_message, deviator, lie)
-        honest = lambda coll, base=base, p=scenario.dist(refuter, state): replace(base(coll), p_right=p)
-        yield game, deviator, _coded_play(game, _reported_profile(game, lie)), honest, base, (state, lie, deviator)
+        honest = {"claimed": scenario.alphabet(refuter).index(scenario.dist(refuter, state))}
+        yield game, deviator, _reported_play(game, lie), lie, honest, {}, (state, lie, deviator)
 
 
 def _whistle_cases(scenario, mech, games):
@@ -700,9 +727,7 @@ def _whistle_cases(scenario, mech, games):
         claim, subject = whistle
         game = games[state]
         deviator = next(a for a in scenario.agents if a != subject)
-        base = functools.partial(mech.truthful_message, deviator, lie)
-        blow = lambda coll, base=base, claim=claim: replace(base(coll), claim=claim)
-        yield game, deviator, _coded_play(game, _reported_profile(game, lie)), blow, base, (state, lie, deviator)
+        yield game, deviator, _reported_play(game, lie), lie, {"claim": claim}, {}, (state, lie, deviator)
 
 
 def _audit_zero_on_truth(scenario, mech, games):
@@ -711,8 +736,7 @@ def _audit_zero_on_truth(scenario, mech, games):
     details = {"states": {}, "losing_bets_checked": 0, "failures": []}
     ok = True
     for state, game in games.items():
-        profile = truthful_profile(game)
-        report = verify_bne(game, profile)
+        report = _verify_play(game, _reported_play(game, state))
         good = report.implements(scenario.scf[state]) and report.transfers_zero
         details["states"][state] = {
             "is_bne": report.is_bne,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -169,12 +170,17 @@ class Mechanism:
             return list(self.scenario.states)
         return [None] + sorted((claim for claim, _ in self.bets), key=challenge_key)
 
+    def truthful_claim(self, state):
+        """The claim of the truthful report at `state`: the state (bne) or no
+        challenge (pure)."""
+        return state if self.variant == "bne" else None
+
     def truthful_message(self, agent, state, evidence) -> Message:
         """The type's truthful report at `state`: claims of both distributions,
-        the whole endowment, and the state (bne) or no challenge (pure)."""
+        the whole endowment, and its truthful claim."""
         scn = self.scenario
-        claim = state if self.variant == "bne" else None
-        return Message(scn.dist(agent, state), scn.dist(scn.right_neighbor(agent), state), frozenset(evidence), claim)
+        right = scn.right_neighbor(agent)
+        return Message(scn.dist(agent, state), scn.dist(right, state), frozenset(evidence), self.truthful_claim(state))
 
     def claim_bet(self, claim, state):
         """The bet `claim` activates when every distribution claim agrees on
@@ -202,8 +208,10 @@ class Mechanism:
 
 
 # Game code packs one message code per agent into an int, agent i's code at bit
-# KEY_BITS * i: codes count the messages coded so far, held in memory, so they
-# stay far below 2**KEY_BITS.
+# KEY_BITS * i. A code is computed from its message's indices, so a large
+# message space holds codes at or above 2**KEY_BITS: the kernel raises
+# OverflowError (`KernelBase._fits`) before it hands one out, so no packed key
+# aliases another.
 KEY_BITS = 32
 _CODE_MASK = (1 << KEY_BITS) - 1
 
@@ -215,20 +223,51 @@ def _lowest_state(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+class Menu(Sequence):
+    """One agent's action menu: a read-only sequence of messages held as
+    their codes, each message decoded (`message`) when it is read."""
+
+    __slots__ = ("codes", "_i", "_message")
+
+    def __init__(self, kernel: "KernelBase", i: int, codes: tuple):
+        self.codes = codes
+        self._i = i
+        self._message = kernel.message
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._message(self._i, code) for code in self.codes[index])
+        return self._message(self._i, self.codes[index])
+
+    def __iter__(self):
+        return (self._message(self._i, code) for code in self.codes)
+
+
 class KernelBase:
     """Shared interface of compiled mechanisms.
 
     A subclass compiles its finite message space once, in `__init__`, where
     it calls `KernelBase.__init__` with its scenario and fixes the common
-    denominator `D`, and
-    provides three methods: `_menu(i, endowment)` enumerates agent i's
-    messages for an endowment; `code(i, message)` looks up one of agent i's
-    messages as a small int and raises `MessageOutsideSpace` for a message
-    outside the space; `evaluate_row(i, codes, others)` takes agent i's
-    message codes and the other agents' codes packed `KEY_BITS` per agent
-    (agent i's bits zero) and returns, per code of agent i, the outcome's
-    position in `scenario.outcomes` and agent i's five `TRANSFER_KEYS`
-    components as integer numerators over `D`.
+    denominator `D`. A message's code is computed from its indices (its parts'
+    positions in the compiled tables, the evidence's in `Scenario.evidence`),
+    never looked up, and stays below 2**KEY_BITS (`_fits`). The subclass
+    provides five methods:
+
+    - `_menu_codes(i, endowment)`: agent i's codes for an endowment, in menu
+      order, built from indices and ready for `evaluate_row`;
+    - `message(i, code)`: the message of one of agent i's codes;
+    - `code(i, message)`: a handed-in message's code, `MessageOutsideSpace`
+      for a message outside the space;
+    - `truthful_code(i, state, position)`: agent i's truthful message at
+      `state` presenting its collection at evidence `position`;
+    - `evaluate_row(i, codes, others)`: takes agent i's message codes and the
+      other agents' codes packed `KEY_BITS` per agent (agent i's bits zero)
+      and returns, per code of agent i, the outcome's position in
+      `scenario.outcomes` and agent i's five `TRANSFER_KEYS` components as
+      integer numerators over `D`.
 
     Every certificate is a unilateral deviation: one agent's messages are
     valued while the others' stay fixed. `evaluate_row` reads neither a state
@@ -242,6 +281,8 @@ class KernelBase:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.agents = scenario.agents
+        # per agent: presentable collection -> its position in Scenario.evidence
+        self.positions = [scenario.evidence(agent)[1] for agent in scenario.agents]
         self._menus = {}
         self._outcome_codes = {outcome: k for k, outcome in enumerate(scenario.outcomes)}
         # per agent i: packed others' codes -> {code of agent i: (the
@@ -249,15 +290,21 @@ class KernelBase:
         # as a numerator over D)}
         self.rows = [{} for _ in scenario.agents]
 
+    def _fits(self, i: int, code: int) -> int:
+        """Agent i's `code`, or OverflowError when it would not fit its
+        `KEY_BITS` field of a packed key."""
+        if code >= 1 << KEY_BITS:
+            raise OverflowError(f"message code {code} of agent {self.agents[i]!r} does not fit in {KEY_BITS} bits")
+        return code
+
     def actions(self, i: int, endowment) -> tuple:
-        """(messages, their codes, the codes as a set): agent i's action menu
-        for an endowment, built on first use and shared by every game of the
-        mechanism."""
+        """(menu, its codes, code -> menu position): agent i's action menu for
+        an endowment (`Menu`), built on first use and shared by every game of
+        the mechanism."""
         menu = self._menus.get((i, endowment))
         if menu is None:
-            messages = tuple(self._menu(i, endowment))
-            codes = tuple(self.code(i, m) for m in messages)
-            menu = self._menus[(i, endowment)] = (messages, codes, frozenset(codes))
+            codes = self._menu_codes(i, endowment)
+            menu = self._menus[(i, endowment)] = (Menu(self, i, codes), codes, dict(zip(codes, range(len(codes)))))
         return menu
 
     def encode(self, transcript: dict) -> tuple:
@@ -330,14 +377,23 @@ class Kernel(KernelBase):
       its subject;
     - `tau_low` and `tau_high`.
 
-    `code` only looks messages up. Anything but a `Message`, a distribution
-    outside the alphabet or evidence the agent cannot present raises
-    `MessageOutsideSpace`; a claim the bet table does not name activates no
-    bet, so an invalid challenge acts like no challenge. Each coded message
-    records the states its claims match as bitmasks, the states its evidence
-    refutes, the bets its claim slot activates per consensus state (keyed by
-    the state's bit) and the states where those bets are live. The kernel
-    holds no reference to its mechanism.
+    Agent i's code for the message of own alphabet index `own`, right
+    neighbour's alphabet index `claimed`, evidence position `position` and
+    claim slot `slot` is
+
+        slot * block + (own * |right alphabet| + claimed) * width + position
+
+    with `width` agent i's presentable count and `block` the codes of one
+    slot. The claim menu (`Mechanism.claims`) fills the first slots; a claim
+    the bet table does not name, handed in, takes the next free slot and
+    activates no bet, so an invalid challenge acts like no challenge. Anything
+    but a `Message`, a distribution outside the alphabet, evidence the agent
+    cannot present or an unhashable part raises `MessageOutsideSpace`. Each
+    code's record, made from its indices on first use (`_index_code`), holds
+    the states its claims match as bitmasks, the states its evidence refutes,
+    the bets its claim slot activates per consensus state (keyed by the
+    state's bit) and the states where those bets are live. The kernel holds
+    no reference to its mechanism.
 
     `evaluate_row` decodes the other agents' records once per row: their
     consensus and right-claim masks are ANDed, and their live bets and
@@ -351,22 +407,34 @@ class Kernel(KernelBase):
         self.right = [index[scn.right_neighbor(agent)] for agent in scn.agents]
         self.left = [index[scn.left_neighbor(agent)] for agent in scn.agents]
         self.states = scn.states
+        self._state_index = state_index = {state: k for k, state in enumerate(scn.states)}
         # the outcome's position in scn.outcomes by the consensus state's bit,
         # and with no consensus
         self._bit_outcomes = {1 << k: self._outcome_codes[scn.scf[state]] for k, state in enumerate(scn.states)}
         self._arbitrary_code = self._outcome_codes[mech.arbitrary_outcome]
         self._all_states = (1 << len(scn.states)) - 1
-        self._claim_menu = mech.claims()
-        self._message_codes = [{} for _ in scn.agents]
-        self._records = [[] for _ in scn.agents]
+        # per agent: code -> record (see `_index_code`)
+        self._records = [{} for _ in scn.agents]
 
         self._alphabets = alphabets = [scn.alphabet(agent) for agent in scn.agents]
-        evidence, self._positions, self._refuted_states = ([scn.evidence(a)[c] for a in scn.agents] for c in range(3))
+        evidence, _, self._refuted_states = ([scn.evidence(a)[c] for a in scn.agents] for c in range(3))
+        self._presentable = evidence
         self._dist_codes = [{dist: p for p, dist in enumerate(alphabet)} for alphabet in alphabets]
+        # per agent j and state k: the alphabet index of j's distribution at k
+        self._truth = [
+            [codes[scn.dist(agent, state)] for state in scn.states]
+            for codes, agent in zip(self._dist_codes, scn.agents)
+        ]
         self._state_masks = [[0] * len(alphabet) for alphabet in alphabets]
-        for j, agent in enumerate(scn.agents):
-            for k, state in enumerate(scn.states):
-                self._state_masks[j][self._dist_codes[j][scn.dist(agent, state)]] |= 1 << k
+        for masks, truth in zip(self._state_masks, self._truth):
+            for k, p in enumerate(truth):
+                masks[p] |= 1 << k
+        self._width = [len(presentable) for presentable in evidence]
+        # the codes of one claim slot
+        self._block = [
+            len(alphabet) * len(alphabets[right]) * width
+            for alphabet, right, width in zip(alphabets, self.right, self._width)
+        ]
 
         # exact values first, then every table as numerators over their lcm D
         eps, tau_low = mech.scaling.eps, mech.scaling.tau_low
@@ -376,7 +444,6 @@ class Kernel(KernelBase):
         # claim -> consensus state index -> (subject index, payments by the
         # subject's evidence code)
         claims = {}
-        state_index = {state: k for k, state in enumerate(scn.states)}
         for (claim, state), bet in mech.bets.items():
             j = index[bet.agent]
             claims.setdefault(claim, {})[state_index[state]] = (j, [eps * bet.value(e) for e in evidence[j]])
@@ -391,47 +458,111 @@ class Kernel(KernelBase):
             c: {1 << k: (j, numerators(row, D)) for k, (j, row) in bets.items()} for c, bets in claims.items()
         }
 
-    def _menu(self, i: int, endowment):
-        """Own claim x right-neighbour claim x presented subset x claim slot."""
-        for p_own in self._alphabets[i]:
-            for p_right in self._alphabets[self.right[i]]:
-                for sub in subsets(endowment):
-                    for claim in self._claim_menu:
-                        yield Message(p_own, p_right, sub, claim)
+        # claim slots: the claim menu's, then each claim off it in the order
+        # handed in
+        self._slot_claims = mech.claims()
+        self._menu_slots = len(self._slot_claims)
+        self._slots = {claim: slot for slot, claim in enumerate(self._slot_claims)}
+        self._truth_slots = [self._slots[mech.truthful_claim(state)] for state in scn.states]
+        # per agent i and slot: (the bets its claim activates, the states
+        # where they are live). A bet on the bettor's own evidence is void:
+        # the bettor could steer its value through its own presentation
+        bets_by_slot = [self._claims.get(claim, _NO_BETS) for claim in self._slot_claims]
+        self._slot_bets = [
+            [(bets, sum(bit for bit, (subject, _) in bets.items() if subject != i)) for bets in bets_by_slot]
+            for i in range(len(scn.agents))
+        ]
 
     # -- coding -------------------------------------------------------------
 
-    def code(self, i: int, msg: Message) -> int:
-        """Agent i's code for `msg`; MessageOutsideSpace outside the message space."""
-        if not isinstance(msg, Message):
-            raise outside_space(self.scenario, self.agents[i], msg)
-        codes = self._message_codes[i]
-        code = codes.get(msg)
-        if code is None:
-            right = self.right[i]
-            own = self._dist_codes[i].get(msg.p_own)
-            claimed = self._dist_codes[right].get(msg.p_right)
-            evidence = self._positions[i].get(msg.evidence)
-            if None in (own, claimed, evidence):
-                raise outside_space(self.scenario, self.agents[i], msg)
-            right_mask = self._state_masks[right][claimed]
-            bets = self._claims.get(msg.claim, _NO_BETS)
-            record = (
+    def _index_code(self, i: int, own: int, claimed: int, position: int, slot: int) -> int:
+        """Agent i's code for the message of own alphabet index `own`, right
+        neighbour's alphabet index `claimed`, evidence `position` and claim
+        `slot`; its record is made on first use."""
+        code = slot * self._block[i] + (own * len(self._alphabets[self.right[i]]) + claimed) * self._width[i] + position
+        records = self._records[i]
+        if code not in records:
+            right_mask = self._state_masks[self.right[i]][claimed]
+            records[self._fits(i, code)] = (
                 own,
                 claimed,
-                evidence,
+                position,
                 self._state_masks[i][own] & right_mask,
                 right_mask,
-                self._refuted_states[i][evidence],
-                bets,
-                # the states where the bet is live: a bet on the bettor's own
-                # evidence is void (the bettor could steer its value through
-                # its own presentation)
-                sum(state for state, (subject, _) in bets.items() if subject != i),
+                self._refuted_states[i][position],
+                *self._slot_bets[i][slot],
             )
-            code = codes[msg] = len(self._records[i])
-            self._records[i].append(record)
         return code
+
+    def _menu_codes(self, i: int, endowment) -> tuple:
+        """Own claim x right-neighbour claim x presented subset x claim slot,
+        each code's record made from its indices."""
+        right_masks, width, block = self._state_masks[self.right[i]], self._width[i], self._block[i]
+        shown = [self.positions[i][sub] for sub in subsets(endowment)]
+        slots = range(0, self._menu_slots * block, block)
+        self._fits(i, block - width + max(shown) + slots[-1])
+        slot_bets = self._slot_bets[i][: self._menu_slots]
+        refuted = self._refuted_states[i]
+        records = self._records[i]
+        codes = []
+        for own, own_mask in enumerate(self._state_masks[i]):
+            for claimed, right_mask in enumerate(right_masks):
+                claims = own_mask & right_mask
+                pair = (own * len(right_masks) + claimed) * width
+                for position in shown:
+                    for slot, (bets, live) in zip(slots, slot_bets):
+                        code = pair + position + slot
+                        codes.append(code)
+                        if code not in records:
+                            records[code] = (own, claimed, position, claims, right_mask, refuted[position], bets, live)
+        return tuple(codes)
+
+    def _slot(self, claim) -> int:
+        """The claim's slot; a claim off the claim menu takes the next free
+        one and activates no bet."""
+        slot = self._slots.get(claim)
+        if slot is None:
+            slot = self._slots[claim] = len(self._slot_claims)
+            self._slot_claims.append(claim)
+            for slot_bets in self._slot_bets:
+                slot_bets.append((_NO_BETS, 0))
+        return slot
+
+    def message(self, i: int, code: int) -> Message:
+        """The message of agent i's `code`, decoded from its indices."""
+        slot, pair = divmod(code, self._block[i])
+        pair, position = divmod(pair, self._width[i])
+        right = self._alphabets[self.right[i]]
+        own, claimed = divmod(pair, len(right))
+        return Message(self._alphabets[i][own], right[claimed], self._presentable[i][position], self._slot_claims[slot])
+
+    def code(self, i: int, msg: Message) -> int:
+        """Agent i's code for `msg`; MessageOutsideSpace outside the message space."""
+        indices = None
+        if isinstance(msg, Message):
+            try:
+                indices = (
+                    self._dist_codes[i].get(msg.p_own),
+                    self._dist_codes[self.right[i]].get(msg.p_right),
+                    self.positions[i].get(msg.evidence),
+                )
+                hash(msg.claim)
+            except TypeError:  # an unhashable part is no part of the space
+                indices = None
+        if indices is None or None in indices:
+            raise outside_space(self.scenario, self.agents[i], msg)
+        return self._index_code(i, *indices, self._slot(msg.claim))
+
+    def truthful_code(self, i: int, state, position: int, **changes) -> int:
+        """Agent i's code for its truthful message at `state` presenting the
+        collection at evidence `position`; `changes` replace its own alphabet
+        index (`own`), its right neighbour's (`claimed`) or its claim
+        (`claim`)."""
+        k = self._state_index[state]
+        own = changes.get("own", self._truth[i][k])
+        claimed = changes.get("claimed", self._truth[self.right[i]][k])
+        slot = self._slot(changes["claim"]) if "claim" in changes else self._truth_slots[k]
+        return self._index_code(i, own, claimed, position, slot)
 
     # -- rules --------------------------------------------------------------
 

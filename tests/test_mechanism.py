@@ -7,8 +7,16 @@ from pathlib import Path
 import pytest
 
 import game_reference
-from evimech import fixtures
-from evimech.game import BayesianGame, DirectMechanism, DirectMessage, claim_audits, expected_utility, truthful_profile
+from evimech import fixtures, mechanism
+from evimech.game import (
+    BayesianGame,
+    DirectKernel,
+    DirectMechanism,
+    DirectMessage,
+    claim_audits,
+    expected_utility,
+    truthful_profile,
+)
 from evimech.mechanism import (
     Challenge,
     DegenerateGap,
@@ -425,6 +433,77 @@ def test_messages_outside_the_space_raise_and_leave_the_tables_alone():
     g = BayesianGame(scn, DirectMechanism(scn), "M", 0)
     with pytest.raises(MessageOutsideSpace, match="'nowhere'"):
         expected_utility(g, "A", g.types["A"][0], DirectMessage("nowhere", frozenset()), truthful_profile(g))
+
+
+def test_unhashable_message_parts_are_outside_the_space():
+    # set evidence, a list claim or a list state report: no message of either
+    # kernel's space, refused as such rather than with a TypeError
+    scn = fixtures.perturbed_example()
+    mech = build_bne_mechanism(scn)
+    truthful = truthful_transcript(mech, "M")
+    direct = DirectMechanism(scn)
+    cases = [
+        (mech, "A", dataclasses.replace(truthful["A"], evidence=set(truthful["A"].evidence))),
+        (mech, "B", dataclasses.replace(truthful["B"], claim=["M"])),
+        (direct, "A", DirectMessage(["M"], frozenset())),
+        (direct, "A", DirectMessage("M", set())),
+    ]
+    for mech_, agent, msg in cases:
+        i = scn.agents.index(agent)
+        with pytest.raises(MessageOutsideSpace, match=f"outside the message space of agent '{agent}'"):
+            mech_.kernel().code(i, msg)
+        if mech_ is mech:
+            with pytest.raises(MessageOutsideSpace):
+                transfers(mech, {**truthful, agent: msg})
+        g = BayesianGame(scn, mech_, "M", 0)
+        with pytest.raises(MessageOutsideSpace):
+            expected_utility(g, agent, g.types[agent][0], msg, truthful_profile(g))
+
+
+@pytest.mark.parametrize("bits", [4, 6])
+def test_codes_beyond_the_key_field_raise_instead_of_aliasing(bits, monkeypatch):
+    # with a small KEY_BITS, exactly the codes at or above 2**bits are refused:
+    # menus holding one, messages coded to one (an unnamed claim's slot lies
+    # past every menu's), and a direct kernel whose space holds one
+    scn = fixtures.perturbed_example()
+    mech = build_bne_mechanism(scn)
+    wide = mechanism.Kernel(mech)
+    messages = [
+        (i, dataclasses.replace(mech.truthful_message(agent, state, coll), claim=claim))
+        for i, agent in enumerate(scn.agents)
+        for coll in scn.presentable(agent)
+        for state in scn.states
+        for claim in (state, "unnamed")
+    ]
+    codes = [wide.code(i, msg) for i, msg in messages]
+    types = [
+        (i, coll) for i, agent in enumerate(scn.agents) for state in scn.states for coll in scn.support(agent, state)
+    ]
+    tops = [max(wide.actions(i, coll)[1]) for i, coll in types]
+    monkeypatch.setattr(mechanism, "KEY_BITS", bits)
+    narrow = mechanism.Kernel(mech)
+    refused = 0
+    for (i, coll), top in zip(types, tops):
+        if top >= 1 << bits:
+            refused += 1
+            with pytest.raises(OverflowError, match=f"does not fit in {bits} bits"):
+                narrow.actions(i, coll)
+        else:
+            assert narrow.actions(i, coll)[1] == wide.actions(i, coll)[1]
+    for (i, msg), code in zip(messages, codes):
+        if code >= 1 << bits:
+            refused += 1
+            with pytest.raises(OverflowError):
+                narrow.code(i, msg)
+        else:
+            assert narrow.code(i, msg) == code
+    assert 0 < refused < len(types) + len(messages)
+    direct_codes = max(len(scn.states) * len(scn.presentable(agent)) for agent in scn.agents)
+    if direct_codes > 1 << bits:
+        with pytest.raises(OverflowError):
+            DirectKernel(scn)
+    else:
+        DirectKernel(scn)
 
 
 def test_unknown_article_raises():
