@@ -116,7 +116,8 @@ def _load_scenario(data) -> Scenario:
 
 
 def _load_model(data):
-    if "types" in data:
+    # a document that is not an object goes to the model parser, which refuses it
+    if not isinstance(data, dict) or "types" in data:
         try:
             model = hierarchy.parse_model(data)
         except hierarchy.ModelFormatError as exc:

@@ -37,16 +37,22 @@ def check_stochastic_measurability(scenario: Scenario) -> Verdict:
     return verdict
 
 
+def canonical_perfect_plans(scenario: Scenario, source_state, target_state, finder=find_perfect_deception):
+    """Per-agent plans by `finder` (max-flow plans by default) when every
+    agent can deceive, else None."""
+    plans = {}
+    for agent in scenario.agents:
+        plan = finder(scenario, agent, source_state, target_state)
+        if plan is None:
+            return None
+        plans[agent] = plan
+    return plans
+
+
 def _deception_condition(scenario: Scenario, finder, condition_name) -> Verdict:
     verdict = Verdict(condition_name, True)
     for s, s_prime, _ in contested_lies(scenario):
-        certificates = {}
-        for agent in scenario.agents:
-            plan = finder(scenario, agent, s, s_prime)
-            if plan is None:
-                certificates = None
-                break
-            certificates[agent] = plan
+        certificates = canonical_perfect_plans(scenario, s, s_prime, finder)
         if certificates is not None:
             verdict.passed = False
             verdict.failures.append(PairFailure(s, s_prime, certificates, "outcome differs across a deceivable pair"))

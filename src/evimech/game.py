@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import mechanism as mech_mod
-from .deception import induced_distribution, perfect_deception
+from .conditions import canonical_perfect_plans
+from .deception import induced_distribution
 from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space
 from .rationals import common_denominator, numerators
 from .scenario import Scenario, ScenarioError, consensus_else_first, contested_lies
@@ -83,16 +84,14 @@ class DirectKernel(KernelBase):
         return DirectMessage(self.scenario.states[state], self._presentable[i][position])
 
     def code(self, i: int, msg: DirectMessage) -> int:
-        indices = None
-        if isinstance(msg, DirectMessage):
-            try:
-                indices = (self._states.get(msg.state_report), self.positions[i].get(msg.evidence))
-            except TypeError:  # an unhashable part is no part of the space
-                indices = None
-        if indices is None or None in indices:
+        try:
+            known = isinstance(msg, DirectMessage) and msg.state_report in self._states
+            position = self.positions[i].get(msg.evidence) if known else None
+        except TypeError:  # an unhashable part is no part of the space
+            position = None
+        if position is None:
             raise outside_space(self.scenario, self.agents[i], msg)
-        state, position = indices
-        return state * len(self._presentable[i]) + position
+        return self.truthful_code(i, msg.state_report, position)
 
     def truthful_code(self, i: int, state, position: int) -> int:
         return self._states[state] * len(self._presentable[i]) + position
@@ -126,8 +125,6 @@ class BayesianGame:
     types: dict = field(init=False)
     actions: dict = field(init=False)
     _kernel: object = field(init=False, repr=False, compare=False)
-    _codes: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> action codes
-    _menus: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # slot -> code -> menu position
     _probs: dict = field(init=False, repr=False, compare=False)  # (agent, type) -> prob
     _G: int = field(init=False, repr=False, compare=False)
     _factor: int = field(init=False, repr=False, compare=False)  # G // D
@@ -146,11 +143,12 @@ class BayesianGame:
             (agent, coll): prob for agent in scn.agents for coll, prob in scn.dist(agent, self.state).items()
         }
         self._kernel = self.mech.kernel()
-        self.actions = {}
-        for i, agent in enumerate(scn.agents):
-            for coll in self.types[agent]:
-                slot = (agent, coll)
-                self.actions[slot], self._codes[slot], self._menus[slot] = self._kernel.actions(i, coll)
+        # (agent, type) -> its `Menu`
+        self.actions = {
+            (agent, coll): self._kernel.actions(i, coll)
+            for i, agent in enumerate(scn.agents)
+            for coll in self.types[agent]
+        }
         profile = scn.utility_profiles[self.profile_idx]
         # by outcome code: every agent's utility, or None when one is missing
         rows = [[profile[agent].get((outcome, self.state)) for agent in scn.agents] for outcome in scn.outcomes]
@@ -216,21 +214,13 @@ class BayesianGame:
 
 
 def truthful_profile(game: BayesianGame) -> dict:
-    return _reported_profile(game, game.state)
-
-
-def _reported_profile(game: BayesianGame, state) -> dict:
-    """Every type plays, with probability 1, its truthful message at `state`:
-    the game's own state, or a lie every agent reports."""
-    return {
-        agent: {coll: {game.mech.truthful_message(agent, state, coll): _ONE} for coll in game.types[agent]}
-        for agent in game.scenario.agents
-    }
+    return _profile(game, _reported_play(game, game.state))
 
 
 def _reported_play(game: BayesianGame, state) -> dict:
-    """`_reported_profile` as a coded play (`_coded_play`), built from the
-    kernel's truthful codes."""
+    """The coded play (`_coded_play`) in which every type plays, with
+    probability 1, its truthful message at `state` (the game's own state, or
+    a lie every agent reports), built from the kernel's truthful codes."""
     kernel = game._kernel
     return {
         (agent, coll): (1, (kernel.truthful_code(i, state, kernel.positions[i][coll]),), (1,))
@@ -252,7 +242,7 @@ def _coded_play(game: BayesianGame, profile) -> dict:
             codes = [game._kernel.code(i, msg) for msg in mixture]
             scale = common_denominator(mixture.values())
             weights = numerators(mixture.values(), scale)
-            menu = game._menus[(agent, coll)]
+            menu = game.actions[(agent, coll)].positions
             if sum(weights) != scale or min(weights) <= 0 or not all(code in menu for code in codes):
                 problems = [
                     f"plays {msg!r}, which is not on its menu" for msg, c in zip(mixture, codes) if c not in menu
@@ -264,12 +254,37 @@ def _coded_play(game: BayesianGame, profile) -> dict:
     return play
 
 
+def _pure_play(game: BayesianGame, strategies, skip=None) -> dict:
+    """The coded play (`_coded_play`) in which each type plays, with
+    probability 1, its menu's code at its agent's strategy's position (a
+    tuple of menu positions, one per type); agent `skip`'s types are left
+    out."""
+    return {
+        (agent, coll): (1, (game.actions[(agent, coll)].codes[pos],), (1,))
+        for j, (agent, strategy) in enumerate(zip(game.scenario.agents, strategies))
+        if j != skip
+        for coll, pos in zip(game.types[agent], strategy)
+    }
+
+
+def _profile(game: BayesianGame, play) -> dict:
+    """The strategy profile of a coded play (`_coded_play`): each type's
+    codes decoded to messages, with their exact weights."""
+    agents = game.scenario.agents
+    profile = {agent: {} for agent in agents}
+    for (agent, coll), (scale, codes, weights) in play.items():
+        i = agents.index(agent)
+        profile[agent][coll] = {game._kernel.message(i, code): Fraction(n, scale) for code, n in zip(codes, weights)}
+    return profile
+
+
 def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> Fraction:
     """Exact interim expected utility of a pure message for one type against
     a strategy profile (`InvalidProfile` otherwise)."""
     i = game.scenario.agents.index(agent)
     code = game._kernel.code(i, message)
-    if code not in game._menus.get((agent, frozenset(type_coll)), ()):
+    menu = game.actions.get((agent, frozenset(type_coll)))
+    if menu is None or code not in menu.positions:
         raise InvalidProfile(
             f"{agent} has no type {format_collection(type_coll)} at {game.state} with {message!r} on its menu"
         )
@@ -313,7 +328,7 @@ def _verify_play(game: BayesianGame, play) -> EquilibriumReport:
     for i, agent in enumerate(agents):
         W, realizations = game._realizations(agent, play)
         for coll in game.types[agent]:
-            codes = game._codes[(agent, coll)]
+            codes = game.actions[(agent, coll)].codes
             values = game._values(i, realizations, codes)
             value_of = dict(zip(codes, values))
             best = max(values)
@@ -427,17 +442,6 @@ def deception_closure_audit(
     )
 
 
-def canonical_perfect_plans(scenario: Scenario, source_state, target_state):
-    """Per-agent max-flow plans when every agent can deceive, else None."""
-    plans = {}
-    for agent in scenario.agents:
-        result = perfect_deception(scenario, agent, source_state, target_state)
-        if not result.exists:
-            return None
-        plans[agent] = result.plan
-    return plans
-
-
 # -- equilibrium search -------------------------------------------------------
 
 
@@ -462,31 +466,16 @@ def _best_response_table(game: BayesianGame):
         sets = tables[i].get(others)
         if sets is None:
             agent = agents[i]
-            play = {
-                (other, coll): (1, (game._codes[(other, coll)][pos],), (1,))
-                for j, other in enumerate(agents)
-                if j != i
-                for coll, pos in zip(game.types[other], strategies[j])
-            }
-            _, realizations = game._realizations(agent, play)
+            _, realizations = game._realizations(agent, _pure_play(game, strategies, skip=i))
             sets = []
             for coll in game.types[agent]:
-                values = game._values(i, realizations, game._codes[(agent, coll)])
+                values = game._values(i, realizations, game.actions[(agent, coll)].codes)
                 best = max(values)
                 sets.append(tuple(pos for pos, value in enumerate(values) if value == best))
             tables[i][others] = sets = tuple(sets)
         return sets
 
     return best_responses
-
-
-def _pure_profile(game: BayesianGame, strategies) -> dict:
-    """The strategy profile in which each type plays, with probability 1, its
-    menu's message at its agent's strategy's position."""
-    return {
-        agent: {coll: {game.actions[(agent, coll)][pos]: _ONE} for coll, pos in zip(game.types[agent], strategy)}
-        for agent, strategy in zip(game.scenario.agents, strategies)
-    }
 
 
 def _pure_best_response_profiles(game: BayesianGame, best_responses):
@@ -528,25 +517,22 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     Every pure profile, of any phase, is certified by one memoized
     best-response table (`_best_response_table`): it is a hit iff each type's
     position lies in its best-response set, and its report has every slack 0
-    and no witness. `verify_bne` checks only the canonical perfect plans,
-    which may be mixed. An exhaustive (a) holds every pure equilibrium: (b)'s
-    pure profiles and (c) are skipped, and `plan_cap` gates only the
-    canonical plans (a `BUDGET_EXCEEDED` flag still counts the pure
-    profiles). Each distinct profile, told apart by its coded play (each
-    type's message codes with their exact weights), is judged once.
+    and no witness. Only the canonical perfect plans, which may be mixed,
+    are verified (`_verify_play`). An exhaustive (a) holds every pure
+    equilibrium: (b)'s pure profiles and (c) are skipped, and `plan_cap`
+    gates only the canonical plans (a `BUDGET_EXCEEDED` flag still counts
+    the pure profiles). Each distinct profile is coded once and told apart
+    by its coded play (each type's message codes with their exact weights),
+    is judged once, and is decoded (`_profile`) only when it is a hit.
     """
     scenario = game.scenario
     agents = scenario.agents
-    verdicts = {}  # coded play key -> (profile, report) of a hit, None when rejected
+    verdicts = {}  # coded play key -> (coded play, report) of a hit, None when rejected
     flags = {}
     best_responses = _best_response_table(game)
 
     def consider(strategies, stamp):
-        play = {
-            (agent, coll): (1, (game._codes[(agent, coll)][pos],), (1,))
-            for agent, strategy in zip(agents, strategies)
-            for coll, pos in zip(game.types[agent], strategy)
-        }
+        play = _pure_play(game, strategies)
         key = _play_key(play)
         if key in verdicts:
             return
@@ -558,17 +544,18 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
             # by the table, every type plays a best response: every slack is 0
             report = _equilibrium_report(game, play, dict.fromkeys(play, _ZERO), None)
             report.stamp = stamp
-            verdicts[key] = (_pure_profile(game, strategies), report)
+            verdicts[key] = (play, report)
 
     def consider_mixed(profile, stamp):
-        key = _play_key(_coded_play(game, profile))
+        play = _coded_play(game, profile)
+        key = _play_key(play)
         if key in verdicts:
             return
         verdicts[key] = None
-        report = verify_bne(game, profile)
+        report = _verify_play(game, play)
         if report.is_bne:
             report.stamp = stamp
-            verdicts[key] = (profile, report)
+            verdicts[key] = (play, report)
 
     # (a) exhaustive pure enumeration by best-response tables
     total = math.prod(len(menu) for menu in game.actions.values())
@@ -596,7 +583,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         # at the target with its assigned subset
         def position(i, src, target, dst):
             kernel = game._kernel
-            return game._menus[(agents[i], src)][kernel.truthful_code(i, target, kernel.positions[i][dst])]
+            return game.actions[(agents[i], src)].positions[kernel.truthful_code(i, target, kernel.positions[i][dst])]
 
         for combo in () if exhaustive else itertools.product(*pure_assignment_lists):
             for target in scenario.states:
@@ -632,8 +619,8 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         consider(tuple(strategies), "HEURISTIC")
 
     return [
-        {"profile": profile, "report": report, "stamp": report.stamp}
-        for profile, report in filter(None, verdicts.values())
+        {"profile": _profile(game, play), "report": report, "stamp": report.stamp}
+        for play, report in filter(None, verdicts.values())
     ], flags
 
 

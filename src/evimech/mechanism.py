@@ -225,12 +225,14 @@ def _lowest_state(mask: int) -> int:
 
 class Menu(Sequence):
     """One agent's action menu: a read-only sequence of messages held as
-    their codes, each message decoded (`message`) when it is read."""
+    their `codes`, each message decoded (`message`) when it is read, with
+    `positions` mapping each code to its menu position."""
 
-    __slots__ = ("codes", "_i", "_message")
+    __slots__ = ("codes", "positions", "_i", "_message")
 
     def __init__(self, kernel: "KernelBase", i: int, codes: tuple):
         self.codes = codes
+        self.positions = dict(zip(codes, range(len(codes))))
         self._i = i
         self._message = kernel.message
 
@@ -269,6 +271,9 @@ class KernelBase:
       `scenario.outcomes` and agent i's five `TRANSFER_KEYS` components as
       integer numerators over `D`.
 
+    `actions(i, endowment)` returns the one `Menu` of `_menu_codes`, which
+    holds the codes and their menu positions.
+
     Every certificate is a unilateral deviation: one agent's messages are
     valued while the others' stay fixed. `evaluate_row` reads neither a state
     nor utilities, so `row(i, codes, others)` keeps each code's (outcome
@@ -297,24 +302,19 @@ class KernelBase:
             raise OverflowError(f"message code {code} of agent {self.agents[i]!r} does not fit in {KEY_BITS} bits")
         return code
 
-    def actions(self, i: int, endowment) -> tuple:
-        """(menu, its codes, code -> menu position): agent i's action menu for
-        an endowment (`Menu`), built on first use and shared by every game of
-        the mechanism."""
+    def actions(self, i: int, endowment) -> Menu:
+        """Agent i's action menu for an endowment, built on first use and
+        shared by every game of the mechanism."""
         menu = self._menus.get((i, endowment))
         if menu is None:
-            codes = self._menu_codes(i, endowment)
-            menu = self._menus[(i, endowment)] = (Menu(self, i, codes), codes, dict(zip(codes, range(len(codes)))))
+            menu = self._menus[(i, endowment)] = Menu(self, i, self._menu_codes(i, endowment))
         return menu
-
-    def encode(self, transcript: dict) -> tuple:
-        return tuple(self.code(i, transcript[agent]) for i, agent in enumerate(self.agents))
 
     def key(self, transcript: dict) -> int:
         """The transcript's codes packed into one int, `KEY_BITS` per agent."""
         key = 0
-        for i, code in enumerate(self.encode(transcript)):
-            key |= code << (KEY_BITS * i)
+        for i, agent in enumerate(self.agents):
+            key |= self.code(i, transcript[agent]) << (KEY_BITS * i)
         return key
 
     def unpack(self, key: int) -> list:

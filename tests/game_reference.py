@@ -8,9 +8,11 @@ and `transfers` (and `direct_outcome` for a `DirectMechanism`, whose own
 `outcome` method was folded into the kernel), and helpers that never touched
 payoffs (subset enumeration, plan composition, the report classes) are
 imported from `evimech`; `_fixed_profile` and `_profile_key` (profile keys),
-which `evimech` no longer has, are copied here. Messages carry one claim
-slot, `Message.claim`, read where the old code read `state_claim` or
-`challenge`, and the audits build lie-consistent messages with
+which `evimech` no longer has, are copied here, with one change:
+`_profile_key` keys each message by its fields (`_message_key`), where the
+old code keyed it by its repr, which the hash seed changes. Messages carry
+one claim slot, `Message.claim`, read where the old code read `state_claim`
+or `challenge`, and the audits build lie-consistent messages with
 `Mechanism.truthful_message` at the lie state. Bets are read from the one
 table `Mechanism.bets`, keyed by (claim, consensus state), with each bet's
 subject its own `agent`, where the old code read the per-variant bet,
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from evimech import mechanism as mech_mod
@@ -36,10 +38,26 @@ from evimech.game import (
     canonical_perfect_plans,
     compose_with_truthful,
 )
-from evimech.mechanism import TRANSFER_KEYS, Challenge, Mechanism, Message
+from evimech.mechanism import TRANSFER_KEYS, Challenge, Mechanism, Message, challenge_key
 from evimech.mechanism import subsets as _subsets
 from evimech.scenario import Distribution, Scenario, classify_lie, collection_key, refutes
 
+
+
+def _message_key(msg):
+    """A message's fields, each as a string that no hash seed changes:
+    evidence by `collection_key`, a `Challenge` claim by `challenge_key`, and
+    anything else (a `Distribution`, whose repr is canonical, a state, None)
+    by its repr. The repr of an equal frozenset depends on how it was built
+    and on the hash seed."""
+    def part(value):
+        if isinstance(value, frozenset):
+            value = collection_key(value)
+        elif isinstance(value, Challenge):
+            value = challenge_key(value)
+        return repr(value)
+
+    return (type(msg).__name__, *(part(getattr(msg, f.name)) for f in fields(msg)))
 
 
 def _profile_key(game, profile):
@@ -48,7 +66,7 @@ def _profile_key(game, profile):
         for coll in game.types[agent]:
             mixture = profile[agent][coll]
             rows.append(
-                (agent, collection_key(coll), tuple(sorted(((repr(m), w) for m, w in mixture.items()))))
+                (agent, collection_key(coll), tuple(sorted(((_message_key(m), w) for m, w in mixture.items()))))
             )
     return tuple(rows)
 

@@ -336,6 +336,100 @@ def test_validate_rejects_what_it_would_drop(tmp_path, mutate, path):
     assert [v["path"] for v in report["payload"]["violations"]] == [path]
 
 
+def _no_agents(model):
+    model["agents"] = []
+
+
+def _belief_sum_half(model):
+    model["beliefs"]["A"]["s1|{w}"][0]["prob"] = "1/2"
+
+
+def _zero_belief_entry(model):
+    model["beliefs"]["A"]["s1|{w}"].append({"prob": "0", "profile": {"B": "s2|{}"}})
+
+
+def _utility_of_one(model):
+    model["utility_profiles"][0]["A"]["o1"][0]["value"] = "1/1"
+
+
+def _negative_probability(scenario):
+    # sums to 1, so only the sign is wrong
+    scenario["distributions"]["A"]["H"] = [
+        {"collection": ["lmh"], "prob": "7/5"},
+        {"collection": ["lmh", "mh"], "prob": "-2/5"},
+    ]
+
+
+def _violations(*messages):
+    return {"violations": list(messages)}
+
+
+@pytest.mark.parametrize(
+    "argv, document, edit, code, payload",
+    [
+        (("check", "hom"), "micro_model.json", _no_agents, 2, _violations("agents: need at least one agent")),
+        (("check", "hom"), "micro_model.json", _belief_sum_half, 2, _violations("beliefs.A.s1|{w}: sum 1/2 != 1")),
+        (
+            ("check", "hom"),
+            "micro_model.json",
+            _zero_belief_entry,
+            2,
+            _violations("beliefs.A.s1|{w}: non-positive entry"),
+        ),
+        (
+            ("check", "hom"),
+            "micro_model.json",
+            _utility_of_one,
+            2,
+            _violations("utility_profiles[0].A: value outside (-1,1)"),
+        ),
+        (
+            ("validate",),
+            "leading.json",
+            _negative_probability,
+            2,
+            {
+                "valid": False,
+                "violations": [{"path": "distributions.A.H", "message": "non-positive probability on {lmh,mh}"}],
+            },
+        ),
+        (("validate",), [], None, 1, {"error": "scenario document must be an object"}),
+        (("check", "hom"), 5, None, 1, {"error": "model document must be an object"}),
+        (("check", "hom"), ["types"], None, 1, {"error": "model document must be an object"}),
+        (("build", "am", "--eps", "1/2/3"), "micro_model.json", None, 1, {"error": "bad rational '1/2/3'"}),
+    ],
+    ids=[
+        "no-agent",
+        "belief-sum",
+        "belief-entry",
+        "utility-range",
+        "negative-probability",
+        "scenario-not-object",
+        "model-not-object",
+        "model-list",
+        "rational-two-slashes",
+    ],
+)
+def test_each_input_check_fails_closed_on_the_one_rule_it_breaks(tmp_path, argv, document, edit, code, payload):
+    # every other rule holds: the one broken rule is the whole payload
+    data = json.loads((DATA / document).read_text()) if isinstance(document, str) else document
+    if edit is not None:
+        edit(data)
+    doc = tmp_path / "input.json"
+    doc.write_text(json.dumps(data))
+    # the command (and its choice), the document, then any flags
+    got, report = machine(*argv[:2], str(doc), *argv[2:])
+    assert (got, report["payload"]) == (code, payload)
+
+
+def test_separating_level_is_none_for_an_inseparable_pair():
+    model = hierarchy.embed_flat_scenario(_no_variation_scenario())
+    verdict = hierarchy.check_higher_order_measurability(model)
+    assert not verdict.passed and verdict.failures
+    for pair in verdict.failures:
+        assert hierarchy.separating_level(verdict, model, *pair) is None
+
+
 _SEQUENCE = (
     ("check", "bogus", str(DATA / "leading.json")),  # usage error: exit 2
     ("validate", str(DATA / "leading.json")),

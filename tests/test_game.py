@@ -326,18 +326,18 @@ def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatc
     verified = []
     swept = []
     joint = []
-    real_verify = game_mod.verify_bne
+    real_verify = game_mod._verify_play
     real_sweep = BayesianGame._realizations
 
-    def counting_verify(game, profile):
+    def counting_verify(game, play):
         verified.append(1)
-        return real_verify(game, profile)
+        return real_verify(game, play)
 
     def counting_sweep(self, agent, profile):
         (swept if agent is not None else joint).append(1)
         return real_sweep(self, agent, profile)
 
-    monkeypatch.setattr(game_mod, "verify_bne", counting_verify)
+    monkeypatch.setattr(game_mod, "_verify_play", counting_verify)
     monkeypatch.setattr(BayesianGame, "_realizations", counting_sweep)
     budget = SearchBudget(pure_cap=20000, plan_cap=0, seeds=())
     games = _exhaustive_only_games()
@@ -362,16 +362,17 @@ def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatc
 
 
 def test_over_cap_search_verifies_only_the_canonical_plans(monkeypatch):
-    # every pure profile is judged by the best-response table: verify_bne
-    # runs once per distinct canonical-plan profile and on nothing else
+    # every pure profile is judged by the best-response table: the
+    # verification (`verify_bne` of a coded play) runs once per distinct
+    # canonical-plan profile and on nothing else
     verified = []
-    real_verify = game_mod.verify_bne
+    real_verify = game_mod._verify_play
 
-    def counting_verify(game, profile):
-        verified.append(profile)
-        return real_verify(game, profile)
+    def counting_verify(game, play):
+        verified.append(play)
+        return real_verify(game, play)
 
-    monkeypatch.setattr(game_mod, "verify_bne", counting_verify)
+    monkeypatch.setattr(game_mod, "_verify_play", counting_verify)
     checked = 0
     hits = []  # the pure ones
     for game in _exhaustive_only_games():
@@ -385,7 +386,7 @@ def test_over_cap_search_verifies_only_the_canonical_plans(monkeypatch):
             profile = plans and compose_with_truthful(game, plans)
             if profile and profile not in canonical:
                 canonical.append(profile)
-        assert verified == canonical
+        assert verified == [game_mod._coded_play(game, profile) for profile in canonical]
         checked += len(canonical)
         hits += [item for item in results if all(len(m) == 1 for p in item["profile"].values() for m in p.values())]
     assert checked >= 5 and len(hits) >= 20

@@ -479,7 +479,7 @@ def test_codes_beyond_the_key_field_raise_instead_of_aliasing(bits, monkeypatch)
     types = [
         (i, coll) for i, agent in enumerate(scn.agents) for state in scn.states for coll in scn.support(agent, state)
     ]
-    tops = [max(wide.actions(i, coll)[1]) for i, coll in types]
+    tops = [max(wide.actions(i, coll).codes) for i, coll in types]
     monkeypatch.setattr(mechanism, "KEY_BITS", bits)
     narrow = mechanism.Kernel(mech)
     refused = 0
@@ -489,7 +489,7 @@ def test_codes_beyond_the_key_field_raise_instead_of_aliasing(bits, monkeypatch)
             with pytest.raises(OverflowError, match=f"does not fit in {bits} bits"):
                 narrow.actions(i, coll)
         else:
-            assert narrow.actions(i, coll)[1] == wide.actions(i, coll)[1]
+            assert narrow.actions(i, coll).codes == wide.actions(i, coll).codes
     for (i, msg), code in zip(messages, codes):
         if code >= 1 << bits:
             refused += 1

@@ -15,6 +15,7 @@ over the fixtures and `random_scenario(0..199, max_states=3)`:
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -45,7 +46,8 @@ def _check_menus(scn, mech, kernel):
         expected = ref.BayesianGame(scn, mech, state, 0).actions
         for i, agent in enumerate(scn.agents):
             for coll in scn.support(agent, state):
-                menu, codes, positions = kernel.actions(i, coll)
+                menu = kernel.actions(i, coll)
+                codes, positions = menu.codes, menu.positions
                 assert list(menu) == list(expected[(agent, coll)]), (agent, coll)
                 assert len(menu) == len(codes) and menu[1:3] == tuple(expected[(agent, coll)][1:3])
                 assert [kernel.code(i, msg) for msg in menu] == list(codes)
@@ -55,8 +57,13 @@ def _check_menus(scn, mech, kernel):
 
 
 def _coded_reported_profile(g, state):
-    """The reported profile at `state`, coded by `_coded_play`, as tuples."""
-    play = game._coded_play(g, game._reported_profile(g, state))
+    """The reported profile at `state`, built from the mechanism's
+    `truthful_message` and coded by `_coded_play`, as tuples."""
+    profile = {
+        agent: {coll: {g.mech.truthful_message(agent, state, coll): Fraction(1)} for coll in g.types[agent]}
+        for agent in g.scenario.agents
+    }
+    play = game._coded_play(g, profile)
     return {slot: (scale, tuple(codes), tuple(weights)) for slot, (scale, codes, weights) in play.items()}
 
 

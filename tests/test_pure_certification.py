@@ -14,6 +14,8 @@ utility profile 0 and the last. Each considered profile, rejected ones
 included, is recorded where the search keys it (`game._play_key`).
 """
 
+from fractions import Fraction
+
 import pytest
 
 from evimech import fixtures, game, generators, mechanism
@@ -52,11 +54,20 @@ def _considered_pure(g, monkeypatch):
         patch.setattr(game, "_play_key", recording)
         results, _ = game.search_equilibria(g, BUDGET)
     strategies = [
-        tuple(tuple(g._codes[(a, c)].index(play[(a, c)][1][0]) for c in g.types[a]) for a in g.scenario.agents)
+        tuple(tuple(g.actions[(a, c)].codes.index(play[(a, c)][1][0]) for c in g.types[a]) for a in g.scenario.agents)
         for play in plays
         if all(len(codes) == 1 for _, codes, _ in play.values())
     ]
     return results, list(dict.fromkeys(strategies))
+
+
+def _pure_profile(g, strategies):
+    """The strategy profile in which each type plays, with probability 1, its
+    menu's message at its agent's strategy's position."""
+    return {
+        a: {c: {g.actions[(a, c)][pos]: Fraction(1)} for c, pos in zip(g.types[a], strategy)}
+        for a, strategy in zip(g.scenario.agents, strategies)
+    }
 
 
 def _is_pure(profile):
@@ -74,7 +85,7 @@ def test_table_verdicts_match_verify_bne(name, scn, monkeypatch):
                 all(pos in best for pos, best in zip(strategy, table(i, strategies)))
                 for i, strategy in enumerate(strategies)
             )
-            profile = game._pure_profile(g, strategies)
+            profile = _pure_profile(g, strategies)
             report = game.verify_bne(g, profile)
             assert admitted == report.is_bne, (g.mech, g.state, g.profile_idx, strategies)
             if report.is_bne:

@@ -50,8 +50,8 @@ def _message_space(kernel, scn, i):
     space = {}
     for state in scn.states:
         for coll in scn.support(agent, state):
-            messages, codes, _ = kernel.actions(i, coll)
-            space.update(zip(codes, messages))
+            menu = kernel.actions(i, coll)
+            space.update(zip(menu.codes, menu))
     return space
 
 
