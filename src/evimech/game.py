@@ -159,9 +159,6 @@ class BayesianGame:
         rows = [None if row is None else numerators(row, G) for row in rows]
         self._utility = [[None if row is None else row[i] for row in rows] for i in range(len(scn.agents))]
 
-    def type_prob(self, agent, coll) -> Fraction:
-        return self._probs.get((agent, frozenset(coll)), _ZERO)
-
     def evaluate(self, transcript: dict):
         """(outcome, itemized transfers) for a message profile."""
         return self._kernel.itemized(transcript)
@@ -232,10 +229,15 @@ def _reported_play(game: BayesianGame, state) -> dict:
 def _coded_play(game: BayesianGame, profile) -> dict:
     """(agent, type) -> (L, codes, numerators): a strategy profile's messages
     as codes, their weights as numerators over the lcm L of the type's
-    weights; `InvalidProfile` unless every type plays only messages of its
-    own menu, with positive weights that sum to 1."""
+    weights; `InvalidProfile` unless it names only the game's agents and
+    types, each playing messages of its own menu with positive weights summing to 1."""
+    agents = game.scenario.agents
+    strays = [f"agent {a!r}" for a in profile if a not in agents]
+    strays += [f"type {c!r} of {a}" for a in agents for c in profile.get(a, {}) if c not in game.types[a]]
+    if strays:
+        raise InvalidProfile(f"the profile names {strays[0]}, which the game at {game.state} does not have")
     play = {}
-    for i, agent in enumerate(game.scenario.agents):
+    for i, agent in enumerate(agents):
         plays = profile.get(agent, {})
         for coll in game.types[agent]:
             mixture = plays.get(coll, {})
@@ -267,6 +269,30 @@ def _pure_play(game: BayesianGame, strategies, skip=None) -> dict:
     }
 
 
+def _deception_play(game: BayesianGame, target, flows) -> dict:
+    """The coded play (`_coded_play`) of a deception composed with truthful
+    play at `target`: by its agent's `flows` rows (source, presented, mass),
+    each type plays the truthful code of each presented subset, weighted by
+    the row's share of its mass (1 for a row carrying the whole mass)."""
+    kernel = game._kernel
+    play = {}
+    for i, agent in enumerate(game.scenario.agents):
+        rows = {}  # type -> [(truthful code at target, mass), ...]
+        for src, dst, flow in flows[agent]:
+            if flow:
+                rows.setdefault(src, []).append((kernel.truthful_code(i, target, kernel.positions[i][dst]), flow))
+        for coll in game.types[agent]:
+            codes, masses = zip(*rows[coll])
+            mass = game._probs[(agent, coll)]
+            if masses == (mass,):
+                play[(agent, coll)] = (1, codes, (1,))
+            else:
+                weights = [flow / mass for flow in masses]
+                scale = common_denominator(weights)
+                play[(agent, coll)] = (scale, codes, tuple(numerators(weights, scale)))
+    return play
+
+
 def _profile(game: BayesianGame, play) -> dict:
     """The strategy profile of a coded play (`_coded_play`): each type's
     codes decoded to messages, with their exact weights."""
@@ -281,9 +307,10 @@ def _profile(game: BayesianGame, play) -> dict:
 def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> Fraction:
     """Exact interim expected utility of a pure message for one type against
     a strategy profile (`InvalidProfile` otherwise)."""
-    i = game.scenario.agents.index(agent)
-    code = game._kernel.code(i, message)
     menu = game.actions.get((agent, frozenset(type_coll)))
+    if menu is not None:
+        i = game.scenario.agents.index(agent)
+        code = game._kernel.code(i, message)
     if menu is None or code not in menu.positions:
         raise InvalidProfile(
             f"{agent} has no type {format_collection(type_coll)} at {game.state} with {message!r} on its menu"
@@ -386,26 +413,6 @@ class ClosureReport:
     certified: bool
 
 
-def compose_with_truthful(game: BayesianGame, plans: dict) -> dict:
-    """The deception-then-truthful strategy profile at the game's state."""
-    target = next(iter(plans.values())).target_state
-    profile = {}
-    for agent in game.scenario.agents:
-        plan = plans[agent]
-        per_type = {}
-        for coll in game.types[agent]:
-            mass = game.type_prob(agent, coll)
-            mixture = {}
-            for src, dst, flow in plan.flows:
-                if src != coll or flow == 0:
-                    continue
-                msg = game.mech.truthful_message(agent, target, dst)
-                mixture[msg] = mixture.get(msg, Fraction(0)) + flow / mass
-            per_type[coll] = mixture
-        profile[agent] = per_type
-    return profile
-
-
 def deception_closure_audit(
     scenario: Scenario, mech, source_state, plans: dict, profile_idx=0
 ) -> ClosureReport:
@@ -417,6 +424,8 @@ def deception_closure_audit(
     if len(targets) != 1:
         raise NotPerfect("plans disagree on the target state")
     target = targets.pop()
+    if strays := [agent for agent in plans if agent not in scenario.agents]:
+        raise NotPerfect(f"plan for {strays[0]!r}, which is not an agent of the scenario")
     for agent in scenario.agents:
         plan = plans.get(agent)
         if plan is None or plan.agent != agent or plan.source_state != source_state:
@@ -427,10 +436,9 @@ def deception_closure_audit(
             raise NotPerfect(f"plan for {agent} does not match the target marginals")
 
     target_game = BayesianGame(scenario, mech, target, profile_idx)
-    premise = verify_bne(target_game, truthful_profile(target_game))
+    premise = _verify_play(target_game, _reported_play(target_game, target))
     source_game = BayesianGame(scenario, mech, source_state, profile_idx)
-    composed = compose_with_truthful(source_game, plans)
-    report = verify_bne(source_game, composed)
+    report = _verify_play(source_game, _deception_play(source_game, target, {a: p.flows for a, p in plans.items()}))
     certified = premise.is_bne and report.implements(scenario.scf[target])
     return ClosureReport(
         source_state=source_state,
@@ -511,19 +519,18 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     (a) exhaustive pure-profile enumeration when the product of the menu sizes
         is at most `pure_cap`, by best-response tables
         (`_pure_best_response_profiles`);
-    (b) truthful play composed with deception profiles (canonical perfect plans
-        per target plus pure deception profiles under `plan_cap`);
+    (b) truthful play composed (`_deception_play`) with deception profiles:
+        canonical perfect plans per target plus pure ones, under `plan_cap`;
     (c) best-response dynamics from seeded random starts (heuristic).
-    Every pure profile, of any phase, is certified by one memoized
+    One judge, `consider`, sees the coded play of every profile of every
+    phase. A pure play (one code per type) is certified by one memoized
     best-response table (`_best_response_table`): it is a hit iff each type's
-    position lies in its best-response set, and its report has every slack 0
-    and no witness. Only the canonical perfect plans, which may be mixed,
-    are verified (`_verify_play`). An exhaustive (a) holds every pure
-    equilibrium: (b)'s pure profiles and (c) are skipped, and `plan_cap`
-    gates only the canonical plans (a `BUDGET_EXCEEDED` flag still counts
-    the pure profiles). Each distinct profile is coded once and told apart
-    by its coded play (each type's message codes with their exact weights),
-    is judged once, and is decoded (`_profile`) only when it is a hit.
+    menu position lies in its best-response set, and then every slack is 0.
+    Only mixed plays (canonical plans) are verified (`_verify_play`). An
+    exhaustive (a) holds every pure equilibrium: (b)'s pure profiles and (c)
+    are skipped, and `plan_cap` gates only the canonical plans (a
+    `BUDGET_EXCEEDED` flag still counts the pure profiles). Each distinct
+    play (`_play_key`) is judged once and decoded (`_profile`) if a hit.
     """
     scenario = game.scenario
     agents = scenario.agents
@@ -531,28 +538,24 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     flags = {}
     best_responses = _best_response_table(game)
 
-    def consider(strategies, stamp):
-        play = _pure_play(game, strategies)
+    def consider(play, stamp):
         key = _play_key(play)
         if key in verdicts:
             return
         verdicts[key] = None
-        if all(
-            all(pos in best for pos, best in zip(strategy, best_responses(i, strategies)))
-            for i, strategy in enumerate(strategies)
-        ):
+        if any(len(codes) > 1 for _, codes, _ in play.values()):
+            report = _verify_play(game, play)
+        else:
+            strategies = tuple(
+                tuple(game.actions[(a, c)].positions[play[(a, c)][1][0]] for c in game.types[a]) for a in agents
+            )
+            if not all(
+                all(pos in best for pos, best in zip(strategy, best_responses(i, strategies)))
+                for i, strategy in enumerate(strategies)
+            ):
+                return
             # by the table, every type plays a best response: every slack is 0
             report = _equilibrium_report(game, play, dict.fromkeys(play, _ZERO), None)
-            report.stamp = stamp
-            verdicts[key] = (play, report)
-
-    def consider_mixed(profile, stamp):
-        play = _coded_play(game, profile)
-        key = _play_key(play)
-        if key in verdicts:
-            return
-        verdicts[key] = None
-        report = _verify_play(game, play)
         if report.is_bne:
             report.stamp = stamp
             verdicts[key] = (play, report)
@@ -560,40 +563,31 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     # (a) exhaustive pure enumeration by best-response tables
     total = math.prod(len(menu) for menu in game.actions.values())
     exhaustive = total <= budget.pure_cap
-    if exhaustive:
-        flags["pure_enumeration"] = "EXHAUSTIVE"
-        for strategies in _pure_best_response_profiles(game, best_responses):
-            consider(strategies, "EXHAUSTIVE")
-    else:
-        flags["pure_enumeration"] = f"BUDGET_EXCEEDED({total})"
+    flags["pure_enumeration"] = "EXHAUSTIVE" if exhaustive else f"BUDGET_EXCEEDED({total})"
+    for strategies in _pure_best_response_profiles(game, best_responses) if exhaustive else ():
+        consider(_pure_play(game, strategies), "EXHAUSTIVE")
 
     # (b) deception closure family: the budget gates what this phase runs,
     # so an exhaustive (a) leaves only the canonical plans under it
-    flags["closure_family"] = "EXHAUSTIVE"
     pure_assignment_lists = [mech_mod._assignments_for(scenario, agent, game.state) for agent in agents]
     pure_total = math.prod(map(len, pure_assignment_lists))
     family_size = len(scenario.states) + (0 if exhaustive else pure_total * max(1, len(scenario.states) - 1))
-    if family_size <= budget.plan_cap:
+    in_budget = family_size <= budget.plan_cap
+    flags["closure_family"] = "EXHAUSTIVE" if in_budget else f"BUDGET_EXCEEDED({pure_total})"
+    if in_budget:
         for target in scenario.states:
             plans = canonical_perfect_plans(scenario, game.state, target)
             if plans is not None:
-                consider_mixed(compose_with_truthful(game, plans), "CLOSURE_FAMILY")
-        # pure deception profiles are pure: an exhaustive phase (a) has them.
-        # In one, each type plays, at its menu position, the truthful message
-        # at the target with its assigned subset
-        def position(i, src, target, dst):
-            kernel = game._kernel
-            return game.actions[(agents[i], src)].positions[kernel.truthful_code(i, target, kernel.positions[i][dst])]
-
-        for combo in () if exhaustive else itertools.product(*pure_assignment_lists):
+                consider(_deception_play(game, target, {a: plan.flows for a, plan in plans.items()}), "CLOSURE_FAMILY")
+        # pure deception profiles (each row carries its whole source): an exhaustive (a) has them
+        flow_lists = [
+            [tuple((src, dst, game._probs[(agent, src)]) for src, dst in rows) for rows in assignments]
+            for agent, assignments in zip(agents, pure_assignment_lists)
+        ]
+        for combo in () if exhaustive else itertools.product(*flow_lists):
             for target in scenario.states:
                 if target != game.state:
-                    strategies = tuple(
-                        tuple(position(i, src, target, dst) for src, dst in rows) for i, rows in enumerate(combo)
-                    )
-                    consider(strategies, "CLOSURE_FAMILY")
-    else:
-        flags["closure_family"] = f"BUDGET_EXCEEDED({pure_total})"
+                    consider(_deception_play(game, target, dict(zip(agents, combo))), "CLOSURE_FAMILY")
 
     # (c) best-response dynamics, heuristic: each agent in turn moves every
     # type that is not playing a best response to its set's first member; its
@@ -616,7 +610,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
                     changed = True
             if not changed:
                 break
-        consider(tuple(strategies), "HEURISTIC")
+        consider(_pure_play(game, strategies), "HEURISTIC")
 
     return [
         {"profile": _profile(game, play), "report": report, "stamp": report.stamp}

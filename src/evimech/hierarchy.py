@@ -356,7 +356,9 @@ def _level_zero_table(model: TypeSpaceModel) -> HierarchyTable:
 
 
 def build_hierarchy(model: TypeSpaceModel, depth: int) -> HierarchyTable:
-    """Exact hierarchies up to `depth`, canonically interned level by level."""
+    """Exact hierarchies up to `depth` (`ValueError` if negative), canonically interned level by level."""
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, not {depth}")
     table = _level_zero_table(model)
     for _ in range(depth):
         table.grow()
@@ -506,6 +508,8 @@ def parse_model(data) -> TypeSpaceModel:
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be an object")
     stray = {}  # violation path -> profile keys naming no agent the row expects
+    # a key nothing reads may be a misspelling: flag it, do not drop it
+    known = ("agents", "types", "articles", "evidence_map", "beliefs", "outcomes", "scf", "utility_profiles")
 
     def profile_of(row, expected, path):
         profile = row["profile"]
@@ -564,9 +568,8 @@ def parse_model(data) -> TypeSpaceModel:
         scf=scf,
         utility_profiles=tuple(utility_profiles),
         articles=articles,
-        input_violations=tuple(
-            f"{path}: unexpected profile key {key!r}" for path, keys in stray.items() for key in keys
-        ),
+        input_violations=tuple(f"{key}: unknown key" for key in data if key not in known)
+        + tuple(f"{path}: unexpected profile key {key!r}" for path, keys in stray.items() for key in keys),
     )
 
 

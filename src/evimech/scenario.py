@@ -581,7 +581,9 @@ def parse_scenario(data) -> Scenario:
     """Parse the JSON scenario document (structural errors raise ScenarioFormatError)."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario document must be an object")
-    violations = []
+    # a key nothing reads may be a misspelling: flag it, do not drop it
+    known = ("agents", "states", "articles", "outcomes", "distributions", "scf", "utility_profiles", "article_names")
+    violations = [{"path": str(key), "message": "unknown key"} for key in data if key not in known]
 
     def ids(value, path):
         # a string iterates as its characters: flag it rather than split it

@@ -6,9 +6,10 @@ before both moved onto the compiled integer kernel, copied verbatim apart
 from three bindings: `BayesianGame.evaluate` calls this module's `outcome`
 and `transfers` (and `direct_outcome` for a `DirectMechanism`, whose own
 `outcome` method was folded into the kernel), and helpers that never touched
-payoffs (subset enumeration, plan composition, the report classes) are
-imported from `evimech`; `_fixed_profile` and `_profile_key` (profile keys),
-which `evimech` no longer has, are copied here, with one change:
+payoffs (subset enumeration, the canonical plans, the report classes) are
+imported from `evimech`; `_fixed_profile` and `_profile_key` (profile keys)
+and `compose_with_truthful` (plan composition), which `evimech` no longer
+has, are copied here, with one change:
 `_profile_key` keys each message by its fields (`_message_key`), where the
 old code keyed it by its repr, which the hash seed changes. Messages carry
 one claim slot, `Message.claim`, read where the old code read `state_claim`
@@ -36,7 +37,6 @@ from evimech.game import (
     EquilibriumReport,
     _refutable_pairs,
     canonical_perfect_plans,
-    compose_with_truthful,
 )
 from evimech.mechanism import TRANSFER_KEYS, Challenge, Mechanism, Message, challenge_key
 from evimech.mechanism import subsets as _subsets
@@ -325,6 +325,26 @@ def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> 
         transcript[agent] = message
         total += weight * game.payoff(agent, transcript)
     return total
+
+
+def compose_with_truthful(game: BayesianGame, plans: dict) -> dict:
+    """The deception-then-truthful strategy profile at the game's state."""
+    target = next(iter(plans.values())).target_state
+    profile = {}
+    for agent in game.scenario.agents:
+        plan = plans[agent]
+        per_type = {}
+        for coll in game.types[agent]:
+            mass = game.type_prob(agent, coll)
+            mixture = {}
+            for src, dst, flow in plan.flows:
+                if src != coll or flow == 0:
+                    continue
+                msg = game.mech.truthful_message(agent, target, dst)
+                mixture[msg] = mixture.get(msg, Fraction(0)) + flow / mass
+            per_type[coll] = mixture
+        profile[agent] = per_type
+    return profile
 
 
 @dataclass

@@ -360,6 +360,16 @@ def _negative_probability(scenario):
     ]
 
 
+def _misspelled_article_names(scenario):
+    # "mh" named for L as well: under the right key that breaks (se2)
+    scenario["article_name"] = scenario.pop("article_names")
+    scenario["article_name"]["mh"].append("L")
+
+
+def _unknown_model_key(model):
+    model["belief"] = model["beliefs"]
+
+
 def _violations(*messages):
     return {"violations": list(messages)}
 
@@ -393,6 +403,14 @@ def _violations(*messages):
                 "violations": [{"path": "distributions.A.H", "message": "non-positive probability on {lmh,mh}"}],
             },
         ),
+        (
+            ("validate",),
+            "leading.json",
+            _misspelled_article_names,
+            2,
+            {"valid": False, "violations": [{"path": "article_name", "message": "unknown key"}]},
+        ),
+        (("check", "hom"), "micro_model.json", _unknown_model_key, 2, _violations("belief: unknown key")),
         (("validate",), [], None, 1, {"error": "scenario document must be an object"}),
         (("check", "hom"), 5, None, 1, {"error": "model document must be an object"}),
         (("check", "hom"), ["types"], None, 1, {"error": "model document must be an object"}),
@@ -404,6 +422,8 @@ def _violations(*messages):
         "belief-entry",
         "utility-range",
         "negative-probability",
+        "scenario-unknown-key",
+        "model-unknown-key",
         "scenario-not-object",
         "model-not-object",
         "model-list",

@@ -16,7 +16,6 @@ from evimech.game import (
     SearchBudget,
     canonical_perfect_plans,
     claim_audits,
-    compose_with_truthful,
     deception_closure_audit,
     expected_utility,
     search_equilibria,
@@ -209,6 +208,13 @@ def test_closure_audit_rejects_missing_or_mismatched_plans(leading, broken):
         deception_closure_audit(leading, DirectMechanism(leading), "H", broken(_valid_plans(leading)))
 
 
+def test_closure_audit_rejects_a_plan_for_an_agent_the_scenario_lacks(leading):
+    # the extra plan was never read, and the audit certified the replay
+    plans = {**_valid_plans(leading), "Z": _valid_plans(leading)["A"]}
+    with pytest.raises(NotPerfect, match="'Z', which is not an agent"):
+        deception_closure_audit(leading, DirectMechanism(leading), "H", plans)
+
+
 def test_closure_audit_rejects_a_plan_failing_its_checks(leading):
     plans = _valid_plans(leading)
     # the right target marginal, but the mass is routed out of a collection A
@@ -362,9 +368,9 @@ def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatc
 
 
 def test_over_cap_search_verifies_only_the_canonical_plans(monkeypatch):
-    # every pure profile is judged by the best-response table: the
-    # verification (`verify_bne` of a coded play) runs once per distinct
-    # canonical-plan profile and on nothing else
+    # every pure profile, canonical plans included, is judged by the
+    # best-response table: the verification (`verify_bne` of a coded play)
+    # runs once per distinct mixed canonical plan and on nothing else
     verified = []
     real_verify = game_mod._verify_play
 
@@ -373,23 +379,24 @@ def test_over_cap_search_verifies_only_the_canonical_plans(monkeypatch):
         return real_verify(game, play)
 
     monkeypatch.setattr(game_mod, "_verify_play", counting_verify)
-    checked = 0
+    checked = mixed = 0
     hits = []  # the pure ones
     for game in _exhaustive_only_games():
         scn = game.scenario
         verified.clear()
         results, flags = search_equilibria(game, SearchBudget(pure_cap=0))
         assert flags["closure_family"] == "EXHAUSTIVE" and flags["dynamics"] == "HEURISTIC"
-        canonical = []
+        canonical = {}  # play key -> whether the play is mixed
         for target in scn.states:
             plans = canonical_perfect_plans(scn, game.state, target)
-            profile = plans and compose_with_truthful(game, plans)
-            if profile and profile not in canonical:
-                canonical.append(profile)
-        assert verified == [game_mod._coded_play(game, profile) for profile in canonical]
+            if plans is not None:
+                play = game_mod._deception_play(game, target, {agent: plan.flows for agent, plan in plans.items()})
+                canonical.setdefault(game_mod._play_key(play), any(len(codes) > 1 for _, codes, _ in play.values()))
+        assert [game_mod._play_key(play) for play in verified] == [key for key, is_mixed in canonical.items() if is_mixed]
         checked += len(canonical)
+        mixed += sum(canonical.values())
         hits += [item for item in results if all(len(m) == 1 for p in item["profile"].values() for m in p.values())]
-    assert checked >= 5 and len(hits) >= 20
+    assert checked >= 5 and len(hits) >= 20 and 1 <= mixed < checked
     assert {item["stamp"] for item in hits} == {"CLOSURE_FAMILY", "HEURISTIC"}
 
 
@@ -500,7 +507,8 @@ def test_claim_audits_vacuous_on_single_state():
 def test_compose_with_truthful_weights(leading, leading_mech):
     plans = canonical_perfect_plans(leading, "H", "M")
     game = BayesianGame(leading, leading_mech, "H", 0)
-    profile = compose_with_truthful(game, plans)
+    flows = {agent: plan.flows for agent, plan in plans.items()}
+    profile = game_mod._profile(game, game_mod._deception_play(game, "M", flows))
     mixture = profile["A"][TOP]
     assert sum(mixture.values(), F(0)) == 1
     weights = sorted(mixture.values())
@@ -508,6 +516,23 @@ def test_compose_with_truthful_weights(leading, leading_mech):
 
 
 # -- strategy profiles ----------------------------------------------------------
+
+
+def test_a_profile_naming_an_agent_or_type_the_game_lacks_is_refused(perturbed, perturbed_mech):
+    # the extra entry was never read, and the truthful profile around it
+    # verified as an equilibrium
+    for mech in (perturbed_mech, DirectMechanism(perturbed)):
+        game = BayesianGame(perturbed, mech, "M", 0)
+        truthful = truthful_profile(game)
+        play = next(iter(truthful["A"].values()))
+        with pytest.raises(InvalidProfile, match="names agent 'Z', which the game at M does not have"):
+            verify_bne(game, {**truthful, "Z": truthful["A"]})
+        with pytest.raises(InvalidProfile, match=r"names type frozenset\(\{'zz'\}\) of A, which the game"):
+            verify_bne(game, {**truthful, "A": {**truthful["A"], frozenset({"zz"}): play}})
+        coll, mixture = next(iter(truthful["A"].items()))
+        with pytest.raises(InvalidProfile, match="Z has no type"):
+            expected_utility(game, "Z", coll, next(iter(mixture)), truthful)
+
 
 
 def test_a_game_refuses_a_utility_profile_index_out_of_range(perturbed, perturbed_mech):

@@ -84,7 +84,8 @@ def _profiles(g, rng):
     for target in scn.states:
         plans = game.canonical_perfect_plans(scn, g.state, target)
         if plans is not None and target != g.state:
-            profiles.append(game.compose_with_truthful(g, plans))
+            flows = {agent: plan.flows for agent, plan in plans.items()}
+            profiles.append(game._profile(g, game._deception_play(g, target, flows)))
             break
     return profiles
 

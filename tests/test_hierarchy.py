@@ -60,6 +60,13 @@ def test_level_zero_is_the_evidence_map(embedded_leading):
     assert table.level("A", ("L", LOW), 0) == ("ev", (1, ("lmh",)))
 
 
+def test_a_negative_depth_is_refused(embedded_leading):
+    # it built the depth-0 table before
+    for depth in (-1, -3):
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            build_hierarchy(embedded_leading, depth)
+
+
 def test_equal_inputs_give_equal_hierarchies():
     # two types with identical beliefs and endowments share every level
     scn = fixtures.micro_example()
