@@ -80,7 +80,7 @@ def _verdict_payload(verdict):
 
 
 def _eic_failures_payload(verdict):
-    label = hierarchy._type_to_str
+    label = hierarchy.type_label
     return [
         {"profile": idx, "agent": agent, "type": label(t), "report": label(r), "gain": g}
         for idx, agent, t, r, g in verdict.failures
@@ -217,7 +217,7 @@ def cmd_check(args, data):
             "stabilization": verdict.stabilization,
             "k_bar": verdict.k_bar,
             "failures": [
-                [[hierarchy._type_to_str(t) for t in profile] for profile in pair] for pair in verdict.failures
+                [[hierarchy.type_label(t) for t in profile] for profile in pair] for pair in verdict.failures
             ],
         }
         return (EXIT_OK if verdict.passed else EXIT_FAIL), payload
@@ -361,7 +361,7 @@ def cmd_hierarchy(args, data):
     for agent in model.agents:
         for type_id in model.types[agent]:
             levels = [str(tok) for tok in table.signatures[(agent, type_id)][: depth + 1]]
-            payload["types"][f"{agent}:{hierarchy._type_to_str(type_id)}"] = levels
+            payload["types"][f"{agent}:{hierarchy.type_label(type_id)}"] = levels
     return EXIT_OK, payload
 
 

@@ -9,11 +9,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import mechanism as mech_mod
 from .conditions import canonical_perfect_plans
 from .deception import induced_distribution
-from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space
-from .rationals import common_denominator, numerators
+from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space, pure_assignments
+from .rationals import common_denominator, joint, numerators
 from .scenario import Scenario, ScenarioError, consensus_else_first, contested_lies
 from .scenario import format_collection, subsets
 
@@ -75,9 +74,8 @@ class DirectKernel(KernelBase):
         self._zero = (0,) * len(TRANSFER_KEYS)
 
     def _menu_codes(self, i: int, endowment) -> tuple:
-        width = len(self._presentable[i])
         shown = [self.positions[i][sub] for sub in subsets(endowment)]
-        return tuple(head + position for head in range(0, len(self._reports[i]), width) for position in shown)
+        return tuple(self.truthful_code(i, state, position) for state in self.scenario.states for position in shown)
 
     def message(self, i: int, code: int) -> DirectMessage:
         state, position = divmod(code, len(self._presentable[i]))
@@ -179,20 +177,7 @@ class BayesianGame:
                 for code, weight in zip(codes, weights):
                     rows.append((prob.numerator * weight, prob.denominator * scale, code << shift))
             options.append(rows)
-        # products of unreduced numerators and denominators: W need only be
-        # a common denominator, the caller's Fraction reduces the result
-        combos = []
-        common = 1
-        for combo in itertools.product(*options):
-            num = den = 1
-            key = 0
-            for part_num, part_den, code in combo:
-                num *= part_num
-                den *= part_den
-                key |= code
-            combos.append((num, den, key))
-            common = math.lcm(common, den)
-        return common, [(num * (common // den), key) for num, den, key in combos]
+        return joint(options)
 
     def _values(self, i, realizations, codes) -> list:
         """Expected payoff numerators over W * G of agent i's `codes`: the sum
@@ -569,7 +554,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
 
     # (b) deception closure family: the budget gates what this phase runs,
     # so an exhaustive (a) leaves only the canonical plans under it
-    pure_assignment_lists = [mech_mod._assignments_for(scenario, agent, game.state) for agent in agents]
+    pure_assignment_lists = [pure_assignments(scenario, agent, game.state) for agent in agents]
     pure_total = math.prod(map(len, pure_assignment_lists))
     family_size = len(scenario.states) + (0 if exhaustive else pure_total * max(1, len(scenario.states) - 1))
     in_budget = family_size <= budget.plan_cap

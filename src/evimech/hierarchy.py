@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rationals import RationalFormatError, common_denominator, format_rational, numerators, parse_rational
+from .rationals import RationalFormatError, common_denominator, format_rational, joint, numerators, parse_rational
 from .scenario import Scenario, collection_key, consensus_else_first, read_only_rows
 
 
@@ -222,61 +222,47 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
     beliefs concentrate on the own state with product evidence probabilities,
     and the choice function extends by consensus-else-first-report."""
     agents = scenario.agents
-    types = {}
-    evidence = {}
-    for agent in agents:
-        rows = []
-        for state in scenario.states:
-            for coll in scenario.support(agent, state):
-                rows.append((state, coll))
-                evidence[(agent, (state, coll))] = coll
-        types[agent] = tuple(rows)
-
-    # a type's belief depends on its state alone: each entry is one integer
-    # product over the opponents' evidence probabilities
+    types = {
+        agent: tuple((state, coll) for state in scenario.states for coll in scenario.support(agent, state))
+        for agent in agents
+    }
+    # a type's belief depends on its state alone: the joint law of the
+    # opponents' evidence there, one factor per opponent
     beliefs = {}
     for agent in agents:
-        others = tuple(a for a in agents if a != agent)
         by_state = {}
         for state, coll in types[agent]:
-            entries = by_state.get(state)
-            if entries is None:
-                entries = by_state[state] = {}
-                option_lists = [
-                    [((state, c), p.numerator, p.denominator) for c, p in scenario.dist(other, state).items()]
-                    for other in others
+            if state not in by_state:
+                factors = [
+                    [(p.numerator, p.denominator, ((state, c),)) for c, p in scenario.dist(other, state).items()]
+                    for other in agents
+                    if other != agent
                 ]
-                for combo in itertools.product(*option_lists):
-                    numerator = denominator = 1
-                    for _, n, d in combo:
-                        numerator *= n
-                        denominator *= d
-                    if numerator > 0:
-                        entries[tuple(type_id for type_id, _, _ in combo)] = Fraction(numerator, denominator)
-            beliefs[(agent, (state, coll))] = entries
-
-    model_profiles = [
-        tuple(combo) for combo in itertools.product(*(types[a] for a in agents))
-    ]
-    chosen = {t: consensus_else_first(state for state, _ in t) for t in model_profiles}
-    scf = {t: scenario.scf[chosen[t]] for t in model_profiles}
-    utility_profiles = []
-    for idx in range(len(scenario.utility_profiles)):
-        per_agent = {}
-        for agent in agents:
-            utility = scenario.utility_profiles[idx][agent]
-            per_agent[agent] = {
-                (outcome, t): utility[(outcome, chosen[t])] for outcome in scenario.outcomes for t in model_profiles
+                W, rows = joint(factors, ())
+                by_state[state] = {profile: Fraction(n, W) for n, profile in rows}
+            beliefs[(agent, (state, coll))] = by_state[state]
+    # each type profile with the state its consensus-else-first report picks
+    product = itertools.product(*(types[agent] for agent in agents))
+    profiles = [(t, consensus_else_first(state for state, _ in t)) for t in product]
+    utility_profiles = tuple(
+        {
+            agent: {
+                (outcome, t): profile[agent][(outcome, chosen)]
+                for outcome in scenario.outcomes
+                for t, chosen in profiles
             }
-        utility_profiles.append(per_agent)
+            for agent in agents
+        }
+        for profile in scenario.utility_profiles
+    )
     return TypeSpaceModel(
         agents=agents,
         types=types,
-        evidence=evidence,
+        evidence={(agent, type_id): type_id[1] for agent in agents for type_id in types[agent]},
         beliefs=beliefs,
         outcomes=scenario.outcomes,
-        scf=scf,
-        utility_profiles=tuple(utility_profiles),
+        scf={t: scenario.scf[chosen] for t, chosen in profiles},
+        utility_profiles=utility_profiles,
         articles=scenario.articles,
     )
 
@@ -497,7 +483,8 @@ def check_evidence_ic(model: TypeSpaceModel, profile_indices=None) -> EicVerdict
 # -- JSON wire format -----------------------------------------------------------
 
 
-def _type_to_str(type_id):
+def type_label(type_id):
+    """A type id as the wire format writes it: "state|{a,b}" for an embedded (state, collection) type."""
     if isinstance(type_id, tuple):
         state, coll = type_id
         return f"{state}|{{{','.join(sorted(coll))}}}"
@@ -507,49 +494,60 @@ def _type_to_str(type_id):
 def parse_model(data) -> TypeSpaceModel:
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be an object")
-    stray = {}  # violation path -> profile keys naming no agent the row expects
     # a key nothing reads may be a misspelling: flag it, do not drop it
     known = ("agents", "types", "articles", "evidence_map", "beliefs", "outcomes", "scf", "utility_profiles")
+    unread = {}  # violation path -> messages about input nothing reads
 
-    def profile_of(row, expected, path):
+    def declared(mapping, ids, path, kind):
+        """`mapping`, each key naming no declared id flagged."""
+        unread.update((f"{path}.{key}", {f"undeclared {kind}": None}) for key in mapping if key not in ids)
+        return mapping
+
+    def profile_of(row, expected, path, field):
+        """A row's profile over the `expected` agents; a row holds its profile and `field` alone."""
         profile = row["profile"]
         for key in profile:
             if key not in expected:
-                stray.setdefault(path, {})[key] = None
+                unread.setdefault(path, {})[f"unexpected profile key {key!r}"] = None
+        for key in sorted(row.keys() - {"profile", field}):
+            unread.setdefault(path, {})[f"unknown key {key!r}"] = None
         return tuple(str(profile[a]) for a in expected)
 
     try:
         agents = tuple(str(a) for a in data["agents"])
-        types = {a: tuple(str(t) for t in data["types"][a]) for a in agents}
+        type_map = declared(data["types"], agents, "types", "agent")
+        types = {a: tuple(str(t) for t in type_map[a]) for a in agents}
         articles = tuple(str(a) for a in data.get("articles", []))
         evidence = {}
+        evidence_map = declared(data["evidence_map"], agents, "evidence_map", "agent")
         for agent in agents:
+            listed = declared(evidence_map[agent], types[agent], f"evidence_map.{agent}", "type")
             for type_id in types[agent]:
-                evidence[(agent, type_id)] = frozenset(
-                    str(x) for x in data["evidence_map"][agent][type_id]
-                )
+                evidence[(agent, type_id)] = frozenset(str(x) for x in listed[type_id])
         beliefs = {}
+        belief_map = declared(data["beliefs"], agents, "beliefs", "agent")
         for agent in agents:
             others = tuple(a for a in agents if a != agent)
+            per_type = declared(belief_map[agent], types[agent], f"beliefs.{agent}", "type")
             for type_id in types[agent]:
-                rows = data["beliefs"][agent][type_id]
                 entries = {}
-                for row in rows:
-                    profile = profile_of(row, others, f"beliefs.{agent}.{type_id}")
+                for row in per_type[type_id]:
+                    profile = profile_of(row, others, f"beliefs.{agent}.{type_id}", "prob")
                     entries[profile] = entries.get(profile, Fraction(0)) + parse_rational(row["prob"])
                 beliefs[(agent, type_id)] = entries
         outcomes = tuple(str(o) for o in data["outcomes"])
         scf = {}
         for row in data["scf"]:
-            scf[profile_of(row, agents, "scf")] = str(row["outcome"])
+            scf[profile_of(row, agents, "scf", "outcome")] = str(row["outcome"])
         utility_profiles = []
         for idx, prof in enumerate(data["utility_profiles"]):
             per_agent = {}
+            declared(prof, agents, f"utility_profiles[{idx}]", "agent")
             for agent in agents:
                 entries = {}
                 for outcome, rows in prof[agent].items():
                     for row in rows:
-                        profile = profile_of(row, agents, f"utility_profiles[{idx}].{agent}.{outcome}")
+                        profile = profile_of(row, agents, f"utility_profiles[{idx}].{agent}.{outcome}", "value")
                         entries[(str(outcome), profile)] = parse_rational(row["value"])
                 per_agent[agent] = entries
             utility_profiles.append(per_agent)
@@ -569,14 +567,14 @@ def parse_model(data) -> TypeSpaceModel:
         utility_profiles=tuple(utility_profiles),
         articles=articles,
         input_violations=tuple(f"{key}: unknown key" for key in data if key not in known)
-        + tuple(f"{path}: unexpected profile key {key!r}" for path, keys in stray.items() for key in keys),
+        + tuple(f"{path}: {message}" for path, messages in unread.items() for message in messages),
     )
 
 
 def model_to_json(model: TypeSpaceModel) -> dict:
     agents = list(model.agents)
     type_names = {
-        (agent, t): _type_to_str(t) for agent in model.agents for t in model.types[agent]
+        (agent, t): type_label(t) for agent in model.agents for t in model.types[agent]
     }
     doc = {
         "agents": agents,

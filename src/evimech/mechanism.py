@@ -496,26 +496,15 @@ class Kernel(KernelBase):
 
     def _menu_codes(self, i: int, endowment) -> tuple:
         """Own claim x right-neighbour claim x presented subset x claim slot,
-        each code's record made from its indices."""
-        right_masks, width, block = self._state_masks[self.right[i]], self._width[i], self._block[i]
+        each code and its record made by `_index_code`."""
         shown = [self.positions[i][sub] for sub in subsets(endowment)]
-        slots = range(0, self._menu_slots * block, block)
-        self._fits(i, block - width + max(shown) + slots[-1])
-        slot_bets = self._slot_bets[i][: self._menu_slots]
-        refuted = self._refuted_states[i]
-        records = self._records[i]
-        codes = []
-        for own, own_mask in enumerate(self._state_masks[i]):
-            for claimed, right_mask in enumerate(right_masks):
-                claims = own_mask & right_mask
-                pair = (own * len(right_masks) + claimed) * width
-                for position in shown:
-                    for slot, (bets, live) in zip(slots, slot_bets):
-                        code = pair + position + slot
-                        codes.append(code)
-                        if code not in records:
-                            records[code] = (own, claimed, position, claims, right_mask, refuted[position], bets, live)
-        return tuple(codes)
+        return tuple(
+            self._index_code(i, own, claimed, position, slot)
+            for own in range(len(self._alphabets[i]))
+            for claimed in range(len(self._alphabets[self.right[i]]))
+            for position in shown
+            for slot in range(self._menu_slots)
+        )
 
     def _slot(self, claim) -> int:
         """The claim's slot; a claim off the claim menu takes the next free
@@ -796,7 +785,7 @@ def assemble_bne_mechanism(scenario: Scenario) -> Mechanism:
     )
 
 
-def _assignments_for(scenario: Scenario, agent, state):
+def pure_assignments(scenario: Scenario, agent, state):
     """All pure single-state assignments: support collection -> a subset."""
     sources = scenario.support(agent, state)
     per_source = [[(src, sub) for sub in subsets(src)] for src in sources]
@@ -819,7 +808,7 @@ def enumerate_challenges(scenario: Scenario):
     bets = {}
     for source_state in scenario.states:
         profiles = [
-            _assignments_for(scenario, agent, source_state) for agent in scenario.agents
+            pure_assignments(scenario, agent, source_state) for agent in scenario.agents
         ]
         for combo in itertools.product(*profiles):
             for target_state in scenario.states:

@@ -1,8 +1,10 @@
 """Exact rationals: the "num/den" wire format, and the one home of common
-denominators, the quadratic score and the squared distance."""
+denominators, products of independent laws, the quadratic score and the
+squared distance."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -42,6 +44,27 @@ def common_denominator(values) -> int:
 def numerators(values, L) -> list:
     """Each value as its integer numerator over L, a multiple of its denominator."""
     return [value.numerator * (L // value.denominator) for value in values]
+
+
+def joint(factors, start=0) -> tuple:
+    """(W, [(weight numerator over W, sum of the parts from `start`), ...]):
+    the product law of independent factors, each a list of (numerator,
+    denominator, part) rows, one entry per choice of a row from every factor,
+    in `itertools.product` order. Packed codes in disjoint bit fields sum to
+    their OR; tuples concatenate. Products stay unreduced: W, the lcm of their
+    denominators, is a common denominator, and a caller's Fraction reduces."""
+    combos = []
+    common = 1
+    for combo in itertools.product(*factors):
+        num = den = 1
+        key = start
+        for part_num, part_den, part in combo:
+            num *= part_num
+            den *= part_den
+            key += part
+        combos.append((num, den, key))
+        common = lcm(common, den)
+    return common, [(num * (common // den), key) for num, den, key in combos]
 
 
 def quadratic_scores(report, points, scale=1) -> list:

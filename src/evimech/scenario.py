@@ -600,9 +600,12 @@ def parse_scenario(data) -> Scenario:
         for agent, per_state in data["distributions"].items():
             for state, rows in per_state.items():
                 probs = {}
+                path = f"distributions.{agent}.{state}"
                 for row in rows:
-                    coll = frozenset(ids(row["collection"], f"distributions.{agent}.{state}"))
+                    coll = frozenset(ids(row["collection"], path))
                     probs[coll] = probs.get(coll, Fraction(0)) + parse_rational(row["prob"])
+                    unknown = row.keys() - {"collection", "prob"}
+                    violations.extend({"path": path, "message": f"unknown key {key!r}"} for key in sorted(unknown))
                 dists[(str(agent), str(state))] = Distribution(probs)
         scf = {str(s): str(o) for s, o in data["scf"].items()}
         profiles = []

@@ -469,7 +469,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
     pure_assignment_lists = []
     pure_total = 1
     for agent in scenario.agents:
-        rows = mech_mod._assignments_for(scenario, agent, game.state)
+        rows = mech_mod.pure_assignments(scenario, agent, game.state)
         pure_assignment_lists.append((agent, rows))
         pure_total *= len(rows)
     family_size = len(scenario.states) + pure_total * max(1, len(scenario.states) - 1)

@@ -4,8 +4,10 @@ small-transfer mechanism before one hierarchy table per model.
 This is `evimech.hierarchy` (the hierarchy table and its builders, HOM and
 EIC) and `evimech.smalltransfers` (the mechanism, its builder and the
 elimination) as they stood before the table kept each level's push-forward
-and the mechanism reused the HOM table, copied verbatim apart from the
-absolute imports.
+and the mechanism reused the HOM table, and `evimech.hierarchy.embed_flat_scenario`
+as it stood before it was built on `rationals.joint`, with its own product loop
+over the opponents' evidence; each copied verbatim apart from the absolute
+imports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from evimech.hierarchy import TypeSpaceModel
-from evimech.scenario import collection_key
+from evimech.scenario import Scenario, collection_key, consensus_else_first
 
 
 # -- belief hierarchies --------------------------------------------------------
@@ -553,4 +555,71 @@ def eliminate_rationalizable(mech: SmallTransferMechanism) -> RationalizabilityR
         outcome_ok=outcome_ok,
         transfer_bound=bound,
         transfer_bound_ok=bound <= mech.eps,
+    )
+
+
+# -- embedding ----------------------------------------------------------------
+
+
+def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
+    """Independent embedding: types are (state, support collection) pairs,
+    beliefs concentrate on the own state with product evidence probabilities,
+    and the choice function extends by consensus-else-first-report."""
+    agents = scenario.agents
+    types = {}
+    evidence = {}
+    for agent in agents:
+        rows = []
+        for state in scenario.states:
+            for coll in scenario.support(agent, state):
+                rows.append((state, coll))
+                evidence[(agent, (state, coll))] = coll
+        types[agent] = tuple(rows)
+
+    # a type's belief depends on its state alone: each entry is one integer
+    # product over the opponents' evidence probabilities
+    beliefs = {}
+    for agent in agents:
+        others = tuple(a for a in agents if a != agent)
+        by_state = {}
+        for state, coll in types[agent]:
+            entries = by_state.get(state)
+            if entries is None:
+                entries = by_state[state] = {}
+                option_lists = [
+                    [((state, c), p.numerator, p.denominator) for c, p in scenario.dist(other, state).items()]
+                    for other in others
+                ]
+                for combo in itertools.product(*option_lists):
+                    numerator = denominator = 1
+                    for _, n, d in combo:
+                        numerator *= n
+                        denominator *= d
+                    if numerator > 0:
+                        entries[tuple(type_id for type_id, _, _ in combo)] = Fraction(numerator, denominator)
+            beliefs[(agent, (state, coll))] = entries
+
+    model_profiles = [
+        tuple(combo) for combo in itertools.product(*(types[a] for a in agents))
+    ]
+    chosen = {t: consensus_else_first(state for state, _ in t) for t in model_profiles}
+    scf = {t: scenario.scf[chosen[t]] for t in model_profiles}
+    utility_profiles = []
+    for idx in range(len(scenario.utility_profiles)):
+        per_agent = {}
+        for agent in agents:
+            utility = scenario.utility_profiles[idx][agent]
+            per_agent[agent] = {
+                (outcome, t): utility[(outcome, chosen[t])] for outcome in scenario.outcomes for t in model_profiles
+            }
+        utility_profiles.append(per_agent)
+    return TypeSpaceModel(
+        agents=agents,
+        types=types,
+        evidence=evidence,
+        beliefs=beliefs,
+        outcomes=scenario.outcomes,
+        scf=scf,
+        utility_profiles=tuple(utility_profiles),
+        articles=scenario.articles,
     )

@@ -370,6 +370,26 @@ def _unknown_model_key(model):
     model["belief"] = model["beliefs"]
 
 
+def _unknown_distribution_row_key(scenario):
+    scenario["distributions"]["A"]["H"][0]["probability"] = "1/2"
+
+
+def _unknown_scf_row_key(model):
+    model["scf"][0]["outcomes"] = "o9"
+
+
+def _undeclared_agent_under(key):
+    def edit(model):
+        section = model[key][0] if key == "utility_profiles" else model[key]
+        section["Z"] = section["A"]
+
+    return edit
+
+
+def _undeclared_evidence_type(model):
+    model["evidence_map"]["A"]["s9|{}"] = []
+
+
 def _violations(*messages):
     return {"violations": list(messages)}
 
@@ -411,6 +431,29 @@ def _violations(*messages):
             {"valid": False, "violations": [{"path": "article_name", "message": "unknown key"}]},
         ),
         (("check", "hom"), "micro_model.json", _unknown_model_key, 2, _violations("belief: unknown key")),
+        (
+            ("validate",),
+            "leading.json",
+            _unknown_distribution_row_key,
+            2,
+            {"valid": False, "violations": [{"path": "distributions.A.H", "message": "unknown key 'probability'"}]},
+        ),
+        (("check", "hom"), "micro_model.json", _unknown_scf_row_key, 2, _violations("scf: unknown key 'outcomes'")),
+        *(
+            (("check", "hom"), "micro_model.json", _undeclared_agent_under(key), 2, _violations(message))
+            for key, message in (
+                ("types", "types.Z: undeclared agent"),
+                ("beliefs", "beliefs.Z: undeclared agent"),
+                ("utility_profiles", "utility_profiles[0].Z: undeclared agent"),
+            )
+        ),
+        (
+            ("check", "hom"),
+            "micro_model.json",
+            _undeclared_evidence_type,
+            2,
+            _violations("evidence_map.A.s9|{}: undeclared type"),
+        ),
         (("validate",), [], None, 1, {"error": "scenario document must be an object"}),
         (("check", "hom"), 5, None, 1, {"error": "model document must be an object"}),
         (("check", "hom"), ["types"], None, 1, {"error": "model document must be an object"}),
@@ -424,6 +467,12 @@ def _violations(*messages):
         "negative-probability",
         "scenario-unknown-key",
         "model-unknown-key",
+        "distribution-row-unknown-key",
+        "scf-row-unknown-key",
+        "types-undeclared-agent",
+        "beliefs-undeclared-agent",
+        "utility-undeclared-agent",
+        "evidence-undeclared-type",
         "scenario-not-object",
         "model-not-object",
         "model-list",
@@ -755,6 +804,19 @@ def _utility_profile_names_unknown_agent(data):
         row["profile"]["ZZZ"] = "nope"
 
 
+def _belief_row_unknown_key(data):
+    data["beliefs"]["A"]["s1|{w}"][0]["weight"] = "1/2"
+
+
+def _utility_row_unknown_key(data):
+    for row in data["utility_profiles"][0]["A"]["o1"]:
+        row["note"] = "x"
+
+
+def _belief_for_undeclared_type(data):
+    data["beliefs"]["A"]["ghost"] = data["beliefs"]["A"]["s1|{w}"]
+
+
 @pytest.mark.parametrize(
     "mutate, violation",
     [
@@ -766,6 +828,9 @@ def _utility_profile_names_unknown_agent(data):
         (_belief_profile_names_own_agent, "beliefs.A.s1|{w}: unexpected profile key 'A'"),
         (_scf_profile_names_unknown_agent, "scf: unexpected profile key 'ZZZ'"),
         (_utility_profile_names_unknown_agent, "utility_profiles[0].A.o1: unexpected profile key 'ZZZ'"),
+        (_belief_row_unknown_key, "beliefs.A.s1|{w}: unknown key 'weight'"),
+        (_utility_row_unknown_key, "utility_profiles[0].A.o1: unknown key 'note'"),
+        (_belief_for_undeclared_type, "beliefs.A.ghost: undeclared type"),
     ],
     ids=[
         "scf-outcome",
@@ -776,6 +841,9 @@ def _utility_profile_names_unknown_agent(data):
         "belief-own-key",
         "scf-profile-key",
         "utility-profile-key",
+        "belief-row-key",
+        "utility-row-key",
+        "belief-undeclared-type",
     ],
 )
 def test_model_validation_rejects_undeclared_ids(tmp_path, mutate, violation):

@@ -53,7 +53,7 @@ def _reference_key(g, old, plans):
 def _pure_plans(scn, state, rng):
     """A seeded sample of pure deception profiles: (target, plans) pairs,
     each agent's plan routing every source's whole mass to one subset."""
-    lists = [mechanism._assignments_for(scn, agent, state) for agent in scn.agents]
+    lists = [mechanism.pure_assignments(scn, agent, state) for agent in scn.agents]
     pairs = [(combo, target) for combo in itertools.product(*lists) for target in scn.states if target != state]
     for combo, target in rng.sample(pairs, min(PURE_SAMPLE, len(pairs))):
         plans = {}

@@ -19,6 +19,7 @@ from evimech.hierarchy import (
     stabilization_depth,
     validate_model,
 )
+from evimech.scenario import Distribution
 
 F = Fraction
 TOP = frozenset({"mh", "lmh"})
@@ -43,6 +44,17 @@ def test_embedding_beliefs_are_products(embedded_leading):
     assert belief == {(("H", TOP),): F(3, 5), (("H", LOW),): F(2, 5)}
     assert validate_model(embedded_leading) == []
 
+
+
+def test_embedding_keeps_a_negative_product_for_the_validator():
+    # an unvalidated scenario whose probabilities sum to 1 with one negative:
+    # the product entry is kept, so the embedding is invalid for its sign
+    # rather than for a sum the dropped entry would break
+    scn = fixtures.leading_example()
+    scn = replace(scn, dists={**scn.dists, ("A", "H"): Distribution({LOW: F(7, 5), TOP: F(-2, 5)})})
+    model = embed_flat_scenario(scn)
+    assert model.belief("B", ("H", EMPTY)) == {(("H", LOW),): F(7, 5), (("H", TOP),): F(-2, 5)}
+    assert validate_model(model) == [f"beliefs.B.{('H', EMPTY)}: non-positive entry"]
 
 def test_level_one_beliefs_differ_for_b(embedded_leading):
     table = build_hierarchy(embedded_leading, 1)

@@ -5,13 +5,16 @@ to stabilization + 2, the default `hierarchy` levels, HOM and EIC verdicts,
 mechanism fields, elimination reports (with the rounds=1 and rounds=2
 controls) and `transfers` on random transcripts must be identical, on the
 fixtures, `micro_model.json`, the xor model, random scenarios and two
-hand-written models with pairwise coprime belief denominators."""
+hand-written models with pairwise coprime belief denominators. The flat
+embedding, built on `rationals.joint`, must equal the reference's own product
+loop field by field, in insertion order, and in `model_to_json`."""
 
 import itertools
 import json
 import math
 import random
-from dataclasses import replace
+from collections.abc import Mapping
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,3 +254,31 @@ def test_table_verdicts_mechanism_and_elimination_match_reference(label, model):
     for _ in range(max(1, min(20, 10**5 // mech.rounds))):
         transcript = _random_transcript(rng, mech)
         assert _typed(mech.transfers(transcript)) == _typed(ref_mech.transfers(transcript))
+
+
+EMBEDDED = [(f"fixture:{name}", f()) for name, f in fixtures.ALL_FIXTURES.items()] + [
+    (f"random_scenario({seed}{', degenerate' * degenerate})", generators.random_scenario(seed, degenerate=degenerate))
+    for degenerate in (False, True)
+    for seed in range(300)
+]
+
+
+def _ordered(value):
+    """`value` with every mapping as its item list and every leaf tagged by its
+    type, so equal results must also agree on order and types."""
+    if isinstance(value, Mapping):
+        return [(key, _ordered(item)) for key, item in value.items()]
+    if isinstance(value, tuple):
+        return tuple(map(_ordered, value))
+    return type(value), value
+
+
+@pytest.mark.parametrize("label, scn", EMBEDDED, ids=[label for label, _ in EMBEDDED])
+def test_flat_embedding_matches_reference(label, scn):
+    model = hierarchy.embed_flat_scenario(scn)
+    ref_model = reference.embed_flat_scenario(scn)
+    for name in (f.name for f in fields(model)):
+        if name != "_cache":
+            assert _ordered(getattr(model, name)) == _ordered(getattr(ref_model, name)), name
+    to_json = hierarchy.model_to_json
+    assert json.dumps(to_json(model)) == json.dumps(to_json(ref_model))

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from evimech import fixtures
 from evimech.conditions import check_npd
 from evimech.generators import random_scenario
-from evimech.rationals import common_denominator, numerators, quadratic_scores, squared_distance
+from evimech.rationals import common_denominator, joint, numerators, quadratic_scores, squared_distance
 from evimech.scenario import (
     Distribution,
     NonDegenerateInput,
@@ -215,6 +216,29 @@ def test_exact_arithmetic_helpers():
     assert (L, a, b, c, d) == (4, 2, 2, 1, 3)
     assert [F(s, L * L) for s in quadratic_scores({"a": a, "b": b}, ["b"], L)] == quadratic_scores(p, ["b"])
     assert F(squared_distance({"a": a, "b": b}, {"b": c, "c": d}), L * L) == squared_distance(p, q)
+
+
+
+def test_joint_multiplies_independent_rows_in_product_order():
+    # no factors: the one empty combination, weight 1, its part the start
+    assert joint([]) == (1, [(1, 0)])
+    assert joint([], ()) == (1, [(1, ())])
+    # one-row factors: one combination, its weight the product
+    assert joint([[(1, 2, 1)], [(2, 3, 4)]]) == (6, [(2, 5)])
+    # products stay unreduced: 2/4 counts over 4
+    assert joint([[(2, 4, 0)]]) == (4, [(2, 0)])
+    # int parts packed in disjoint bit fields sum to their OR
+    W, rows = joint([[(1, 2, 1), (1, 2, 2)], [(1, 3, 0 << 4), (2, 3, 1 << 4)]])
+    assert W == 6
+    assert rows == [(1, 1), (2, 1 | 1 << 4), (1, 2), (2, 2 | 1 << 4)]
+    # tuple parts concatenate, in itertools.product order; W is the lcm of
+    # the products' denominators (4, 6 and 12), not their product
+    factors = [[(1, 2, ("a",)), (1, 3, ("b",)), (1, 6, ("c",))], [(1, 2, ("x",)), (1, 2, ("y",))]]
+    W, rows = joint(factors, ())
+    assert W == 12
+    assert [part for _, part in rows] == list(itertools.product("abc", "xy"))
+    weights = itertools.product(*([F(n, d) for n, d, _ in factor] for factor in factors))
+    assert [F(n, W) for n, _ in rows] == [a * b for a, b in weights]
 
 
 def test_nonrefutable_implies_superset_support(leading, perturbed):

@@ -98,6 +98,13 @@ def _references(node, bound, own=None):
     return found
 
 
+def _package_files():
+    """Module name -> path of every package module (`evimech` for `__init__`)."""
+    files = {f"evimech.{path.stem}": path for path in sorted(PACKAGE.glob("*.py"))}
+    files["evimech"] = files.pop("evimech.__init__")
+    return files
+
+
 def test_every_package_function_is_used():
     # a module-level function or class of the package must be referenced
     # outside its own definition: by the package (an import in `__init__`
@@ -108,8 +115,7 @@ def test_every_package_function_is_used():
     # neither `result.feasible` nor a local variable `feasible` is a use of a
     # function `feasible`. A class counts as used when it is named: raised,
     # built, subclassed or named in an annotation.
-    files = {f"evimech.{path.stem}": path for path in sorted(PACKAGE.glob("*.py"))}
-    files["evimech"] = files.pop("evimech.__init__")
+    files = _package_files()
     files.update({f"perfbench.{path.stem}": path for path in sorted(BENCHMARK.glob("*.py"))})
     trees = {module: ast.parse(path.read_text(), filename=str(path)) for module, path in files.items()}
     defined = {
@@ -133,3 +139,27 @@ def test_every_package_function_is_used():
                 used.add(target)
     assert len(defined) > 100 and len(list(BENCHMARK.glob("*.py"))) > 3
     assert sorted(defined - used) == []
+
+
+def test_no_module_names_a_private_definition_of_another():
+    # an underscore function or class is its module's own: another package
+    # module that needs it should get it under a public name. Imports and
+    # references resolve as in the rule above.
+    trees = {module: ast.parse(path.read_text(), filename=str(path)) for module, path in _package_files().items()}
+    private = {
+        f"{module}.{node.name}": module
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and node.name.startswith("_")
+    }
+    found = []
+    for module, tree in trees.items():
+        bound = _bindings(tree, module)
+        named = set(bound.values()).union(*(_references(top, bound) for top in tree.body))
+        for target in sorted(named):
+            # a private definition, or an attribute read through it
+            head = ".".join(target.split(".")[:3])
+            if private.get(head, module) != module:
+                found.append(f"{module} names {head}")
+    assert len(private) > 20
+    assert found == []
