@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
+from .rationals import common_denominator, numerators
 from .scenario import Distribution, Scenario, collection_key, format_collection, subsets
 from .transport import HallWitness, solve_transport
 
@@ -394,6 +395,12 @@ class TwoPointBet:
     gamma: Fraction
     delta: Fraction
 
+    @property
+    def weights(self) -> tuple:
+        """((collection, weight), ...) as in `Bet.weights`: gamma on the short
+        collection, delta on the long one."""
+        return ((self.short_collection, self.gamma), (self.long_collection, self.delta))
+
     def value(self, presented) -> Fraction:
         presented = frozenset(presented)
         if presented == self.short_collection:
@@ -405,27 +412,38 @@ class TwoPointBet:
 
 def synthesize_gamma_delta(scenario: Scenario, pure_plan: PurePlan) -> TwoPointBet:
     """Two-point bet against an imperfect pure plan: wins under the plan,
-    loses against truthful play at the claimed state."""
-    induced = induced_distribution(pure_plan.as_transport(scenario))
-    target = scenario.dist(pure_plan.agent, pure_plan.target_state)
-    domain = sorted(set(induced.support()) | set(target.support()), key=collection_key)
-    short = next((c for c in domain if induced.prob(c) < target.prob(c)), None)
-    long = next((c for c in domain if induced.prob(c) > target.prob(c)), None)
+    loses against truthful play at the claimed state.
+
+    The plan's induced masses and the target masses are integers over their
+    lcm. The short (long) collection is the first, in canonical collection
+    order, whose induced mass is below (above) its target mass. With induced
+    masses a, b and target masses a_t, b_t there, gamma = -r and delta = 1
+    win and lose as required for any ratio r in (b_t/a_t, b/a); r is the
+    midpoint (of (b_t/a_t, b_t/a_t + 2) when a = 0), and both weights are
+    scaled by its denominator to integers.
+    """
+    agent = pure_plan.agent
+    source = dict(scenario.dist(agent, pure_plan.source_state).items())
+    target = dict(scenario.dist(agent, pure_plan.target_state).items())
+    scale = common_denominator([*source.values(), *target.values()])
+    held = dict(zip(source, numerators(source.values(), scale)))
+    wanted = dict(zip(target, numerators(target.values(), scale)))
+    induced = {}
+    for src, dst in pure_plan.assignment:
+        dst = frozenset(dst)
+        induced[dst] = induced.get(dst, 0) + held.get(frozenset(src), 0)
+    domain = sorted({c for c, mass in induced.items() if mass} | wanted.keys(), key=collection_key)
+    short = next((c for c in domain if induced.get(c, 0) < wanted.get(c, 0)), None)
+    long = next((c for c in domain if induced.get(c, 0) > wanted.get(c, 0)), None)
     if short is None or long is None:  # equal, or unequal masses in total
         raise NoImbalance("pure plan has no short and long collection against the target distribution")
-    a, b = induced.prob(short), induced.prob(long)
-    a_t, b_t = target.prob(short), target.prob(long)
-    # gamma = -r, delta = 1 works for any ratio r in (b_t/a_t, b/a); a_t > 0 always.
-    low = b_t / a_t
-    high = b / a if a > 0 else low + 2
-    ratio = (low + high) / 2
-    gamma = -ratio
-    delta = Fraction(1)
-    scale = gamma.denominator
-    gamma, delta = gamma * scale, delta * scale
-    weights = {short: gamma, long: delta}
-    if not induced.dot(weights) > 0 > target.dot(weights):
+    a, b = induced.get(short, 0), induced.get(long, 0)
+    a_t, b_t = wanted.get(short, 0), wanted.get(long, 0)
+    # a_t > 0 always; Fraction raises ZeroDivisionError otherwise
+    ratio = Fraction(b_t * a + b * a_t, 2 * a_t * a) if a > 0 else Fraction(b_t + a_t, a_t)
+    gamma, delta = -ratio.numerator, ratio.denominator
+    if not a * gamma + b * delta > 0 > a_t * gamma + b_t * delta:
         raise NotSeparating(
             f"two-point bet ({gamma}, {delta}) must win under the plan and lose at {pure_plan.target_state}"
         )
-    return TwoPointBet(pure_plan.agent, short, long, gamma, delta)
+    return TwoPointBet(agent, short, long, Fraction(gamma), Fraction(delta))

@@ -13,7 +13,6 @@ from types import MappingProxyType
 from .conditions import Verdict, check_npd, check_nppd, check_stochastic_measurability
 from .deception import (
     PurePlan,
-    induced_distribution,
     perfect_deception,
     synthesize_gamma_delta,
     witness_bet,
@@ -371,10 +370,11 @@ class Kernel(KernelBase):
     numerators over one common denominator `D`, fixed there:
 
     - `score[j][p][e]`: tau_low times the quadratic score of agent j's
-      alphabet member p at j's presentable collection e;
+      alphabet member p at j's presentable collection e, from the integer
+      alphabets of the scenario's `scaling_terms`;
     - `incentive[j][e]`: eps times the size of e;
-    - bet payments: eps times a bet's value at each presentable collection of
-      its subject;
+    - bet payments: eps times a bet's weight at each presentable collection
+      of its subject (`bet.weights`, read once per bet);
     - `tau_low` and `tau_high`.
 
     Agent i's code for the message of own alphabet index `own`, right
@@ -429,33 +429,55 @@ class Kernel(KernelBase):
         for masks, truth in zip(self._state_masks, self._truth):
             for k, p in enumerate(truth):
                 masks[p] |= 1 << k
-        self._width = [len(presentable) for presentable in evidence]
-        # the codes of one claim slot
-        self._block = [
-            len(alphabet) * len(alphabets[right]) * width
-            for alphabet, right, width in zip(alphabets, self.right, self._width)
+        # per agent i: the strides of `_index_code` (block, the codes of one
+        # claim slot; the right neighbour's alphabet size; width, i's
+        # presentable count)
+        self._strides = [
+            (len(alphabet) * len(alphabets[right]) * len(presentable), len(alphabets[right]), len(presentable))
+            for alphabet, right, presentable in zip(alphabets, self.right, evidence)
         ]
 
-        # exact values first, then every table as numerators over their lcm D
-        eps, tau_low = mech.scaling.eps, mech.scaling.tau_low
-        probs = [[dict(p.items()) for p in alphabet] for alphabet in alphabets]
-        score = [[[tau_low * s for s in quadratic_scores(p, evidence[j])] for p in row] for j, row in enumerate(probs)]
-        incentive = [[eps * len(e) for e in row] for row in evidence]
-        # claim -> consensus state index -> (subject index, payments by the
-        # subject's evidence code)
+        # every table as integer numerators over one common denominator D.
+        # Each table is first (M, its numerators over M); a value n/M reduces
+        # to a denominator dividing M // gcd(M, n), so D, the lcm of every
+        # value's reduced denominator, is the lcm over tables of
+        # M // gcd(M, n, ...)
+        terms = scaling_terms(scn)
+        eps, tau_low, tau_high = mech.scaling.eps, mech.scaling.tau_low, mech.scaling.tau_high
+        # agent j's scores: tau_low times the quadratic scores of j's integer
+        # alphabet over L_j, numerators over L_j^2
+        score = []
+        for presentable, (L, rows) in zip(evidence, terms.alphabets):
+            table = [[tau_low.numerator * q for q in quadratic_scores(row, presentable, L)] for row in rows]
+            score.append((tau_low.denominator * L * L, table))
+        incentive = [(eps.denominator, [eps.numerator * len(e) for e in row]) for row in evidence]
+        # claim -> consensus state's bit -> (subject index, (M, payments by the
+        # subject's evidence position)); each bet's weights are read once
         claims = {}
         for (claim, state), bet in mech.bets.items():
             j = index[bet.agent]
-            claims.setdefault(claim, {})[state_index[state]] = (j, [eps * bet.value(e) for e in evidence[j]])
-        taus = [mech.scaling.tau_low, mech.scaling.tau_high]
-        rows = [taus, *incentive, *(row for table in score for row in table)]
-        rows.extend(payments for bets in claims.values() for _, payments in bets.values())
-        self.D = D = common_denominator(value for row in rows for value in row)
-        self.tau_low, self.tau_high = numerators(taus, D)
-        self.incentive = [numerators(row, D) for row in incentive]
-        self.score = [[numerators(row, D) for row in table] for table in score]
+            at = self.positions[j]
+            weights = {at[coll]: w for coll, w in dict(bet.weights).items() if coll in at}
+            W = common_denominator(weights.values())
+            paid = [0] * len(evidence[j])
+            for position, n in zip(weights, numerators(weights.values(), W)):
+                paid[position] = eps.numerator * n
+            claims.setdefault(claim, {})[1 << state_index[state]] = (j, (eps.denominator * W, paid))
+        tables = [(M, values) for M, table in score for values in table]
+        tables += incentive
+        tables += [payments for bets in claims.values() for _, payments in bets.values()]
+        reduced = (M // math.gcd(M, *values) for M, values in tables)
+        self.D = D = math.lcm(tau_low.denominator, tau_high.denominator, *reduced)
+
+        def over_D(M, values):
+            return [n * D // M for n in values]
+
+        self.tau_low, self.tau_high = numerators((tau_low, tau_high), D)
+        self.incentive = [over_D(*row) for row in incentive]
+        self.score = [[over_D(M, values) for values in table] for M, table in score]
         self._claims = {
-            c: {1 << k: (j, numerators(row, D)) for k, (j, row) in bets.items()} for c, bets in claims.items()
+            claim: {bit: (j, over_D(*payments)) for bit, (j, payments) in bets.items()}
+            for claim, bets in claims.items()
         }
 
         # claim slots: the claim menu's, then each claim off it in the order
@@ -479,7 +501,8 @@ class Kernel(KernelBase):
         """Agent i's code for the message of own alphabet index `own`, right
         neighbour's alphabet index `claimed`, evidence `position` and claim
         `slot`; its record is made on first use."""
-        code = slot * self._block[i] + (own * len(self._alphabets[self.right[i]]) + claimed) * self._width[i] + position
+        block, right_size, width = self._strides[i]
+        code = slot * block + (own * right_size + claimed) * width + position
         records = self._records[i]
         if code not in records:
             right_mask = self._state_masks[self.right[i]][claimed]
@@ -498,10 +521,11 @@ class Kernel(KernelBase):
         """Own claim x right-neighbour claim x presented subset x claim slot,
         each code and its record made by `_index_code`."""
         shown = [self.positions[i][sub] for sub in subsets(endowment)]
+        _, right_size, _ = self._strides[i]
         return tuple(
             self._index_code(i, own, claimed, position, slot)
             for own in range(len(self._alphabets[i]))
-            for claimed in range(len(self._alphabets[self.right[i]]))
+            for claimed in range(right_size)
             for position in shown
             for slot in range(self._menu_slots)
         )
@@ -519,10 +543,11 @@ class Kernel(KernelBase):
 
     def message(self, i: int, code: int) -> Message:
         """The message of agent i's `code`, decoded from its indices."""
-        slot, pair = divmod(code, self._block[i])
-        pair, position = divmod(pair, self._width[i])
+        block, right_size, width = self._strides[i]
+        slot, pair = divmod(code, block)
+        pair, position = divmod(pair, width)
+        own, claimed = divmod(pair, right_size)
         right = self._alphabets[self.right[i]]
-        own, claimed = divmod(pair, len(right))
         return Message(self._alphabets[i][own], right[claimed], self._presentable[i][position], self._slot_claims[slot])
 
     def code(self, i: int, msg: Message) -> int:
@@ -629,11 +654,11 @@ def transfers(mech: Mechanism, transcript: dict) -> dict:
 
 def _integer_alphabet(scenario: Scenario, agent) -> tuple:
     """The agent's alphabet over one common denominator L, the lcm of its
-    probability denominators: (L, [n_p, ...]) with n_p = L p as a map from
-    collection to int, in alphabet order."""
+    probability denominators: (L, (n_p, ...)) with n_p = L p as a read-only
+    map from collection to int, in alphabet order."""
     rows = [dict(dist.items()) for dist in scenario.alphabet(agent)]
     scale = common_denominator(prob for row in rows for prob in row.values())
-    return scale, [dict(zip(row, numerators(row.values(), scale))) for row in rows]
+    return scale, tuple(MappingProxyType(dict(zip(row, numerators(row.values(), scale)))) for row in rows)
 
 
 def _closest_pair(scale, rows) -> Fraction | None:
@@ -666,47 +691,51 @@ def _widest_score_gap(scale, rows) -> Fraction:
     return Fraction(widest, scale * scale)
 
 
-def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
-    """Canonical parameters satisfying the score-gap and refutation inequalities.
+@dataclass(frozen=True)
+class ScalingTerms:
+    """The part of a scenario's `ScalingParams` that no bet moves; every
+    field but `alphabets` is the `ScalingParams` field of that name."""
 
-    bet_values: iterable of absolute bet entries that the whistle slot can pay.
-    """
-    sm = check_stochastic_measurability(scenario)
-    if not sm.passed:
+    alphabets: tuple  # per agent, in agent order: `_integer_alphabet`
+    gap_min: Fraction | None
+    tau_low: Fraction
+    tau2_max: Fraction
+    rho_min: Fraction | None
+    tau_high: Fraction
+    collection_max: int
+    span: Fraction
+
+
+def scaling_terms(scenario: Scenario) -> ScalingTerms:
+    """The scenario's `ScalingTerms`, computed on first use and kept,
+    read-only, in the scenario's cache, so both builders and every kernel
+    share one pass. A scenario failing stochastic measurability keeps None
+    there, and every call raises `DegenerateGap`."""
+    key = "scaling_terms"
+    if key not in scenario._cache:
+        scenario._cache[key] = _scaling_terms(scenario)
+    terms = scenario._cache[key]
+    if terms is None:
         raise DegenerateGap("identical distribution profiles with distinct outcomes")
+    return terms
 
-    alphabets = {agent: _integer_alphabet(scenario, agent) for agent in scenario.agents}
-    gap_min = None
-    for agent in scenario.agents:
-        gap = _closest_pair(*alphabets[agent])
-        if gap is not None and (gap_min is None or gap < gap_min):
-            gap_min = gap
 
+def _scaling_terms(scenario: Scenario) -> ScalingTerms | None:
+    if not check_stochastic_measurability(scenario).passed:
+        return None
+    alphabets = tuple(_integer_alphabet(scenario, agent) for agent in scenario.agents)
+    gaps = (_closest_pair(*alphabet) for alphabet in alphabets)
+    gap_min = min((gap for gap in gaps if gap is not None), default=None)
     collection_max = scenario.max_collection_size()
-    bet_max = Fraction(0)
-    for value in bet_values:
-        bet_max = max(bet_max, abs(Fraction(value)))
     span = scenario.utility_span()
-
     if gap_min is None:
-        return ScalingParams(
-            eps=Fraction(1, 100),
-            tau_low=Fraction(2),
-            tau_high=Fraction(1),
-            tau2_max=Fraction(0),
-            gap_min=None,
-            rho_min=None,
-            collection_max=collection_max,
-            bet_max=bet_max,
-            span=span,
-        )
+        return ScalingTerms(alphabets, None, Fraction(2), Fraction(0), None, Fraction(1), collection_max, span)
 
     tau_low = Fraction(max(2, math.floor(1 / gap_min) + 1))
-
+    by_agent = dict(zip(scenario.agents, alphabets))
     tau2_max = Fraction(0)
     for agent in scenario.agents:
-        right = scenario.right_neighbor(agent)
-        widest = _widest_score_gap(*alphabets[right])
+        widest = _widest_score_gap(*by_agent[scenario.right_neighbor(agent)])
         tau2_max = max(tau2_max, tau_low * widest)
 
     # the least probability of a collection refuting some lie: a refutable lie's witnesses
@@ -714,22 +743,35 @@ def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
     rho_min = min((prob for found in witnesses for _, prob in found), default=None)
 
     tau_high = Fraction(1) if rho_min is None else Fraction(math.ceil((1 + tau2_max) / rho_min))
+    return ScalingTerms(alphabets, gap_min, tau_low, tau2_max, rho_min, tau_high, collection_max, span)
 
-    denom = collection_max + bet_max
+
+def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
+    """Canonical parameters satisfying the score-gap and refutation inequalities:
+    the scenario's `scaling_terms` with the `bet_max` and `eps` of these bets.
+
+    bet_values: iterable of absolute bet entries that the whistle slot can pay.
+    """
+    terms = scaling_terms(scenario)
+    bet_max = max((abs(Fraction(value)) for value in bet_values), default=Fraction(0))
+    collection_max, span = terms.collection_max, terms.span
+
     candidates = []
-    if denom > 0:
-        candidates.append((tau_low - 1) / (2 * denom))
-    if span < 1 and collection_max + 2 * bet_max > 0:
-        candidates.append((1 - span) / (2 * (collection_max + 2 * bet_max)))
+    if terms.gap_min is not None:
+        denom = collection_max + bet_max
+        if denom > 0:
+            candidates.append((terms.tau_low - 1) / (2 * denom))
+        if span < 1 and collection_max + 2 * bet_max > 0:
+            candidates.append((1 - span) / (2 * (collection_max + 2 * bet_max)))
     eps = min(candidates) if candidates else Fraction(1, 100)
 
     return ScalingParams(
         eps=eps,
-        tau_low=tau_low,
-        tau_high=tau_high,
-        tau2_max=tau2_max,
-        gap_min=gap_min,
-        rho_min=rho_min,
+        tau_low=terms.tau_low,
+        tau_high=terms.tau_high,
+        tau2_max=terms.tau2_max,
+        gap_min=terms.gap_min,
+        rho_min=terms.rho_min,
         collection_max=collection_max,
         bet_max=bet_max,
         span=span,
@@ -802,32 +844,55 @@ def pure_profile_count(scenario: Scenario) -> int:
     return count
 
 
+def _induced_masses(rows, held) -> dict:
+    """The masses a pure assignment's rows induce: each target collection
+    gets its sources' masses from `held`; zero sums are dropped."""
+    induced = {}
+    for src, dst in rows:
+        induced[dst] = induced.get(dst, 0) + held[src]
+    return {dst: mass for dst, mass in induced.items() if mass} if 0 in induced.values() else induced
+
+
 def enumerate_challenges(scenario: Scenario):
     """(bets, bet values): every valid challenge's two-point bet, keyed by
-    (challenge, its target state), and the gammas and deltas they pay."""
+    (challenge, its target state), and the gammas and deltas they pay.
+
+    Challenges come in (source state, combination of the agents' pure
+    assignments, target state) order, each on the first agent whose plan
+    misses its target marginal. Each (agent, source state, assignment) is
+    judged once, on first use, against every target marginal, in integers
+    over the agent's common denominator, and each subject plan's bet is
+    synthesized once."""
+    agents, states = scenario.agents, scenario.states
+    masses = []  # per agent, per state: its distribution as numerators over the agent's lcm
+    for agent in agents:
+        dists = [dict(scenario.dist(agent, state).items()) for state in states]
+        scale = common_denominator(prob for dist in dists for prob in dist.values())
+        masses.append([dict(zip(dist, numerators(dist.values(), scale))) for dist in dists])
     bets = {}
-    for source_state in scenario.states:
-        profiles = [
-            pure_assignments(scenario, agent, source_state) for agent in scenario.agents
-        ]
-        for combo in itertools.product(*profiles):
-            for target_state in scenario.states:
-                if target_state == source_state:
-                    continue
-                # the first agent whose plan misses its target marginal is the
-                # subject of the challenge's bet
-                for agent, rows in zip(scenario.agents, combo):
-                    plan = PurePlan(agent, source_state, target_state, rows)
-                    if induced_distribution(plan.as_transport(scenario)) != scenario.dist(agent, target_state):
+    for s, source_state in enumerate(states):
+        profiles = [pure_assignments(scenario, agent, source_state) for agent in agents]
+        targets = [t for t in range(len(states)) if t != s]
+        # per agent and assignment, per target state: True when the plan meets
+        # the target marginal, else False, or its bet once it is a subject
+        verdicts = [[None] * len(rows) for rows in profiles]
+        for combo in itertools.product(*(range(len(rows)) for rows in profiles)):
+            for t in targets:
+                for i, a in enumerate(combo):
+                    judged = verdicts[i][a]
+                    if judged is None:
+                        induced = _induced_masses(profiles[i][a], masses[i][s])
+                        judged = verdicts[i][a] = [induced == wanted for wanted in masses[i]]
+                    if judged[t] is not True:
                         break
                 else:
                     continue
-                challenge = Challenge(
-                    target_state=target_state,
-                    source_state=source_state,
-                    assignments=tuple(zip(scenario.agents, combo)),
-                )
-                bets[(challenge, target_state)] = synthesize_gamma_delta(scenario, plan)
+                if judged[t] is False:
+                    plan = PurePlan(agents[i], source_state, states[t], profiles[i][a])
+                    judged[t] = synthesize_gamma_delta(scenario, plan)
+                assignments = tuple(zip(agents, (rows[a] for rows, a in zip(profiles, combo))))
+                challenge = Challenge(target_state=states[t], source_state=source_state, assignments=assignments)
+                bets[(challenge, states[t])] = judged[t]
     return bets, [value for bet in bets.values() for value in (bet.gamma, bet.delta)]
 
 

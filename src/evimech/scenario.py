@@ -581,14 +581,15 @@ def parse_scenario(data) -> Scenario:
     """Parse the JSON scenario document (structural errors raise ScenarioFormatError)."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario document must be an object")
-    # a key nothing reads may be a misspelling: flag it, do not drop it
+    # a key nothing reads may be a misspelling: flag it, do not drop it;
+    # each (path, message) is recorded once, however many rows repeat it
     known = ("agents", "states", "articles", "outcomes", "distributions", "scf", "utility_profiles", "article_names")
-    violations = [{"path": str(key), "message": "unknown key"} for key in data if key not in known]
+    violations = dict.fromkeys((str(key), "unknown key") for key in data if key not in known)
 
     def ids(value, path):
         # a string iterates as its characters: flag it rather than split it
         if not isinstance(value, list):
-            violations.append({"path": path, "message": "must be a list of ids"})
+            violations[(path, "must be a list of ids")] = None
         return tuple(str(x) for x in value)
 
     try:
@@ -605,7 +606,7 @@ def parse_scenario(data) -> Scenario:
                     coll = frozenset(ids(row["collection"], path))
                     probs[coll] = probs.get(coll, Fraction(0)) + parse_rational(row["prob"])
                     unknown = row.keys() - {"collection", "prob"}
-                    violations.extend({"path": path, "message": f"unknown key {key!r}"} for key in sorted(unknown))
+                    violations.update(((path, f"unknown key {key!r}"), None) for key in sorted(unknown))
                 dists[(str(agent), str(state))] = Distribution(probs)
         scf = {str(s): str(o) for s, o in data["scf"].items()}
         profiles = []
@@ -639,7 +640,7 @@ def parse_scenario(data) -> Scenario:
         outcomes=outcomes,
         utility_profiles=tuple(profiles),
         article_names=names,
-        input_violations=tuple(violations),
+        input_violations=tuple({"path": path, "message": message} for path, message in violations),
     )
 
 

@@ -9,7 +9,7 @@ from evimech.deception import NotSeparating, PurePlan, induced_distribution, syn
 from evimech.game import BayesianGame, SearchBudget, search_equilibria
 from evimech.hierarchy import TypeSpaceModel, build_hierarchy, embed_flat_scenario
 from evimech.mechanism import build_bne_mechanism, build_pure_mechanism
-from evimech.scenario import Distribution, check_deterministic_equivalence
+from evimech.scenario import check_deterministic_equivalence
 from evimech.smalltransfers import build_small_transfer_mechanism, eliminate_rationalizable
 
 F = Fraction
@@ -44,17 +44,26 @@ def test_gamma_delta_on_four_state_example():
     assert lhs > 0 > rhs
 
 
-def test_gamma_delta_sign_check_raises_when_it_fails(monkeypatch):
-    # the check survives `python -O`: with every expectation forced to zero
-    # the bet neither wins nor loses, and synthesis refuses to return it
-    scn = fixtures.pure_deception_example()
-    big = frozenset({"lmhu", "mhu", "hu"})
-    mid = frozenset({"lmhu", "mhu"})
-    low = frozenset({"lmhu"})
-    plan = PurePlan("A", "H", "U", ((mid, low), (big, low)))
-    monkeypatch.setattr(Distribution, "dot", lambda self, weights: Fraction(0))
-    with pytest.raises(NotSeparating):
-        synthesize_gamma_delta(scn, plan)
+def test_gamma_delta_sign_check_raises_when_it_fails():
+    # the check survives `python -O`: on masses validation refuses (negative,
+    # summing to 1/2 at S) the midpoint ratio -1/2 leaves the bet (1, 2)
+    # worth 0 under the plan, and synthesis refuses to return it
+    X, Y = frozenset({"x"}), frozenset({"y"})
+    scn = fixtures.make_scenario(
+        agents=("A", "B"),
+        states=("S", "T"),
+        articles=("x", "y"),
+        dists={
+            ("A", "S"): {X: F(1), Y: F(-1, 2)},
+            ("A", "T"): {X: F(2), Y: F(-1)},
+            ("B", "S"): {EMPTY: F(1)},
+            ("B", "T"): {EMPTY: F(1)},
+        },
+        scf={"S": "o", "T": "p"},
+        outcomes=("o", "p"),
+    )
+    with pytest.raises(NotSeparating, match=r"\(1, 2\)"):
+        synthesize_gamma_delta(scn, PurePlan("A", "S", "T", ((X, X), (Y, Y))))
 
 
 def test_identical_belief_and_evidence_types_share_hierarchies():

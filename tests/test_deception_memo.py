@@ -168,11 +168,12 @@ def test_every_cached_value_is_read_only(name):
             build(scn)
         except BUILD_REFUSALS:
             pass
+    mechanism.scaling_terms(scn)  # a fixture both builders refuse early
     for agent in scn.agents:
         scn.presentable(agent)
         scn.alphabet(agent)
     kinds = {key[0] if isinstance(key, tuple) else key for key in scn._cache}
-    assert {"perfect_deception", "pure_perfect_deception", "evidence", "alphabet", "lie_table"} <= kinds
+    assert {"perfect_deception", "pure_perfect_deception", "evidence", "alphabet", "lie_table", "scaling_terms"} <= kinds
     mutable = {key: type(value).__name__ for key, value in scn._cache.items() if not _read_only(value)}
     assert mutable == {}
 

@@ -378,3 +378,20 @@ def test_parse_rejects_malformed_document():
                 "utility_profiles": [],
             }
         )
+
+
+def test_a_problem_repeated_across_rows_is_reported_once():
+    # both rows of A at H carry a `weight` key, and both of B's rows at L
+    # name their collection as a string: one violation each
+    document = json.loads((DATA / "leading.json").read_text())
+    for row in document["distributions"]["A"]["H"]:
+        row["weight"] = "1"
+    for row in document["distributions"]["B"]["L"]:
+        row["collection"] = "lmh"
+    document["distributions"]["B"]["L"] = document["distributions"]["B"]["L"] * 2
+    scn = parse_scenario(document)
+    assert validate_scenario(scn).violations[:2] == [
+        {"path": "distributions.A.H", "message": "unknown key 'weight'"},
+        {"path": "distributions.B.L", "message": "must be a list of ids"},
+    ]
+    assert len(scn.input_violations) == 2
