@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
-from .rationals import common_denominator, numerators
 from .scenario import Distribution, Scenario, collection_key, format_collection, subsets
 from .transport import HallWitness, solve_transport
 
@@ -410,29 +409,37 @@ class TwoPointBet:
         return Fraction(0)
 
 
+def induced_masses(assignment, held) -> dict:
+    """The masses a pure assignment induces: each target collection gets the
+    masses `held` gives its sources (none off `held`); zero sums are dropped."""
+    induced = {}
+    for src, dst in assignment:
+        dst = frozenset(dst)
+        induced[dst] = induced.get(dst, 0) + held.get(frozenset(src), 0)
+    return {dst: mass for dst, mass in induced.items() if mass} if 0 in induced.values() else induced
+
+
 def synthesize_gamma_delta(scenario: Scenario, pure_plan: PurePlan) -> TwoPointBet:
     """Two-point bet against an imperfect pure plan: wins under the plan,
     loses against truthful play at the claimed state.
 
-    The plan's induced masses and the target masses are integers over their
-    lcm. The short (long) collection is the first, in canonical collection
-    order, whose induced mass is below (above) its target mass. With induced
-    masses a, b and target masses a_t, b_t there, gamma = -r and delta = 1
-    win and lose as required for any ratio r in (b_t/a_t, b/a); r is the
-    midpoint (of (b_t/a_t, b_t/a_t + 2) when a = 0), and both weights are
-    scaled by its denominator to integers.
+    The plan's induced masses and the target masses are integers over the
+    agent's L (`Scenario.alphabet_table`). The short (long) collection is the
+    first, in canonical collection order, whose induced mass is below (above)
+    its target mass. With induced masses a, b and target masses a_t, b_t
+    there, gamma = -r and delta = 1 win and lose as required for any ratio r
+    in (b_t/a_t, b/a); r is the midpoint (of (b_t/a_t, b_t/a_t + 2) when
+    a = 0), and both weights are scaled by its denominator to integers. The
+    ratio and the signs do not depend on L.
     """
     agent = pure_plan.agent
-    source = dict(scenario.dist(agent, pure_plan.source_state).items())
-    target = dict(scenario.dist(agent, pure_plan.target_state).items())
-    scale = common_denominator([*source.values(), *target.values()])
-    held = dict(zip(source, numerators(source.values(), scale)))
-    wanted = dict(zip(target, numerators(target.values(), scale)))
-    induced = {}
-    for src, dst in pure_plan.assignment:
-        dst = frozenset(dst)
-        induced[dst] = induced.get(dst, 0) + held.get(frozenset(src), 0)
-    domain = sorted({c for c, mass in induced.items() if mass} | wanted.keys(), key=collection_key)
+    table = scenario.alphabet_table(agent)
+    held, wanted = (
+        table.masses[table.truth[scenario.state_index(state)]]
+        for state in (pure_plan.source_state, pure_plan.target_state)
+    )
+    induced = induced_masses(pure_plan.assignment, held)
+    domain = sorted(induced.keys() | wanted.keys(), key=collection_key)
     short = next((c for c in domain if induced.get(c, 0) < wanted.get(c, 0)), None)
     long = next((c for c in domain if induced.get(c, 0) > wanted.get(c, 0)), None)
     if short is None or long is None:  # equal, or unequal masses in total

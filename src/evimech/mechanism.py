@@ -11,12 +11,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .conditions import Verdict, check_npd, check_nppd, check_stochastic_measurability
-from .deception import (
-    PurePlan,
-    perfect_deception,
-    synthesize_gamma_delta,
-    witness_bet,
-)
+from .deception import PurePlan, induced_masses, perfect_deception, synthesize_gamma_delta, witness_bet
 from .rationals import common_denominator, numerators, quadratic_scores, squared_distance
 from .scenario import Distribution, Scenario, ScenarioError, collection_key, subsets
 
@@ -107,6 +102,10 @@ def challenge_key(challenge: "Challenge") -> tuple:
 
 @dataclass(frozen=True)
 class ScalingParams:
+    """The scaling of a mechanism's transfers for bets paying at most
+    `bet_max`; a scenario's bet-free one (`bet_max` 0) is its
+    `scaling_terms`."""
+
     eps: Fraction
     tau_low: Fraction
     tau_high: Fraction
@@ -162,12 +161,24 @@ class Mechanism:
             kernel = self.__dict__["_kernel"] = Kernel(self)
         return kernel
 
-    def claims(self) -> list:
-        """The claim slot's menu: every state (bne, a claim of the true state),
-        or no challenge and every valid challenge (pure)."""
-        if self.variant == "bne":
-            return list(self.scenario.states)
-        return [None] + sorted((claim for claim, _ in self.bets), key=challenge_key)
+    def claims(self) -> tuple:
+        """The claim slot's menu, built on first use: every state (bne, a
+        claim of the true state), or no challenge and every valid challenge
+        in `challenge_key` order (pure)."""
+        menu = self.__dict__.get("_claims")
+        if menu is None:
+            if self.variant == "bne":
+                menu = self.scenario.states
+            else:
+                menu = (None, *sorted((claim for claim, _ in self.bets), key=challenge_key))
+            self.__dict__["_claims"] = menu
+        return menu
+
+    @property
+    def inert_claims(self) -> tuple:
+        """The types of the claims off the menu that fit the claim slot and
+        activate no bet: none (bne) or any `Challenge` (pure)."""
+        return (type(None),) if self.variant == "bne" else (Challenge,)
 
     def truthful_claim(self, state):
         """The claim of the truthful report at `state`: the state (bne) or no
@@ -364,14 +375,13 @@ class Kernel(KernelBase):
 
     A message's transfers depend only on its two claimed distributions, drawn
     from the alphabets, the evidence it presents, drawn from its agent's
-    presentable collections, and its claim slot. `__init__` codes every
-    alphabet member, takes each presentable collection's position and
-    refuted-state mask from `Scenario.evidence`, and fills tables of integer
-    numerators over one common denominator `D`, fixed there:
+    presentable collections, and its claim slot. `__init__` reads the
+    alphabets from `Scenario.alphabet_table`, each presentable collection's
+    position and refuted-state mask from `Scenario.evidence`, and fills tables
+    of integer numerators over one common denominator `D`, fixed there:
 
     - `score[j][p][e]`: tau_low times the quadratic score of agent j's
-      alphabet member p at j's presentable collection e, from the integer
-      alphabets of the scenario's `scaling_terms`;
+      alphabet member p (its integer masses) at j's presentable collection e;
     - `incentive[j][e]`: eps times the size of e;
     - bet payments: eps times a bet's weight at each presentable collection
       of its subject (`bet.weights`, read once per bet);
@@ -384,11 +394,12 @@ class Kernel(KernelBase):
         slot * block + (own * |right alphabet| + claimed) * width + position
 
     with `width` agent i's presentable count and `block` the codes of one
-    slot. The claim menu (`Mechanism.claims`) fills the first slots; a claim
-    the bet table does not name, handed in, takes the next free slot and
-    activates no bet, so an invalid challenge acts like no challenge. Anything
-    but a `Message`, a distribution outside the alphabet, evidence the agent
-    cannot present or an unhashable part raises `MessageOutsideSpace`. Each
+    slot. The claim menu (`Mechanism.claims`) fills the first slots; an
+    inert claim (`Mechanism.inert_claims`) off it, handed in, takes the next
+    free slot and activates no bet, so an invalid challenge acts like no
+    challenge. Anything but a `Message`, a distribution outside the alphabet,
+    evidence the agent cannot present, any other claim or an unhashable part
+    raises `MessageOutsideSpace`. Each
     code's record, made from its indices on first use (`_index_code`), holds
     the states its claims match as bitmasks, the states its evidence refutes,
     the bets its claim slot activates per consensus state (keyed by the
@@ -416,15 +427,12 @@ class Kernel(KernelBase):
         # per agent: code -> record (see `_index_code`)
         self._records = [{} for _ in scn.agents]
 
-        self._alphabets = alphabets = [scn.alphabet(agent) for agent in scn.agents]
+        compiled = [scn.alphabet_table(agent) for agent in scn.agents]
+        self._alphabets = alphabets = [table.members for table in compiled]
         evidence, _, self._refuted_states = ([scn.evidence(a)[c] for a in scn.agents] for c in range(3))
         self._presentable = evidence
-        self._dist_codes = [{dist: p for p, dist in enumerate(alphabet)} for alphabet in alphabets]
         # per agent j and state k: the alphabet index of j's distribution at k
-        self._truth = [
-            [codes[scn.dist(agent, state)] for state in scn.states]
-            for codes, agent in zip(self._dist_codes, scn.agents)
-        ]
+        self._truth = [table.truth for table in compiled]
         self._state_masks = [[0] * len(alphabet) for alphabet in alphabets]
         for masks, truth in zip(self._state_masks, self._truth):
             for k, p in enumerate(truth):
@@ -442,13 +450,14 @@ class Kernel(KernelBase):
         # to a denominator dividing M // gcd(M, n), so D, the lcm of every
         # value's reduced denominator, is the lcm over tables of
         # M // gcd(M, n, ...)
-        terms = scaling_terms(scn)
+        scaling_terms(scn)  # a scenario failing SM compiles no kernel either
         eps, tau_low, tau_high = mech.scaling.eps, mech.scaling.tau_low, mech.scaling.tau_high
-        # agent j's scores: tau_low times the quadratic scores of j's integer
-        # alphabet over L_j, numerators over L_j^2
+        # agent j's scores: tau_low times the quadratic scores of j's members'
+        # masses over L_j, numerators over L_j^2
         score = []
-        for presentable, (L, rows) in zip(evidence, terms.alphabets):
-            table = [[tau_low.numerator * q for q in quadratic_scores(row, presentable, L)] for row in rows]
+        for presentable, alphabet in zip(evidence, compiled):
+            L = alphabet.scale
+            table = [[tau_low.numerator * q for q in quadratic_scores(row, presentable, L)] for row in alphabet.masses]
             score.append((tau_low.denominator * L * L, table))
         incentive = [(eps.denominator, [eps.numerator * len(e) for e in row]) for row in evidence]
         # claim -> consensus state's bit -> (subject index, (M, payments by the
@@ -480,11 +489,12 @@ class Kernel(KernelBase):
             for claim, bets in claims.items()
         }
 
-        # claim slots: the claim menu's, then each claim off it in the order
-        # handed in
-        self._slot_claims = mech.claims()
+        # claim slots: the claim menu's, then each inert claim off it in the
+        # order handed in
+        self._slot_claims = list(mech.claims())
         self._menu_slots = len(self._slot_claims)
         self._slots = {claim: slot for slot, claim in enumerate(self._slot_claims)}
+        self._inert_claims = mech.inert_claims
         self._truth_slots = [self._slots[mech.truthful_claim(state)] for state in scn.states]
         # per agent i and slot: (the bets its claim activates, the states
         # where they are live). A bet on the bettor's own evidence is void:
@@ -531,10 +541,13 @@ class Kernel(KernelBase):
         )
 
     def _slot(self, claim) -> int:
-        """The claim's slot; a claim off the claim menu takes the next free
-        one and activates no bet."""
+        """The claim's slot; an inert claim off the claim menu takes the next
+        free one and activates no bet, and any other raises
+        `MessageOutsideSpace`."""
         slot = self._slots.get(claim)
         if slot is None:
+            if not isinstance(claim, self._inert_claims):
+                raise MessageOutsideSpace(f"claim {claim!r} is outside the claim slot")
             slot = self._slots[claim] = len(self._slot_claims)
             self._slot_claims.append(claim)
             for slot_bets in self._slot_bets:
@@ -552,20 +565,19 @@ class Kernel(KernelBase):
 
     def code(self, i: int, msg: Message) -> int:
         """Agent i's code for `msg`; MessageOutsideSpace outside the message space."""
-        indices = None
         if isinstance(msg, Message):
             try:
                 indices = (
-                    self._dist_codes[i].get(msg.p_own),
-                    self._dist_codes[self.right[i]].get(msg.p_right),
-                    self.positions[i].get(msg.evidence),
+                    self._alphabets[i].index(msg.p_own),
+                    self._alphabets[self.right[i]].index(msg.p_right),
+                    self.positions[i][msg.evidence],
+                    self._slot(msg.claim),
                 )
-                hash(msg.claim)
-            except TypeError:  # an unhashable part is no part of the space
-                indices = None
-        if indices is None or None in indices:
-            raise outside_space(self.scenario, self.agents[i], msg)
-        return self._index_code(i, *indices, self._slot(msg.claim))
+            except (ValueError, KeyError, TypeError):  # a part off its table, or unhashable
+                pass
+            else:
+                return self._index_code(i, *indices)
+        raise outside_space(self.scenario, self.agents[i], msg)
 
     def truthful_code(self, i: int, state, position: int, **changes) -> int:
         """Agent i's code for its truthful message at `state` presenting the
@@ -652,27 +664,7 @@ def transfers(mech: Mechanism, transcript: dict) -> dict:
 # -- scaling ------------------------------------------------------------------
 
 
-def _integer_alphabet(scenario: Scenario, agent) -> tuple:
-    """The agent's alphabet over one common denominator L, the lcm of its
-    probability denominators: (L, (n_p, ...)) with n_p = L p as a read-only
-    map from collection to int, in alphabet order."""
-    rows = [dict(dist.items()) for dist in scenario.alphabet(agent)]
-    scale = common_denominator(prob for row in rows for prob in row.values())
-    return scale, tuple(MappingProxyType(dict(zip(row, numerators(row.values(), scale)))) for row in rows)
-
-
-def _closest_pair(scale, rows) -> Fraction | None:
-    """Least squared distance between two alphabet members; None for fewer than two."""
-    closest = None
-    for i, p in enumerate(rows):
-        for q in rows[i + 1 :]:
-            gap = squared_distance(p, q)
-            if closest is None or gap < closest:
-                closest = gap
-    return None if closest is None else Fraction(closest, scale * scale)
-
-
-def _widest_score_gap(scale, rows) -> Fraction:
+def _widest_score_gap(alphabet) -> Fraction:
     """max over presentable evidence e and alphabet pairs (p, q) of
     S(p, e) - S(q, e), for the quadratic score S(p, e) = 2 p(e) - |p|^2.
 
@@ -685,32 +677,17 @@ def _widest_score_gap(scale, rows) -> Fraction:
     distributions sum to 1, some e in supp(p) has p(e) >= q(e), and the gap
     S(p, e) - S(q, e) = 2 (p(e) - q(e)) + |q|^2 - |p|^2 there is at least as wide.
     """
-    points = list({coll for row in rows for coll in row})
-    table = [quadratic_scores(row, points, scale) for row in rows]
+    points = list({coll for row in alphabet.masses for coll in row})
+    table = [quadratic_scores(row, points, alphabet.scale) for row in alphabet.masses]
     widest = max((max(scores) - min(scores) for scores in zip(*table)), default=0)
-    return Fraction(widest, scale * scale)
+    return Fraction(widest, alphabet.scale**2)
 
 
-@dataclass(frozen=True)
-class ScalingTerms:
-    """The part of a scenario's `ScalingParams` that no bet moves; every
-    field but `alphabets` is the `ScalingParams` field of that name."""
-
-    alphabets: tuple  # per agent, in agent order: `_integer_alphabet`
-    gap_min: Fraction | None
-    tau_low: Fraction
-    tau2_max: Fraction
-    rho_min: Fraction | None
-    tau_high: Fraction
-    collection_max: int
-    span: Fraction
-
-
-def scaling_terms(scenario: Scenario) -> ScalingTerms:
-    """The scenario's `ScalingTerms`, computed on first use and kept,
-    read-only, in the scenario's cache, so both builders and every kernel
-    share one pass. A scenario failing stochastic measurability keeps None
-    there, and every call raises `DegenerateGap`."""
+def scaling_terms(scenario: Scenario) -> ScalingParams:
+    """The scenario's bet-free `ScalingParams` (`bet_max` 0), computed on
+    first use and kept, read-only, in the scenario's cache, so both builders
+    and every kernel share one pass. A scenario failing stochastic
+    measurability keeps None there, and every call raises `DegenerateGap`."""
     key = "scaling_terms"
     if key not in scenario._cache:
         scenario._cache[key] = _scaling_terms(scenario)
@@ -720,62 +697,54 @@ def scaling_terms(scenario: Scenario) -> ScalingTerms:
     return terms
 
 
-def _scaling_terms(scenario: Scenario) -> ScalingTerms | None:
+def _scaling_terms(scenario: Scenario) -> ScalingParams | None:
     if not check_stochastic_measurability(scenario).passed:
         return None
-    alphabets = tuple(_integer_alphabet(scenario, agent) for agent in scenario.agents)
-    gaps = (_closest_pair(*alphabet) for alphabet in alphabets)
-    gap_min = min((gap for gap in gaps if gap is not None), default=None)
-    collection_max = scenario.max_collection_size()
-    span = scenario.utility_span()
-    if gap_min is None:
-        return ScalingTerms(alphabets, None, Fraction(2), Fraction(0), None, Fraction(1), collection_max, span)
+    alphabets = [scenario.alphabet_table(agent) for agent in scenario.agents]
+    gaps = []  # per alphabet of two or more: the least squared distance between two members
+    for alphabet in alphabets:
+        distances = [squared_distance(p, q) for p, q in itertools.combinations(alphabet.masses, 2)]
+        if distances:
+            gaps.append(Fraction(min(distances), alphabet.scale**2))
+    gap_min = min(gaps, default=None)
+    tau_low, tau2_max, rho_min, tau_high = Fraction(2), Fraction(0), None, Fraction(1)
+    if gap_min is not None:
+        tau_low = Fraction(max(2, math.floor(1 / gap_min) + 1))
+        # each agent scores its right neighbour, and every agent is one
+        tau2_max = max([tau2_max] + [tau_low * _widest_score_gap(alphabet) for alphabet in alphabets])
+        # the least probability of a collection refuting some lie: a refutable lie's witnesses
+        lies = scenario.lie_table().values()
+        witnesses = [found for lie in lies if lie.witnesses for found in lie.witnesses.values()]
+        rho_min = min((prob for found in witnesses for _, prob in found), default=None)
+        if rho_min is not None:
+            tau_high = Fraction(math.ceil((1 + tau2_max) / rho_min))
+    collection_max, span = scenario.max_collection_size(), scenario.utility_span()
+    bet_free = ScalingParams(None, tau_low, tau_high, tau2_max, gap_min, rho_min, collection_max, None, span)
+    return _for_bets(bet_free, Fraction(0))
 
-    tau_low = Fraction(max(2, math.floor(1 / gap_min) + 1))
-    by_agent = dict(zip(scenario.agents, alphabets))
-    tau2_max = Fraction(0)
-    for agent in scenario.agents:
-        widest = _widest_score_gap(*by_agent[scenario.right_neighbor(agent)])
-        tau2_max = max(tau2_max, tau_low * widest)
 
-    # the least probability of a collection refuting some lie: a refutable lie's witnesses
-    witnesses = [found for lie in scenario.lie_table().values() if lie.witnesses for found in lie.witnesses.values()]
-    rho_min = min((prob for found in witnesses for _, prob in found), default=None)
-
-    tau_high = Fraction(1) if rho_min is None else Fraction(math.ceil((1 + tau2_max) / rho_min))
-    return ScalingTerms(alphabets, gap_min, tau_low, tau2_max, rho_min, tau_high, collection_max, span)
+def _for_bets(params: ScalingParams, bet_max: Fraction) -> ScalingParams:
+    """`params` for bets paying at most `bet_max`, with the eps of the one
+    eps rule: half the least bound that the eps_dominance and one_dollar
+    slacks put on eps (with a score gap), or 1/100 without one."""
+    candidates = []
+    if params.gap_min is not None:
+        weight = params.collection_max + bet_max  # eps's weight in eps_dominance; one_dollar's adds bet_max
+        if weight > 0:
+            candidates.append((params.tau_low - 1) / (2 * weight))
+        if params.span < 1 and weight + bet_max > 0:
+            candidates.append((1 - params.span) / (2 * (weight + bet_max)))
+    eps = min(candidates) if candidates else Fraction(1, 100)
+    return replace(params, eps=eps, bet_max=bet_max)
 
 
 def compute_scaling(scenario: Scenario, bet_values) -> ScalingParams:
     """Canonical parameters satisfying the score-gap and refutation inequalities:
-    the scenario's `scaling_terms` with the `bet_max` and `eps` of these bets.
+    the scenario's `scaling_terms` for these bets.
 
     bet_values: iterable of absolute bet entries that the whistle slot can pay.
     """
-    terms = scaling_terms(scenario)
-    bet_max = max((abs(Fraction(value)) for value in bet_values), default=Fraction(0))
-    collection_max, span = terms.collection_max, terms.span
-
-    candidates = []
-    if terms.gap_min is not None:
-        denom = collection_max + bet_max
-        if denom > 0:
-            candidates.append((terms.tau_low - 1) / (2 * denom))
-        if span < 1 and collection_max + 2 * bet_max > 0:
-            candidates.append((1 - span) / (2 * (collection_max + 2 * bet_max)))
-    eps = min(candidates) if candidates else Fraction(1, 100)
-
-    return ScalingParams(
-        eps=eps,
-        tau_low=terms.tau_low,
-        tau_high=terms.tau_high,
-        tau2_max=terms.tau2_max,
-        gap_min=terms.gap_min,
-        rho_min=terms.rho_min,
-        collection_max=collection_max,
-        bet_max=bet_max,
-        span=span,
-    )
+    return _for_bets(scaling_terms(scenario), max((abs(Fraction(value)) for value in bet_values), default=Fraction(0)))
 
 
 # -- builders -----------------------------------------------------------------
@@ -844,15 +813,6 @@ def pure_profile_count(scenario: Scenario) -> int:
     return count
 
 
-def _induced_masses(rows, held) -> dict:
-    """The masses a pure assignment's rows induce: each target collection
-    gets its sources' masses from `held`; zero sums are dropped."""
-    induced = {}
-    for src, dst in rows:
-        induced[dst] = induced.get(dst, 0) + held[src]
-    return {dst: mass for dst, mass in induced.items() if mass} if 0 in induced.values() else induced
-
-
 def enumerate_challenges(scenario: Scenario):
     """(bets, bet values): every valid challenge's two-point bet, keyed by
     (challenge, its target state), and the gammas and deltas they pay.
@@ -860,15 +820,11 @@ def enumerate_challenges(scenario: Scenario):
     Challenges come in (source state, combination of the agents' pure
     assignments, target state) order, each on the first agent whose plan
     misses its target marginal. Each (agent, source state, assignment) is
-    judged once, on first use, against every target marginal, in integers
-    over the agent's common denominator, and each subject plan's bet is
-    synthesized once."""
+    judged once, on first use, against every target marginal, in the integer
+    masses of the agent's `Scenario.alphabet_table`, and each subject plan's
+    bet is synthesized once."""
     agents, states = scenario.agents, scenario.states
-    masses = []  # per agent, per state: its distribution as numerators over the agent's lcm
-    for agent in agents:
-        dists = [dict(scenario.dist(agent, state).items()) for state in states]
-        scale = common_denominator(prob for dist in dists for prob in dist.values())
-        masses.append([dict(zip(dist, numerators(dist.values(), scale))) for dist in dists])
+    alphabets = [scenario.alphabet_table(agent) for agent in agents]
     bets = {}
     for s, source_state in enumerate(states):
         profiles = [pure_assignments(scenario, agent, source_state) for agent in agents]
@@ -881,8 +837,9 @@ def enumerate_challenges(scenario: Scenario):
                 for i, a in enumerate(combo):
                     judged = verdicts[i][a]
                     if judged is None:
-                        induced = _induced_masses(profiles[i][a], masses[i][s])
-                        judged = verdicts[i][a] = [induced == wanted for wanted in masses[i]]
+                        masses, truth = alphabets[i].masses, alphabets[i].truth
+                        induced = induced_masses(profiles[i][a], masses[truth[s]])
+                        judged = verdicts[i][a] = [induced == masses[p] for p in truth]
                     if judged[t] is not True:
                         break
                 else:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
-from .rationals import RationalFormatError, format_rational, parse_rational, squared_distance
+from .rationals import RationalFormatError, common_denominator, format_rational, numerators, parse_rational
+from .rationals import squared_distance
 
 Collection = frozenset
 
@@ -110,6 +112,28 @@ class Distribution:
 
 
 @dataclass(frozen=True)
+class AlphabetTable:
+    """One agent's alphabet, compiled once (`Scenario.alphabet_table`): its
+    distinct evidence distributions and which of them holds at each state.
+    The integer form, `scale` and `masses`, is computed when first read."""
+
+    members: tuple  # the distinct distributions, in first-state order
+    truth: tuple  # per state, in state order: its distribution's position in `members`
+
+    @cached_property
+    def scale(self) -> int:
+        """L, the lcm of the members' probability denominators."""
+        return common_denominator(prob for member in self.members for _, prob in member.items())
+
+    @cached_property
+    def masses(self) -> tuple:
+        """Per member: a read-only map from each support collection to its
+        probability as an integer numerator over L."""
+        rows = [dict(member.items()) for member in self.members]
+        return tuple(MappingProxyType(dict(zip(row, numerators(row.values(), self.scale)))) for row in rows)
+
+
+@dataclass(frozen=True)
 class Scenario:
     agents: tuple
     states: tuple
@@ -169,17 +193,29 @@ class Scenario:
         """All collections the agent may ever present: subsets of support collections."""
         return self.evidence(agent)[0]
 
-    def alphabet(self, agent) -> tuple:
-        """Distinct evidence distributions of the agent, in first-state order."""
+    def alphabet_table(self, agent) -> AlphabetTable:
+        """The agent's `AlphabetTable`, compiled on first use."""
         key = ("alphabet", agent)
         if key not in self._cache:
-            out = []
+            members, truth = [], []
             for state in self.states:
                 d = self.dist(agent, state)
-                if d not in out:
-                    out.append(d)
-            self._cache[key] = tuple(out)
+                if d not in members:
+                    members.append(d)
+                truth.append(members.index(d))
+            self._cache[key] = AlphabetTable(tuple(members), tuple(truth))
         return self._cache[key]
+
+    def alphabet(self, agent) -> tuple:
+        """Distinct evidence distributions of the agent, in first-state order."""
+        return self.alphabet_table(agent).members
+
+    def state_index(self, state) -> int:
+        """The state's position in `states`; ScenarioError for an unknown state."""
+        try:
+            return self.states.index(state)
+        except ValueError:
+            raise ScenarioError(f"unknown state {state!r}") from None
 
     def lie_table(self) -> MappingProxyType:
         """Read-only (true state, target state) -> the lie's `LieClass`, for
@@ -237,13 +273,12 @@ def refutes(scenario: Scenario, collection, state, agent) -> bool:
     unknown = collection - scenario.article_set()
     if unknown:
         raise ScenarioError(f"unknown article ids {sorted(unknown)}")
-    if state not in scenario.states:
-        raise ScenarioError(f"unknown state {state!r}")
+    k = scenario.state_index(state)
     if agent not in scenario.agents:
         raise ScenarioError(f"unknown agent {agent!r}")
     _, positions, refuted = scenario.evidence(agent)
     # a collection the agent cannot present fits no support collection anywhere
-    return collection not in positions or bool(refuted[positions[collection]] >> scenario.states.index(state) & 1)
+    return collection not in positions or bool(refuted[positions[collection]] >> k & 1)
 
 
 def refutes_by_names(names, collection, state) -> bool:
@@ -268,9 +303,8 @@ class LieClass:
 def classify_lie(scenario: Scenario, true_state, target_state) -> LieClass:
     """Classify the lie `target_state` told at `true_state` by refutability
     (a read of the scenario's lie table)."""
-    for st in (true_state, target_state):
-        if st not in scenario.states:
-            raise ScenarioError(f"unknown state {st!r}")
+    for state in (true_state, target_state):
+        scenario.state_index(state)  # ScenarioError for an unknown state
     return scenario.lie_table()[(true_state, target_state)]
 
 

@@ -24,7 +24,7 @@ from evimech.deception import (
     witness_bet,
 )
 from evimech.mechanism import build_bne_mechanism, build_pure_mechanism
-from evimech.scenario import Distribution, parse_scenario
+from evimech.scenario import Distribution, ScenarioError, parse_scenario
 from evimech.transport import HallWitness
 
 F = Fraction
@@ -239,6 +239,13 @@ def test_gamma_delta_construction(leading):
     assert bet.short_collection == LOW and bet.long_collection == TOP
     assert bet.gamma * induced.prob(bet.short_collection) + bet.delta * induced.prob(bet.long_collection) > 0
     assert bet.gamma * target.prob(bet.short_collection) + bet.delta * target.prob(bet.long_collection) < 0
+
+
+def test_gamma_delta_refuses_a_plan_naming_an_unknown_agent_or_state(leading):
+    rows = ((TOP, TOP), (LOW, LOW))
+    for agent, source, target in (("Z", "H", "M"), ("A", "nowhere", "M"), ("A", "H", "nowhere")):
+        with pytest.raises(ScenarioError):
+            synthesize_gamma_delta(leading, PurePlan(agent, source, target, rows))
 
 
 def test_gamma_delta_rejects_perfect_plan():

@@ -460,11 +460,56 @@ def test_unhashable_message_parts_are_outside_the_space():
             expected_utility(g, agent, g.types[agent][0], msg, truthful_profile(g))
 
 
+def test_claims_outside_the_claim_slot_raise_and_take_no_slot():
+    # the slot holds a state or no claim (bne), no challenge or a challenge
+    # (pure); any other claim is refused, by the kernel and by the transfer
+    # rules, and gets no slot of its own
+    cases = [
+        (build_pure_mechanism(fixtures.leading_example()), ("zz", "M", 7)),
+        (build_bne_mechanism(fixtures.perturbed_example()), ("zz", 42, ("x",))),
+    ]
+    for mech, refused in cases:
+        kernel = mech.kernel()
+        truthful = truthful_transcript(mech, mech.scenario.states[0])
+        slots = list(kernel._slot_claims)
+        for claim in refused:
+            for i, agent in enumerate(mech.scenario.agents):
+                msg = dataclasses.replace(truthful[agent], claim=claim)
+                with pytest.raises(MessageOutsideSpace, match=f"outside the message space of agent '{agent}'"):
+                    kernel.code(i, msg)
+                with pytest.raises(MessageOutsideSpace):
+                    transfers(mech, {**truthful, agent: msg})
+        assert kernel._slot_claims == slots == list(mech.claims())
+
+
+def test_the_claim_menu_is_built_once_and_each_kernel_copies_it():
+    mech = build_pure_mechanism(fixtures.leading_example())
+    menu = mech.claims()
+    assert mech.claims() is menu and len(menu) == 35
+    assert menu == (None, *sorted((claim for claim, _ in mech.bets), key=mechanism.challenge_key))
+    # an invalid challenge acts like no challenge: the kernel gives it a slot
+    # of its own list, and the mechanism's menu stays as it was
+    stray = Challenge(mech.scenario.states[0], mech.scenario.states[0], menu[1].assignments)
+    truthful = truthful_transcript(mech, "M")
+    with_stray = {**truthful, "A": dataclasses.replace(truthful["A"], claim=stray)}
+    assert transfers(mech, with_stray) == transfers(mech, truthful)
+    assert mech.kernel()._slot_claims == [*menu, stray]
+    assert mech.claims() is menu and len(menu) == 35
+    # under bne the menu is the states, and no claim is the one inert claim
+    bne = build_bne_mechanism(fixtures.perturbed_example())
+    assert bne.claims() is bne.scenario.states
+    kernel = bne.kernel()
+    kernel.code(0, bne.truthful_message(bne.scenario.agents[0], "M", EMPTY))
+    kernel.code(0, dataclasses.replace(bne.truthful_message(bne.scenario.agents[0], "M", EMPTY), claim=None))
+    assert kernel._slot_claims == [*bne.scenario.states, None]
+
+
 @pytest.mark.parametrize("bits", [4, 6])
 def test_codes_beyond_the_key_field_raise_instead_of_aliasing(bits, monkeypatch):
     # with a small KEY_BITS, exactly the codes at or above 2**bits are refused:
-    # menus holding one, messages coded to one (an unnamed claim's slot lies
-    # past every menu's), and a direct kernel whose space holds one
+    # menus holding one, messages coded to one (the slot of no claim, which
+    # the bne menu does not list, lies past every menu's), and a direct kernel
+    # whose space holds one
     scn = fixtures.perturbed_example()
     mech = build_bne_mechanism(scn)
     wide = mechanism.Kernel(mech)
@@ -473,7 +518,7 @@ def test_codes_beyond_the_key_field_raise_instead_of_aliasing(bits, monkeypatch)
         for i, agent in enumerate(scn.agents)
         for coll in scn.presentable(agent)
         for state in scn.states
-        for claim in (state, "unnamed")
+        for claim in (state, None)
     ]
     codes = [wide.code(i, msg) for i, msg in messages]
     types = [

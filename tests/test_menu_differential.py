@@ -21,7 +21,7 @@ import pytest
 
 import game_reference as ref
 from evimech import fixtures, game, generators, mechanism
-from evimech.mechanism import DegenerateGap, SlackViolation
+from evimech.mechanism import Challenge, DegenerateGap, MessageOutsideSpace, SlackViolation
 
 SCENARIOS = [(name, build()) for name, build in fixtures.ALL_FIXTURES.items()]
 SCENARIOS += [(f"seed {seed}", generators.random_scenario(seed, max_states=3)) for seed in range(200)]
@@ -135,14 +135,17 @@ def test_menus_truthful_codes_and_audit_cases_match_their_messages():
 
 @pytest.mark.parametrize("kind", ["direct", "bne", "pure"])
 def test_decoded_messages_round_trip_off_the_menus(kind):
-    # a code off every menu (another type's evidence, an unnamed claim) still
-    # decodes to the message it was coded from
+    # a code off every menu (another type's evidence, a challenge the bet
+    # table does not name) still decodes to the message it was coded from
     scn = fixtures.appended_article_example()
     mech = dict(_mechanisms(scn))[kind]
     kernel = mech.kernel()
+    unnamed = Challenge(scn.states[0], scn.states[0], ())
     for i, agent in enumerate(scn.agents):
         for coll in kernel.positions[i]:
             msg = mech.truthful_message(agent, scn.states[-1], coll)
             if kind == "pure":
-                msg = replace(msg, claim=("not", "a", "challenge"))
+                msg = replace(msg, claim=unnamed)
+                with pytest.raises(MessageOutsideSpace):  # no claim of the slot
+                    kernel.code(i, replace(msg, claim=("not", "a", "challenge")))
             assert kernel.message(i, kernel.code(i, msg)) == msg

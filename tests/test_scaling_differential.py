@@ -125,10 +125,11 @@ def _scaled(profile, factor):
 
 
 def test_cached_terms_are_read_only():
-    terms = mechanism.scaling_terms(fixtures.perturbed_example())
+    scn = fixtures.perturbed_example()
+    terms = mechanism.scaling_terms(scn)
     with pytest.raises(FrozenInstanceError):
         terms.tau_low = Fraction(3)
-    scale, rows = terms.alphabets[0]
+    rows = scn.alphabet_table(scn.agents[0]).masses
     assert isinstance(rows, tuple)
     with pytest.raises(TypeError):
         rows[0][next(iter(rows[0]))] = 0

@@ -92,6 +92,29 @@ def test_replaced_scenario_does_not_inherit_the_cache(leading):
     assert leading.article_set() == {"lmh", "mh"} and len(leading.alphabet("A")) == 3
 
 
+def test_alphabet_tables_match_the_distributions():
+    # against the distributions themselves: the masses are the `numerators`
+    # over the lcm of the alphabet, and each state names its own distribution
+    scenarios = [build() for build in fixtures.ALL_FIXTURES.values()]
+    scenarios += [random_scenario(seed, max_states=states) for states in (3, 4) for seed in range(300)]
+    checked = 0
+    for scn in scenarios:
+        for agent in scn.agents:
+            table = scn.alphabet_table(agent)
+            members = scn.alphabet(agent)
+            rows = [d.items() for d in members]
+            L = common_denominator(prob for row in rows for _, prob in row)
+            expected = [dict(zip((c for c, _ in row), numerators([p for _, p in row], L))) for row in rows]
+            assert table.members is members and table.scale == L
+            assert [dict(masses) for masses in table.masses] == expected
+            assert len(table.truth) == len(scn.states)
+            assert [members[p] for p in table.truth] == [scn.dist(agent, state) for state in scn.states]
+            # members are distinct and in first-state order
+            assert len(set(members)) == len(members) and list(dict.fromkeys(table.truth)) == list(range(len(members)))
+            checked += 1
+    assert checked > 1500
+
+
 def test_non_normalized_distribution_reported_with_path(leading):
     bad_dists = dict(leading.dists)
     bad_dists[("A", "L")] = Distribution({LOW: F(9, 10)})
