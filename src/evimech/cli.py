@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -277,16 +278,7 @@ def _audit_closure(args, data):
         report = game.deception_closure_audit(
             scn, direct, failure.source_state, failure.certificates, profile_idx
         )
-        replays.append(
-            {
-                "source_state": report.source_state,
-                "target_state": report.target_state,
-                "premise_is_bne": report.premise_is_bne,
-                "composed_is_bne": report.composed_is_bne,
-                "on_path_outcomes": report.on_path_outcomes,
-                "certified": report.certified,
-            }
-        )
+        replays.append(dataclasses.asdict(report))
         all_certified = all_certified and report.certified
     payload = {"npd": "FAIL", "replays": replays, "all_certified": all_certified}
     # the audit *expects* the deception equilibrium on NPD-violating input

@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .conditions import canonical_perfect_plans
 from .deception import induced_distribution
@@ -163,20 +164,19 @@ class BayesianGame:
 
     def _realizations(self, agent, play) -> tuple:
         """(W, [(weight numerator over W, packed opponents' codes), ...]) over
-        the opponents' types and mixed messages of a coded play (`_coded_play`);
-        with `agent` None, over every agent's: the distribution of joint play."""
+        the opponents' types and mixed messages of a `Play`; with `agent`
+        None, over every agent's: the distribution of joint play."""
         options = []
-        for i, other in enumerate(self.scenario.agents):
+        for i, (other, row) in enumerate(zip(self.scenario.agents, play.rows)):
             if other == agent:
                 continue
             shift = KEY_BITS * i
-            rows = []
-            for coll in self.types[other]:
+            factor = []
+            for coll, (scale, codes, weights) in zip(self.types[other], row):
                 prob = self._probs[(other, coll)]
-                scale, codes, weights = play[(other, coll)]
                 for code, weight in zip(codes, weights):
-                    rows.append((prob.numerator * weight, prob.denominator * scale, code << shift))
-            options.append(rows)
+                    factor.append((prob.numerator * weight, prob.denominator * scale, code << shift))
+            options.append(factor)
         return joint(options)
 
     def _values(self, i, realizations, codes) -> list:
@@ -195,97 +195,125 @@ class BayesianGame:
         return values
 
 
+@dataclass(frozen=True, eq=False)
+class Play:
+    """A coded strategy profile: per agent, one (L, codes, numerators) row per
+    type, in `game.actions` order. A row lists its type's messages as kernel
+    codes in the order its constructor gives them, with weights as numerators
+    over the lcm L of the weights. Plays are equal when every type plays the
+    same codes with the same exact weights."""
+
+    game: BayesianGame = field(repr=False)
+    rows: tuple
+
+    @cached_property
+    def key(self) -> tuple:
+        """Each type's L and its sorted (code, numerator) pairs, in integers."""
+        return tuple(tuple((L, *sorted(zip(codes, weights))) for L, codes, weights in row) for row in self.rows)
+
+    def __eq__(self, other):
+        return isinstance(other, Play) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    @cached_property
+    def strategies(self) -> tuple | None:
+        """Per agent, each type's menu position of its one code; None when a type mixes."""
+        if any(len(codes) > 1 for row in self.rows for _, codes, _ in row):
+            return None
+        menus = iter(self.game.actions.values())
+        return tuple(tuple(next(menus).positions[codes[0]] for _, codes, _ in row) for row in self.rows)
+
+
 def truthful_profile(game: BayesianGame) -> dict:
-    return _profile(game, _reported_play(game, game.state))
+    return decode_play(game, truthful_play(game, game.state))
 
 
-def _reported_play(game: BayesianGame, state) -> dict:
-    """The coded play (`_coded_play`) in which every type plays, with
-    probability 1, its truthful message at `state` (the game's own state, or
-    a lie every agent reports), built from the kernel's truthful codes."""
+def truthful_play(game: BayesianGame, state) -> Play:
+    """The play in which every type plays, with probability 1, its truthful
+    message at `state`: the game's own state, or a lie every agent reports."""
     kernel = game._kernel
-    return {
-        (agent, coll): (1, (kernel.truthful_code(i, state, kernel.positions[i][coll]),), (1,))
+    rows = tuple(
+        tuple((1, (kernel.truthful_code(i, state, kernel.positions[i][coll]),), (1,)) for coll in game.types[agent])
         for i, agent in enumerate(game.scenario.agents)
-        for coll in game.types[agent]
-    }
+    )
+    return Play(game, rows)
 
 
-def _coded_play(game: BayesianGame, profile) -> dict:
-    """(agent, type) -> (L, codes, numerators): a strategy profile's messages
-    as codes, their weights as numerators over the lcm L of the type's
-    weights; `InvalidProfile` unless it names only the game's agents and
-    types, each playing messages of its own menu with positive weights summing to 1."""
+def coded_play(game: BayesianGame, profile) -> Play:
+    """The play of a strategy profile; `InvalidProfile` unless it names only
+    the game's agents and types, each playing messages of its own menu with
+    positive weights summing to 1."""
     agents = game.scenario.agents
     strays = [f"agent {a!r}" for a in profile if a not in agents]
     strays += [f"type {c!r} of {a}" for a in agents for c in profile.get(a, {}) if c not in game.types[a]]
     if strays:
         raise InvalidProfile(f"the profile names {strays[0]}, which the game at {game.state} does not have")
-    play = {}
-    for i, agent in enumerate(agents):
-        plays = profile.get(agent, {})
-        for coll in game.types[agent]:
-            mixture = plays.get(coll, {})
-            codes = [game._kernel.code(i, msg) for msg in mixture]
-            scale = common_denominator(mixture.values())
-            weights = numerators(mixture.values(), scale)
-            menu = game.actions[(agent, coll)].positions
-            if sum(weights) != scale or min(weights) <= 0 or not all(code in menu for code in codes):
-                problems = [
-                    f"plays {msg!r}, which is not on its menu" for msg, c in zip(mixture, codes) if c not in menu
-                ]
-                problems += [f"plays {msg!r} with weight {w}" for msg, w in mixture.items() if w <= 0]
-                problems.append(f"has weights summing to {sum(mixture.values())}, not 1")
-                raise InvalidProfile(f"type {format_collection(coll)} of {agent} {problems[0]}")
-            play[(agent, coll)] = (scale, codes, weights)
-    return play
+
+    def coded(i, agent, coll):
+        mixture = profile.get(agent, {}).get(coll, {})
+        codes = tuple(game._kernel.code(i, msg) for msg in mixture)
+        scale = common_denominator(mixture.values())
+        weights = tuple(numerators(mixture.values(), scale))
+        menu = game.actions[(agent, coll)].positions
+        if sum(weights) != scale or min(weights) <= 0 or not all(code in menu for code in codes):
+            problems = [f"plays {msg!r}, which is not on its menu" for msg, c in zip(mixture, codes) if c not in menu]
+            problems += [f"plays {msg!r} with weight {w}" for msg, w in mixture.items() if w <= 0]
+            problems.append(f"has weights summing to {sum(mixture.values())}, not 1")
+            raise InvalidProfile(f"type {format_collection(coll)} of {agent} {problems[0]}")
+        return scale, codes, weights
+
+    rows = tuple(tuple(coded(i, agent, coll) for coll in game.types[agent]) for i, agent in enumerate(agents))
+    return Play(game, rows)
 
 
-def _pure_play(game: BayesianGame, strategies, skip=None) -> dict:
-    """The coded play (`_coded_play`) in which each type plays, with
-    probability 1, its menu's code at its agent's strategy's position (a
-    tuple of menu positions, one per type); agent `skip`'s types are left
-    out."""
-    return {
-        (agent, coll): (1, (game.actions[(agent, coll)].codes[pos],), (1,))
-        for j, (agent, strategy) in enumerate(zip(game.scenario.agents, strategies))
-        if j != skip
-        for coll, pos in zip(game.types[agent], strategy)
-    }
+def pure_play(game: BayesianGame, strategies) -> Play:
+    """The play in which each type plays, with probability 1, its menu's code
+    at its agent's strategy's position (a tuple of menu positions, one per
+    type; an empty one leaves its agent's row empty)."""
+    rows = tuple(
+        tuple((1, (game.actions[(agent, coll)].codes[pos],), (1,)) for coll, pos in zip(game.types[agent], strategy))
+        for agent, strategy in zip(game.scenario.agents, strategies)
+    )
+    return Play(game, rows)
 
 
-def _deception_play(game: BayesianGame, target, flows) -> dict:
-    """The coded play (`_coded_play`) of a deception composed with truthful
-    play at `target`: by its agent's `flows` rows (source, presented, mass),
-    each type plays the truthful code of each presented subset, weighted by
-    the row's share of its mass (1 for a row carrying the whole mass)."""
+def deception_play(game: BayesianGame, target, flows) -> Play:
+    """The play of a deception composed with truthful play at `target`: by
+    its agent's `flows` rows (source, presented, mass), each type plays the
+    truthful code of each presented subset, weighted by the row's share of
+    its mass (1 for a row carrying the whole mass)."""
     kernel = game._kernel
-    play = {}
+    rows = []
     for i, agent in enumerate(game.scenario.agents):
-        rows = {}  # type -> [(truthful code at target, mass), ...]
+        shares = {}  # type -> [(truthful code at target, mass), ...]
         for src, dst, flow in flows[agent]:
             if flow:
-                rows.setdefault(src, []).append((kernel.truthful_code(i, target, kernel.positions[i][dst]), flow))
+                shares.setdefault(src, []).append((kernel.truthful_code(i, target, kernel.positions[i][dst]), flow))
+        row = []
         for coll in game.types[agent]:
-            codes, masses = zip(*rows[coll])
+            codes, masses = zip(*shares[coll])
             mass = game._probs[(agent, coll)]
             if masses == (mass,):
-                play[(agent, coll)] = (1, codes, (1,))
+                row.append((1, codes, (1,)))
             else:
                 weights = [flow / mass for flow in masses]
                 scale = common_denominator(weights)
-                play[(agent, coll)] = (scale, codes, tuple(numerators(weights, scale)))
-    return play
+                row.append((scale, codes, tuple(numerators(weights, scale))))
+        rows.append(tuple(row))
+    return Play(game, tuple(rows))
 
 
-def _profile(game: BayesianGame, play) -> dict:
-    """The strategy profile of a coded play (`_coded_play`): each type's
-    codes decoded to messages, with their exact weights."""
-    agents = game.scenario.agents
-    profile = {agent: {} for agent in agents}
-    for (agent, coll), (scale, codes, weights) in play.items():
-        i = agents.index(agent)
-        profile[agent][coll] = {game._kernel.message(i, code): Fraction(n, scale) for code, n in zip(codes, weights)}
+def decode_play(game: BayesianGame, play: Play) -> dict:
+    """The strategy profile of a play: each type's codes decoded to messages,
+    with their exact weights."""
+    profile = {}
+    for i, (agent, row) in enumerate(zip(game.scenario.agents, play.rows)):
+        profile[agent] = {
+            coll: {game._kernel.message(i, code): Fraction(n, scale) for code, n in zip(codes, weights)}
+            for coll, (scale, codes, weights) in zip(game.types[agent], row)
+        }
     return profile
 
 
@@ -300,7 +328,7 @@ def expected_utility(game: BayesianGame, agent, type_coll, message, profile) -> 
         raise InvalidProfile(
             f"{agent} has no type {format_collection(type_coll)} at {game.state} with {message!r} on its menu"
         )
-    W, realizations = game._realizations(agent, _coded_play(game, profile))
+    W, realizations = game._realizations(agent, coded_play(game, profile))
     (value,) = game._values(i, realizations, (code,))
     return Fraction(value, W * game._G)
 
@@ -328,29 +356,26 @@ def verify_bne(game: BayesianGame, profile: dict) -> EquilibriumReport:
     Each agent's opponent realizations are listed once; every candidate
     message of every type is then valued in integers over one denominator.
     """
-    return _verify_play(game, _coded_play(game, profile))
+    return _verify_play(game, coded_play(game, profile))
 
 
 def _verify_play(game: BayesianGame, play) -> EquilibriumReport:
-    """`verify_bne` of a coded play (`_coded_play`); the witness decodes only
-    the best codes of its type's menu."""
-    agents = game.scenario.agents
+    """`verify_bne` of a `Play`; the witness decodes only the best codes of
+    its type's menu."""
     witness = None
     slacks = {}
-    for i, agent in enumerate(agents):
+    for i, (agent, row) in enumerate(zip(game.scenario.agents, play.rows)):
         W, realizations = game._realizations(agent, play)
-        for coll in game.types[agent]:
-            codes = game.actions[(agent, coll)].codes
-            values = game._values(i, realizations, codes)
-            value_of = dict(zip(codes, values))
+        for coll, (common, played, weights) in zip(game.types[agent], row):
+            menu = game.actions[(agent, coll)]
+            values = game._values(i, realizations, menu.codes)
             best = max(values)
-            common, played, weights = play[(agent, coll)]
-            current = sum(n * value_of[code] for code, n in zip(played, weights))
+            current = sum(n * values[menu.positions[code]] for code, n in zip(played, weights))
             slack = Fraction(best * common - current, W * game._G * common)
             slacks[(agent, coll)] = slack
             if slack > 0 and witness is None:
                 best_msg = min(
-                    (game._kernel.message(i, code) for code, value in zip(codes, values) if value == best),
+                    (game._kernel.message(i, code) for code, value in zip(menu.codes, values) if value == best),
                     key=repr,
                 )
                 witness = (agent, coll, best_msg, slack)
@@ -358,9 +383,8 @@ def _verify_play(game: BayesianGame, play) -> EquilibriumReport:
 
 
 def _equilibrium_report(game: BayesianGame, play, slacks, witness) -> EquilibriumReport:
-    """The report of a coded play (`_coded_play`) with its slacks and first
-    profitable deviation: on-path outcomes and transfers over one enumeration
-    of joint play."""
+    """The report of a `Play` with its slacks and first profitable deviation:
+    on-path outcomes and transfers over one enumeration of joint play."""
     kernel = game._kernel
     agents = game.scenario.agents
     W, realizations = game._realizations(None, play)
@@ -421,9 +445,9 @@ def deception_closure_audit(
             raise NotPerfect(f"plan for {agent} does not match the target marginals")
 
     target_game = BayesianGame(scenario, mech, target, profile_idx)
-    premise = _verify_play(target_game, _reported_play(target_game, target))
+    premise = _verify_play(target_game, truthful_play(target_game, target))
     source_game = BayesianGame(scenario, mech, source_state, profile_idx)
-    report = _verify_play(source_game, _deception_play(source_game, target, {a: p.flows for a, p in plans.items()}))
+    report = _verify_play(source_game, deception_play(source_game, target, {a: p.flows for a, p in plans.items()}))
     certified = premise.is_bne and report.implements(scenario.scf[target])
     return ClosureReport(
         source_state=source_state,
@@ -459,7 +483,7 @@ def _best_response_table(game: BayesianGame):
         sets = tables[i].get(others)
         if sets is None:
             agent = agents[i]
-            _, realizations = game._realizations(agent, _pure_play(game, strategies, skip=i))
+            _, realizations = game._realizations(agent, pure_play(game, others[:i] + ((),) + others[i:]))
             sets = []
             for coll in game.types[agent]:
                 values = game._values(i, realizations, game.actions[(agent, coll)].codes)
@@ -490,67 +514,56 @@ def _pure_best_response_profiles(game: BayesianGame, best_responses):
                 yield strategies
 
 
-def _play_key(play) -> tuple:
-    """What tells coded plays (`_coded_play`) apart: each type's sorted
-    (message code, exact weight) pairs."""
-    return tuple(
-        tuple(sorted(zip(codes, (Fraction(w, scale) for w in weights)))) for scale, codes, weights in play.values()
-    )
-
-
 def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(), seed=0):
     """Three-strategy equilibrium search; every hit is certified exactly.
 
     (a) exhaustive pure-profile enumeration when the product of the menu sizes
         is at most `pure_cap`, by best-response tables
         (`_pure_best_response_profiles`);
-    (b) truthful play composed (`_deception_play`) with deception profiles:
+    (b) truthful play composed (`deception_play`) with deception profiles:
         canonical perfect plans per target plus pure ones, under `plan_cap`;
     (c) best-response dynamics from seeded random starts (heuristic).
-    One judge, `consider`, sees the coded play of every profile of every
-    phase. A pure play (one code per type) is certified by one memoized
-    best-response table (`_best_response_table`): it is a hit iff each type's
-    menu position lies in its best-response set, and then every slack is 0.
+    One judge, `consider`, sees the `Play` of every profile of every phase. A
+    pure play (one code per type) is certified by one memoized best-response
+    table (`_best_response_table`): it is a hit, with every slack 0, iff each
+    type's menu position (`Play.strategies`) lies in its best-response set.
     Only mixed plays (canonical plans) are verified (`_verify_play`). An
     exhaustive (a) holds every pure equilibrium: (b)'s pure profiles and (c)
     are skipped, and `plan_cap` gates only the canonical plans (a
-    `BUDGET_EXCEEDED` flag still counts the pure profiles). Each distinct
-    play (`_play_key`) is judged once and decoded (`_profile`) if a hit.
+    `BUDGET_EXCEEDED` flag still counts the pure profiles). Each distinct play
+    is judged once and decoded (`decode_play`) if a hit.
     """
     scenario = game.scenario
     agents = scenario.agents
-    verdicts = {}  # coded play key -> (coded play, report) of a hit, None when rejected
+    verdicts = {}  # play -> its report if a hit, None when rejected
     flags = {}
     best_responses = _best_response_table(game)
 
     def consider(play, stamp):
-        key = _play_key(play)
-        if key in verdicts:
+        if play in verdicts:
             return
-        verdicts[key] = None
-        if any(len(codes) > 1 for _, codes, _ in play.values()):
+        verdicts[play] = None
+        strategies = play.strategies
+        if strategies is None:
             report = _verify_play(game, play)
         else:
-            strategies = tuple(
-                tuple(game.actions[(a, c)].positions[play[(a, c)][1][0]] for c in game.types[a]) for a in agents
-            )
             if not all(
                 all(pos in best for pos, best in zip(strategy, best_responses(i, strategies)))
                 for i, strategy in enumerate(strategies)
             ):
                 return
             # by the table, every type plays a best response: every slack is 0
-            report = _equilibrium_report(game, play, dict.fromkeys(play, _ZERO), None)
+            report = _equilibrium_report(game, play, dict.fromkeys(game.actions, _ZERO), None)
         if report.is_bne:
             report.stamp = stamp
-            verdicts[key] = (play, report)
+            verdicts[play] = report
 
     # (a) exhaustive pure enumeration by best-response tables
     total = math.prod(len(menu) for menu in game.actions.values())
     exhaustive = total <= budget.pure_cap
     flags["pure_enumeration"] = "EXHAUSTIVE" if exhaustive else f"BUDGET_EXCEEDED({total})"
     for strategies in _pure_best_response_profiles(game, best_responses) if exhaustive else ():
-        consider(_pure_play(game, strategies), "EXHAUSTIVE")
+        consider(pure_play(game, strategies), "EXHAUSTIVE")
 
     # (b) deception closure family: the budget gates what this phase runs,
     # so an exhaustive (a) leaves only the canonical plans under it
@@ -563,7 +576,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         for target in scenario.states:
             plans = canonical_perfect_plans(scenario, game.state, target)
             if plans is not None:
-                consider(_deception_play(game, target, {a: plan.flows for a, plan in plans.items()}), "CLOSURE_FAMILY")
+                consider(deception_play(game, target, {a: plan.flows for a, plan in plans.items()}), "CLOSURE_FAMILY")
         # pure deception profiles (each row carries its whole source): an exhaustive (a) has them
         flow_lists = [
             [tuple((src, dst, game._probs[(agent, src)]) for src, dst in rows) for rows in assignments]
@@ -572,7 +585,7 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
         for combo in () if exhaustive else itertools.product(*flow_lists):
             for target in scenario.states:
                 if target != game.state:
-                    consider(_deception_play(game, target, dict(zip(agents, combo))), "CLOSURE_FAMILY")
+                    consider(deception_play(game, target, dict(zip(agents, combo))), "CLOSURE_FAMILY")
 
     # (c) best-response dynamics, heuristic: each agent in turn moves every
     # type that is not playing a best response to its set's first member; its
@@ -595,11 +608,12 @@ def search_equilibria(game: BayesianGame, budget: SearchBudget = SearchBudget(),
                     changed = True
             if not changed:
                 break
-        consider(_pure_play(game, strategies), "HEURISTIC")
+        consider(pure_play(game, strategies), "HEURISTIC")
 
     return [
-        {"profile": _profile(game, play), "report": report, "stamp": report.stamp}
-        for play, report in filter(None, verdicts.values())
+        {"profile": decode_play(game, play), "report": report, "stamp": report.stamp}
+        for play, report in verdicts.items()
+        if report
     ], flags
 
 
@@ -619,8 +633,8 @@ def _deviation_audit(name, ok, cases, **extra) -> AuditResult:
 
     A case is (game, agent, play, state, better, worse, label): `better` and
     `worse` are changes (`Kernel.truthful_code` keywords) to each of the
-    agent's types' truthful message at `state`, and against the coded play
-    (`_coded_play`) the first must earn strictly more than the second. Each
+    agent's types' truthful message at `state`, and against the `Play`
+    (`truthful_play`) the first must earn strictly more than the second. Each
     failing type adds (*label, gain) to the failures. The opponents'
     realizations are listed once per case and both messages valued together.
     """
@@ -646,7 +660,7 @@ def _scoring_cases(scenario, mech, games):
     against truthful play, predicting the right neighbour truthfully beats
     every wrong prediction."""
     for state, game in games.items():
-        truthful = _reported_play(game, state)
+        truthful = truthful_play(game, state)
         for predictor in scenario.agents:
             subject = scenario.right_neighbor(predictor)
             for claimed, wrong in enumerate(scenario.alphabet(subject)):
@@ -660,7 +674,7 @@ def _crosscheck_cases(scenario, mech, games):
     wrong one. The deviator's own strategy does not enter its payoff, so the
     others' truthful play is the whole profile."""
     for state, game in games.items():
-        truthful = _reported_play(game, state)
+        truthful = truthful_play(game, state)
         for agent in scenario.agents:
             truth = scenario.dist(agent, state)
             wrong = next((own for own, d in enumerate(scenario.alphabet(agent)) if d != truth), None)
@@ -668,20 +682,18 @@ def _crosscheck_cases(scenario, mech, games):
                 yield game, agent, truthful, state, {}, {"own": wrong}, (state, agent)
 
 
-def _refutable_pairs(scenario):
-    return [(s, t, lie) for (s, t), lie in scenario.lie_table().items() if lie.verdict == "refutable"]
-
-
 def _refutation_cases(scenario, mech, games):
     """Consensus on a refutable lie is broken by truthfully reporting the refuter."""
-    for state, lie, cls in _refutable_pairs(scenario):
+    for (state, lie), cls in scenario.lie_table().items():
+        if cls.verdict != "refutable":
+            continue
         refuter = cls.refuters[0]
         deviator = scenario.left_neighbor(refuter)
         if deviator == refuter:
             continue
         game = games[state]
         honest = {"claimed": scenario.alphabet(refuter).index(scenario.dist(refuter, state))}
-        yield game, deviator, _reported_play(game, lie), lie, honest, {}, (state, lie, deviator)
+        yield game, deviator, truthful_play(game, lie), lie, honest, {}, (state, lie, deviator)
 
 
 def _whistle_cases(scenario, mech, games):
@@ -693,7 +705,7 @@ def _whistle_cases(scenario, mech, games):
         claim, subject = whistle
         game = games[state]
         deviator = next(a for a in scenario.agents if a != subject)
-        yield game, deviator, _reported_play(game, lie), lie, {"claim": claim}, {}, (state, lie, deviator)
+        yield game, deviator, truthful_play(game, lie), lie, {"claim": claim}, {}, (state, lie, deviator)
 
 
 def _audit_zero_on_truth(scenario, mech, games):
@@ -702,7 +714,7 @@ def _audit_zero_on_truth(scenario, mech, games):
     details = {"states": {}, "losing_bets_checked": 0, "failures": []}
     ok = True
     for state, game in games.items():
-        report = _verify_play(game, _reported_play(game, state))
+        report = _verify_play(game, truthful_play(game, state))
         good = report.implements(scenario.scf[state]) and report.transfers_zero
         details["states"][state] = {
             "is_bne": report.is_bne,

@@ -551,8 +551,6 @@ def parse_model(data) -> TypeSpaceModel:
                         entries[(str(outcome), profile)] = parse_rational(row["value"])
                 per_agent[agent] = entries
             utility_profiles.append(per_agent)
-    except ModelFormatError:
-        raise
     except RationalFormatError as exc:
         raise ModelFormatError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:

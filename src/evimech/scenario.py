@@ -659,8 +659,6 @@ def parse_scenario(data) -> Scenario:
                 str(article): frozenset(ids(state_list, f"article_names.{article}"))
                 for article, state_list in data["article_names"].items()
             }
-    except ScenarioFormatError:
-        raise
     except RationalFormatError as exc:
         raise ScenarioFormatError(str(exc)) from exc
     except (KeyError, TypeError, AttributeError) as exc:

@@ -35,7 +35,6 @@ from evimech.game import (
     DirectMechanism,
     DirectMessage,
     EquilibriumReport,
-    _refutable_pairs,
     canonical_perfect_plans,
 )
 from evimech.mechanism import TRANSFER_KEYS, Challenge, Mechanism, Message, challenge_key

@@ -1062,3 +1062,10 @@ def test_reports_refuse_values_json_cannot_carry():
     for bad in ({frozenset({"x"}): 1}, {("s", "t"): 1}, {1: 1}, {"x": frozenset()}, [{"y"}], object()):
         with pytest.raises(TypeError):
             jsonable(bad)
+
+
+def test_human_rendering_writes_empty_containers():
+    from evimech.reporting import render_human
+
+    assert render_human({"b": [], "a": {}, "c": {"d": {}}}) == "b    []\na    {}\nc.d  {}\n"
+    assert render_human({}) == "  {}\n"

@@ -1,6 +1,6 @@
-"""Differential test: `game._deception_play`, the one builder of composed
+"""Differential test: `game.deception_play`, the one builder of composed
 deceptions, against the `Message` profile the reference composes
-(`game_reference.compose_with_truthful`) and codes with `_coded_play`; and
+(`game_reference.compose_with_truthful`) and codes with `coded_play`; and
 the best-response table's verdict on every pure canonical plan against
 `_verify_play` on the same play.
 
@@ -45,9 +45,9 @@ def _flows(plans):
     return {agent: plan.flows for agent, plan in plans.items()}
 
 
-def _reference_key(g, old, plans):
-    """The play key of the reference's composed profile, coded."""
-    return game._play_key(game._coded_play(g, ref.compose_with_truthful(old, plans)))
+def _reference_play(g, old, plans):
+    """The play of the reference's composed profile."""
+    return game.coded_play(g, ref.compose_with_truthful(old, plans))
 
 
 def _pure_plans(scn, state, rng):
@@ -63,21 +63,6 @@ def _pure_plans(scn, state, rng):
         yield target, plans
 
 
-def _table_verdict(g, table, play):
-    """Whether the best-response table admits a pure play, read from each
-    type's menu position of its one code."""
-    strategies = tuple(
-        tuple(g.actions[(a, c)].positions[play[(a, c)][1][0]] for c in g.types[a]) for a in g.scenario.agents
-    )
-    return all(
-        all(pos in best for pos, best in zip(strategy, table(i, strategies))) for i, strategy in enumerate(strategies)
-    )
-
-
-def _is_pure(play):
-    return all(len(codes) == 1 for _, codes, _ in play.values())
-
-
 def _check(scn, mech, state, rng, counts):
     g = game.BayesianGame(scn, mech, state, 0)
     old = ref.BayesianGame(scn, mech, state, 0)
@@ -88,26 +73,31 @@ def _check(scn, mech, state, rng, counts):
         plans = game.canonical_perfect_plans(scn, state, target)
         if plans is None:
             continue
-        play = game._deception_play(g, target, _flows(plans))
-        assert game._play_key(play) == _reference_key(g, old, plans), (mech, state, target)
+        play = game.deception_play(g, target, _flows(plans))
+        reference = _reference_play(g, old, plans)
+        assert play == reference and hash(play) == hash(reference), (mech, state, target)
         counts["canonical"] += 1
-        if not _is_pure(play):
+        strategies = play.strategies
+        if strategies is None:
             counts["mixed"] += 1
             continue
         # a pure canonical plan: the table's verdict and its all-zero report
         # are `_verify_play`'s, and the search lists it iff it is a hit
         verified = game._verify_play(g, play)
-        admitted = _table_verdict(g, table, play)
+        admitted = all(
+            all(pos in best for pos, best in zip(strategy, table(i, strategies)))
+            for i, strategy in enumerate(strategies)
+        )
         assert admitted == verified.is_bne, (mech, state, target)
         counts["admitted" if admitted else "rejected"] += 1
         if admitted:
-            certified = game._equilibrium_report(g, play, dict.fromkeys(play, Fraction(0)), None)
+            certified = game._equilibrium_report(g, play, dict.fromkeys(g.actions, Fraction(0)), None)
             assert report_fields(certified) == report_fields(verified), (mech, state, target)
         if flags["closure_family"] == "EXHAUSTIVE":
-            assert (game._profile(g, play) in found) == admitted, (mech, state, target)
+            assert (game.decode_play(g, play) in found) == admitted, (mech, state, target)
     for target, plans in _pure_plans(scn, state, rng):
-        play = game._deception_play(g, target, _flows(plans))
-        assert _is_pure(play) and game._play_key(play) == _reference_key(g, old, plans), (mech, state, target)
+        play = game.deception_play(g, target, _flows(plans))
+        assert play.strategies is not None and play == _reference_play(g, old, plans), (mech, state, target)
         counts["pure"] += 1
 
 

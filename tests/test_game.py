@@ -1,11 +1,13 @@
 import math
+import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
-from evimech import fixtures, generators
+from evimech import fixtures, generators, mechanism
 from evimech import game as game_mod
+from evimech.conditions import check_stochastic_measurability
 from evimech.deception import TransportPlan
 from evimech.game import (
     BayesianGame,
@@ -386,16 +388,16 @@ def test_over_cap_search_verifies_only_the_canonical_plans(monkeypatch):
         verified.clear()
         results, flags = search_equilibria(game, SearchBudget(pure_cap=0))
         assert flags["closure_family"] == "EXHAUSTIVE" and flags["dynamics"] == "HEURISTIC"
-        canonical = {}  # play key -> whether the play is mixed
+        canonical = {}  # play -> whether it is mixed
         for target in scn.states:
             plans = canonical_perfect_plans(scn, game.state, target)
             if plans is not None:
-                play = game_mod._deception_play(game, target, {agent: plan.flows for agent, plan in plans.items()})
-                canonical.setdefault(game_mod._play_key(play), any(len(codes) > 1 for _, codes, _ in play.values()))
-        assert [game_mod._play_key(play) for play in verified] == [key for key, is_mixed in canonical.items() if is_mixed]
+                play = game_mod.deception_play(game, target, {agent: plan.flows for agent, plan in plans.items()})
+                canonical.setdefault(play, play.strategies is None)
+        assert verified == [play for play, is_mixed in canonical.items() if is_mixed]
         checked += len(canonical)
         mixed += sum(canonical.values())
-        hits += [item for item in results if all(len(m) == 1 for p in item["profile"].values() for m in p.values())]
+        hits += [item for item in results if game_mod.coded_play(game, item["profile"]).strategies is not None]
     assert checked >= 5 and len(hits) >= 20 and 1 <= mixed < checked
     assert {item["stamp"] for item in hits} == {"CLOSURE_FAMILY", "HEURISTIC"}
 
@@ -508,7 +510,7 @@ def test_compose_with_truthful_weights(leading, leading_mech):
     plans = canonical_perfect_plans(leading, "H", "M")
     game = BayesianGame(leading, leading_mech, "H", 0)
     flows = {agent: plan.flows for agent, plan in plans.items()}
-    profile = game_mod._profile(game, game_mod._deception_play(game, "M", flows))
+    profile = game_mod.decode_play(game, game_mod.deception_play(game, "M", flows))
     mixture = profile["A"][TOP]
     assert sum(mixture.values(), F(0)) == 1
     weights = sorted(mixture.values())
@@ -633,3 +635,70 @@ def test_implements_requires_an_equilibrium_yielding_the_outcome(perturbed, pert
     assert replace(report, transfers_zero=False).implements("grant_a")
     assert not replace(report, is_bne=False).implements("grant_a")
     assert not replace(report, on_path_outcomes={"grant_a": F(1, 2), "grant_b": F(1, 2)}).implements("grant_a")
+
+
+# -- plays ----------------------------------------------------------------------
+
+
+def _play_games():
+    """Every state's game, at utility profile 0, of the fixtures and of
+    `random_scenario(seed, max_states=3)` for seeds 0-59, under the direct
+    mechanism and, where SM holds, the bne one (assembled without the NPD gate)."""
+    scenarios = [build() for build in fixtures.ALL_FIXTURES.values()]
+    scenarios += [generators.random_scenario(seed, max_states=3) for seed in range(60)]
+    for scn in scenarios:
+        mechs = [DirectMechanism(scn)]
+        if check_stochastic_measurability(scn).passed:
+            mechs.append(assemble_bne_mechanism(scn))
+        for mech in mechs:
+            for state in scn.states:
+                yield BayesianGame(scn, mech, state, 0)
+
+
+def test_plays_are_equal_when_every_type_plays_the_same_codes_and_weights():
+    rng = random.Random(0)
+    counts = {"deceptions": 0, "mixed": 0}
+    for game in _play_games():
+        scn, agents = game.scenario, game.scenario.agents
+        # truthful play at every report survives decoding and coding again
+        for state in scn.states:
+            play = game_mod.truthful_play(game, state)
+            again = game_mod.coded_play(game, game_mod.decode_play(game, play))
+            assert play == again and hash(play) == hash(again) and play.rows == again.rows
+        # a pure deception profile is the pure play of its menu positions,
+        # each read off the menu as the position of its truthful message
+        for _ in range(3):
+            combo = [dict(rng.choice(mechanism.pure_assignments(scn, agent, game.state))) for agent in agents]
+            for target in scn.states:
+                flows = {
+                    agent: tuple((src, dst, scn.dist(agent, game.state).prob(src)) for src, dst in rows.items())
+                    for agent, rows in zip(agents, combo)
+                }
+                strategies = tuple(
+                    tuple(
+                        game.actions[(agent, coll)].index(game.mech.truthful_message(agent, target, rows[coll]))
+                        for coll in game.types[agent]
+                    )
+                    for agent, rows in zip(agents, combo)
+                )
+                play = game_mod.deception_play(game, target, flows)
+                pure = game_mod.pure_play(game, strategies)
+                assert play == pure and hash(play) == hash(pure) and play.strategies == strategies
+                counts["deceptions"] += 1
+        # a mixture listed in two message orders: equal plays, each keeping
+        # its own order; changing a weight tells them apart
+        (agent, coll), menu = max(game.actions.items(), key=lambda slot: len(slot[1]))
+        if len(menu) < 3:
+            continue
+        mixture = dict(zip(menu[:3], (F(1, 2), F(1, 3), F(1, 6))))
+        plays = []
+        for listed in (mixture, dict(reversed(mixture.items())), dict(zip(menu[:3], (F(1, 3), F(1, 2), F(1, 6))))):
+            profile = truthful_profile(game)
+            profile[agent][coll] = listed
+            plays.append(game_mod.coded_play(game, profile))
+        forward, backward, changed = plays
+        assert forward == backward and hash(forward) == hash(backward) and forward.rows != backward.rows
+        assert list(game_mod.decode_play(game, backward)[agent][coll]) == list(reversed(mixture))
+        assert forward.strategies is None and changed != forward
+        counts["mixed"] += 1
+    assert counts["deceptions"] >= 2000 and counts["mixed"] >= 300, counts

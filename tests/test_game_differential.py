@@ -85,7 +85,7 @@ def _profiles(g, rng):
         plans = game.canonical_perfect_plans(scn, g.state, target)
         if plans is not None and target != g.state:
             flows = {agent: plan.flows for agent, plan in plans.items()}
-            profiles.append(game._profile(g, game._deception_play(g, target, flows)))
+            profiles.append(game.decode_play(g, game.deception_play(g, target, flows)))
             break
     return profiles
 

@@ -57,21 +57,20 @@ def _check_menus(scn, mech, kernel):
 
 
 def _coded_reported_profile(g, state):
-    """The reported profile at `state`, built from the mechanism's
-    `truthful_message` and coded by `_coded_play`, as tuples."""
+    """The rows of the reported profile at `state`, built from the
+    mechanism's `truthful_message` and coded by `coded_play`."""
     profile = {
         agent: {coll: {g.mech.truthful_message(agent, state, coll): Fraction(1)} for coll in g.types[agent]}
         for agent in g.scenario.agents
     }
-    play = game._coded_play(g, profile)
-    return {slot: (scale, tuple(codes), tuple(weights)) for slot, (scale, codes, weights) in play.items()}
+    return game.coded_play(g, profile).rows
 
 
 def _check_truthful(scn, mech, kernel):
     for state in scn.states:
         g = game.BayesianGame(scn, mech, state, 0)
         for lie in scn.states:
-            assert game._reported_play(g, lie) == _coded_reported_profile(g, lie), (state, lie)
+            assert game.truthful_play(g, lie).rows == _coded_reported_profile(g, lie), (state, lie)
         for i, agent in enumerate(scn.agents):
             for coll, position in kernel.positions[i].items():
                 for lie in scn.states:
@@ -109,7 +108,7 @@ def _check_audit_cases(scn, mech, kernel):
         ("whistle", game._whistle_cases),
     ):
         for g, agent, play, state, better, worse, label in cases(scn, mech, games):
-            assert play == _coded_reported_profile(g, state)
+            assert play.rows == _coded_reported_profile(g, state)
             i = scn.agents.index(agent)
             for coll in g.types[agent]:
                 position = kernel.positions[i][coll]

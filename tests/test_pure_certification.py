@@ -11,7 +11,8 @@ the first state of `random_scenario(seed, max_states=3)` for seeds 0-59,
 under the direct mechanism and the bne mechanism (built where NPD holds,
 assembled without the gate where it fails but SM holds), at the constant
 utility profile 0 and the last. Each considered profile, rejected ones
-included, is recorded where the search keys it (`game._play_key`).
+included, is recorded where the search builds its play: `game.pure_play`
+(apart from a best-response sweep's) and `game.deception_play`.
 """
 
 from fractions import Fraction
@@ -44,20 +45,21 @@ def _considered_pure(g, monkeypatch):
     """The search's results and the strategies (menu positions) of every pure
     profile it considered, each once, in the order first considered."""
     plays = []
-    real = game._play_key
 
-    def recording(play):
-        plays.append(play)
-        return real(play)
+    def recording(build):
+        def record(*args):
+            play = build(*args)
+            if all(play.rows):  # a best-response sweep leaves its deviator's row empty and is not judged
+                plays.append(play)
+            return play
+
+        return record
 
     with monkeypatch.context() as patch:
-        patch.setattr(game, "_play_key", recording)
+        for name in ("pure_play", "deception_play"):
+            patch.setattr(game, name, recording(getattr(game, name)))
         results, _ = game.search_equilibria(g, BUDGET)
-    strategies = [
-        tuple(tuple(g.actions[(a, c)].codes.index(play[(a, c)][1][0]) for c in g.types[a]) for a in g.scenario.agents)
-        for play in plays
-        if all(len(codes) == 1 for _, codes, _ in play.values())
-    ]
+    strategies = [play.strategies for play in plays if play.strategies is not None]
     return results, list(dict.fromkeys(strategies))
 
 
@@ -68,10 +70,6 @@ def _pure_profile(g, strategies):
         a: {c: {g.actions[(a, c)][pos]: Fraction(1)} for c, pos in zip(g.types[a], strategy)}
         for a, strategy in zip(g.scenario.agents, strategies)
     }
-
-
-def _is_pure(profile):
-    return all(len(mixture) == 1 for per_type in profile.values() for mixture in per_type.values())
 
 
 @pytest.mark.parametrize("name, scn", SCENARIOS, ids=[name for name, _ in SCENARIOS])
@@ -93,7 +91,8 @@ def test_table_verdicts_match_verify_bne(name, scn, monkeypatch):
         # the search lists each pure hit once, in the order considered, with
         # verify_bne's report (apart from the stamp), and no pure profile
         # verify_bne rejects
-        found = [(item["profile"], report_fields(item["report"])[:-1]) for item in results if _is_pure(item["profile"])]
+        pure = [item for item in results if game.coded_play(g, item["profile"]).strategies is not None]
+        found = [(item["profile"], report_fields(item["report"])[:-1]) for item in pure]
         assert found == hits, (g.mech, g.state, g.profile_idx)
 
 
@@ -104,7 +103,7 @@ def test_certification_corpus_is_not_vacuous(monkeypatch):
     for name, scn in SCENARIOS[:12]:
         for g in _games(name, scn):
             results, considered = _considered_pure(g, monkeypatch)
-            stamps = [item["stamp"] for item in results if _is_pure(item["profile"])]
+            stamps = [item["stamp"] for item in results if game.coded_play(g, item["profile"]).strategies is not None]
             admitted.extend(stamps)
             rejected += len(considered) - len(stamps)
             mixed += len(results) - len(stamps)

@@ -15,6 +15,7 @@ from evimech.rationals import common_denominator, joint, numerators, quadratic_s
 from evimech.scenario import (
     Distribution,
     NonDegenerateInput,
+    NoMostInformativeArticle,
     ScenarioFormatError,
     article_nomenclature,
     check_deterministic_equivalence,
@@ -350,6 +351,43 @@ def test_most_informative_projection_merges_states():
     assert projected.dist("A", "M") == mh_only
     assert projected.dist("A", "L") == Distribution({frozenset({"lmh"}): F(1)})
     assert projected.dist("A", "U") == Distribution({frozenset({"lmhu"}): F(1)})
+
+
+def _one_agent_evidence(rows):
+    """A two-agent scenario in which only A holds evidence: `rows` maps each
+    state to A's distribution over collections of articles a and b."""
+    return fixtures.make_scenario(
+        agents=("A", "B"),
+        states=tuple(rows),
+        articles=("a", "b"),
+        dists={
+            **{("A", s): dist for s, dist in rows.items()},
+            **{("B", s): {frozenset(): F(1)} for s in rows},
+        },
+        scf=dict.fromkeys(rows, "o"),
+        outcomes=("o",),
+    )
+
+
+def test_most_informative_projection_keeps_the_empty_collection():
+    # a is held at s1 and s2 and b only at s2, so b names {a, b}; the empty
+    # collection projects to itself
+    scn = _one_agent_evidence(
+        {"s1": {frozenset(): F(1, 2), frozenset({"a"}): F(1, 2)}, "s2": {frozenset({"a", "b"}): F(1)}}
+    )
+    projected = most_informative_projection(scn)
+    assert projected.dist("A", "s1") == Distribution({frozenset(): F(1, 2), frozenset({"a"}): F(1, 2)})
+    assert projected.dist("A", "s2") == Distribution({frozenset({"b"}): F(1)})
+    assert projected.dist("B", "s1") == Distribution({frozenset(): F(1)})
+
+
+def test_most_informative_projection_refuses_a_collection_with_no_name_minimal_article():
+    # a is held at s1 and s2, b at s1 and s3: neither name contains the other
+    scn = _one_agent_evidence(
+        {"s1": {frozenset({"a", "b"}): F(1)}, "s2": {frozenset({"a"}): F(1)}, "s3": {frozenset({"b"}): F(1)}}
+    )
+    with pytest.raises(NoMostInformativeArticle, match="no name-minimal article"):
+        most_informative_projection(scn)
 
 
 def test_json_round_trip(perturbed):
