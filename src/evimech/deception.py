@@ -273,66 +273,55 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
     Weights off the lie state's support carry no mass in the lie-value and only
     cap the sourcewise minima, so they are pinned to +1 without loss; the LP
     ranges over the lie-support weights alone.
-    """
-    sources = scenario.support(agent, truth_state)
-    truth_dist = scenario.dist(agent, truth_state)
-    lie_dist = scenario.dist(agent, lie_state)
-    domain = _bet_domain(scenario, agent, truth_state, lie_state)
-    lie_support = lie_dist.support()
-    col_index = {c: i for i, c in enumerate(lie_support)}
-    n_w = len(lie_support)
-    n_z = len(sources)
-    n = n_w + n_z + 1  # lie-support weights, per-source minima, margin
-    margin_col = n - 1
 
-    # Coefficients are the ints 0, 1 and -1 apart from the probabilities,
-    # which stay Fractions; `simplex.maximize` reads both exactly.
-    constraints = []
-    # Value under truthful play at the lie state stays below -margin.
-    row = [0] * n
-    for coll, prob in lie_dist.items():
-        row[col_index[coll]] += prob
-    row[margin_col] = 1
-    constraints.append((row, simplex.LE, 0))
-    # z_K lower-bounds every weight the source K could present; off-support
-    # presentations are worth the pinned +1.
-    for k_idx, src in enumerate(sources):
-        row = [0] * n
-        row[n_w + k_idx] = 1
-        constraints.append((row, simplex.LE, 1))
-        for coll in lie_support:
+    The LP maximizes the margin m over the lie-support weights w_c in [-1, 1]
+    and each source K's minimum z_K <= 1, with w_c >= z_K whenever c is within
+    K, Σ_c q(c)·w_c <= -m at the lie and Σ_K p(K)·z_K >= m at the truth. It
+    is solved in the variables u_c = 1 - w_c in [0, 2], v_K = 1 - z_K >= 0 and
+    t = m + 1 >= 0, with q and p as integer numerators Q and P over the
+    agent's alphabet scale L (so ΣQ = ΣP = L); every row is a `<=` row:
+
+        -Σ_c Q_c·u_c + L·t <= 0
+        u_c - v_K <= 0          for each c within K
+        Σ_K P_K·v_K + L·t <= 2L
+
+    The origin is feasible, so `simplex.maximize` starts from the slack basis
+    (each bound u_c <= 2 adds one more such row) and runs no phase 1. The substitution is a bijection between the two
+    feasible sets except for the cut m >= -1, and that cut removes no optimum:
+    w = 1, z = 1, m = -1 is always feasible, so the optimal m is at least -1.
+    """
+    table = scenario.alphabet_table(agent)
+    truth_masses = table.masses[table.truth[scenario.state_index(truth_state)]]
+    lie_masses = table.masses[table.truth[scenario.state_index(lie_state)]]
+    scale = table.scale
+    lie_support = list(lie_masses)
+    n_u = len(lie_support)
+    n = n_u + len(truth_masses) + 1  # u per lie-support weight, v per source, t
+    t_col = n - 1
+
+    constraints = [([-q for q in lie_masses.values()] + [0] * len(truth_masses) + [scale], simplex.LE, 0)]
+    for v_col, src in enumerate(truth_masses, n_u):
+        for u_col, coll in enumerate(lie_support):
             if coll <= src:
                 row = [0] * n
-                row[n_w + k_idx] = 1
-                row[col_index[coll]] -= 1
+                row[u_col], row[v_col] = 1, -1
                 constraints.append((row, simplex.LE, 0))
-    # Worst-case value at the truth state stays above +margin.
-    row = [0] * n
-    for k_idx, src in enumerate(sources):
-        row[n_w + k_idx] = truth_dist.prob(src)
-    row[margin_col] = -1
-    constraints.append((row, simplex.GE, 0))
+    constraints.append(([0] * n_u + list(truth_masses.values()) + [scale], simplex.LE, 2 * scale))
 
-    objective = [0] * n
-    objective[margin_col] = 1
-    bounds = [(-1, 1)] * n_w + [(None, None)] * n_z + [(None, None)]
-
-    result = simplex.maximize(objective, constraints, bounds)
+    result = simplex.maximize([0] * t_col + [1], constraints, [(0, 2)] * n_u + [(0, None)] * (n - n_u))
     if result.status != "optimal":
         raise InfeasibleSeparation(f"bet LP ended {result.status}")
-    margin = result.values[margin_col]
+    margin = result.values[t_col] - 1
     if margin <= 0:
         raise InfeasibleSeparation(
             f"no separating bet for {agent}: perfect deception {truth_state}->{lie_state} exists"
         )
-    weight_map = {coll: result.values[col_index[coll]] for coll in lie_support}
-    for coll in domain:
-        if coll not in weight_map:
-            weight_map[coll] = Fraction(1)
-    weights = tuple(
-        (coll, weight_map[coll]) for coll in domain if weight_map[coll] != 0
+    weight_map = {coll: 1 - u for coll, u in zip(lie_support, result.values)}
+    weights = (
+        (coll, weight_map.get(coll, Fraction(1)))
+        for coll in _bet_domain(scenario, agent, truth_state, lie_state)
     )
-    return Bet(agent, truth_state, lie_state, weights, margin)
+    return Bet(agent, truth_state, lie_state, tuple((coll, w) for coll, w in weights if w != 0), margin)
 
 
 @dataclass

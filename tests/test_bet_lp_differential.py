@@ -1,0 +1,108 @@
+"""Differential tests: `synthesize_bet` over integer rows with a feasible
+origin against the `Fraction`-row LP it replaced (`bet_lp_reference.py`).
+
+Margins and verdicts (a bet, or `InfeasibleSeparation`) must be identical on
+every (agent, truth, lie) of the fixtures and of random scenarios with up to
+four and up to three states. A bet may sit on another optimal vertex of the
+same LP, so weights are not compared; every bet must certify instead, with
+sup-norm at most 1. A guard checks the form of every LP the function hands to
+`simplex.maximize`: integer coefficients, `<=` rows with nonnegative
+right-hand sides and nonnegative variables, so no LP runs phase 1."""
+
+from fractions import Fraction
+
+import pytest
+
+import bet_lp_reference
+from evimech import fixtures, simplex
+from evimech.deception import InfeasibleSeparation, certify_bet, synthesize_bet
+from evimech.generators import random_scenario
+from evimech.scenario import ScenarioError
+from test_acceptance import _population
+
+
+def _scenarios():
+    yield from (build() for build in fixtures.ALL_FIXTURES.values())
+    yield from (random_scenario(seed) for seed in range(1500))
+    yield from (random_scenario(seed, max_states=3) for seed in range(1500))
+
+
+def _pairs(scenario):
+    for agent in scenario.agents:
+        for truth in scenario.states:
+            for lie in scenario.states:
+                if truth != lie:
+                    yield agent, truth, lie
+
+
+def _outcome(synthesize, scenario, *args):
+    try:
+        return synthesize(scenario, *args)
+    except (InfeasibleSeparation, ScenarioError) as exc:
+        return type(exc)
+
+
+def test_margins_and_verdicts_match_the_reference():
+    pairs = bets = 0
+    for scenario in _scenarios():
+        for case in _pairs(scenario):
+            new = _outcome(synthesize_bet, scenario, *case)
+            old = _outcome(bet_lp_reference.synthesize_bet, scenario, *case)
+            pairs += 1
+            if old is InfeasibleSeparation:
+                assert new is InfeasibleSeparation, case
+                continue
+            assert new is not InfeasibleSeparation, case
+            assert (type(new.margin), new.margin) == (Fraction, old.margin), case
+            assert (new.agent, new.truth_state, new.lie_state) == case
+            assert all(type(w) is Fraction and -1 <= w <= 1 for _, w in new.weights), case
+            report = certify_bet(scenario, new)
+            assert report.passed, case
+            assert report.value_at_lie <= -new.margin, case
+            assert report.robust_worst_case >= new.margin, case
+            bets += 1
+    assert pairs == 40460
+    assert 0 < bets < pairs
+
+
+@pytest.mark.parametrize(
+    "agent, truth, lie",
+    [("Z", "M", "H"), ("A", "X", "H"), ("A", "M", "X"), ("A", "M", "M"), ("A", "H", "H"), ("A", "L", "L")],
+)
+def test_errors_match_the_reference(agent, truth, lie):
+    leading = fixtures.leading_example()
+    new = _outcome(synthesize_bet, leading, agent, truth, lie)
+    old = _outcome(bet_lp_reference.synthesize_bet, leading, agent, truth, lie)
+    assert new is old
+    assert new in (InfeasibleSeparation, ScenarioError)
+
+
+def test_every_criterion_9_bet_lp_starts_from_a_feasible_origin(monkeypatch):
+    lps, runs = [], []
+    maximize, run_simplex = simplex.maximize, simplex._run_simplex
+
+    def capture(objective, constraints, bounds):
+        lps.append((objective, constraints, bounds))
+        return maximize(objective, constraints, bounds)
+
+    def count(*args):
+        runs.append(None)
+        return run_simplex(*args)
+
+    monkeypatch.setattr(simplex, "maximize", capture)
+    monkeypatch.setattr(simplex, "_run_simplex", count)
+    pairs = 0
+    for scenario in _population():
+        for case in _pairs(scenario):
+            _outcome(synthesize_bet, scenario, *case)
+            pairs += 1
+    assert len(lps) == pairs == 8354
+    # one simplex run per LP: phase 2 from the slack basis, no phase 1
+    assert len(runs) == len(lps)
+    for objective, constraints, bounds in lps:
+        assert all(type(a) is int for a in objective)
+        for coeffs, sense, rhs in constraints:
+            assert sense == simplex.LE
+            assert all(type(a) is int for a in coeffs)
+            assert type(rhs) is int and rhs >= 0
+        assert all(bound in ((0, None), (0, 2)) for bound in bounds)

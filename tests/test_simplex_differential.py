@@ -85,25 +85,33 @@ def test_simplex_suite_lps_match_the_reference():
 
 
 _coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-_bound = st.one_of(
-    st.tuples(_coefficient, st.none()),
-    st.tuples(st.none(), _coefficient),
-    st.tuples(_coefficient, _coefficient),
-    st.just((None, None)),
-)
+_integer = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def small_lps(draw):
+def small_lps(draw, value=_coefficient):
     n = draw(st.integers(1, 4))
-    row = st.lists(_coefficient, min_size=n, max_size=n)
-    constraint = st.tuples(row, st.sampled_from([simplex.LE, simplex.GE, simplex.EQ]), _coefficient)
+    row = st.lists(value, min_size=n, max_size=n)
+    constraint = st.tuples(row, st.sampled_from([simplex.LE, simplex.GE, simplex.EQ]), value)
     constraints = draw(st.lists(constraint, max_size=4))
-    bounds = draw(st.lists(_bound, min_size=n, max_size=n))
+    bound = st.one_of(
+        st.tuples(value, st.none()),
+        st.tuples(st.none(), value),
+        st.tuples(value, value),
+        st.just((None, None)),
+    )
+    bounds = draw(st.lists(bound, min_size=n, max_size=n))
     return draw(row), constraints, bounds
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(small_lps())
 def test_fuzzed_small_lps_match_the_reference(lp):
+    assert_matches_reference(*lp)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(small_lps(_integer))
+def test_fuzzed_integer_lps_match_the_reference(lp):
+    # plain ints throughout, as the bet LP passes them
     assert_matches_reference(*lp)
