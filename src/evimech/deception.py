@@ -113,9 +113,11 @@ def perfect_deception(scenario: Scenario, agent, source_state, target_state) -> 
 def _solve_perfect_deception(scenario: Scenario, agent, source_state, target_state) -> PerfectDeceptionResult:
     if source_state == target_state:
         return PerfectDeceptionResult(identity_plan(scenario, agent, source_state), Fraction(1), None)
-    supplies = dict(scenario.dist(agent, source_state).items())
-    demands = dict(scenario.dist(agent, target_state).items())
-    result = solve_transport(supplies, demands)
+    table = scenario.alphabet_table(agent)
+    supplies, demands = (
+        table.masses[table.truth[scenario.state_index(state)]] for state in (source_state, target_state)
+    )
+    result = solve_transport(supplies, demands, table.scale)
     if not result.feasible:
         return PerfectDeceptionResult(None, result.flow_value, result.witness)
     # arc_flows lists arcs in canonical (source, target) collection order
@@ -277,7 +279,7 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
     The LP maximizes the margin m over the lie-support weights w_c in [-1, 1]
     and each source K's minimum z_K <= 1, with w_c >= z_K whenever c is within
     K, Σ_c q(c)·w_c <= -m at the lie and Σ_K p(K)·z_K >= m at the truth. It
-    is solved in the variables u_c = 1 - w_c in [0, 2], v_K = 1 - z_K >= 0 and
+    is posed in the variables u_c = 1 - w_c in [0, 2], v_K = 1 - z_K >= 0 and
     t = m + 1 >= 0, with q and p as integer numerators Q and P over the
     agent's alphabet scale L (so ΣQ = ΣP = L); every row is a `<=` row:
 
@@ -285,28 +287,55 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
         u_c - v_K <= 0          for each c within K
         Σ_K P_K·v_K + L·t <= 2L
 
-    The origin is feasible, so `simplex.maximize` starts from the slack basis
-    (each bound u_c <= 2 adds one more such row) and runs no phase 1. The substitution is a bijection between the two
-    feasible sets except for the cut m >= -1, and that cut removes no optimum:
-    w = 1, z = 1, m = -1 is always feasible, so the optimal m is at least -1.
+    The substitution is a bijection between the two feasible sets except for
+    the cut m >= -1, and that cut removes no optimum: w = 1, z = 1, m = -1 is
+    always feasible, so the optimal m is at least -1.
+
+    A presolve then drops the columns that some optimum fixes, reading only
+    the LP's own structure. Each step turns any optimum into another one with
+    the same t, and each feasible point of the presolved LP, with the dropped
+    variables set so, is feasible for the full LP; so the optimal margin is
+    unchanged:
+
+    - a source K with no lie-support collection within it has v_K only in the
+      truth row, with coefficient P_K > 0: v_K = 0 keeps it feasible;
+    - a source K with exactly one, c, needs v_K >= u_c only: v_K = u_c keeps
+      every row feasible, so P_K joins u_c's truth-row coefficient and the
+      row u_c - v_K <= 0 goes;
+    - a lie-support collection c within no source has u_c in the lie row
+      alone, with coefficient -Q_c < 0: u_c = 2 (w_c = -1) keeps it feasible,
+      and 2·Q_c moves to the lie row's right-hand side.
+
+    Every row stays an integer `<=` row with a nonnegative right-hand side,
+    so the origin stays feasible: `simplex.maximize` starts from the slack
+    basis (each bound u_c <= 2 adds one more such row) and runs no phase 1.
     """
     table = scenario.alphabet_table(agent)
     truth_masses = table.masses[table.truth[scenario.state_index(truth_state)]]
     lie_masses = table.masses[table.truth[scenario.state_index(lie_state)]]
     scale = table.scale
-    lie_support = list(lie_masses)
-    n_u = len(lie_support)
-    n = n_u + len(truth_masses) + 1  # u per lie-support weight, v per source, t
+    within = {src: [c for c in lie_masses if c <= src] for src in truth_masses}
+    served = {c for inside in within.values() for c in inside}
+    u_cols = {c: k for k, c in enumerate(c for c in lie_masses if c in served)}
+    minima = [(src, inside) for src, inside in within.items() if len(inside) > 1]
+    n_u = len(u_cols)
+    n = n_u + len(minima) + 1  # u per served lie-support weight, v per source with two or more, t
     t_col = n - 1
 
-    constraints = [([-q for q in lie_masses.values()] + [0] * len(truth_masses) + [scale], simplex.LE, 0)]
-    for v_col, src in enumerate(truth_masses, n_u):
-        for u_col, coll in enumerate(lie_support):
-            if coll <= src:
-                row = [0] * n
-                row[u_col], row[v_col] = 1, -1
-                constraints.append((row, simplex.LE, 0))
-    constraints.append(([0] * n_u + list(truth_masses.values()) + [scale], simplex.LE, 2 * scale))
+    lie_row = [-lie_masses[c] for c in u_cols] + [0] * len(minima) + [scale]
+    unserved = [c for c in lie_masses if c not in served]
+    constraints = [(lie_row, simplex.LE, 2 * sum(lie_masses[c] for c in unserved))]
+    truth_row = [0] * t_col + [scale]
+    for src, inside in within.items():
+        if len(inside) == 1:
+            truth_row[u_cols[inside[0]]] += truth_masses[src]
+    for v_col, (src, inside) in enumerate(minima, n_u):
+        truth_row[v_col] = truth_masses[src]
+        for c in inside:
+            row = [0] * n
+            row[u_cols[c]], row[v_col] = 1, -1
+            constraints.append((row, simplex.LE, 0))
+    constraints.append((truth_row, simplex.LE, 2 * scale))
 
     result = simplex.maximize([0] * t_col + [1], constraints, [(0, 2)] * n_u + [(0, None)] * (n - n_u))
     if result.status != "optimal":
@@ -316,7 +345,8 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
         raise InfeasibleSeparation(
             f"no separating bet for {agent}: perfect deception {truth_state}->{lie_state} exists"
         )
-    weight_map = {coll: 1 - u for coll, u in zip(lie_support, result.values)}
+    weight_map = dict.fromkeys(unserved, Fraction(-1))
+    weight_map.update((c, 1 - u) for c, u in zip(u_cols, result.values))
     weights = (
         (coll, weight_map.get(coll, Fraction(1)))
         for coll in _bet_domain(scenario, agent, truth_state, lie_state)

@@ -1,14 +1,14 @@
 """Two-phase simplex over exact rationals, pivoting on integer rows.
 
 Small problems only; every verdict downstream depends on exact optima, which
-rules out floating-point LP backends. Inputs and outputs are `Fraction`s (ints
-are accepted too). Inside, each tableau row holds integer numerators over a
+rules out floating-point LP backends. Inputs are `Fraction`s or ints, outputs
+`Fraction`s. Inside, each tableau row holds integer numerators over a
 positive per-row denominator, so it stands for exactly the rational row a
-`Fraction` tableau would hold. An elimination step touches only the nonzero
-entries of the pivot row unless it must rescale the row to stay integral; a
-rescaled row is reduced by its gcd. Pivoting uses the largest-coefficient rule
-with an automatic switch to Bland's rule on stalls, so it is fast in practice
-and provably terminating.
+`Fraction` tableau would hold; a row of ints is its own numerators over 1.
+An elimination step touches only the nonzero entries of the pivot row unless
+it must rescale the row to stay integral; a rescaled row is reduced by its
+gcd. Pivoting uses the largest-coefficient rule with an automatic switch to
+Bland's rule on stalls, so it is fast in practice and provably terminating.
 """
 
 from __future__ import annotations
@@ -80,19 +80,15 @@ def _run_simplex(rows, dens, bas, cost, cost_den, ncols):
     """Minimize the cost row (numerators over one positive denominator)."""
     stall = 0
     bland = False
+    columns = range(ncols)
     while True:
-        enter = -1
         if bland:
-            for j in range(ncols):
-                if cost[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in columns if cost[j] < 0), -1)
         else:
-            best_cost = 0
-            for j in range(ncols):
-                if cost[j] < best_cost:
-                    best_cost = cost[j]
-                    enter = j
+            # the first of the most negative costs
+            enter = min(columns, key=cost.__getitem__, default=-1)
+            if enter >= 0 and cost[enter] >= 0:
+                enter = -1
         if enter < 0:
             return "optimal", cost
         # Ratio test: row i's ratio is row[-1] / row[enter], its denominator
@@ -151,17 +147,21 @@ def maximize(objective, constraints, bounds):
             col_of.append(((y_count, 1), (y_count + 1, -1)))
             y_count += 2
     base = [b.numerator if b.denominator == 1 else b for b in base]
+    shifted = any(base)
 
     def expand(coeffs):
-        den = common_denominator(coeffs)
-        nums = numerators(coeffs, den)
+        # int coefficients are their own numerators over 1
+        if all(type(a) is int for a in coeffs):
+            den, nums = 1, coeffs
+        else:
+            den = common_denominator(coeffs)
+            nums = numerators(coeffs, den)
         row = [0] * y_count
-        shift = 0
         for j, a in enumerate(nums):
             if a:
-                shift += a * base[j]
                 for y_idx, sign in col_of[j]:
                     row[y_idx] += a * sign
+        shift = sum(a * b for a, b in zip(nums, base) if a) if shifted else 0
         return row, den, shift  # the row is row / den, shifted by shift / den
 
     # Each standard-form row is [numerators over y, denominator, sense, rhs
@@ -210,10 +210,11 @@ def maximize(objective, constraints, bounds):
             row[width + art_used] = den
             basis.append(width + art_used)
             art_used += 1
-        g = reduce(gcd, row, den)
-        if g != 1:
-            row = [a // g for a in row]
-            den //= g
+        if den != 1:  # else the gcd is 1
+            g = reduce(gcd, row, den)
+            if g != 1:
+                row = [a // g for a in row]
+                den //= g
         rows.append(row)
         dens.append(den)
 

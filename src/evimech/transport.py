@@ -1,11 +1,12 @@
 """Exact max-flow on the subset-arc transport network behind deception feasibility.
 
-Supplies and demands are brought over one common denominator `L` (the lcm of
-their denominators), and the Edmonds–Karp search (breadth-first augmenting
-paths; Edmonds and Karp, *J. ACM* 19, 1972) runs on the integer capacities
-`L · mass`. Scaling by `L` changes no comparison and no path choice, so the
-flows are the rational flows divided by `L`; `Fraction`s are built only for
-the returned flow value, arc flows and witness sums.
+Supplies and demands come in as integer masses over the caller's common
+denominator `L` (for a deception, the agent's alphabet scale), and the
+Edmonds–Karp search (breadth-first augmenting paths; Edmonds and Karp,
+*J. ACM* 19, 1972) runs on them as capacities. Scaling by `L` changes no
+comparison and no path choice, so the flows are the rational flows divided
+by `L`; they come out as `Fraction`s, built only for the returned flow value,
+arc flows and witness sums.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import common_denominator, numerators
 from .scenario import collection_key
 
 
@@ -51,21 +51,30 @@ class HallWitness:
         return self.demand > self.supply
 
 
-def solve_transport(supplies, demands) -> TransportResult:
+def solve_transport(supplies, demands, scale) -> TransportResult:
     """Route supply mass to demands along subset arcs (target ⊆ source).
 
-    supplies / demands: mapping collection -> positive Fraction with equal totals.
-    Feasible iff the max flow moves the whole supply. An infeasible result
-    carries the `HallWitness` of its minimum cut, which is scarce whenever
-    the flow falls short of the demand; unequal totals with every demand met
-    have no such witness and raise `NotScarce`.
+    supplies / demands: mapping collection -> positive `int` mass over the
+    positive `int` `scale` (the rational mass is mass / scale), with equal
+    totals. Any other mass or scale raises `TypeError` (a `bool` is not a
+    mass), and a scale below 1 `ValueError`: a `Fraction` mass would
+    otherwise be divided by `scale` a second time. Feasible iff the max flow
+    moves the whole supply. An infeasible result carries the `HallWitness`
+    of its minimum cut, which is scarce whenever the flow falls short of the
+    demand; unequal totals with every demand met have no such witness and
+    raise `NotScarce`.
     """
+    if type(scale) is not int:
+        raise TypeError(f"scale must be an int, got {type(scale).__name__}")
+    if scale < 1:
+        raise ValueError(f"scale must be positive, got {scale}")
     sources = sorted(supplies, key=collection_key)
     sinks = sorted(demands, key=collection_key)
-    supply = [Fraction(supplies[c]) for c in sources]
-    demand = [Fraction(demands[c]) for c in sinks]
-    scale = common_denominator(supply + demand)
-    supply, demand = numerators(supply, scale), numerators(demand, scale)
+    supply = [supplies[c] for c in sources]
+    demand = [demands[c] for c in sinks]
+    for mass in supply + demand:
+        if type(mass) is not int:
+            raise TypeError(f"masses must be ints over scale, got {type(mass).__name__}")
 
     # Node ids: 0 = super source, 1..len(sources) sources, then sinks, then sink node.
     # residual[u] maps each neighbour of u to the integer residual capacity of

@@ -5,9 +5,11 @@ Margins and verdicts (a bet, or `InfeasibleSeparation`) must be identical on
 every (agent, truth, lie) of the fixtures and of random scenarios with up to
 four and up to three states. A bet may sit on another optimal vertex of the
 same LP, so weights are not compared; every bet must certify instead, with
-sup-norm at most 1. A guard checks the form of every LP the function hands to
-`simplex.maximize`: integer coefficients, `<=` rows with nonnegative
-right-hand sides and nonnegative variables, so no LP runs phase 1."""
+sup-norm at most 1. Guards check every LP the function hands to
+`simplex.maximize`: its form (integer coefficients, `<=` rows with
+nonnegative right-hand sides and nonnegative variables, so no LP runs phase
+1), its presolve (no column that an optimum fixes), and the pivot total over
+criterion 9's population."""
 
 from fractions import Fraction
 
@@ -106,3 +108,56 @@ def test_every_criterion_9_bet_lp_starts_from_a_feasible_origin(monkeypatch):
             assert all(type(a) is int for a in coeffs)
             assert type(rhs) is int and rhs >= 0
         assert all(bound in ((0, None), (0, 2)) for bound in bounds)
+
+
+def _solve_criterion_9(monkeypatch):
+    """Every bet LP of criterion 9's population as handed to
+    `simplex.maximize`, and the number of pivots made on them."""
+    lps, pivots = [], []
+    maximize, pivot = simplex.maximize, simplex._pivot
+
+    def capture(objective, constraints, bounds):
+        lps.append((objective, constraints, bounds))
+        return maximize(objective, constraints, bounds)
+
+    def count(*args):
+        pivots.append(None)
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "maximize", capture)
+    monkeypatch.setattr(simplex, "_pivot", count)
+    for scenario in _population():
+        for case in _pairs(scenario):
+            _outcome(synthesize_bet, scenario, *case)
+    return lps, len(pivots)
+
+
+def test_every_criterion_9_bet_lp_is_presolved(monkeypatch):
+    lps, _ = _solve_criterion_9(monkeypatch)
+    assert len(lps) == 8354
+    for objective, constraints, bounds in lps:
+        # the lie row, one u_c - v_K <= 0 row per c within K, the truth row
+        lie_row, *links, truth_row = (coeffs for coeffs, _, _ in constraints)
+        t_col = len(bounds) - 1
+        assert objective == [0] * t_col + [1]
+        assert lie_row[t_col] > 0 and truth_row[t_col] > 0
+        u_cols = [j for j, bound in enumerate(bounds) if bound == (0, 2)]
+        v_cols = [j for j, bound in enumerate(bounds[:t_col]) if bound == (0, None)]
+        for row in links:
+            assert sorted((a, j in u_cols, j in v_cols) for j, a in enumerate(row) if a) == [
+                (-1, False, True),
+                (1, True, False),
+            ]
+        # a source within reach of one lie-support collection or none has no
+        # v column, and every u column is capped by a source
+        for v in v_cols:
+            assert sum(row[v] == -1 for row in links) >= 2
+        for u in u_cols:
+            assert any(row[u] == 1 for row in links) or truth_row[u] > 0
+
+
+def test_criterion_9_pivot_total(monkeypatch):
+    # Exact for this LP form and pivot rule: 34,848 before the presolve, so a
+    # change that undoes it (or alters the pivots) shows here.
+    _, pivots = _solve_criterion_9(monkeypatch)
+    assert pivots == 23363

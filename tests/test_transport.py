@@ -2,11 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from evimech.transport import HallWitness, NotScarce, solve_transport
+from evimech.rationals import common_denominator, numerators
+from evimech.transport import HallWitness, NotScarce
+from evimech.transport import solve_transport as solve_integer_transport
 
 F = Fraction
 C_TOP = frozenset({"mh", "lmh"})
 C_LOW = frozenset({"lmh"})
+
+
+def solve_transport(supplies, demands):
+    """`solve_transport` on `Fraction` masses, passed as numerators over their L."""
+    scale = common_denominator([*supplies.values(), *demands.values()])
+    supplies, demands = (dict(zip(m, numerators(m.values(), scale))) for m in (supplies, demands))
+    return solve_integer_transport(supplies, demands, scale)
 
 
 def test_feasible_leading_h_to_m():
@@ -57,3 +66,39 @@ def test_deterministic_arc_flows():
     first = solve_transport(supplies, demands)
     second = solve_transport(supplies, demands)
     assert first.arc_flows == second.arc_flows
+
+
+@pytest.mark.parametrize(
+    "mass",
+    [F(3, 5), True, 3.0],
+    ids=["fraction", "bool", "float"],
+)
+def test_refuses_a_mass_that_is_not_an_int(mass):
+    with pytest.raises(TypeError):
+        solve_integer_transport({C_TOP: mass, C_LOW: 2}, {C_TOP: 2, C_LOW: 3}, 5)
+    with pytest.raises(TypeError):
+        solve_integer_transport({C_TOP: 3, C_LOW: 2}, {C_TOP: mass, C_LOW: 3}, 5)
+
+
+@pytest.mark.parametrize("scale", [F(5), 5.0, True], ids=["fraction", "float", "bool"])
+def test_refuses_a_scale_that_is_not_an_int(scale):
+    with pytest.raises(TypeError):
+        solve_integer_transport({C_TOP: 3, C_LOW: 2}, {C_TOP: 2, C_LOW: 3}, scale)
+
+
+@pytest.mark.parametrize("scale", [0, -5])
+def test_refuses_a_scale_below_one(scale):
+    with pytest.raises(ValueError):
+        solve_integer_transport({C_TOP: 3, C_LOW: 2}, {C_TOP: 2, C_LOW: 3}, scale)
+
+
+def test_flows_are_masses_over_the_scale():
+    # the leading example's H -> M transport over L = 5, and the same over 10
+    for scale, factor in ((5, 1), (10, 2)):
+        result = solve_integer_transport(
+            {C_TOP: 3 * factor, C_LOW: 2 * factor}, {C_TOP: 2 * factor, C_LOW: 3 * factor}, scale
+        )
+        assert result.feasible
+        assert (type(result.flow_value), result.flow_value) == (Fraction, 1)
+        assert all(type(flow) is Fraction for flow in result.arc_flows.values())
+        assert sum(result.arc_flows.values()) == 1

@@ -1,8 +1,9 @@
 """Differential tests: the integer max-flow against the `Fraction` max-flow
-it replaced (`transport_reference.py`). Feasibility, flow value, arc flows
-(as `Fraction`s, in the same dict order) and the Hall witness must be
-identical, on every transport of criterion 9's population, on the fixtures
-and on fuzzed networks."""
+it replaced (`transport_reference.py`). `solve_transport` takes integer
+masses over a scale L; the reference gets the same masses as `Fraction`s
+n / L. Feasibility, flow value, arc flows (as `Fraction`s, in the same dict
+order) and the Hall witness must be identical, on every transport of
+criterion 9's population, on the fixtures and on fuzzed networks."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import transport_reference
 from evimech import deception, fixtures, transport
 from evimech.deception import find_perfect_deception
+from evimech.rationals import common_denominator, numerators
 from evimech.scenario import collection_key
 from test_acceptance import _population
 
@@ -30,31 +32,34 @@ def _fields(result):
     return result.feasible, _typed(result.flow_value), arcs, witness
 
 
-def assert_matches_reference(supplies, demands):
-    reference = transport_reference.solve_transport(supplies, demands)
+def assert_matches_reference(supplies, demands, scale):
+    """supplies / demands: integer masses over `scale`."""
+    reference = transport_reference.solve_transport(
+        *({coll: Fraction(n, scale) for coll, n in masses.items()} for masses in (supplies, demands))
+    )
     if reference.witness is not None and not reference.witness.verify():
         # every demand met with supply left over (unequal totals): no target
         # set is scarce, and a Hall witness refuses to be built
         with pytest.raises(transport.NotScarce):
-            transport.solve_transport(supplies, demands)
+            transport.solve_transport(supplies, demands, scale)
         return reference
-    new = transport.solve_transport(supplies, demands)
-    assert _fields(new) == _fields(reference), (supplies, demands)
+    new = transport.solve_transport(supplies, demands, scale)
+    assert _fields(new) == _fields(reference), (supplies, demands, scale)
     return new
 
 
 @contextmanager
 def captured_transports():
-    """Collect the distinct (supplies, demands) pairs solved inside the block."""
+    """Collect the distinct (supplies, demands, scale) calls solved inside the block."""
     seen = {}
     original = deception.solve_transport
 
-    def capture(supplies, demands):
+    def capture(supplies, demands, scale):
         key = repr(
-            [sorted(m.items(), key=lambda kv: collection_key(kv[0])) for m in (supplies, demands)]
+            [sorted(m.items(), key=lambda kv: collection_key(kv[0])) for m in (supplies, demands)] + [scale]
         )
-        seen.setdefault(key, (dict(supplies), dict(demands)))
-        return original(supplies, demands)
+        seen.setdefault(key, (dict(supplies), dict(demands), scale))
+        return original(supplies, demands, scale)
 
     deception.solve_transport = capture
     try:
@@ -105,6 +110,11 @@ def equal_totals(draw):
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.tuples(_masses, _masses), equal_totals()))
-def test_fuzzed_transports_match_the_reference(pair):
-    assert_matches_reference(*pair)
+@given(st.one_of(st.tuples(_masses, _masses), equal_totals()), st.integers(1, 3))
+def test_fuzzed_transports_match_the_reference(pair, factor):
+    """The masses as numerators over `factor` times their common denominator."""
+    supplies, demands = pair
+    scale = factor * common_denominator([*supplies.values(), *demands.values()])
+    assert_matches_reference(
+        *(dict(zip(masses, numerators(masses.values(), scale))) for masses in pair), scale
+    )
