@@ -120,7 +120,7 @@ def _solve_perfect_deception(scenario: Scenario, agent, source_state, target_sta
     result = solve_transport(supplies, demands, table.scale)
     if not result.feasible:
         return PerfectDeceptionResult(None, result.flow_value, result.witness)
-    # arc_flows lists arcs in canonical (source, target) collection order
+    # the masses are keyed in canonical collection order, and so are the arcs
     flows = tuple((src, dst, f) for (src, dst), f in result.arc_flows.items())
     return PerfectDeceptionResult(
         TransportPlan(agent, source_state, target_state, flows), result.flow_value, None
@@ -286,6 +286,7 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
         -Σ_c Q_c·u_c + L·t <= 0
         u_c - v_K <= 0          for each c within K
         Σ_K P_K·v_K + L·t <= 2L
+        u_c <= 2                for each c
 
     The substitution is a bijection between the two feasible sets except for
     the cut m >= -1, and that cut removes no optimum: w = 1, z = 1, m = -1 is
@@ -307,8 +308,8 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
       and 2·Q_c moves to the lie row's right-hand side.
 
     Every row stays an integer `<=` row with a nonnegative right-hand side,
-    so the origin stays feasible: `simplex.maximize` starts from the slack
-    basis (each bound u_c <= 2 adds one more such row) and runs no phase 1.
+    the one form `simplex.maximize` takes: it starts from the slack basis at
+    the feasible origin. The bounds u_c <= 2 come last, in column order.
     """
     table = scenario.alphabet_table(agent)
     truth_masses = table.masses[table.truth[scenario.state_index(truth_state)]]
@@ -324,7 +325,7 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
 
     lie_row = [-lie_masses[c] for c in u_cols] + [0] * len(minima) + [scale]
     unserved = [c for c in lie_masses if c not in served]
-    constraints = [(lie_row, simplex.LE, 2 * sum(lie_masses[c] for c in unserved))]
+    constraints = [(lie_row, 2 * sum(lie_masses[c] for c in unserved))]
     truth_row = [0] * t_col + [scale]
     for src, inside in within.items():
         if len(inside) == 1:
@@ -334,10 +335,14 @@ def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:
         for c in inside:
             row = [0] * n
             row[u_cols[c]], row[v_col] = 1, -1
-            constraints.append((row, simplex.LE, 0))
-    constraints.append((truth_row, simplex.LE, 2 * scale))
+            constraints.append((row, 0))
+    constraints.append((truth_row, 2 * scale))
+    for u_col in range(n_u):
+        row = [0] * n
+        row[u_col] = 1
+        constraints.append((row, 2))
 
-    result = simplex.maximize([0] * t_col + [1], constraints, [(0, 2)] * n_u + [(0, None)] * (n - n_u))
+    result = simplex.maximize([0] * t_col + [1], constraints)
     if result.status != "optimal":
         raise InfeasibleSeparation(f"bet LP ended {result.status}")
     margin = result.values[t_col] - 1

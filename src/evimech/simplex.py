@@ -1,10 +1,15 @@
-"""Two-phase simplex over exact rationals, pivoting on integer rows.
+"""Primal simplex over exact rationals for integer `<=` programs with a
+feasible origin, pivoting on integer rows.
+
+`maximize` takes one LP form: maximize c·x over x >= 0 subject to
+row·x <= rhs, with every entry an `int` and every rhs >= 0. The origin is
+then feasible, so the slack columns are the starting basis and one simplex
+run reaches the optimum (no phase 1). Input outside the form raises.
 
 Small problems only; every verdict downstream depends on exact optima, which
-rules out floating-point LP backends. Inputs are `Fraction`s or ints, outputs
-`Fraction`s. Inside, each tableau row holds integer numerators over a
-positive per-row denominator, so it stands for exactly the rational row a
-`Fraction` tableau would hold; a row of ints is its own numerators over 1.
+rules out floating-point LP backends. Outputs are `Fraction`s. Inside, each
+tableau row holds integer numerators over a positive per-row denominator, so
+it stands for exactly the rational row a `Fraction` tableau would hold.
 An elimination step touches only the nonzero entries of the pivot row unless
 it must rescale the row to stay integral; a rescaled row is reduced by its
 gcd. Pivoting uses the largest-coefficient rule with an automatic switch to
@@ -16,18 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
-
-from .rationals import common_denominator, numerators
-
-LE, GE, EQ = "<=", ">=", "=="
+from math import gcd
 
 _STALL_LIMIT = 12
 
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     objective: Fraction | None
     values: list | None
 
@@ -117,148 +118,46 @@ def _run_simplex(rows, dens, bas, cost, cost_den, ncols):
             cost, cost_den = _eliminate(cost, cost_den, enter, rows[leave], nz)
 
 
-def maximize(objective, constraints, bounds):
-    """Maximize objective subject to constraints.
+def _check_ints(entries, where):
+    for a in entries:
+        if type(a) is not int:  # a bool, Fraction or float too
+            raise TypeError(f"{where}: LP entries must be ints, got {type(a).__name__}")
 
-    objective: list of Fractions (one per variable).
-    constraints: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
-    bounds: list of (lo, hi) per variable; None means unbounded on that side.
+
+def maximize(objective, constraints):
+    """Maximize objective · x over x >= 0 subject to row · x <= rhs.
+
+    objective: list of ints, one per variable.
+    constraints: list of (row, rhs) pairs, each row a list of ints as long as
+    the objective and each rhs an int >= 0.
+
+    A non-`int` entry raises `TypeError`; a row of another length or a
+    negative rhs raises `ValueError`.
     """
-    # Rewrite into standard-form variables y >= 0 via x = base + M y (per variable
-    # a single column, or two columns for free variables).
-    col_of = []
-    base = []
-    spans = []  # (column, hi - lo as numerator, denominator) of boxed variables
-    y_count = 0
-    for lo, hi in bounds:
-        if lo is not None:
-            base.append(lo)
-            col_of.append(((y_count, 1),))
-            if hi is not None:
-                span = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-                spans.append((y_count, span, hi.denominator * lo.denominator))
-            y_count += 1
-        elif hi is not None:
-            base.append(hi)
-            col_of.append(((y_count, -1),))
-            y_count += 1
-        else:
-            base.append(0)
-            col_of.append(((y_count, 1), (y_count + 1, -1)))
-            y_count += 2
-    base = [b.numerator if b.denominator == 1 else b for b in base]
-    shifted = any(base)
-
-    def expand(coeffs):
-        # int coefficients are their own numerators over 1
-        if all(type(a) is int for a in coeffs):
-            den, nums = 1, coeffs
-        else:
-            den = common_denominator(coeffs)
-            nums = numerators(coeffs, den)
-        row = [0] * y_count
-        for j, a in enumerate(nums):
-            if a:
-                for y_idx, sign in col_of[j]:
-                    row[y_idx] += a * sign
-        shift = sum(a * b for a, b in zip(nums, base) if a) if shifted else 0
-        return row, den, shift  # the row is row / den, shifted by shift / den
-
-    # Each standard-form row is [numerators over y, denominator, sense, rhs
-    # numerator]: (row / den) . y  (sense)  rhs - shift / den.
-    std_rows = []
-    for coeffs, sense, rhs in constraints:
-        row, den, shift = expand(coeffs)
-        rn, rd = rhs.numerator, rhs.denominator
-        sn, sd = shift.numerator, shift.denominator
-        scale = rd * sd
-        if scale != 1:
-            row = [a * scale for a in row]
-        std_rows.append([row, den * scale, sense, rn * sd * den - sn * rd])
-    for y_idx, num, den in spans:
-        row = [0] * y_count
-        row[y_idx] = den
-        std_rows.append([row, den, LE, num])
-    obj_row = expand(objective)[0]
-
-    # Normalize every rhs nonnegative, attach slack columns, and use slacks of
-    # "<=" rows as the starting basis where possible (artificials elsewhere).
-    m = len(std_rows)
-    for entry in std_rows:
-        if entry[3] < 0:
-            entry[0] = [-a for a in entry[0]]
-            entry[3] = -entry[3]
-            entry[2] = LE if entry[2] == GE else (GE if entry[2] == LE else EQ)
-
-    slack_count = sum(1 for entry in std_rows if entry[2] in (LE, GE))
-    width = y_count + slack_count
-    art_count = m - sum(1 for entry in std_rows if entry[2] == LE)
-    total = width + art_count
+    n = len(objective)
+    m = len(constraints)
+    _check_ints(objective, "objective")
     rows = []
-    dens = []
-    basis = []
-    slack_used = 0
-    art_used = 0
-    for row, den, sense, rhs in std_rows:
-        row = row + [0] * (slack_count + art_count) + [rhs]
-        if sense in (LE, GE):
-            row[y_count + slack_used] = den if sense == LE else -den
-            slack_used += 1
-        if sense == LE:
-            basis.append(y_count + slack_used - 1)
-        else:
-            row[width + art_used] = den
-            basis.append(width + art_used)
-            art_used += 1
-        if den != 1:  # else the gcd is 1
-            g = reduce(gcd, row, den)
-            if g != 1:
-                row = [a // g for a in row]
-                den //= g
-        rows.append(row)
-        dens.append(den)
-
-    if art_count:
-        # cost1 = sum of artificials, priced out against the artificial rows.
-        art_rows = [i for i in range(m) if basis[i] >= width]
-        cost_den = reduce(lcm, [dens[i] for i in art_rows])
-        cost1 = [0] * width + [cost_den] * art_count + [0]
-        for i in art_rows:
-            k = cost_den // dens[i]
-            cost1 = [a - k * b for a, b in zip(cost1, rows[i])]
-        status, cost1 = _run_simplex(rows, dens, basis, cost1, cost_den, total)
-        if cost1[-1]:
-            return LpResult("infeasible", None, None)
-        for i in range(m):
-            if basis[i] >= width:
-                for j in range(width):
-                    if rows[i][j]:
-                        _pivot(rows, dens, basis, i, j)
-                        break
-
-    # Phase 2: minimize -objective (we maximize); artificial columns are never
-    # eligible to enter because the column scan stops at `width`.
-    cost2 = [-a for a in obj_row] + [0] * (total - y_count + 1)
-    cost_den = 1
-    for i in range(m):
-        col = basis[i]
-        if col < width and cost2[col]:
-            cost2, cost_den = _eliminate(
-                cost2, cost_den, col, rows[i], [j for j, b in enumerate(rows[i]) if b]
-            )
-    status, cost2 = _run_simplex(rows, dens, basis, cost2, cost_den, width)
+    for i, (row, rhs) in enumerate(constraints):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries for {n} variables")
+        _check_ints((*row, rhs), f"row {i}")
+        if rhs < 0:
+            raise ValueError(f"row {i} has a negative rhs {rhs}: the origin is infeasible")
+        slacks = [0] * m
+        slacks[i] = 1
+        rows.append([*row, *slacks, rhs])
+    dens = [1] * m
+    basis = list(range(n, n + m))
+    cost = [-c for c in objective] + [0] * (m + 1)
+    status, _ = _run_simplex(rows, dens, basis, cost, 1, n + m)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 
-    # A basic column reads rhs / den; x = base + sum of sign * y over its columns.
-    y = {col: (rows[i][-1], dens[i]) for i, col in enumerate(basis) if col < y_count}
-    values = []
-    for j, b in enumerate(base):
-        n, d = b.numerator, b.denominator
-        for y_idx, sign in col_of[j]:
-            if y_idx in y:
-                yn, yd = y[y_idx]
-                n, d = n * yd + sign * yn * d, d * yd
-        values.append(Fraction(n, d))
+    # A basic column reads rhs / den; every other variable is 0.
+    values = [Fraction(0)] * n
+    for row, den, col in zip(rows, dens, basis):
+        if col < n:
+            values[col] = Fraction(row[-1], den)
     achieved = sum((c * v for c, v in zip(objective, values) if c), Fraction(0))
     return LpResult("optimal", achieved, values)

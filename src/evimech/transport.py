@@ -15,14 +15,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scenario import collection_key
-
 
 @dataclass
 class TransportResult:
     feasible: bool
     flow_value: Fraction
-    arc_flows: dict  # (source collection, target collection) -> Fraction, positive only, in collection_key order
+    arc_flows: dict  # (source collection, target collection) -> Fraction, positive only, in the keys' order
     witness: "HallWitness | None"
 
 
@@ -56,7 +54,10 @@ def solve_transport(supplies, demands, scale) -> TransportResult:
 
     supplies / demands: mapping collection -> positive `int` mass over the
     positive `int` `scale` (the rational mass is mass / scale), with equal
-    totals. Any other mass or scale raises `TypeError` (a `bool` is not a
+    totals, each keyed in canonical collection order (`collection_key`), as
+    the rows of `AlphabetTable.masses` are. The search, `arc_flows` and the
+    witness follow the keys' order, so canonical keys give canonical
+    results. Any other mass or scale raises `TypeError` (a `bool` is not a
     mass), and a scale below 1 `ValueError`: a `Fraction` mass would
     otherwise be divided by `scale` a second time. Feasible iff the max flow
     moves the whole supply. An infeasible result carries the `HallWitness`
@@ -68,8 +69,8 @@ def solve_transport(supplies, demands, scale) -> TransportResult:
         raise TypeError(f"scale must be an int, got {type(scale).__name__}")
     if scale < 1:
         raise ValueError(f"scale must be positive, got {scale}")
-    sources = sorted(supplies, key=collection_key)
-    sinks = sorted(demands, key=collection_key)
+    sources = list(supplies)
+    sinks = list(demands)
     supply = [supplies[c] for c in sources]
     demand = [demands[c] for c in sinks]
     for mass in supply + demand:

@@ -4,14 +4,16 @@ before the LP was rewritten over integer rows with a feasible origin.
 `synthesize_bet` is copied verbatim from `evimech.deception`: the
 largest-margin LP over the lie-support weights, the per-source minima and
 the margin, with `Fraction` probabilities, free variables and a `>=` row, so
-`simplex.maximize` runs phase 1 on every call.
+its solver runs phase 1 on every call. That solver is the two-phase
+`maximize` frozen in `two_phase_reference.py`, since `evimech.simplex` takes
+only integer `<=` rows with a feasible origin.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from evimech import simplex
+import two_phase_reference as simplex
 from evimech.deception import Bet, InfeasibleSeparation, _bet_domain
 from evimech.scenario import Scenario
 

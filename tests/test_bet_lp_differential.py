@@ -6,10 +6,10 @@ every (agent, truth, lie) of the fixtures and of random scenarios with up to
 four and up to three states. A bet may sit on another optimal vertex of the
 same LP, so weights are not compared; every bet must certify instead, with
 sup-norm at most 1. Guards check every LP the function hands to
-`simplex.maximize`: its form (integer coefficients, `<=` rows with
-nonnegative right-hand sides and nonnegative variables, so no LP runs phase
-1), its presolve (no column that an optimum fixes), and the pivot total over
-criterion 9's population."""
+`simplex.maximize`: its form (integer `(row, rhs)` pairs with nonnegative
+right-hand sides, one simplex run from the slack basis), its presolve (no
+column that an optimum fixes, found from the trailing u_c <= 2 rows), and
+the pivot total over criterion 9's population."""
 
 from fractions import Fraction
 
@@ -21,6 +21,7 @@ from evimech.deception import InfeasibleSeparation, certify_bet, synthesize_bet
 from evimech.generators import random_scenario
 from evimech.scenario import ScenarioError
 from test_acceptance import _population
+from test_simplex import captured_lps
 
 
 def _scenarios():
@@ -80,69 +81,75 @@ def test_errors_match_the_reference(agent, truth, lie):
 
 
 def test_every_criterion_9_bet_lp_starts_from_a_feasible_origin(monkeypatch):
-    lps, runs = [], []
-    maximize, run_simplex = simplex.maximize, simplex._run_simplex
-
-    def capture(objective, constraints, bounds):
-        lps.append((objective, constraints, bounds))
-        return maximize(objective, constraints, bounds)
+    runs = []
+    run_simplex = simplex._run_simplex
 
     def count(*args):
         runs.append(None)
         return run_simplex(*args)
 
-    monkeypatch.setattr(simplex, "maximize", capture)
     monkeypatch.setattr(simplex, "_run_simplex", count)
     pairs = 0
-    for scenario in _population():
-        for case in _pairs(scenario):
-            _outcome(synthesize_bet, scenario, *case)
-            pairs += 1
+    with captured_lps() as lps:
+        for scenario in _population():
+            for case in _pairs(scenario):
+                _outcome(synthesize_bet, scenario, *case)
+                pairs += 1
     assert len(lps) == pairs == 8354
-    # one simplex run per LP: phase 2 from the slack basis, no phase 1
+    # one simplex run per LP, from the slack basis
     assert len(runs) == len(lps)
-    for objective, constraints, bounds in lps:
+    for objective, constraints in lps:
         assert all(type(a) is int for a in objective)
-        for coeffs, sense, rhs in constraints:
-            assert sense == simplex.LE
-            assert all(type(a) is int for a in coeffs)
+        for row, rhs in constraints:
+            assert len(row) == len(objective)
+            assert all(type(a) is int for a in row)
             assert type(rhs) is int and rhs >= 0
-        assert all(bound in ((0, None), (0, 2)) for bound in bounds)
 
 
 def _solve_criterion_9(monkeypatch):
     """Every bet LP of criterion 9's population as handed to
     `simplex.maximize`, and the number of pivots made on them."""
-    lps, pivots = [], []
-    maximize, pivot = simplex.maximize, simplex._pivot
-
-    def capture(objective, constraints, bounds):
-        lps.append((objective, constraints, bounds))
-        return maximize(objective, constraints, bounds)
+    pivots = []
+    pivot = simplex._pivot
 
     def count(*args):
         pivots.append(None)
         return pivot(*args)
 
-    monkeypatch.setattr(simplex, "maximize", capture)
     monkeypatch.setattr(simplex, "_pivot", count)
-    for scenario in _population():
-        for case in _pairs(scenario):
-            _outcome(synthesize_bet, scenario, *case)
+    with captured_lps() as lps:
+        for scenario in _population():
+            for case in _pairs(scenario):
+                _outcome(synthesize_bet, scenario, *case)
     return lps, len(pivots)
+
+
+def _u_bounds(constraints, t_col):
+    """Split off the trailing unit rows x_j <= 2 with j < t_col: the bounds
+    u_c <= 2. No other row of the bet LP is one (the lie and truth rows
+    reach t, a link row has a -1)."""
+    k = len(constraints)
+    while k:
+        row, rhs = constraints[k - 1]
+        if rhs != 2 or row[t_col] or sorted(row) != [0] * t_col + [1]:
+            break
+        k -= 1
+    return [row for row, _ in constraints[k:]], [row for row, _ in constraints[:k]]
 
 
 def test_every_criterion_9_bet_lp_is_presolved(monkeypatch):
     lps, _ = _solve_criterion_9(monkeypatch)
     assert len(lps) == 8354
-    for objective, constraints, bounds in lps:
-        # the lie row, one u_c - v_K <= 0 row per c within K, the truth row
-        lie_row, *links, truth_row = (coeffs for coeffs, _, _ in constraints)
-        t_col = len(bounds) - 1
+    for objective, constraints in lps:
+        t_col = len(objective) - 1
         assert objective == [0] * t_col + [1]
+        # the lie row, one u_c - v_K <= 0 row per c within K, the truth row,
+        # then u_c <= 2 for the leading u columns in column order
+        bounds, (lie_row, *links, truth_row) = _u_bounds(constraints, t_col)
+        u_cols = range(len(bounds))
+        assert bounds == [[int(j == u) for j in range(t_col + 1)] for u in u_cols]
         assert lie_row[t_col] > 0 and truth_row[t_col] > 0
-        u_cols = [j for j, bound in enumerate(bounds) if bound == (0, 2)]
-        v_cols = [j for j, bound in enumerate(bounds[:t_col]) if bound == (0, None)]
+        v_cols = range(len(bounds), t_col)
         for row in links:
             assert sorted((a, j in u_cols, j in v_cols) for j, a in enumerate(row) if a) == [
                 (-1, False, True),

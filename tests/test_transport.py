@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from evimech.rationals import common_denominator, numerators
+from evimech.scenario import collection_key
 from evimech.transport import HallWitness, NotScarce
 from evimech.transport import solve_transport as solve_integer_transport
 
@@ -12,8 +13,10 @@ C_LOW = frozenset({"lmh"})
 
 
 def solve_transport(supplies, demands):
-    """`solve_transport` on `Fraction` masses, passed as numerators over their L."""
+    """`solve_transport` on `Fraction` masses, passed as numerators over
+    their L and keyed in canonical collection order, as it takes them."""
     scale = common_denominator([*supplies.values(), *demands.values()])
+    supplies, demands = ({c: m[c] for c in sorted(m, key=collection_key)} for m in (supplies, demands))
     supplies, demands = (dict(zip(m, numerators(m.values(), scale))) for m in (supplies, demands))
     return solve_integer_transport(supplies, demands, scale)
 

@@ -3,7 +3,10 @@ it replaced (`transport_reference.py`). `solve_transport` takes integer
 masses over a scale L; the reference gets the same masses as `Fraction`s
 n / L. Feasibility, flow value, arc flows (as `Fraction`s, in the same dict
 order) and the Hall witness must be identical, on every transport of
-criterion 9's population, on the fixtures and on fuzzed networks."""
+criterion 9's population, on the fixtures and on fuzzed networks.
+`solve_transport` takes its masses keyed in canonical collection order: the
+package passes them so (checked on every captured call), and the fuzzed
+masses are sorted into it here."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -32,6 +35,10 @@ def _fields(result):
     return result.feasible, _typed(result.flow_value), arcs, witness
 
 
+def _canonical(masses):
+    return sorted(masses, key=collection_key)
+
+
 def assert_matches_reference(supplies, demands, scale):
     """supplies / demands: integer masses over `scale`."""
     reference = transport_reference.solve_transport(
@@ -55,9 +62,9 @@ def captured_transports():
     original = deception.solve_transport
 
     def capture(supplies, demands, scale):
-        key = repr(
-            [sorted(m.items(), key=lambda kv: collection_key(kv[0])) for m in (supplies, demands)] + [scale]
-        )
+        for masses in (supplies, demands):
+            assert list(masses) == _canonical(masses)
+        key = repr([list(supplies.items()), list(demands.items()), scale])
         seen.setdefault(key, (dict(supplies), dict(demands), scale))
         return original(supplies, demands, scale)
 
@@ -112,9 +119,10 @@ def equal_totals(draw):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.tuples(_masses, _masses), equal_totals()), st.integers(1, 3))
 def test_fuzzed_transports_match_the_reference(pair, factor):
-    """The masses as numerators over `factor` times their common denominator."""
-    supplies, demands = pair
+    """The masses as numerators over `factor` times their common denominator,
+    keyed in canonical collection order."""
+    supplies, demands = ({coll: masses[coll] for coll in _canonical(masses)} for masses in pair)
     scale = factor * common_denominator([*supplies.values(), *demands.values()])
     assert_matches_reference(
-        *(dict(zip(masses, numerators(masses.values(), scale))) for masses in pair), scale
+        *(dict(zip(masses, numerators(masses.values(), scale))) for masses in (supplies, demands)), scale
     )
