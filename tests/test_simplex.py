@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import simplex_reference
+import two_phase_reference as two_phase
 from evimech import simplex
 
 F = Fraction
@@ -39,7 +40,7 @@ def test_unbounded():
     assert result.objective is None and result.values is None
 
 
-def test_degenerate_lp():
+def test_degenerate_cycling_guard():
     # Beale's cycling example with its rows and objective scaled to integers:
     # max 75x1 - 15000x2 + 2x3 - 600x4 -> x = (1/25, 0, 1, 0), value 5
     result = simplex.maximize(
@@ -84,7 +85,8 @@ Pivot = namedtuple("Pivot", "row col entry rhs")  # entry, rhs: numerators befor
 
 @contextmanager
 def pivot_log():
-    """Record every pivot `simplex.maximize` makes inside the block."""
+    """Record every pivot `simplex.maximize` or the two-phase oracle makes
+    inside the block (the oracle's drive-out pivots call its own import)."""
     log = []
     original = simplex._pivot
 
@@ -92,11 +94,11 @@ def pivot_log():
         log.append(Pivot(r, c, rows[r][c], rows[r][-1]))
         return original(rows, dens, bas, r, c)
 
-    simplex._pivot = record
+    simplex._pivot = two_phase._pivot = record
     try:
         yield log
     finally:
-        simplex._pivot = original
+        simplex._pivot = two_phase._pivot = original
 
 
 @contextmanager
@@ -158,3 +160,118 @@ def test_bland_switch_after_stall_limit():
         simplex._STALL_LIMIT = limit
     assert unswitched[:limit] == log[:limit]
     assert unswitched != log
+
+
+# -- the two-phase oracle of the bet-LP differential test ----------------------
+#
+# `two_phase_reference.maximize` decides that test's verdicts, so its senses,
+# bounds, phase 1 and drive-out pivots keep their hand-checked optima.
+
+
+def test_equality_and_fractional_optimum():
+    # max x + y st x + 2y == 1, x <= 1/3 -> x=1/3, y=1/3
+    result = two_phase.maximize(
+        [F(1), F(1)],
+        [([F(1), F(2)], two_phase.EQ, F(1))],
+        [(F(0), F(1, 3)), (F(0), None)],
+    )
+    assert result.status == "optimal"
+    assert result.objective == F(2, 3)
+    assert result.values == [F(1, 3), F(1, 3)]
+
+
+def test_free_variables():
+    # max -x st x >= -5 encoded with free variable and explicit constraint
+    result = two_phase.maximize(
+        [F(-1)],
+        [([F(1)], two_phase.GE, F(-5))],
+        [(None, None)],
+    )
+    assert result.status == "optimal"
+    assert result.objective == F(5)
+    assert result.values == [F(-5)]
+
+
+def test_infeasible():
+    result = two_phase.maximize(
+        [F(1)],
+        [([F(1)], two_phase.LE, F(1)), ([F(1)], two_phase.GE, F(2))],
+        [(F(0), None)],
+    )
+    assert result.status == "infeasible"
+    # the same program as `<=` rows has a negative rhs, which `simplex` refuses
+    with pytest.raises(ValueError, match="negative rhs"):
+        simplex.maximize([1], [([1], 1), ([-1], -2)])
+
+
+def test_feasibility_helper():
+    # with a zero objective, phase 1 alone decides feasibility
+    assert two_phase.maximize([F(0)], [([F(1)], two_phase.LE, F(1))], [(F(0), None)]).status == "optimal"
+    assert (
+        two_phase.maximize([F(0)], [([F(1)], two_phase.LE, F(0)), ([F(1)], two_phase.GE, F(1))], [(F(0), None)]).status
+        == "infeasible"
+    )
+
+
+def test_redundant_equality_keeps_its_artificial_basic():
+    # max x st x + y == 1, 2x + 2y == 2 -> (1, 0), value 1; the second row is
+    # the first doubled, so its artificial stays basic at zero after phase 1
+    # and no pivot can drive it out.
+    with pivot_log() as log:
+        result = two_phase.maximize(
+            [F(1), F(0)],
+            [([F(1), F(1)], two_phase.EQ, F(1)), ([F(2), F(2)], two_phase.EQ, F(2))],
+            [(F(0), None), (F(0), None)],
+        )
+    assert result.status == "optimal"
+    assert result.objective == F(1)
+    assert result.values == [F(1), F(0)]
+    assert len(log) == 1
+
+
+def test_drive_out_pivot_on_a_negative_entry():
+    # max x + y + z st x - y == 0, x - 2y == 0, x + z <= 3 -> x = y = 0, z = 3.
+    # Phase 1 ends with the second artificial basic at zero in a row reading
+    # -y + ..., so the drive-out pivots on -1.
+    with pivot_log() as log:
+        result = two_phase.maximize(
+            [F(1), F(1), F(1)],
+            [
+                ([F(1), F(-1), F(0)], two_phase.EQ, F(0)),
+                ([F(1), F(-2), F(0)], two_phase.EQ, F(0)),
+                ([F(1), F(0), F(1)], two_phase.LE, F(3)),
+            ],
+            [(F(0), None)] * 3,
+        )
+    assert result.status == "optimal"
+    assert result.objective == F(3)
+    assert result.values == [F(0), F(0), F(3)]
+    assert any(pivot.entry < 0 for pivot in log)
+
+
+def test_upper_bounded_only_variable():
+    # max x + 2y st x + y <= 2, x <= 5 (no lower bound), 0 <= y <= 1
+    # -> y = 1, x = 1, value 3; x sits strictly inside its bound.
+    result = two_phase.maximize(
+        [F(1), F(2)],
+        [([F(1), F(1)], two_phase.LE, F(2))],
+        [(None, F(5)), (F(0), F(1))],
+    )
+    assert result.status == "optimal"
+    assert result.objective == F(3)
+    assert result.values == [F(1), F(1)]
+
+
+def test_ge_row_with_negative_rhs_flips_to_le():
+    # max x + 2y st -x - y >= -4, x - y >= -2 (that is x + y <= 4, y - x <= 2)
+    # -> the unique vertex (1, 3), value 7; both rows start with a basic slack.
+    with pivot_log() as log:
+        result = two_phase.maximize(
+            [F(1), F(2)],
+            [([F(-1), F(-1)], two_phase.GE, F(-4)), ([F(1), F(-1)], two_phase.GE, F(-2))],
+            [(F(0), None), (F(0), None)],
+        )
+    assert result.status == "optimal"
+    assert result.objective == F(7)
+    assert result.values == [F(1), F(3)]
+    assert len(log) == 2 and all(pivot.entry > 0 for pivot in log)
