@@ -6,9 +6,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
-from .rationals import RationalFormatError, common_denominator, format_rational, joint, numerators, parse_rational
+from .rationals import RationalFormatError, common_denominator, format_rational, is_exact, joint, numerators, parse_rational
 from .scenario import Scenario, collection_key, consensus_else_first, read_only_rows
 
 
@@ -114,9 +115,12 @@ class ModelTables:
         """(scale, agent -> {(outcome, full profile): numerator over scale})."""
         table = self._utilities.get(idx)
         if table is None:
-            profile = self._utility_profiles[idx]
-            scale = common_denominator(v for agent in self.agents for v in profile[agent].values())
-            rows = {a: dict(zip(profile[a], numerators(profile[a].values(), scale))) for a in self.agents}
+            profile = [(agent, self._utility_profiles[idx][agent]) for agent in self.agents]
+            scale = lcm(*{value.denominator for _, row in profile for value in row.values()})
+            rows = {
+                agent: dict(zip(row, [value.numerator * (scale // value.denominator) for value in row.values()]))
+                for agent, row in profile
+            }
             table = self._utilities[idx] = (scale, rows)
         return table
 
@@ -172,12 +176,16 @@ def validate_model(model: TypeSpaceModel) -> list:
     for agent in model.agents:
         for type_id in model.types[agent]:
             belief = model.belief(agent, type_id)
-            total = sum(belief.values(), Fraction(0))
-            if total != 1:
-                problems.append(f"beliefs.{agent}.{type_id}: sum {format_rational(total)} != 1")
-            for prob in belief.values():
-                if prob <= 0:
-                    problems.append(f"beliefs.{agent}.{type_id}: non-positive entry")
+            inexact = [prob for prob in belief.values() if not is_exact(prob)]
+            if inexact:
+                problems.append(f"beliefs.{agent}.{type_id}: inexact entry {inexact[0]!r}")
+            else:
+                total = sum(belief.values(), Fraction(0))
+                if total != 1:
+                    problems.append(f"beliefs.{agent}.{type_id}: sum {format_rational(total)} != 1")
+                for prob in belief.values():
+                    if prob <= 0:
+                        problems.append(f"beliefs.{agent}.{type_id}: non-positive entry")
             for t_other in belief:
                 for other, t in zip(model.opponents(agent), t_other):
                     if t not in model.types[other]:
@@ -209,6 +217,8 @@ def validate_model(model: TypeSpaceModel) -> list:
                     value = prof[agent].get((outcome, t))
                     if value is None:
                         problems.append(f"utility_profiles[{idx}].{agent}: missing ({outcome},{t})")
+                    elif not is_exact(value):
+                        problems.append(f"utility_profiles[{idx}].{agent}: inexact value {value!r}")
                     elif not (-1 < value < 1):
                         problems.append(f"utility_profiles[{idx}].{agent}: value outside (-1,1)")
     return problems
@@ -241,18 +251,15 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
                 W, rows = joint(factors, ())
                 by_state[state] = {profile: Fraction(n, W) for n, profile in rows}
             beliefs[(agent, (state, coll))] = by_state[state]
-    # each type profile with the state its consensus-else-first report picks
-    product = itertools.product(*(types[agent] for agent in agents))
-    profiles = [(t, consensus_else_first(state for state, _ in t)) for t in product]
+    # each type profile and the state its consensus-else-first report picks;
+    # every utility row reads the same (outcome, chosen state) keys into the
+    # same (outcome, type profile) keys
+    profiles = list(itertools.product(*(types[agent] for agent in agents)))
+    chosen = [consensus_else_first(state for state, _ in t) for t in profiles]
+    keys = [(outcome, t) for outcome in scenario.outcomes for t in profiles]
+    reads = [(outcome, state) for outcome in scenario.outcomes for state in chosen]
     utility_profiles = tuple(
-        {
-            agent: {
-                (outcome, t): profile[agent][(outcome, chosen)]
-                for outcome in scenario.outcomes
-                for t, chosen in profiles
-            }
-            for agent in agents
-        }
+        {agent: dict(zip(keys, map(profile[agent].__getitem__, reads))) for agent in agents}
         for profile in scenario.utility_profiles
     )
     return TypeSpaceModel(
@@ -261,7 +268,7 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
         evidence={(agent, type_id): type_id[1] for agent in agents for type_id in types[agent]},
         beliefs=beliefs,
         outcomes=scenario.outcomes,
-        scf={t: scenario.scf[chosen] for t, chosen in profiles},
+        scf=dict(zip(profiles, map(scenario.scf.__getitem__, chosen))),
         utility_profiles=utility_profiles,
         articles=scenario.articles,
     )

@@ -28,6 +28,12 @@ def parse_rational(text: str) -> Fraction:
     raise RationalFormatError(f"bad rational {text!r}")
 
 
+def is_exact(value) -> bool:
+    """True for an int (not a bool) or a Fraction, the only numbers a verdict
+    may read: a float (or a bool) would enter as its binary value."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"

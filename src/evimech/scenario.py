@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 
-from .rationals import RationalFormatError, common_denominator, format_rational, numerators, parse_rational
+from .rationals import RationalFormatError, common_denominator, format_rational, is_exact, numerators, parse_rational
 from .rationals import squared_distance
 
 Collection = frozenset
@@ -61,11 +62,15 @@ class Distribution:
     def __init__(self, probs):
         cleaned = {}
         for coll, prob in probs.items():
-            prob = Fraction(prob)
-            if prob != 0:
-                cleaned[frozenset(coll)] = cleaned.get(frozenset(coll), Fraction(0)) + prob
+            if type(prob) is not Fraction:
+                if not is_exact(prob):
+                    raise TypeError(f"probability must be an int or a Fraction, got {type(prob).__name__}")
+                prob = Fraction(prob)
+            if prob:
+                coll = frozenset(coll)
+                cleaned[coll] = cleaned[coll] + prob if coll in cleaned else prob
         self._probs = cleaned
-        keyed = sorted((collection_key(c), c) for c in cleaned)
+        keyed = sorted(zip(map(collection_key, cleaned), cleaned))
         self._support = tuple(c for _, c in keyed)
         self._key = tuple((key, cleaned[c]) for key, c in keyed)
         self._hash = None
@@ -418,19 +423,23 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     for path, message in undeclared.items():
         flag(path, message)
 
+    # probabilities are exact: `Distribution` refuses any other number
+    articles = scenario.article_set()
     for agent in scenario.agents:
         for state in scenario.states:
             path = f"distributions.{agent}.{state}"
             if (agent, state) not in scenario.dists:
                 flag(path, "missing distribution")
                 continue
-            dist = scenario.dists[(agent, state)]
-            if dist.total() != 1:
-                flag(path, f"probabilities sum to {format_rational(dist.total())}, not 1")
-            for coll, prob in dist.items():
-                if prob <= 0:
+            rows = [(coll, prob.numerator, prob.denominator) for coll, prob in scenario.dists[(agent, state)].items()]
+            L = lcm(*(den for _, _, den in rows))
+            total = sum(num * (L // den) for _, num, den in rows)
+            if total != L:
+                flag(path, f"probabilities sum to {format_rational(Fraction(total, L))}, not 1")
+            for coll, num, _ in rows:
+                if num <= 0:
                     flag(path, f"non-positive probability on {format_collection(coll)}")
-                extra = coll - set(scenario.articles)
+                extra = coll - articles
                 if extra:
                     flag(path, f"unknown article ids {sorted(extra)}")
 
@@ -451,11 +460,15 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             for outcome in scenario.outcomes:
                 for state in scenario.states:
                     value = per_agent.get((outcome, state))
-                    path = f"utility_profiles[{idx}].{agent}.{outcome}.{state}"
                     if value is None:
-                        flag(path, "missing utility")
-                    elif not (-1 < value < 1):
-                        flag(path, f"utility {format_rational(value)} outside (-1,1)")
+                        problem = "missing utility"
+                    elif not is_exact(value):
+                        problem = f"inexact utility {value!r}"
+                    elif not -value.denominator < value.numerator < value.denominator:
+                        problem = f"utility {format_rational(value)} outside (-1,1)"
+                    else:
+                        continue
+                    flag(f"utility_profiles[{idx}].{agent}.{outcome}.{state}", problem)
 
     if violations:
         # id-level problems make the evidential checks unreliable; stop here.
@@ -624,7 +637,16 @@ def parse_scenario(data) -> Scenario:
         # a string iterates as its characters: flag it rather than split it
         if not isinstance(value, list):
             violations[(path, "must be a list of ids")] = None
-        return tuple(str(x) for x in value)
+        return tuple(map(str, value))
+
+    fractions = {}  # wire string -> its Fraction: a document repeats few values
+
+    def rational(text):
+        try:
+            return fractions[text]
+        except (KeyError, TypeError):  # TypeError: unhashable, which parse_rational refuses
+            value = fractions[text] = parse_rational(text)
+            return value
 
     try:
         agents = ids(data["agents"], "agents")
@@ -638,9 +660,11 @@ def parse_scenario(data) -> Scenario:
                 path = f"distributions.{agent}.{state}"
                 for row in rows:
                     coll = frozenset(ids(row["collection"], path))
-                    probs[coll] = probs.get(coll, Fraction(0)) + parse_rational(row["prob"])
-                    unknown = row.keys() - {"collection", "prob"}
-                    violations.update(((path, f"unknown key {key!r}"), None) for key in sorted(unknown))
+                    prob = rational(row["prob"])
+                    probs[coll] = probs[coll] + prob if coll in probs else prob
+                    if len(row) > 2:  # both keys were read, so only a longer row has another
+                        unknown = row.keys() - {"collection", "prob"}
+                        violations.update(((path, f"unknown key {key!r}"), None) for key in sorted(unknown))
                 dists[(str(agent), str(state))] = Distribution(probs)
         scf = {str(s): str(o) for s, o in data["scf"].items()}
         profiles = []
@@ -648,7 +672,7 @@ def parse_scenario(data) -> Scenario:
             parsed = {}
             for agent, per_outcome in profile.items():
                 parsed[str(agent)] = {
-                    (str(outcome), str(state)): parse_rational(value)
+                    (str(outcome), str(state)): rational(value)
                     for outcome, per_state in per_outcome.items()
                     for state, value in per_state.items()
                 }

@@ -4,6 +4,7 @@ import gc
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -725,9 +726,45 @@ def test_human_report_matches_golden():
     assert out == (GOLDEN / "build_bne_perturbed.txt").read_text()
 
 
+# Two generated flat scenarios from the band of product type spaces the cli
+# benchmark runs its type-space commands on (`random_scenario(25)`, 48 type
+# profiles over 3 agents, and `random_scenario(33)`, 56 over 2 agents, EIC
+# failing), written with `scenario_to_json`, and each command's report.
+CLI_BAND = DATA / "cli_band"
+TYPE_SPACE_COMMANDS = (
+    ("check", "hom"),
+    ("check", "eic"),
+    ("build", "am", "--eps", "1/100"),
+    ("audit", "icr", "--eps", "1/100"),
+    ("hierarchy", "--depth", "2"),
+)
+TYPE_SPACE_ARGVS = [
+    (*command[:leaf], str(path), *command[leaf:])
+    for path in sorted(CLI_BAND.glob("*.json"))
+    for command in TYPE_SPACE_COMMANDS
+    for leaf in [1 if command[0] == "hierarchy" else 2]
+]
+
+
+@pytest.mark.parametrize("argv", TYPE_SPACE_ARGVS, ids=_golden_name)
+def test_type_space_command_report_matches_golden(argv):
+    _, out = run_cli(*argv, "--format", "machine")
+    assert out == (GOLDEN / f"{_golden_name(argv)}.json").read_text()
+
+
+def test_cli_band_scenarios_are_generated_documents():
+    for seed in (25, 33):
+        scn = generators.random_scenario(seed)
+        assert 30 <= math.prod(sum(len(scn.support(a, s)) for s in scn.states) for a in scn.agents) <= 60
+        text = json.dumps(scenario_to_json(scn), indent=2, sort_keys=True) + "\n"
+        assert (CLI_BAND / f"random_{seed}.json").read_text() == text
+
+
 def test_golden_reports_are_the_readme_commands():
-    assert len(README_COMMANDS) == 12
-    names = {f"{_golden_name(argv)}.json" for argv in README_COMMANDS} | {"build_bne_perturbed.txt"}
+    # the README commands, the one human report, and the type-space commands
+    # on the two generated scenarios
+    assert len(README_COMMANDS) == 12 and len(TYPE_SPACE_ARGVS) == 10
+    names = {f"{_golden_name(argv)}.json" for argv in README_COMMANDS + TYPE_SPACE_ARGVS} | {"build_bne_perturbed.txt"}
     assert names == {path.name for path in GOLDEN.iterdir()}
 
 

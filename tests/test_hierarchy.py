@@ -56,6 +56,23 @@ def test_embedding_keeps_a_negative_product_for_the_validator():
     assert model.belief("B", ("H", EMPTY)) == {(("H", LOW),): F(7, 5), (("H", TOP),): F(-2, 5)}
     assert validate_model(model) == [f"beliefs.B.{('H', EMPTY)}: non-positive entry"]
 
+def test_inexact_beliefs_and_utilities_reported_before_sum_and_range(embedded_leading):
+    # a float belief or utility used to pass and then fail on `.denominator`
+    # in ModelTables
+    b_type = ("H", EMPTY)
+    beliefs = dict(embedded_leading.beliefs)
+    beliefs[("B", b_type)] = {(("H", TOP),): 0.6, (("H", LOW),): F(2, 5)}
+    utility = dict(embedded_leading.utility_profiles[1]["A"])
+    key = next(iter(utility))
+    utility[key] = 0.25
+    profiles = (embedded_leading.utility_profiles[0], {**embedded_leading.utility_profiles[1], "A": utility})
+    model = replace(embedded_leading, beliefs=beliefs, utility_profiles=profiles)
+    assert validate_model(model) == [
+        f"beliefs.B.{b_type}: inexact entry 0.6",
+        "utility_profiles[1].A: inexact value 0.25",
+    ]
+
+
 def test_level_one_beliefs_differ_for_b(embedded_leading):
     table = build_hierarchy(embedded_leading, 1)
     at_h = table.level_distribution("B", ("H", EMPTY), 1)

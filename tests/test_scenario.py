@@ -145,6 +145,31 @@ def test_utility_bound_violation_reported():
     assert any("outside (-1,1)" in v["message"] for v in report.violations)
 
 
+@pytest.mark.parametrize("prob", [0.1, 1.0, True, "1/2"], ids=["float", "whole float", "bool", "string"])
+def test_distribution_refuses_inexact_probabilities(prob):
+    # Fraction(0.1) would store the float's binary value, 3602879701896397/2**55
+    with pytest.raises(TypeError, match="probability must be an int or a Fraction"):
+        Distribution({LOW: prob})
+    assert Distribution({LOW: 1}).items() == [(LOW, F(1))]
+
+
+def test_inexact_utility_reported_before_the_range_test():
+    # a float utility used to pass and then fail on `.denominator` in the game
+    scn = fixtures.make_scenario(
+        agents=("A", "B"),
+        states=("s",),
+        articles=(),
+        dists={("A", "s"): {frozenset(): F(1)}, ("B", "s"): {frozenset(): F(1)}},
+        scf={"s": "o"},
+        outcomes=("o",),
+        utility_values=[{"A": {"o": 0.5}, "B": {"o": 2.0}}],
+    )
+    assert validate_scenario(scn).violations == [
+        {"path": "utility_profiles[1].A.o.s", "message": "inexact utility 0.5"},
+        {"path": "utility_profiles[1].B.o.s", "message": "inexact utility 2.0"},
+    ]
+
+
 def test_refutes_examples(leading):
     assert refutes(leading, TOP, "L", "A") is True
     assert refutes(leading, frozenset(), "L", "A") is False

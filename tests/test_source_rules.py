@@ -44,6 +44,19 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_package_holds_no_float_literal_and_no_float_call():
+    # floats never enter a verdict path: every number is an int or a Fraction
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{path.name}:{node.lineno} float(...)")
+    assert len(list(PACKAGE.glob("*.py"))) > 10
+    assert found == []
+
+
 def _bindings(tree, module):
     """Name -> dotted path of what it names, for `module`'s top-level
     functions and classes and its imports (relative imports resolved in the
