@@ -731,19 +731,19 @@ def test_human_report_matches_golden():
 # profiles over 3 agents, and `random_scenario(33)`, 56 over 2 agents, EIC
 # failing), written with `scenario_to_json`, and each command's report.
 CLI_BAND = DATA / "cli_band"
-TYPE_SPACE_COMMANDS = (
-    ("check", "hom"),
-    ("check", "eic"),
-    ("build", "am", "--eps", "1/100"),
-    ("audit", "icr", "--eps", "1/100"),
-    ("hierarchy", "--depth", "2"),
-)
-TYPE_SPACE_ARGVS = [
-    (*command[:leaf], str(path), *command[leaf:])
-    for path in sorted(CLI_BAND.glob("*.json"))
-    for command in TYPE_SPACE_COMMANDS
-    for leaf in [1 if command[0] == "hierarchy" else 2]
-]
+
+
+def _type_space_argvs(path):
+    return [
+        ("check", "hom", path),
+        ("check", "eic", path),
+        ("build", "am", path, "--eps", "1/100"),
+        ("audit", "icr", path, "--eps", "1/100"),
+        ("hierarchy", path, "--depth", "2"),
+    ]
+
+
+TYPE_SPACE_ARGVS = [argv for path in sorted(CLI_BAND.glob("*.json")) for argv in _type_space_argvs(str(path))]
 
 
 @pytest.mark.parametrize("argv", TYPE_SPACE_ARGVS, ids=_golden_name)
