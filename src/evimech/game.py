@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .conditions import canonical_perfect_plans
 from .deception import induced_distribution
-from .mechanism import KEY_BITS, TRANSFER_KEYS, KernelBase, Mechanism, outside_space, pure_assignments
+from .mechanism import TRANSFER_KEYS, KernelBase, Mechanism, outside_space, pure_assignments
 from .rationals import common_denominator, joint, numerators
 from .scenario import Scenario, ScenarioError, consensus_else_first, contested_lies
 from .scenario import format_collection, subsets
@@ -69,8 +69,6 @@ class DirectKernel(KernelBase):
         self._presentable = [scenario.evidence(agent)[0] for agent in scenario.agents]
         # per agent: code -> the state it reports
         self._reports = [[state for state in scenario.states for _ in shown] for shown in self._presentable]
-        for i, reports in enumerate(self._reports):
-            self._fits(i, len(reports) - 1)
         self._state_outcomes = {state: self._outcome_codes[scenario.scf[state]] for state in scenario.states}
         self._zero = (0,) * len(TRANSFER_KEYS)
 
@@ -95,8 +93,9 @@ class DirectKernel(KernelBase):
     def truthful_code(self, i: int, state, position: int) -> int:
         return self._states[state] * len(self._presentable[i]) + position
 
-    def evaluate_row(self, i: int, codes, others: int) -> list:
-        reports = [self._reports[j][code] for j, code in enumerate(self.unpack(others))]
+    def evaluate_row(self, i: int, codes, others: tuple) -> list:
+        reports = [table[code] for table, code in zip(self._reports[:i] + self._reports[i + 1 :], others)]
+        reports.insert(i, None)
         row = []
         for code in codes:
             reports[i] = self._reports[i][code]
@@ -109,7 +108,7 @@ class BayesianGame:
     """The Bayesian game a mechanism induces at one state and utility profile.
 
     Payoffs come from the mechanism's per-agent payoff rows (`KernelBase.row`,
-    keyed by the other agents' message codes packed `KEY_BITS` per agent),
+    keyed by the tuple of the other agents' message codes in agent order),
     which every game of the mechanism shares: an agent's payoff is its utility
     of the outcome plus its transfer total, as integer numerators over a
     common denominator G, the lcm of the kernel's fixed D and the utilities'
@@ -163,19 +162,20 @@ class BayesianGame:
         return self._kernel.itemized(transcript)
 
     def _realizations(self, agent, play) -> tuple:
-        """(W, [(weight numerator over W, packed opponents' codes), ...]) over
-        the opponents' types and mixed messages of a `Play`; with `agent`
-        None, over every agent's: the distribution of joint play."""
+        """(W, [(weight numerator over W, opponents' codes), ...]) over the
+        opponents' types and mixed messages of a `Play`, each realization's
+        codes a tuple in agent order without `agent`'s (the `others` of
+        `KernelBase.row`); with `agent` None, over every agent's: the
+        distribution of joint play, keyed as `KernelBase.key`."""
         options = []
-        for i, (other, row) in enumerate(zip(self.scenario.agents, play.rows)):
+        for other, row in zip(self.scenario.agents, play.rows):
             if other == agent:
                 continue
-            shift = KEY_BITS * i
             factor = []
             for coll, (scale, codes, weights) in zip(self.types[other], row):
                 prob = self._probs[(other, coll)]
                 for code, weight in zip(codes, weights):
-                    factor.append((prob.numerator * weight, prob.denominator * scale, code << shift))
+                    factor.append((prob.numerator * weight, prob.denominator * scale, (code,)))
             options.append(factor)
         return joint(options)
 

@@ -248,7 +248,7 @@ def embed_flat_scenario(scenario: Scenario) -> TypeSpaceModel:
                     for other in agents
                     if other != agent
                 ]
-                W, rows = joint(factors, ())
+                W, rows = joint(factors)
                 by_state[state] = {profile: Fraction(n, W) for n, profile in rows}
             beliefs[(agent, (state, coll))] = by_state[state]
     # each type profile and the state its consensus-else-first report picks;

@@ -217,14 +217,6 @@ class Mechanism:
 # -- compiled kernel ----------------------------------------------------------
 
 
-# Game code packs one message code per agent into an int, agent i's code at bit
-# KEY_BITS * i. A code is computed from its message's indices, so a large
-# message space holds codes at or above 2**KEY_BITS: the kernel raises
-# OverflowError (`KernelBase._fits`) before it hands one out, so no packed key
-# aliases another.
-KEY_BITS = 32
-_CODE_MASK = (1 << KEY_BITS) - 1
-
 _NO_BETS = {}  # the bets of a claim the bet table does not name
 
 
@@ -265,8 +257,9 @@ class KernelBase:
     it calls `KernelBase.__init__` with its scenario and fixes the common
     denominator `D`. A message's code is computed from its indices (its parts'
     positions in the compiled tables, the evidence's in `Scenario.evidence`),
-    never looked up, and stays below 2**KEY_BITS (`_fits`). The subclass
-    provides five methods:
+    never looked up. A joint message profile is a tuple of codes, one per
+    agent in agent order (`key`); `others` is such a tuple with agent i's
+    code left out. The subclass provides five methods:
 
     - `_menu_codes(i, endowment)`: agent i's codes for an endowment, in menu
       order, built from indices and ready for `evaluate_row`;
@@ -276,10 +269,9 @@ class KernelBase:
     - `truthful_code(i, state, position)`: agent i's truthful message at
       `state` presenting its collection at evidence `position`;
     - `evaluate_row(i, codes, others)`: takes agent i's message codes and the
-      other agents' codes packed `KEY_BITS` per agent (agent i's bits zero)
-      and returns, per code of agent i, the outcome's position in
-      `scenario.outcomes` and agent i's five `TRANSFER_KEYS` components as
-      integer numerators over `D`.
+      other agents' codes `others` and returns, per code of agent i, the
+      outcome's position in `scenario.outcomes` and agent i's five
+      `TRANSFER_KEYS` components as integer numerators over `D`.
 
     `actions(i, endowment)` returns the one `Menu` of `_menu_codes`, which
     holds the codes and their menu positions.
@@ -300,17 +292,10 @@ class KernelBase:
         self.positions = [scenario.evidence(agent)[1] for agent in scenario.agents]
         self._menus = {}
         self._outcome_codes = {outcome: k for k, outcome in enumerate(scenario.outcomes)}
-        # per agent i: packed others' codes -> {code of agent i: (the
-        # outcome's position in scenario.outcomes, agent i's transfer total
-        # as a numerator over D)}
+        # per agent i: the others' codes -> {code of agent i: (the outcome's
+        # position in scenario.outcomes, agent i's transfer total as a
+        # numerator over D)}
         self.rows = [{} for _ in scenario.agents]
-
-    def _fits(self, i: int, code: int) -> int:
-        """Agent i's `code`, or OverflowError when it would not fit its
-        `KEY_BITS` field of a packed key."""
-        if code >= 1 << KEY_BITS:
-            raise OverflowError(f"message code {code} of agent {self.agents[i]!r} does not fit in {KEY_BITS} bits")
-        return code
 
     def actions(self, i: int, endowment) -> Menu:
         """Agent i's action menu for an endowment, built on first use and
@@ -320,21 +305,14 @@ class KernelBase:
             menu = self._menus[(i, endowment)] = Menu(self, i, self._menu_codes(i, endowment))
         return menu
 
-    def key(self, transcript: dict) -> int:
-        """The transcript's codes packed into one int, `KEY_BITS` per agent."""
-        key = 0
-        for i, agent in enumerate(self.agents):
-            key |= self.code(i, transcript[agent]) << (KEY_BITS * i)
-        return key
+    def key(self, transcript: dict) -> tuple:
+        """The transcript's codes, one per agent in agent order."""
+        return tuple(self.code(i, transcript[agent]) for i, agent in enumerate(self.agents))
 
-    def unpack(self, key: int) -> list:
-        """Every agent's code from a packed key, in agent order."""
-        return [key >> (KEY_BITS * i) & _CODE_MASK for i in range(len(self.agents))]
-
-    def row(self, i: int, codes, others: int) -> list:
-        """Agent i's payoff row against the packed `others`: (outcome
-        position, transfer total) per code of `codes`, each entry evaluated
-        on first use."""
+    def row(self, i: int, codes, others: tuple) -> list:
+        """Agent i's payoff row against the other agents' codes `others`:
+        (outcome position, transfer total) per code of `codes`, each entry
+        evaluated on first use."""
         rows = self.rows[i]
         entries = rows.get(others)
         if entries is None:
@@ -349,12 +327,12 @@ class KernelBase:
             entries[code] = (outcome, sum(items))
         return [entries[code] for code in codes]
 
-    def transcript(self, key: int) -> tuple:
-        """(outcome position, per-agent components) of a packed transcript,
+    def transcript(self, key: tuple) -> tuple:
+        """(outcome position, per-agent components) of a transcript's codes,
         from one single-code row per agent (each row gives the outcome)."""
         items = []
-        for i, code in enumerate(self.unpack(key)):
-            ((outcome, row),) = self.evaluate_row(i, (code,), key & ~(_CODE_MASK << (KEY_BITS * i)))
+        for i, code in enumerate(key):
+            ((outcome, row),) = self.evaluate_row(i, (code,), key[:i] + key[i + 1 :])
             items.append(row)
         return outcome, items
 
@@ -516,7 +494,7 @@ class Kernel(KernelBase):
         records = self._records[i]
         if code not in records:
             right_mask = self._state_masks[self.right[i]][claimed]
-            records[self._fits(i, code)] = (
+            records[code] = (
                 own,
                 claimed,
                 position,
@@ -592,31 +570,29 @@ class Kernel(KernelBase):
 
     # -- rules --------------------------------------------------------------
 
-    def _others(self, i: int, others: int) -> tuple:
-        """The fixed part of agent i's row: (records, every agent's but i's;
-        the states every other claim matches; those every other
+    def _others(self, i: int, others: tuple) -> tuple:
+        """The fixed part of agent i's row: (records, every agent's with None
+        at i; the states every other claim matches; those every other
         right-neighbour claim matches; those where another agent's bet is
         live; those another agent's evidence refutes), as state bitmasks."""
-        records = []
+        records = [table[code] for table, code in zip(self._records[:i] + self._records[i + 1 :], others)]
         consensus = right_claims = self._all_states
         betting = refuting = 0
-        for j, code in enumerate(self.unpack(others)):
-            record = None if j == i else self._records[j][code]
-            records.append(record)
-            if record is not None:
-                consensus &= record[3]
-                right_claims &= record[4]
-                refuting |= record[5]
-                betting |= record[7]
+        for record in records:
+            consensus &= record[3]
+            right_claims &= record[4]
+            refuting |= record[5]
+            betting |= record[7]
+        records.insert(i, None)
         return records, consensus, right_claims, betting, refuting
 
     def consensus_state(self, transcript: dict) -> str | None:
         key = self.key(transcript)
-        _, consensus, _, _, _ = self._others(0, key & ~_CODE_MASK)
-        state = _lowest_state(consensus & self._records[0][key & _CODE_MASK][3])
+        _, consensus, _, _, _ = self._others(0, key[1:])
+        state = _lowest_state(consensus & self._records[0][key[0]][3])
         return self.states[state] if state >= 0 else None
 
-    def evaluate_row(self, i: int, codes, others: int) -> list:
+    def evaluate_row(self, i: int, codes, others: tuple) -> list:
         records, consensus_others, right_others, betting, refuting = self._others(i, others)
         right, left = self.right[i], self.left[i]
         incentive, score, mine = self.incentive[i], self.score[right], self._records[i]

@@ -52,18 +52,18 @@ def numerators(values, L) -> list:
     return [value.numerator * (L // value.denominator) for value in values]
 
 
-def joint(factors, start=0) -> tuple:
-    """(W, [(weight numerator over W, sum of the parts from `start`), ...]):
-    the product law of independent factors, each a list of (numerator,
-    denominator, part) rows, one entry per choice of a row from every factor,
-    in `itertools.product` order. Packed codes in disjoint bit fields sum to
-    their OR; tuples concatenate. Products stay unreduced: W, the lcm of their
-    denominators, is a common denominator, and a caller's Fraction reduces."""
+def joint(factors) -> tuple:
+    """(W, [(weight numerator over W, the parts concatenated), ...]): the
+    product law of independent factors, each a list of (numerator,
+    denominator, part) rows with each part a tuple, one entry per choice of a
+    row from every factor, in `itertools.product` order. Products stay
+    unreduced: W, the lcm of their denominators, is a common denominator, and
+    a caller's Fraction reduces."""
     combos = []
     common = 1
     for combo in itertools.product(*factors):
         num = den = 1
-        key = start
+        key = ()
         for part_num, part_den, part in combo:
             num *= part_num
             den *= part_den

@@ -85,9 +85,6 @@ class Distribution:
     def items(self):
         return [(c, self._probs[c]) for c in self._support]
 
-    def total(self) -> Fraction:
-        return sum(self._probs.values(), Fraction(0))
-
     def is_degenerate(self) -> bool:
         return len(self._probs) == 1
 

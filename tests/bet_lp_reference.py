@@ -6,7 +6,9 @@ largest-margin LP over the lie-support weights, the per-source minima and
 the margin, with `Fraction` probabilities, free variables and a `>=` row, so
 its solver runs phase 1 on every call. That solver is the two-phase
 `maximize` frozen in `two_phase_reference.py`, since `evimech.simplex` takes
-only integer `<=` rows with a feasible origin.
+only integer `<=` rows with a feasible origin. Its bet domain, `_bet_domain`,
+is copied verbatim from `evimech.deception` as it stood when this oracle was
+made self-contained.
 """
 
 from __future__ import annotations
@@ -14,8 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import two_phase_reference as simplex
-from evimech.deception import Bet, InfeasibleSeparation, _bet_domain
+from evimech.deception import Bet, InfeasibleSeparation
 from evimech.scenario import Scenario
+
+
+def _bet_domain(scenario: Scenario, agent, truth_state, lie_state):
+    """The agent's presentable collections not refuted at the truth, and the lie's support."""
+    presentable, _, refuted = scenario.evidence(agent)
+    truth = 1 << scenario.states.index(truth_state)
+    lie_support = set(scenario.support(agent, lie_state))
+    return [coll for coll, mask in zip(presentable, refuted) if not mask & truth or coll in lie_support]
 
 
 def synthesize_bet(scenario: Scenario, agent, truth_state, lie_state) -> Bet:

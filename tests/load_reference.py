@@ -7,20 +7,23 @@ These are `evimech.scenario.Distribution.__init__`, `parse_scenario` and
 `validate_scenario`, `evimech.hierarchy.embed_flat_scenario` and
 `evimech.hierarchy.ModelTables.utility_table` as they stood then, each copied
 verbatim apart from the absolute imports: `Distribution` is a subclass of the
-package's class with the old constructor, `parse_scenario` builds it,
-`embed_flat_scenario` returns the package's `TypeSpaceModel`, and the method
-`utility_table` is a function of whatever carries the `agents`,
-`_utility_profiles` and `_utilities` it reads.
+package's class with the old constructor and the old `total`,
+`parse_scenario` builds it, `embed_flat_scenario` returns the package's
+`TypeSpaceModel`, and the method `utility_table` is a function of whatever
+carries the `agents`, `_utility_profiles` and `_utilities` it reads. The
+embedding's `joint` is `evimech.rationals.joint` as it stood then, with its
+integer `start`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from evimech import scenario as _scenario
 from evimech.hierarchy import TypeSpaceModel
-from evimech.rationals import RationalFormatError, common_denominator, format_rational, joint, numerators, parse_rational
+from evimech.rationals import RationalFormatError, common_denominator, format_rational, numerators, parse_rational
 from evimech.scenario import (
     Scenario,
     ScenarioFormatError,
@@ -49,6 +52,30 @@ class Distribution(_scenario.Distribution):
         self._support = tuple(c for _, c in keyed)
         self._key = tuple((key, cleaned[c]) for key, c in keyed)
         self._hash = None
+
+    def total(self) -> Fraction:
+        return sum(self._probs.values(), Fraction(0))
+
+
+def joint(factors, start=0) -> tuple:
+    """(W, [(weight numerator over W, sum of the parts from `start`), ...]):
+    the product law of independent factors, each a list of (numerator,
+    denominator, part) rows, one entry per choice of a row from every factor,
+    in `itertools.product` order. Packed codes in disjoint bit fields sum to
+    their OR; tuples concatenate. Products stay unreduced: W, the lcm of their
+    denominators, is a common denominator, and a caller's Fraction reduces."""
+    combos = []
+    common = 1
+    for combo in itertools.product(*factors):
+        num = den = 1
+        key = start
+        for part_num, part_den, part in combo:
+            num *= part_num
+            den *= part_den
+            key += part
+        combos.append((num, den, key))
+        common = lcm(common, den)
+    return common, [(num * (common // den), key) for num, den, key in combos]
 
 
 def parse_scenario(data) -> Scenario:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import FrozenInstanceError, replace
@@ -325,6 +326,40 @@ def test_a_game_refuses_a_mechanism_built_for_another_scenario(perturbed, pertur
                 BayesianGame(leading, mech, state, 0)
     game = BayesianGame(replace(perturbed), perturbed_mech, "H", PREF)
     assert verify_bne(game, truthful_profile(game)).is_bne
+
+
+@pytest.mark.parametrize("kind", ["bne", "direct"])
+def test_realizations_key_the_opponents_as_the_kernel_keys_a_transcript(kind):
+    # three agents, so one deviator's code sits between the other two
+    scn = generators.random_scenario(0, max_states=2)
+    assert len(scn.agents) == 3
+    mech = assemble_bne_mechanism(scn) if kind == "bne" else DirectMechanism(scn)
+    kernel = mech.kernel()
+    rng = random.Random(kind)
+    for state in scn.states:
+        game = BayesianGame(scn, mech, state, 0)
+        # every type mixes two codes of its menu, with weights 1/3 and 2/3
+        rows = tuple(
+            tuple((3, tuple(rng.sample(game.actions[(agent, coll)].codes, 2)), (1, 2)) for coll in game.types[agent])
+            for agent in scn.agents
+        )
+        play = game_mod.Play(game, rows)
+        played = [[code for _, codes, _ in row for code in codes] for row in rows]
+        W, joint_play = game._realizations(None, play)
+        assert [codes for _, codes in joint_play] == list(itertools.product(*played))
+        assert sum(weight for weight, _ in joint_play) == W
+        for i, agent in enumerate(scn.agents):
+            W, realizations = game._realizations(agent, play)
+            assert sum(weight for weight, _ in realizations) == W
+            opponents = [(j, other) for j, other in enumerate(scn.agents) if j != i]
+            for _, others in realizations:
+                decoded = {other: kernel.message(j, code) for (j, other), code in zip(opponents, others)}
+                for code in played[i]:
+                    key = kernel.key({**decoded, agent: kernel.message(i, code)})
+                    assert key[i] == code and key[:i] + key[i + 1 :] == others
+                    # the row entry keyed by `others` is the transcript's
+                    outcome, items = kernel.transcript(key)
+                    assert kernel.row(i, (code,), others) == [(outcome, sum(items[i]))]
 
 
 def test_pure_enumeration_values_each_menu_once_per_opponent_strategy(monkeypatch):

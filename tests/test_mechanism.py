@@ -10,7 +10,6 @@ import game_reference
 from evimech import fixtures, mechanism
 from evimech.game import (
     BayesianGame,
-    DirectKernel,
     DirectMechanism,
     DirectMessage,
     claim_audits,
@@ -502,53 +501,6 @@ def test_the_claim_menu_is_built_once_and_each_kernel_copies_it():
     kernel.code(0, bne.truthful_message(bne.scenario.agents[0], "M", EMPTY))
     kernel.code(0, dataclasses.replace(bne.truthful_message(bne.scenario.agents[0], "M", EMPTY), claim=None))
     assert kernel._slot_claims == [*bne.scenario.states, None]
-
-
-@pytest.mark.parametrize("bits", [4, 6])
-def test_codes_beyond_the_key_field_raise_instead_of_aliasing(bits, monkeypatch):
-    # with a small KEY_BITS, exactly the codes at or above 2**bits are refused:
-    # menus holding one, messages coded to one (the slot of no claim, which
-    # the bne menu does not list, lies past every menu's), and a direct kernel
-    # whose space holds one
-    scn = fixtures.perturbed_example()
-    mech = build_bne_mechanism(scn)
-    wide = mechanism.Kernel(mech)
-    messages = [
-        (i, dataclasses.replace(mech.truthful_message(agent, state, coll), claim=claim))
-        for i, agent in enumerate(scn.agents)
-        for coll in scn.presentable(agent)
-        for state in scn.states
-        for claim in (state, None)
-    ]
-    codes = [wide.code(i, msg) for i, msg in messages]
-    types = [
-        (i, coll) for i, agent in enumerate(scn.agents) for state in scn.states for coll in scn.support(agent, state)
-    ]
-    tops = [max(wide.actions(i, coll).codes) for i, coll in types]
-    monkeypatch.setattr(mechanism, "KEY_BITS", bits)
-    narrow = mechanism.Kernel(mech)
-    refused = 0
-    for (i, coll), top in zip(types, tops):
-        if top >= 1 << bits:
-            refused += 1
-            with pytest.raises(OverflowError, match=f"does not fit in {bits} bits"):
-                narrow.actions(i, coll)
-        else:
-            assert narrow.actions(i, coll).codes == wide.actions(i, coll).codes
-    for (i, msg), code in zip(messages, codes):
-        if code >= 1 << bits:
-            refused += 1
-            with pytest.raises(OverflowError):
-                narrow.code(i, msg)
-        else:
-            assert narrow.code(i, msg) == code
-    assert 0 < refused < len(types) + len(messages)
-    direct_codes = max(len(scn.states) * len(scn.presentable(agent)) for agent in scn.agents)
-    if direct_codes > 1 << bits:
-        with pytest.raises(OverflowError):
-            DirectKernel(scn)
-    else:
-        DirectKernel(scn)
 
 
 def test_unknown_article_raises():

@@ -54,7 +54,7 @@ def test_generator_is_deterministic_and_valid():
         assert report.valid, report.violations
         assert len(first.agents) <= 3 and len(first.states) <= 4 and len(first.articles) <= 3
         for dist in first.dists.values():
-            assert dist.total() == 1
+            assert sum(prob for _, prob in dist.items()) == 1
             for _, prob in dist.items():
                 assert prob.denominator <= 12
 

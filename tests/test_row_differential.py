@@ -3,8 +3,8 @@
 direct mechanism).
 
 For each agent, its whole message space (every message of every type's menu
-at every state) is valued in one row, `evaluate_row`, against random packed
-codes of the other agents' messages. Every entry's outcome and five transfer
+at every state) is valued in one row, `evaluate_row`, against random codes
+of the other agents' messages. Every entry's outcome and five transfer
 components must equal the reference's on the whole transcript, the cached
 `row` entry must hold that outcome and the components' total, and `itemized`
 must give every agent's transfers on the transcript. Under the pure variant
@@ -21,7 +21,7 @@ import pytest
 import game_reference as ref
 from evimech import fixtures, game, generators, mechanism
 from evimech.conditions import check_stochastic_measurability
-from evimech.mechanism import KEY_BITS, TRANSFER_KEYS, Challenge
+from evimech.mechanism import TRANSFER_KEYS, Challenge
 
 SCENARIOS = [(name, fixtures.ALL_FIXTURES[name]()) for name in ("micro", "appended_article", "perturbed", "leading")]
 # three agents: two states with a small pure variant, three and four states
@@ -87,12 +87,12 @@ def test_rows_match_reference_rules(name, scn):
         spaces = [_message_space(kernel, scn, i) for i in range(len(scn.agents))]
         for i, agent in enumerate(scn.agents):
             for _ in range(OPPONENTS):
-                picks, others = {}, 0
+                picks, others = {}, ()
                 for j, other in enumerate(scn.agents):
                     if j != i:
                         code = rng.choice(list(spaces[j]))
                         picks[other] = spaces[j][code]
-                        others |= code << (KEY_BITS * j)
+                        others += (code,)
                 checked[kind] = checked.get(kind, 0) + _check_row(mech, kernel, i, spaces[i], picks, others)
                 # a whole transcript, assembled from one row per agent
                 transcript = {**picks, agent: rng.choice(list(spaces[i].values()))}

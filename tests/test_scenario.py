@@ -269,21 +269,16 @@ def test_exact_arithmetic_helpers():
 
 
 def test_joint_multiplies_independent_rows_in_product_order():
-    # no factors: the one empty combination, weight 1, its part the start
-    assert joint([]) == (1, [(1, 0)])
-    assert joint([], ()) == (1, [(1, ())])
+    # no factors: the one empty combination, weight 1, its part empty
+    assert joint([]) == (1, [(1, ())])
     # one-row factors: one combination, its weight the product
-    assert joint([[(1, 2, 1)], [(2, 3, 4)]]) == (6, [(2, 5)])
+    assert joint([[(1, 2, (1,))], [(2, 3, (4,))]]) == (6, [(2, (1, 4))])
     # products stay unreduced: 2/4 counts over 4
-    assert joint([[(2, 4, 0)]]) == (4, [(2, 0)])
-    # int parts packed in disjoint bit fields sum to their OR
-    W, rows = joint([[(1, 2, 1), (1, 2, 2)], [(1, 3, 0 << 4), (2, 3, 1 << 4)]])
-    assert W == 6
-    assert rows == [(1, 1), (2, 1 | 1 << 4), (1, 2), (2, 2 | 1 << 4)]
+    assert joint([[(2, 4, (0,))]]) == (4, [(2, (0,))])
     # tuple parts concatenate, in itertools.product order; W is the lcm of
     # the products' denominators (4, 6 and 12), not their product
     factors = [[(1, 2, ("a",)), (1, 3, ("b",)), (1, 6, ("c",))], [(1, 2, ("x",)), (1, 2, ("y",))]]
-    W, rows = joint(factors, ())
+    W, rows = joint(factors)
     assert W == 12
     assert [part for _, part in rows] == list(itertools.product("abc", "xy"))
     weights = itertools.product(*([F(n, d) for n, d, _ in factor] for factor in factors))

@@ -86,19 +86,22 @@ Pivot = namedtuple("Pivot", "row col entry rhs")  # entry, rhs: numerators befor
 @contextmanager
 def pivot_log():
     """Record every pivot `simplex.maximize` or the two-phase oracle makes
-    inside the block (the oracle's drive-out pivots call its own import)."""
+    inside the block; each module's pivots run its own `_pivot`."""
     log = []
-    original = simplex._pivot
+    originals = simplex._pivot, two_phase._pivot
 
-    def record(rows, dens, bas, r, c):
-        log.append(Pivot(r, c, rows[r][c], rows[r][-1]))
-        return original(rows, dens, bas, r, c)
+    def recording(pivot):
+        def record(rows, dens, bas, r, c):
+            log.append(Pivot(r, c, rows[r][c], rows[r][-1]))
+            return pivot(rows, dens, bas, r, c)
 
-    simplex._pivot = two_phase._pivot = record
+        return record
+
+    simplex._pivot, two_phase._pivot = map(recording, originals)
     try:
         yield log
     finally:
-        simplex._pivot = two_phase._pivot = original
+        simplex._pivot, two_phase._pivot = originals
 
 
 @contextmanager

@@ -57,6 +57,28 @@ def test_package_holds_no_float_literal_and_no_float_call():
     assert found == []
 
 
+def test_references_import_no_private_name_from_the_package():
+    # a frozen reference that imports a helper of the code under test would
+    # run that code on both sides of its differential: it keeps its own copy
+    references = sorted(Path(__file__).parent.glob("*_reference.py"))
+    found = []
+    for path in references:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                paths = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(
+                f"{path.name}:{node.lineno} {dotted}"
+                for dotted in paths
+                if dotted.split(".")[0] == "evimech" and any(part.startswith("_") for part in dotted.split("."))
+            )
+    assert len(references) > 10
+    assert found == []
+
+
 def _bindings(tree, module):
     """Name -> dotted path of what it names, for `module`'s top-level
     functions and classes and its imports (relative imports resolved in the

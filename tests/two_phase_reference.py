@@ -4,8 +4,10 @@
 
 `maximize` is copied verbatim: `<=`, `>=` and `==` rows with `Fraction` or
 int entries, per-variable bounds (free, shifted and boxed variables), and
-phase 1 over artificial columns with its drive-out pivots. It shares the
-integer-row tableau helpers of `evimech.simplex`; besides "optimal" and
+phase 1 over artificial columns with its drive-out pivots. Its integer-row
+tableau helpers `_eliminate`, `_pivot` and `_run_simplex` are copied verbatim
+from `evimech.simplex` as they stood when this oracle was made self-contained,
+so its pivots do not run the code under test; besides "optimal" and
 "unbounded" its `LpResult` status can read "infeasible".
 """
 
@@ -16,9 +18,95 @@ from functools import reduce
 from math import gcd, lcm
 
 from evimech.rationals import common_denominator, numerators
-from evimech.simplex import LpResult, _eliminate, _pivot, _run_simplex
+from evimech.simplex import LpResult
 
 LE, GE, EQ = "<=", ">=", "=="
+_STALL_LIMIT = 12
+
+
+def _eliminate(row, den, c, prow, nz):
+    """Subtract the multiple of the pivot row that zeroes `row[c]`.
+
+    The pivot row has numerator prow[c] > 0 in column c and nonzero entries
+    at the indices nz. Returns the new row and its denominator; `row` may be
+    updated in place.
+    """
+    f = row[c]
+    p = prow[c]
+    h = gcd(p, f)
+    s, f = p // h, f // h
+    if s == 1:
+        for j in nz:
+            row[j] -= f * prow[j]
+        return row, den
+    row = [a * s for a in row]
+    for j in nz:
+        row[j] -= f * prow[j]
+    # reduce() rather than gcd(*row): unpacking builds a tuple per call, and
+    # CPython keeps freed short tuples on free lists, which measurably raised
+    # peak memory.
+    g = reduce(gcd, row, den * s)
+    if g != 1:
+        row = [a // g for a in row]
+    return row, den * s // g
+
+
+def _pivot(rows, dens, bas, r, c):
+    """Make column c basic in row r; returns the pivot row's nonzero entries."""
+    prow = rows[r]
+    g = reduce(gcd, prow)
+    if prow[c] < 0:
+        g = -g
+    if g != 1:
+        prow = rows[r] = [a // g for a in prow]
+    p = dens[r] = prow[c]
+    nz = [j for j, b in enumerate(prow) if b]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            rows[i], dens[i] = _eliminate(row, dens[i], c, prow, nz)
+    bas[r] = c
+    return nz
+
+
+def _run_simplex(rows, dens, bas, cost, cost_den, ncols):
+    """Minimize the cost row (numerators over one positive denominator)."""
+    stall = 0
+    bland = False
+    columns = range(ncols)
+    while True:
+        if bland:
+            enter = next((j for j in columns if cost[j] < 0), -1)
+        else:
+            # the first of the most negative costs
+            enter = min(columns, key=cost.__getitem__, default=-1)
+            if enter >= 0 and cost[enter] >= 0:
+                enter = -1
+        if enter < 0:
+            return "optimal", cost
+        # Ratio test: row i's ratio is row[-1] / row[enter], its denominator
+        # cancels; ratios are compared by cross-multiplication.
+        leave = -1
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                b = row[-1]
+                if leave < 0:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and bas[i] < bas[leave]):
+                    leave, best_a, best_b = i, a, b
+        if leave < 0:
+            return "unbounded", cost
+        if best_b == 0:
+            stall += 1
+            if stall >= _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        nz = _pivot(rows, dens, bas, leave, enter)
+        if cost[enter]:
+            cost, cost_den = _eliminate(cost, cost_den, enter, rows[leave], nz)
 
 
 def maximize(objective, constraints, bounds):
